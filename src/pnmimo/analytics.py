@@ -1,30 +1,21 @@
 """Closed-form effective SINR of the RZF, ZF, and MF precoders.
 
-All three predictions are deterministic functions of the scenario record:
-they combine the Marchenko-Pastur quantities from :mod:`pnmimo.rmt` with the
-phase-drift second moment from :mod:`pnmimo.phase_noise`.  The headline
-intermediate is the effective CSI quality q_eff = q0 * E|T_PN|^2: phase
-drift at the BS acts exactly like a loss of channel-estimate quality.
+BS phase drift acts exactly like a loss of channel-estimate quality: each
+precoder obeys its phase-noise-free large-system SINR with q0 replaced by
+the effective quality q_eff = q0 * E|T_PN|^2.  :func:`effective_quality` is
+the one place q_eff is computed, and it is the single input through which
+phase noise enters the three SINR expressions below.  They combine it with
+the Marchenko-Pastur quantities from :mod:`pnmimo.rmt` and return plain
+floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rmt
 from .config import SystemConfig
 from .phase_noise import t_pn_second_moment
-from .rmt import AsymptoticParams, DeterministicEquivalents
 
-__all__ = ["SinrPrediction", "effective_quality", "equivalents", "resolve_alpha",
-           "sinr_rzf", "sinr_zf", "sinr_mf"]
-
-
-@dataclass(frozen=True)
-class SinrPrediction:
-    sinr: float
-    precoder_kind: str
-    equivalents: DeterministicEquivalents
+__all__ = ["effective_quality", "resolve_alpha", "sinr_rzf", "sinr_zf", "sinr_mf"]
 
 
 def effective_quality(config: SystemConfig) -> float:
@@ -41,73 +32,57 @@ def resolve_alpha(config: SystemConfig) -> float:
     return rmt.optimal_alpha(config.q0, e, config.sigma_w2, config.beta)
 
 
-def equivalents(config: SystemConfig, alpha: float) -> DeterministicEquivalents:
-    """All deterministic quantities entering one RZF SINR evaluation."""
-    params = AsymptoticParams(alpha, config.beta, config.M, config.powers)
-    m = rmt.stieltjes_mp(alpha, config.beta)
-    mp = rmt.stieltjes_mp_derivative(alpha, config.beta)
-    return DeterministicEquivalents(
-        m=m,
-        m_prime=mp,
-        t=rmt.hardening_t(m),
-        t2=rmt.interference_t2(params, config.ue_index),
-        xi=rmt.normalization_xi(params),
-        e_tpn2=t_pn_second_moment(config.M_osc, config.tau,
-                                  config.phase_params.sigma2_bs),
-    )
-
-
-def sinr_rzf(config: SystemConfig, alpha: float | None = None) -> SinrPrediction:
+def sinr_rzf(config: SystemConfig, alpha: float | None = None) -> float:
     """Large-system effective SINR of the RZF precoder for the observed UE.
 
+    With m = m(-alpha), t = m/(1+m), t2 = (sum_{j != k} p_j) m'/(1+m)^2 and
+    xi^2 = M (1+m)^2 / (m' sum p):
     numerator    p_k * t^2 * q_eff
     denominator  (t2/M)(1 - t*q_eff - t*q_eff/(1+m)) + sigma_w^2/xi^2
     """
     if alpha is None:
         alpha = resolve_alpha(config)
-    eq = equivalents(config, alpha)
-    q = config.q0 * eq.e_tpn2
+    q = effective_quality(config)
+    m = rmt.stieltjes_mp(alpha, config.beta)
+    mp = rmt.stieltjes_mp_derivative(alpha, config.beta)
     p_k = float(config.powers[config.ue_index])
-    num = p_k * eq.t ** 2 * q
-    den = (eq.t2 / config.M) * (1.0 - eq.t * q - eq.t * q / (1.0 + eq.m)) \
-        + config.sigma_w2 / eq.xi ** 2
-    return SinrPrediction(num / den, f"RZF(alpha={alpha:g})", eq)
+    psum = float(config.powers.sum())
+    t = m / (m + 1.0)
+    t2 = (psum - p_k) * mp / (1.0 + m) ** 2
+    xi2 = config.M * (1.0 + m) ** 2 / (mp * psum)
+    den = (t2 / config.M) * (1.0 - t * q - t * q / (1.0 + m)) + config.sigma_w2 / xi2
+    return float(p_k * t ** 2 * q / den)
 
 
-def sinr_zf(config: SystemConfig) -> SinrPrediction:
-    """ZF limit of the RZF SINR; requires beta strictly above 1."""
-    if config.beta <= 1:
-        raise ValueError(f"ZF analysis requires beta > 1, got {config.beta}")
-    e = t_pn_second_moment(config.M_osc, config.tau, config.phase_params.sigma2_bs)
-    q = config.q0 * e
+def sinr_zf(config: SystemConfig) -> float:
+    """ZF limit alpha -> 0 of the RZF SINR; requires beta strictly above 1.
+
+    In the limit t -> 1, t2 -> (sum_{j != k} p_j) beta/(beta-1) and
+    xi^2 -> M (beta-1)/(beta sum p).
+    """
+    beta = config.beta
+    if beta <= 1:
+        raise ValueError(f"ZF analysis requires beta > 1, got {beta}")
+    q = effective_quality(config)
     p_k = float(config.powers[config.ue_index])
-    t2 = rmt.zf_limit_t2(config.beta, config.powers, config.ue_index, config.M)
-    xi2 = rmt.zf_limit_xi2(config.M, config.beta, config.powers)
-    den = (t2 / config.M) * (1.0 - q) + config.sigma_w2 / xi2
-    m = rmt.stieltjes_mp(rmt._ZF_LIMIT_ALPHA, config.beta)
-    eq = DeterministicEquivalents(m=m, m_prime=float("nan"), t=rmt.hardening_t(m),
-                                  t2=t2, xi=xi2 ** 0.5, e_tpn2=e)
-    return SinrPrediction(p_k * q / den, "ZF", eq)
+    psum = float(config.powers.sum())
+    t2 = (psum - p_k) * beta / (beta - 1.0)
+    xi2 = config.M * (beta - 1.0) / (beta * psum)
+    return p_k * q / ((t2 / config.M) * (1.0 - q) + config.sigma_w2 / xi2)
 
 
-def sinr_mf(config: SystemConfig, finite_k: bool = False) -> SinrPrediction:
+def sinr_mf(config: SystemConfig, finite_k: bool = False) -> float:
     """MF (conjugate beamforming) effective SINR.
 
-    The default is the large-system limit M*q0*p_k*E / ((sigma_w^2+1)*sum p).
+    The default is the large-system limit M*q_eff*p_k / ((sigma_w^2+1)*sum p).
     With finite_k=True the interference sum excludes the observed UE's own
     power, which removes an O(1/K) bias at small K:
-    M*q0*p_k*E / (sum_{k1 != k} p_k1 + sigma_w^2 * sum p).
+    M*q_eff*p_k / (sum_{k1 != k} p_k1 + sigma_w^2 * sum p).
     """
-    e = t_pn_second_moment(config.M_osc, config.tau, config.phase_params.sigma2_bs)
-    p = config.powers
-    p_k = float(p[config.ue_index])
-    psum = float(p.sum())
-    num = config.M * config.q0 * p_k * e
+    p_k = float(config.powers[config.ue_index])
+    psum = float(config.powers.sum())
     if finite_k:
         den = (psum - p_k) + config.sigma_w2 * psum
     else:
         den = (config.sigma_w2 + 1.0) * psum
-    eq = DeterministicEquivalents(m=float("nan"), m_prime=float("nan"),
-                                  t=float("nan"), t2=psum - p_k, xi=float("nan"),
-                                  e_tpn2=e)
-    return SinrPrediction(num / den, "MF", eq)
+    return config.M * effective_quality(config) * p_k / den

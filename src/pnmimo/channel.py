@@ -8,8 +8,7 @@ import numpy as np
 
 from .phase_noise import OscillatorTopology, PhaseTrace, theta_vector
 
-__all__ = ["EstimateQuality", "ChannelPair", "draw_channel",
-           "synthesize_estimate", "q0_from_pilot"]
+__all__ = ["EstimateQuality", "ChannelPair", "draw_channel", "synthesize_estimate"]
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,3 @@ def synthesize_estimate(H: np.ndarray, trace: PhaseTrace, quality: EstimateQuali
         rotated[k] = theta_vector(trace, k, 0, tau, topology) * H[k]
     H_hat = np.sqrt(quality.q0) * rotated + np.sqrt(quality.q1) * W_e
     return ChannelPair(H=H, H_hat=H_hat, estimation_noise=W_e, quality=quality)
-
-
-def q0_from_pilot(pilot_power: float, sigma_w2: float) -> float:
-    """Estimate quality implied by a pilot SNR under linear MMSE estimation.
-
-    Convenience mapping q0 = p_u / (p_u + sigma_w2); scenarios in this
-    library normally set q0 directly.
-    """
-    if pilot_power < 0 or sigma_w2 < 0:
-        raise ValueError("pilot power and noise variance must be >= 0")
-    if pilot_power + sigma_w2 == 0:
-        raise ValueError("pilot power and noise variance cannot both be 0")
-    return pilot_power / (pilot_power + sigma_w2)

@@ -108,7 +108,11 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(f"sizes: expected comma-separated integers, "
+                          f"got {args.sizes!r}") from None
     rng = np.random.default_rng(args.seed)
     exact_mi = check_matrix_inversion_identity(64, rng)
     exact_res = check_resolvent_identity(64, rng)

@@ -7,7 +7,8 @@ and an optional [sweep] section naming the axis and its values.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +31,10 @@ class SystemConfig:
 
     Exactly one of snr_db / sigma_w2 is the noise handle: when snr_db is
     set, sigma_w2 is derived as p_k / snr_linear for the observed UE.
+
+    Every float field that is set must be finite.  q0 = 0 (no channel
+    knowledge) is accepted only with alpha_mode = "fixed": the optimal
+    regularization divides by q0, so the default "optimal" mode rejects it.
     """
 
     M: int = 50
@@ -58,6 +63,11 @@ class SystemConfig:
         else:
             object.__setattr__(self, "powers", np.asarray(self.powers, dtype=float))
         p = self.powers
+        for name, value in (("q0", self.q0), ("sigma_deg_bs", self.sigma_deg_bs),
+                            ("sigma_deg_ue", self.sigma_deg_ue), ("snr_db", self.snr_db),
+                            ("sigma_w2", self.sigma_w2_value), ("alpha", self.alpha)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value}")
         if self.M < 1:
             raise ConfigError(f"M: must be >= 1, got {self.M}")
         if not 1 <= self.K <= self.M:
@@ -66,6 +76,9 @@ class SystemConfig:
             raise ConfigError(f"M_osc: must divide M with 1 <= M_osc <= M, got {self.M_osc}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ConfigError(f"q0: must be in [0, 1], got {self.q0}")
+        if self.q0 == 0.0 and self.alpha_mode == "optimal":
+            raise ConfigError("q0: 0 leaves the optimal regularization undefined; "
+                              "set alpha_mode = fixed with an explicit alpha")
         if self.sigma_deg_bs < 0 or self.sigma_deg_ue < 0:
             raise ConfigError("sigma_deg_bs/sigma_deg_ue: must be >= 0")
         if self.tau < 1:
@@ -78,8 +91,8 @@ class SystemConfig:
             raise ConfigError(f"sigma_w2: must be >= 0, got {self.sigma_w2_value}")
         if p.shape != (self.K,):
             raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
-        if np.any(p < 0) or p.sum() <= 0:
-            raise ConfigError("powers: entries must be >= 0 with positive sum")
+        if not np.all(np.isfinite(p)) or np.any(p < 0) or p.sum() <= 0:
+            raise ConfigError("powers: entries must be finite and >= 0 with positive sum")
         if self.alpha_mode not in ALPHA_MODES:
             raise ConfigError(f"alpha_mode: must be one of {ALPHA_MODES}, got {self.alpha_mode!r}")
         if self.alpha_mode == "fixed" and (self.alpha is None or self.alpha <= 0):
@@ -120,18 +133,25 @@ _INT_KEYS = {"M", "K", "M_osc", "tau", "T_c", "ue_index", "n_realizations",
 _FLOAT_KEYS = {"q0", "sigma_deg_bs", "sigma_deg_ue", "snr_db", "alpha"}
 
 
+def _number(key: str, raw: str, kind: type):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+
+
 def _parse_system(items: dict[str, str]) -> SystemConfig:
     kwargs: dict = {}
     for key, raw in items.items():
         if key in _INT_KEYS:
-            kwargs[key] = int(raw)
+            kwargs[key] = _number(key, raw, int)
         elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
+            kwargs[key] = _number(key, raw, float)
         elif key == "sigma_w2":
-            kwargs["sigma_w2_value"] = float(raw)
+            kwargs["sigma_w2_value"] = _number(key, raw, float)
         elif key == "powers":
             kwargs["powers"] = raw if raw == "equal" else np.array(
-                [float(x) for x in raw.split()], dtype=float)
+                [_number(key, x, float) for x in raw.split()], dtype=float)
         elif key == "alpha_mode":
             kwargs["alpha_mode"] = raw
         else:
@@ -160,5 +180,7 @@ def load_config(path: str) -> tuple[SystemConfig, str | None, list[float] | None
         raw = sweep.get("values")
         if not raw:
             raise ConfigError("sweep.values: required when [sweep] present")
-        values = [float(x) for x in raw.split()]
+        values = [_number("sweep.values", x, float) for x in raw.split()]
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"sweep.values: must be finite, got {raw!r}")
     return config, axis, values

@@ -119,8 +119,7 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
 
 
 def check_rank1_perturbation(M_values, rng: np.random.Generator,
-                             n_trials: int = 100, zeta: float = 1.0,
-                             enforce_bound: bool = True) -> ConvergenceRecord:
+                             n_trials: int = 100, zeta: float = 1.0) -> ConvergenceRecord:
     """Normalized trace gap from a rank-1 update of a regularized matrix.
 
     The gap (1/M)|tr A[(U + zeta I + q h h^H)^{-1} - (U + zeta I)^{-1}]| is
@@ -137,11 +136,10 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
             base = U + zeta * np.eye(M)
             gap = abs(np.trace(A @ (np.linalg.inv(base + q * np.outer(h, h.conj()))
                                     - np.linalg.inv(base)))) / M
-            if enforce_bound:
-                bound = np.linalg.norm(A, 2) / (zeta * M)
-                if gap > bound * (1 + 1e-10):
-                    raise AssertionError(
-                        f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
+            bound = np.linalg.norm(A, 2) / (zeta * M)
+            if gap > bound * (1 + 1e-10):
+                raise AssertionError(
+                    f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
             errs[t] = gap
         per_size.append(errs)
     return _record("rank1_perturbation", M_values, per_size)

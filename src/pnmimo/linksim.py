@@ -1,4 +1,4 @@
-"""Downlink received-signal synthesis and Monte-Carlo effective-SINR estimation.
+"""Monte-Carlo effective-SINR estimation of the downlink.
 
 One realization draws a channel, a joint phase trajectory, and an estimate,
 builds the requested precoder from the estimate, and reads off the scalar
@@ -20,13 +20,12 @@ import numpy as np
 
 from .channel import EstimateQuality, draw_channel, synthesize_estimate
 from .config import SystemConfig
-from .phase_noise import PhaseTrace, simulate_wiener, theta_vector
+from .phase_noise import simulate_wiener, theta_vector
 from .precoding import (PrecoderMatrix, SingularChannelError, build_mf,
                         build_rzf, build_zf)
 
-__all__ = ["SignalDecomposition", "SinrEstimate", "PowerEstimate", "decompose",
-           "transmit_symbols", "empirical_powers", "empirical_sinr",
-           "RejectionRateError", "MAX_REJECTION_RATE"]
+__all__ = ["PowerEstimate", "empirical_powers", "RejectionRateError",
+           "MAX_REJECTION_RATE"]
 
 # A ZF run aborts if more than this fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
@@ -34,20 +33,6 @@ MAX_REJECTION_RATE = 1e-3
 
 class RejectionRateError(RuntimeError):
     """Too many degenerate channel draws were rejected for a trustworthy result."""
-
-
-@dataclass
-class SignalDecomposition:
-    """Scalar coefficients of the observed UE's received symbol equation."""
-
-    zeta_sig: complex
-    zeta_int: np.ndarray
-    noise_var: float
-
-    @property
-    def sinr(self) -> float:
-        return abs(self.zeta_sig) ** 2 / (
-            float(np.sum(np.abs(self.zeta_int) ** 2)) + self.noise_var)
 
 
 @dataclass
@@ -75,41 +60,6 @@ class PowerEstimate:
         grad = np.array([1.0 / den, -self.mean_sig_power / den ** 2])
         var = float(grad @ cov @ grad) / n
         return float(np.sqrt(max(var, 0.0)))
-
-
-@dataclass
-class SinrEstimate:
-    mean_sig_power: float
-    mean_int_power: float
-    sinr: float
-    n_realizations: int
-    std_error: float
-    n_rejected: int = 0
-
-
-def _effective_row(H: np.ndarray, trace: PhaseTrace, ue: int, tau: int, topology):
-    """The observed UE's channel row rotated by its data-time phase matrix."""
-    return H[ue] * theta_vector(trace, ue, tau, tau, topology)
-
-
-def decompose(H: np.ndarray, precoder: PrecoderMatrix, trace: PhaseTrace,
-              ue: int, tau: int, topology, sigma_w2: float) -> SignalDecomposition:
-    """Split the UE's effective scalar channel into desired and interference parts."""
-    z = _effective_row(H, trace, ue, tau, topology) @ precoder.G
-    return SignalDecomposition(zeta_sig=complex(z[ue]),
-                               zeta_int=np.delete(z, ue),
-                               noise_var=sigma_w2)
-
-
-def transmit_symbols(precoder: PrecoderMatrix, symbols: np.ndarray, H: np.ndarray,
-                     trace: PhaseTrace, noise: np.ndarray, tau: int,
-                     topology) -> np.ndarray:
-    """Received samples of every UE for one vector of unit-power data symbols."""
-    K = H.shape[0]
-    y = np.empty(K, dtype=complex)
-    for k in range(K):
-        y[k] = _effective_row(H, trace, k, tau, topology) @ precoder.G @ symbols + noise[k]
-    return y
 
 
 def _build(kind: str, H_hat: np.ndarray, alpha: float | None,
@@ -142,8 +92,9 @@ def _simulate_block(config: SystemConfig, kind: str, alpha: float | None,
         except SingularChannelError:
             sig[i - start] = intf[i - start] = np.nan
             continue
-        z = _effective_row(H, trace, k, config.tau, topology) @ precoder.G
-        p = np.abs(z) ** 2
+        # the observed UE's channel row, rotated by its data-time phases
+        row = H[k] * theta_vector(trace, k, config.tau, config.tau, topology)
+        p = np.abs(row @ precoder.G) ** 2
         sig[i - start] = p[k]
         intf[i - start] = p.sum() - p[k]
     return sig, intf
@@ -161,8 +112,6 @@ def empirical_powers(config: SystemConfig, kind: str, alpha: float | None = None
     workers = config.parallelism if parallelism is None else parallelism
     if n < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n}")
-    sig = np.empty(n)
-    intf = np.empty(n)
     if workers <= 1 or n < 4 * workers:
         sig, intf = _simulate_block(config, kind, alpha, 0, n)
     else:
@@ -184,17 +133,3 @@ def empirical_powers(config: SystemConfig, kind: str, alpha: float | None = None
                          n_realizations=int(sig.size),
                          n_rejected=rejected,
                          sig_powers=sig, int_powers=intf)
-
-
-def empirical_sinr(config: SystemConfig, kind: str, alpha: float | None = None,
-                   n_realizations: int | None = None,
-                   parallelism: int | None = None) -> SinrEstimate:
-    """Empirical effective SINR of the observed UE under one precoder."""
-    est = empirical_powers(config, kind, alpha, n_realizations, parallelism)
-    s = config.sigma_w2
-    return SinrEstimate(mean_sig_power=est.mean_sig_power,
-                        mean_int_power=est.mean_int_power,
-                        sinr=est.sinr_at(s),
-                        n_realizations=est.n_realizations,
-                        std_error=est.std_error_at(s),
-                        n_rejected=est.n_rejected)

@@ -1,4 +1,4 @@
-"""Wiener phase-noise traces, diagonal phase matrices, and the T_PN statistic.
+"""Wiener phase-noise traces, per-antenna phase rotations, and E|T_PN|^2.
 
 An oscillator topology is described by the pair (M, M_osc): M antennas fed
 by M_osc free-running oscillators, M/M_osc antennas per oscillator.  The two
@@ -8,7 +8,7 @@ distributed setup (M_osc = M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,7 @@ __all__ = [
     "PhaseTrace",
     "deg_to_var",
     "simulate_wiener",
-    "theta_matrix",
-    "delta_phi",
-    "t_pn",
+    "theta_vector",
     "t_pn_second_moment",
 ]
 
@@ -46,14 +44,6 @@ class OscillatorTopology:
     @property
     def block(self) -> int:
         return self.M // self.M_osc
-
-    @property
-    def is_common(self) -> bool:
-        return self.M_osc == 1
-
-    @property
-    def is_distributed(self) -> bool:
-        return self.M_osc == self.M
 
     def expand(self, per_oscillator: np.ndarray) -> np.ndarray:
         """Map a length-M_osc vector to length M, constant within each block."""
@@ -81,41 +71,31 @@ class PhaseTrace:
 
     bs_phases : (2, M_osc) array, rows are symbol 0 and symbol tau
     ue_phases : (2, K) array, same layout
-    steps     : optional (tau+1, n) full random walks when step-by-step
-                generation was requested (for plotting only)
     """
 
     bs_phases: np.ndarray
     ue_phases: np.ndarray
-    bs_steps: np.ndarray | None = field(default=None, repr=False)
-    ue_steps: np.ndarray | None = field(default=None, repr=False)
 
 
-def _wiener_endpoints(n: int, tau: int, sigma2: float, rng: np.random.Generator,
-                      keep_steps: bool):
+def _wiener_endpoints(n: int, tau: int, sigma2: float, rng: np.random.Generator):
     """Phases at 0 and tau for n independent Wiener processes."""
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    if keep_steps:
-        steps = rng.normal(0.0, np.sqrt(sigma2), size=(tau, n))
-        walk = np.vstack([phi0, phi0 + np.cumsum(steps, axis=0)])
-        return np.vstack([walk[0], walk[-1]]), walk
     # A single Gaussian of variance tau*sigma2 is distributionally identical
     # to the sum of tau i.i.d. steps.
     phit = phi0 + rng.normal(0.0, np.sqrt(tau * sigma2), size=n)
-    return np.vstack([phi0, phit]), None
+    return np.vstack([phi0, phit])
 
 
 def simulate_wiener(topology: OscillatorTopology, K: int, params: PhaseNoiseParams,
-                    rng: np.random.Generator, keep_steps: bool = False) -> PhaseTrace:
+                    rng: np.random.Generator) -> PhaseTrace:
     """Draw one joint realization of BS-oscillator and UE phase processes.
 
     Each process starts uniform on [0, 2*pi) and advances by a zero-mean
     Gaussian increment of variance tau*sigma2 between symbols 0 and tau.
     """
-    bs, bs_steps = _wiener_endpoints(topology.M_osc, params.tau, params.sigma2_bs,
-                                     rng, keep_steps)
-    ue, ue_steps = _wiener_endpoints(K, params.tau, params.sigma2_ue, rng, keep_steps)
-    return PhaseTrace(bs_phases=bs, ue_phases=ue, bs_steps=bs_steps, ue_steps=ue_steps)
+    bs = _wiener_endpoints(topology.M_osc, params.tau, params.sigma2_bs, rng)
+    ue = _wiener_endpoints(K, params.tau, params.sigma2_ue, rng)
+    return PhaseTrace(bs_phases=bs, ue_phases=ue)
 
 
 def _row(symbol: int, tau: int) -> int:
@@ -137,35 +117,11 @@ def theta_vector(trace: PhaseTrace, ue: int, symbol: int, tau: int,
     return np.exp(1j * (trace.ue_phases[r, ue] + bs))
 
 
-def theta_matrix(trace: PhaseTrace, ue: int, symbol: int, tau: int,
-                 topology: OscillatorTopology) -> np.ndarray:
-    """Full M x M diagonal phase matrix (prefer theta_vector in hot paths)."""
-    return np.diag(theta_vector(trace, ue, symbol, tau, topology))
-
-
-def delta_phi_vector(trace: PhaseTrace, topology: OscillatorTopology) -> np.ndarray:
-    """Diagonal of the BS phase-drift matrix between symbols 0 and tau."""
-    drift = trace.bs_phases[1] - trace.bs_phases[0]
-    return np.exp(1j * topology.expand(drift))
-
-
-def delta_phi(trace: PhaseTrace, topology: OscillatorTopology) -> np.ndarray:
-    """BS phase-drift matrix as a full diagonal matrix."""
-    return np.diag(delta_phi_vector(trace, topology))
-
-
-def t_pn(delta_phi_diag: np.ndarray) -> complex:
-    """Normalized trace (1/M) sum of the drift-matrix diagonal; |result| <= 1."""
-    d = np.asarray(delta_phi_diag)
-    if d.ndim == 2:
-        d = np.diagonal(d)
-    return complex(d.mean())
-
-
 def t_pn_second_moment(M_osc: int, tau: int, sigma2_bs: float) -> float:
     """Second moment of T_PN over phase draws.
 
-    (1 - e^{-tau*sigma2}) / M_osc + e^{-tau*sigma2}; equals 1 for a common
+    T_PN = (1/M) sum_m exp(j * BS phase drift over tau symbols at antenna m).
+    E|T_PN|^2 = (1 - e^{-tau*sigma2}) / M_osc + e^{-tau*sigma2}; equals 1 for a common
     oscillator and decreases to e^{-tau*sigma2} as M_osc grows.
     """
     if M_osc < 1:

@@ -1,73 +1,18 @@
 """Closed-form random-matrix quantities for the large-system SINR analysis.
 
-Everything here is a deterministic function of the load ratio beta = M/K,
-the regularization parameter alpha, and the per-user power vector.  The
-Monte-Carlo counterparts (empirical traces, empirical precoder
+Everything here is a deterministic function of the load ratio beta = M/K and
+the regularization parameter alpha: the Marchenko-Pastur Stieltjes transform
+m, its derivative m', and the SINR-maximizing RZF regularization.  The SINR
+expressions that combine them with q_eff live in :mod:`pnmimo.analytics`.
+The Monte-Carlo counterparts (empirical traces, empirical precoder
 normalization) live in the test suite and in :mod:`pnmimo.lemmas`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "AsymptoticParams",
-    "DeterministicEquivalents",
-    "stieltjes_mp",
-    "stieltjes_mp_derivative",
-    "hardening_t",
-    "normalization_xi",
-    "interference_t2",
-    "zf_limit_xi2",
-    "zf_limit_t2",
-    "optimal_alpha",
-]
-
-# Relative agreement demanded between closed-form ZF limits and direct RZF
-# evaluation at alpha -> 0; guards against cancellation in the m >> 1 regime.
-_ZF_LIMIT_ALPHA = 1e-8
-_ZF_LIMIT_RTOL = 1e-6
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Inputs of the deterministic equivalents for one scenario.
-
-    alpha   : RZF regularization (> 0)
-    beta    : antenna-to-user ratio M/K (>= 1)
-    M       : antenna count
-    powers  : per-user downlink power vector (length K, entries >= 0)
-    """
-
-    alpha: float
-    beta: float
-    M: int
-    powers: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "powers", np.asarray(self.powers, dtype=float))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if np.any(self.powers < 0):
-            raise ValueError("powers must be nonnegative")
-        if self.powers.sum() <= 0:
-            raise ValueError("sum of powers must be positive")
-
-
-@dataclass(frozen=True)
-class DeterministicEquivalents:
-    """Snapshot of the asymptotic quantities entering one SINR evaluation."""
-
-    m: float
-    m_prime: float
-    t: float
-    t2: float
-    xi: float
-    e_tpn2: float
+__all__ = ["stieltjes_mp", "stieltjes_mp_derivative", "optimal_alpha"]
 
 
 def stieltjes_mp(alpha: float, beta: float) -> float:
@@ -97,72 +42,6 @@ def stieltjes_mp_derivative(alpha: float, beta: float) -> float:
     # m(-alpha) = f(alpha); dm/dz|_{z=-alpha} = -df/dalpha
     num = (-beta + ds) * alpha - (beta - 1 - alpha * beta + s)
     return -num / (2 * alpha * alpha * beta)
-
-
-def hardening_t(m: float) -> float:
-    """Channel-hardening factor m / (m + 1), in (0, 1) for m > 0."""
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
-    return m / (m + 1.0)
-
-
-def normalization_xi(params: AsymptoticParams) -> float:
-    """Asymptotic precoder normalization scalar xi (positive).
-
-    xi^2 = M (1 + m)^2 / (m' * sum_k p_k).
-    """
-    psum = float(params.powers.sum())
-    m = stieltjes_mp(params.alpha, params.beta)
-    mp = stieltjes_mp_derivative(params.alpha, params.beta)
-    return float(np.sqrt(params.M * (1.0 + m) ** 2 / (mp * psum)))
-
-
-def interference_t2(params: AsymptoticParams, excluded_ue: int) -> float:
-    """Interference factor t2 for the user `excluded_ue`.
-
-    t2 = (sum_{k != excluded} p_k) * m' / (1 + m)^2.
-    """
-    K = params.powers.shape[0]
-    if not 0 <= excluded_ue < K:
-        raise IndexError(f"excluded_ue {excluded_ue} out of range for K={K}")
-    psum = float(params.powers.sum() - params.powers[excluded_ue])
-    m = stieltjes_mp(params.alpha, params.beta)
-    mp = stieltjes_mp_derivative(params.alpha, params.beta)
-    return psum * mp / (1.0 + m) ** 2
-
-
-def _check_zf_limit(closed_form: float, rzf_value: float, what: str) -> float:
-    if not np.isclose(closed_form, rzf_value, rtol=_ZF_LIMIT_RTOL, atol=0.0):
-        raise AssertionError(
-            f"ZF-limit {what} disagrees with small-alpha RZF evaluation: "
-            f"{closed_form} vs {rzf_value}"
-        )
-    return closed_form
-
-
-def zf_limit_xi2(M: int, beta: float, powers: np.ndarray) -> float:
-    """xi^2 in the ZF limit alpha -> 0: M (beta - 1) / (beta * sum p).
-
-    Requires beta > 1.  Computed both from the closed-form limit and from
-    the RZF expression at alpha = 1e-8; the two must agree to 1e-6.
-    """
-    if beta <= 1:
-        raise ValueError(f"ZF limit requires beta > 1, got {beta}")
-    powers = np.asarray(powers, dtype=float)
-    closed = M * (beta - 1.0) / (beta * float(powers.sum()))
-    small = AsymptoticParams(_ZF_LIMIT_ALPHA, beta, M, powers)
-    return _check_zf_limit(closed, normalization_xi(small) ** 2, "xi^2")
-
-
-def zf_limit_t2(beta: float, powers: np.ndarray, excluded_ue: int, M: int = 1) -> float:
-    """t2 in the ZF limit alpha -> 0: (sum_{k != excluded} p_k) beta/(beta-1)."""
-    if beta <= 1:
-        raise ValueError(f"ZF limit requires beta > 1, got {beta}")
-    powers = np.asarray(powers, dtype=float)
-    psum = float(powers.sum() - powers[excluded_ue])
-    closed = psum * beta / (beta - 1.0)
-    small = AsymptoticParams(_ZF_LIMIT_ALPHA, beta, M, powers)
-    return _check_zf_limit(closed, interference_t2(small, excluded_ue), "t2")
 
 
 def optimal_alpha(q0: float, e_tpn2: float, sigma_w2: float, beta: float) -> float:

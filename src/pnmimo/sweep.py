@@ -48,12 +48,11 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
     if axis == "beta":
         M = int(round(value * config.K))
         if config.M_osc == config.M:  # fully distributed stays fully distributed
-            m_osc = M
-        elif M % config.M_osc == 0:
-            m_osc = config.M_osc
-        else:
-            m_osc = M
-        return config.with_(M=M, M_osc=m_osc)
+            return config.with_(M=M, M_osc=M)
+        if M % config.M_osc != 0:
+            raise ConfigError(f"sweep.values: beta={value:g} gives M={M}, which "
+                              f"M_osc={config.M_osc} does not divide")
+        return config.with_(M=M)
     if axis == "sigma_phi":
         # value is an increment variance in rad^2, applied at both ends
         deg = float(np.rad2deg(np.sqrt(value)))
@@ -66,11 +65,11 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
 def _analytic(config: SystemConfig, kind: str):
     if kind == "rzf":
         alpha = analytics.resolve_alpha(config)
-        return analytics.sinr_rzf(config, alpha).sinr, alpha
+        return analytics.sinr_rzf(config, alpha), alpha
     if kind == "zf":
-        return analytics.sinr_zf(config).sinr, None
+        return analytics.sinr_zf(config), None
     if kind == "mf":
-        return analytics.sinr_mf(config).sinr, None
+        return analytics.sinr_mf(config), None
     raise ConfigError(f"precoder: unknown kind {kind!r}")
 
 

@@ -52,9 +52,9 @@ class TestCriterion1MonteCarloAgreement:
             for snr in _SNRS_DB:
                 cfg = base.with_(snr_db=snr)
                 alpha = analytics.resolve_alpha(cfg)
-                preds = {"rzf": analytics.sinr_rzf(cfg, alpha).sinr,
-                         "zf": analytics.sinr_zf(cfg).sinr,
-                         "mf": analytics.sinr_mf(cfg, finite_k=True).sinr}
+                preds = {"rzf": analytics.sinr_rzf(cfg, alpha),
+                         "zf": analytics.sinr_zf(cfg),
+                         "mf": analytics.sinr_mf(cfg, finite_k=True)}
                 est = {"rzf": empirical_powers(cfg, "rzf", alpha),
                        **fixed}
                 for kind in ("rzf", "zf", "mf"):
@@ -77,7 +77,7 @@ class TestCriterion1MonteCarloAgreement:
         est = empirical_powers(cfg0, "mf")
         for snr in _SNRS_DB:
             cfg = cfg0.with_(snr_db=snr)
-            pred = analytics.sinr_mf(cfg).sinr
+            pred = analytics.sinr_mf(cfg)
             rel = abs(est.sinr_at(cfg.sigma_w2) - pred) / pred
             worst = max(worst, rel)
         ok = worst <= 0.05
@@ -102,7 +102,7 @@ class TestCriterion2RegularizationFormula:
                                    sigma_deg_bs=6.0, sigma_deg_ue=6.0,
                                    tau=10, T_c=100, snr_db=snr)
                 formula = analytics.resolve_alpha(cfg)
-                sinrs = [analytics.sinr_rzf(cfg, a).sinr for a in grid]
+                sinrs = [analytics.sinr_rzf(cfg, a) for a in grid]
                 best = grid[int(np.argmax(sinrs))]
                 worst = max(worst, abs(best - formula))
         ok = worst <= 1e-3

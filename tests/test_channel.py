@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pnmimo.channel import (ChannelPair, EstimateQuality, draw_channel,
-                            q0_from_pilot, synthesize_estimate)
+from pnmimo.channel import EstimateQuality, draw_channel, synthesize_estimate
 from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams,
                                 simulate_wiener, theta_vector)
 
@@ -85,12 +84,3 @@ class TestSynthesizeEstimate:
         cross = np.mean(pair.estimation_noise * pair.H.conj())
         # each product has unit variance, so the mean's std error is 1/sqrt(n)
         assert abs(cross) <= 3 / np.sqrt(n)
-
-
-class TestPilotHelper:
-    def test_lmmse_relation(self):
-        assert q0_from_pilot(9.0, 1.0) == pytest.approx(0.9)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            q0_from_pilot(0.0, 0.0)

@@ -43,6 +43,15 @@ class TestRunSweep:
         assert s0["empirical_sinr"] != s1["empirical_sinr"]
         assert s0["n_realizations"] == s1["n_realizations"]
 
+    def test_beta_axis_keeps_topology(self):
+        distributed = SystemConfig(M=50, K=10, M_osc=50, snr_db=10.0)
+        rows = run_sweep(distributed, "beta", [3.3], precoders=("mf",),
+                         with_empirical=False)
+        assert (rows[0]["M"], rows[0]["M_osc"]) == (33, 33)
+        with pytest.raises(ConfigError, match="sweep.values.*M_osc"):
+            run_sweep(distributed.with_(M_osc=5), "beta", [3.3], precoders=("mf",),
+                      with_empirical=False)
+
     def test_analytic_only_mode(self):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         rows = run_sweep(cfg, "snr", [0.0], with_empirical=False)
@@ -143,6 +152,32 @@ class TestCliEntry:
         assert main(["preset", "fig6d", "--format", "json-lines"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out.splitlines()[0])["preset"] == "fig6d"
+
+    @pytest.mark.parametrize("ini,fields", [
+        ("[system]\nalpha_mode = fixed\nalpha = inf\n", ("alpha:",)),
+        ("[system]\nsnr_db = nan\n", ("snr_db:",)),
+        ("[system]\nM = abc\n", ("M:",)),
+        ("[system]\nq0 = 0\n", ("q0:",)),
+        ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 x\n",
+         ("sweep.values:",)),
+        ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 inf\n",
+         ("sweep.values:",)),
+        ("[system]\nM = 50\nK = 10\nM_osc = 5\nn_realizations = 10\n\n"
+         "[sweep]\naxis = beta\nvalues = 3.3 2\n", ("sweep.values:", "M_osc")),
+        (None, ("sizes:",)),
+    ])
+    def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
+        if ini is None:
+            argv = ["lemmas", "--sizes", "64,x"]
+        else:
+            if "[sweep]" not in ini:
+                ini += "\n[sweep]\naxis = snr\nvalues = 0\n"
+            path = tmp_path / "bad.ini"
+            path.write_text(ini)
+            argv = ["sweep", str(path), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(f in err for f in fields)
 
     def test_lemmas_csv(self, tmp_path, capsys):
         out = tmp_path / "lem.csv"

@@ -34,10 +34,24 @@ class TestValidation:
         (dict(ue_index=99), "ue_index"),
         (dict(n_realizations=0), "n_realizations"),
         (dict(parallelism=0), "parallelism"),
+        (dict(powers=np.zeros(10)), "powers"),
+        (dict(powers=np.array([0.1] * 9 + [np.inf])), "powers"),
+        (dict(q0=float("nan")), "q0"),
+        (dict(sigma_deg_bs=float("inf")), "sigma_deg_bs"),
+        (dict(sigma_deg_ue=float("-inf")), "sigma_deg_ue"),
+        (dict(snr_db=float("nan")), "snr_db"),
+        (dict(snr_db=None, sigma_w2_value=float("inf")), "sigma_w2"),
+        (dict(alpha_mode="fixed", alpha=float("inf")), "alpha"),
+        (dict(q0=0.0), "q0"),
     ])
     def test_field_level_messages(self, kw, field):
         with pytest.raises(ConfigError, match=field):
             SystemConfig(**kw)
+
+    def test_zero_quality_needs_fixed_alpha(self):
+        with pytest.raises(ConfigError, match="alpha_mode = fixed"):
+            SystemConfig(q0=0.0)
+        assert SystemConfig(q0=0.0, alpha_mode="fixed", alpha=0.1).q0 == 0.0
 
     def test_tau_may_equal_coherence_window(self):
         cfg = SystemConfig(tau=100, T_c=100)

@@ -3,11 +3,10 @@ import pytest
 
 from pnmimo.channel import EstimateQuality, draw_channel, synthesize_estimate
 from pnmimo.config import SystemConfig
-from pnmimo.linksim import (decompose, empirical_powers, empirical_sinr,
-                            transmit_symbols)
+from pnmimo.linksim import empirical_powers
 from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams,
-                                simulate_wiener)
-from pnmimo.precoding import build_zf
+                                simulate_wiener, theta_vector)
+from pnmimo.precoding import build_mf, build_rzf, build_zf
 
 
 def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0, m_osc=None):
@@ -19,44 +18,78 @@ def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0, m_osc=None):
     return rng, topo, H, trace, pair
 
 
+def zeta(H, precoder, trace, ue, tau, topo):
+    """Coefficients that UE `ue`'s received sample puts on every UE's symbol."""
+    return (H[ue] * theta_vector(trace, ue, tau, tau, topo)) @ precoder.G
+
+
+def sinr(z, ue, noise_var):
+    return abs(z[ue]) ** 2 / (np.sum(np.abs(np.delete(z, ue)) ** 2) + noise_var)
+
+
+def transmit(precoder, symbols, H, trace, noise, tau, topo):
+    """Received samples y_k = h_k^T Theta_k(tau) G s + w_k of every UE, with
+    the full diagonal phase matrix Theta_k(tau)."""
+    y = np.empty(H.shape[0], dtype=complex)
+    for k in range(H.shape[0]):
+        theta = np.diag(theta_vector(trace, k, tau, tau, topo))
+        y[k] = H[k] @ theta @ precoder.G @ symbols + noise[k]
+    return y
+
+
 class TestDecompose:
     def test_zf_perfect_csi_no_phase_noise_nulls_interference(self):
         rng, topo, H, trace, pair = _scene(q0=1.0, sigma2=0.0)
         G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        d = decompose(H, G, trace, 0, 5, topo, 0.1)
-        assert np.sum(np.abs(d.zeta_int) ** 2) <= 1e-18
+        z = zeta(H, G, trace, 0, 5, topo)
+        assert np.sum(np.abs(z[1:]) ** 2) <= 1e-18
 
     def test_single_ue_empty_interference(self):
-        rng, topo, H, trace, pair = _scene(K=1)
-        G = build_zf(pair.H_hat, np.array([1.0]))
-        d = decompose(H, G, trace, 0, 5, topo, 0.25)
-        assert d.zeta_int.size == 0
-        assert d.sinr == pytest.approx(abs(d.zeta_sig) ** 2 / 0.25)
+        cfg = SystemConfig(M=32, K=1, M_osc=8, snr_db=None, sigma_w2_value=0.25,
+                           n_realizations=20)
+        est = empirical_powers(cfg, "zf")
+        assert np.all(est.int_powers == 0.0)
+        assert est.sinr_at(0.25) == pytest.approx(est.mean_sig_power / 0.25)
 
     def test_consistent_with_transmit_symbols(self):
-        rng, topo, H, trace, pair = _scene()
-        G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        s = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
-        w = np.zeros(8, dtype=complex)
-        y = transmit_symbols(G, s, H, trace, w, 5, topo)
-        for k in range(8):
-            d = decompose(H, G, trace, k, 5, topo, 0.0)
-            others = np.delete(s, k)
-            expected = d.zeta_sig * s[k] + d.zeta_int @ others
-            assert abs(y[k] - expected) <= 1e-12
+        # Redraw realizations from their own streams in the library's order
+        # (channel, phases, estimate).  Received samples for unit symbol
+        # vectors give every coefficient the observed UE sees; their powers
+        # must be the ones the Monte-Carlo estimator recorded.
+        cfg = SystemConfig(M=32, K=8, M_osc=4, snr_db=10.0, ue_index=2,
+                           n_realizations=6)
+        topo, k, no_noise = cfg.topology, cfg.ue_index, np.zeros(cfg.K, complex)
+        builders = {"rzf": lambda Hh: build_rzf(Hh, 0.1, cfg.powers),
+                    "zf": lambda Hh: build_zf(Hh, cfg.powers),
+                    "mf": lambda Hh: build_mf(Hh, cfg.powers)}
+        for kind, build in builders.items():
+            est = empirical_powers(cfg, kind, 0.1 if kind == "rzf" else None)
+            assert est.n_rejected == 0
+            for i in (0, 3, 5):
+                rng = np.random.default_rng((cfg.master_seed, i))
+                H = draw_channel(cfg.M, cfg.K, rng)
+                trace = simulate_wiener(topo, cfg.K, cfg.phase_params, rng)
+                pair = synthesize_estimate(H, trace, EstimateQuality(cfg.q0), topo,
+                                           cfg.tau, rng)
+                G = build(pair.H_hat)
+                z = np.array([transmit(G, e, H, trace, no_noise, cfg.tau, topo)[k]
+                              for e in np.eye(cfg.K)])
+                assert np.allclose(z, zeta(H, G, trace, k, cfg.tau, topo),
+                                   rtol=0.0, atol=1e-12)
+                p = np.abs(z) ** 2
+                assert p[k] == pytest.approx(est.sig_powers[i], rel=1e-12)
+                assert np.sum(np.delete(p, k)) == pytest.approx(est.int_powers[i],
+                                                                rel=1e-12)
 
     def test_received_power_budget(self):
         rng, topo, H, trace, pair = _scene(seed=1)
         G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        d = decompose(H, G, trace, 0, 5, topo, 0.05)
+        z = zeta(H, G, trace, 0, 5, topo)
         n = 200_000
         s = (rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))) / np.sqrt(2)
         w = np.sqrt(0.05 / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        row = H[0] * np.exp(1j * 0)  # use decompose's own coefficients instead
-        z = np.concatenate([[d.zeta_sig], d.zeta_int])
-        perm = np.concatenate([[0], np.arange(1, 8)])
-        y = s[:, perm] @ z + w
-        budget = abs(d.zeta_sig) ** 2 + np.sum(np.abs(d.zeta_int) ** 2) + 0.05
+        y = s @ z + w
+        budget = np.sum(np.abs(z) ** 2) + 0.05
         assert np.mean(np.abs(y) ** 2) == pytest.approx(budget, rel=0.01)
 
     def test_zero_noise_zero_pn_zf_exact_symbol(self):
@@ -64,7 +97,7 @@ class TestDecompose:
         p = np.full(8, 1 / 8)
         G = build_zf(pair.H_hat, p)
         s = np.ones(8, dtype=complex)
-        y = transmit_symbols(G, s, H, trace, np.zeros(8, complex), 5, topo)
+        y = transmit(G, s, H, trace, np.zeros(8, complex), 5, topo)
         expected = G.xi_empirical * np.sqrt(p)
         # received symbol is xi*sqrt(p_k)*s_k up to the UE's common phase
         assert np.allclose(np.abs(y), expected, atol=1e-10)
@@ -74,31 +107,32 @@ class TestEmpiricalSinr:
     def test_noise_dominated_limit(self):
         cfg = SystemConfig(M=16, K=4, M_osc=4, snr_db=None, sigma_w2_value=1e6,
                            n_realizations=50)
-        est = empirical_sinr(cfg, "mf")
-        assert est.sinr == pytest.approx(est.mean_sig_power / 1e6, rel=1e-3)
+        est = empirical_powers(cfg, "mf")
+        assert est.sinr_at(cfg.sigma_w2) == pytest.approx(est.mean_sig_power / 1e6,
+                                                          rel=1e-3)
 
     def test_mf_matches_closed_form_large_M(self):
         cfg = SystemConfig(M=200, K=40, M_osc=1, q0=0.9, snr_db=None,
                            sigma_w2_value=0.1, n_realizations=2000)
-        est = empirical_sinr(cfg, "mf")
+        est = empirical_powers(cfg, "mf").sinr_at(cfg.sigma_w2)
         # the limit form beta*q0/(1+sigma_w2) carries an O(1/K) bias; the
         # finite-K exclusion form tracks the simulation much tighter
-        assert est.sinr == pytest.approx(200 * 0.9 / 40 / 1.1, rel=0.05)
+        assert est == pytest.approx(200 * 0.9 / 40 / 1.1, rel=0.05)
         from pnmimo.analytics import sinr_mf
-        assert est.sinr == pytest.approx(sinr_mf(cfg, finite_k=True).sinr, rel=0.02)
+        assert est == pytest.approx(sinr_mf(cfg, finite_k=True), rel=0.02)
 
     def test_zf_matches_closed_form(self):
         cfg = SystemConfig(M=50, K=10, M_osc=1, q0=0.9, snr_db=None,
                            sigma_w2_value=0.1, n_realizations=2000)
-        est = empirical_sinr(cfg, "zf")
-        assert est.sinr == pytest.approx(0.09 / (0.0225 * 0.1 + 0.1 / 40), rel=0.05)
+        est = empirical_powers(cfg, "zf").sinr_at(cfg.sigma_w2)
+        assert est == pytest.approx(0.09 / (0.0225 * 0.1 + 0.1 / 40), rel=0.05)
 
     def test_deterministic_given_seed(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=40)
-        a = empirical_sinr(cfg, "rzf", alpha=0.1)
-        b = empirical_sinr(cfg, "rzf", alpha=0.1)
-        assert a.sinr == b.sinr
-        assert a.std_error == b.std_error
+        a = empirical_powers(cfg, "rzf", alpha=0.1)
+        b = empirical_powers(cfg, "rzf", alpha=0.1)
+        assert a.sinr_at(cfg.sigma_w2) == b.sinr_at(cfg.sigma_w2)
+        assert a.std_error_at(cfg.sigma_w2) == b.std_error_at(cfg.sigma_w2)
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
@@ -118,9 +152,9 @@ class TestEmpiricalSinr:
                 cfg = SystemConfig(M=M, K=K, M_osc=1, q0=0.9, snr_db=None,
                                    sigma_w2_value=0.1, n_realizations=800,
                                    master_seed=seed)
-                est = empirical_sinr(cfg, "zf")
-                predicted = sinr_zf(cfg).sinr
-                gaps.append((est.sinr - predicted) / predicted)
+                est = empirical_powers(cfg, "zf").sinr_at(cfg.sigma_w2)
+                predicted = sinr_zf(cfg)
+                gaps.append((est - predicted) / predicted)
             rms.append(float(np.sqrt(np.mean(np.square(gaps)))))
         assert rms[1] <= rms[0]
 
@@ -129,9 +163,10 @@ class TestEmpiricalSinr:
         for m_osc in (1, 2, 5, 10, 25, 50):
             cfg = SystemConfig(M=50, K=10, M_osc=m_osc, snr_db=10.0,
                                n_realizations=600)
-            sinrs.append(empirical_sinr(cfg, "zf"))
-        for a, b in zip(sinrs, sinrs[1:]):
-            assert b.sinr <= a.sinr + 2 * (a.std_error + b.std_error)
+            est = empirical_powers(cfg, "zf")
+            sinrs.append((est.sinr_at(cfg.sigma_w2), est.std_error_at(cfg.sigma_w2)))
+        for (a, se_a), (b, se_b) in zip(sinrs, sinrs[1:]):
+            assert b <= a + 2 * (se_a + se_b)
 
     def test_mf_interference_insensitive_to_oscillator_count(self):
         ests = []
@@ -149,7 +184,7 @@ class TestEmpiricalSinr:
         # times multiplies zeta entries by unit-modulus factors only
         rng, topo, H, trace, pair = _scene(seed=3)
         G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        d0 = decompose(H, G, trace, 0, 5, topo, 0.1)
+        s0 = sinr(zeta(H, G, trace, 0, 5, topo), 0, 0.1)
         trace.bs_phases = trace.bs_phases + 0.7
-        d1 = decompose(H, G, trace, 0, 5, topo, 0.1)
-        assert d1.sinr == pytest.approx(d0.sinr, rel=1e-12)
+        s1 = sinr(zeta(H, G, trace, 0, 5, topo), 0, 0.1)
+        assert s1 == pytest.approx(s0, rel=1e-12)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams, PhaseTrace,
-                                deg_to_var, delta_phi, delta_phi_vector,
-                                simulate_wiener, t_pn, t_pn_second_moment,
-                                theta_matrix, theta_vector)
+                                deg_to_var, simulate_wiener, t_pn_second_moment,
+                                theta_vector)
 
 SIGMA2_6DEG = deg_to_var(6.0)
 
@@ -15,6 +15,19 @@ def mc_t_pn(n_draws, M_osc, tau, sigma2, rng):
     return np.exp(1j * inc).mean(axis=1)
 
 
+def drift(trace, topology, tau):
+    """Per-antenna phase rotation accumulated between symbols 0 and tau, as seen
+    through the UE-0 phase matrices; the BS drift alone when UE 0 is still."""
+    return (theta_vector(trace, 0, tau, tau, topology)
+            * np.conj(theta_vector(trace, 0, 0, tau, topology)))
+
+
+def t_pn(trace, topology):
+    """Normalized trace (1/M) tr(Delta Phi) of the BS drift matrix."""
+    bs = trace.bs_phases
+    return complex(np.exp(1j * topology.expand(bs[1] - bs[0])).mean())
+
+
 class TestTopology:
     def test_block_structure(self):
         topo = OscillatorTopology(12, 3)
@@ -23,8 +36,9 @@ class TestTopology:
                               [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3])
 
     def test_common_and_distributed_flags(self):
-        assert OscillatorTopology(8, 1).is_common
-        assert OscillatorTopology(8, 8).is_distributed
+        # one oscillator feeds every antenna; per-antenna oscillators feed one each
+        assert np.array_equal(OscillatorTopology(8, 1).expand([0.5]), np.full(8, 0.5))
+        assert np.array_equal(OscillatorTopology(8, 8).expand(np.arange(8)), np.arange(8))
 
     def test_rejects_nondivisor(self):
         with pytest.raises(ValueError):
@@ -59,12 +73,14 @@ class TestSimulateWiener:
         assert abs(corr) <= 0.01
 
     def test_step_mode_matches_endpoints(self):
-        topo = OscillatorTopology(4, 2)
-        params = PhaseNoiseParams(0.01, 0.02, tau=7)
-        trace = simulate_wiener(topo, 2, params, np.random.default_rng(3),
-                                keep_steps=True)
-        assert trace.bs_steps.shape == (8, 2)
-        assert np.allclose(trace.bs_phases[1], trace.bs_steps[-1])
+        # the single endpoint increment has the law of tau explicit Wiener steps
+        tau, s2, n = 7, 0.01, 100_000
+        rng = np.random.default_rng(3)
+        topo = OscillatorTopology(n, n)
+        trace = simulate_wiener(topo, 1, PhaseNoiseParams(s2, 0.0, tau), rng)
+        endpoint = trace.bs_phases[1] - trace.bs_phases[0]
+        stepped = rng.normal(0.0, np.sqrt(s2), size=(tau, n)).sum(axis=0)
+        assert stats.ks_2samp(endpoint, stepped).pvalue > 0.01
 
 
 class TestThetaAndDrift:
@@ -81,7 +97,7 @@ class TestThetaAndDrift:
     def test_zero_phases_identity(self):
         topo = OscillatorTopology(4, 2)
         trace = self._trace([0, 0], [0, 0], [0], [0])
-        assert np.allclose(theta_matrix(trace, 0, 0, 5, topo), np.eye(4))
+        assert np.allclose(theta_vector(trace, 0, 0, 5, topo), np.ones(4))
 
     def test_unit_modulus(self):
         topo = OscillatorTopology(8, 4)
@@ -94,18 +110,19 @@ class TestThetaAndDrift:
     def test_drift_common_oscillator_scalar(self):
         topo = OscillatorTopology(5, 1)
         trace = self._trace([0.2], [1.4], [0.0], [0.0])
-        d = delta_phi(trace, topo)
-        assert np.allclose(d, np.exp(1.2j) * np.eye(5))
+        assert np.allclose(drift(trace, topo, 10), np.exp(1.2j))
 
     def test_drift_zero_variance_identity(self):
         topo = OscillatorTopology(6, 3)
         trace = self._trace([1, 2, 3], [1, 2, 3], [0.0], [0.0])
-        assert np.allclose(delta_phi(trace, topo), np.eye(6))
+        assert np.allclose(drift(trace, topo, 10), np.ones(6))
 
     def test_drift_unit_modulus(self):
         topo = OscillatorTopology(8, 2)
         trace = self._trace([0.3, 2.5], [1.1, -0.4], [0.0], [0.0])
-        assert np.allclose(np.abs(delta_phi_vector(trace, topo)), 1.0, atol=1e-14)
+        d = drift(trace, topo, 10)
+        assert np.allclose(np.abs(d), 1.0, atol=1e-14)
+        assert np.allclose(d, np.repeat(np.exp(1j * np.array([0.8, -2.9])), 4))
 
     def test_only_endpoints_materialized(self):
         topo = OscillatorTopology(4, 1)
@@ -120,25 +137,18 @@ class TestTPn:
         rng = np.random.default_rng(5)
         for _ in range(20):
             trace = simulate_wiener(topo, 1, PhaseNoiseParams(0.5, 0.0, 10), rng)
-            assert abs(t_pn(delta_phi_vector(trace, topo))) == pytest.approx(1.0, abs=1e-12)
+            assert abs(t_pn(trace, topo)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance_exactly_one(self):
         topo = OscillatorTopology(8, 4)
         trace = simulate_wiener(topo, 1, PhaseNoiseParams(0.0, 0.0, 10),
                                 np.random.default_rng(6))
-        assert t_pn(delta_phi_vector(trace, topo)) == pytest.approx(1.0, abs=1e-14)
+        assert t_pn(trace, topo) == pytest.approx(1.0, abs=1e-14)
 
     def test_distributed_limit_hardens(self):
         tau, s2 = 10, SIGMA2_6DEG
         vals = mc_t_pn(10_000, 4096, tau, s2, np.random.default_rng(7))
         assert vals.mean() == pytest.approx(np.exp(-tau * s2 / 2), rel=0.01)
-
-    def test_accepts_full_matrix(self):
-        topo = OscillatorTopology(4, 2)
-        trace = simulate_wiener(topo, 1, PhaseNoiseParams(0.2, 0.0, 5),
-                                np.random.default_rng(8))
-        assert t_pn(delta_phi(trace, topo)) == pytest.approx(
-            t_pn(delta_phi_vector(trace, topo)))
 
 
 class TestSecondMoment:

@@ -3,7 +3,7 @@ import pytest
 
 from pnmimo.channel import draw_channel
 from pnmimo.precoding import (SingularChannelError, build_mf, build_rzf, build_zf)
-from pnmimo.rmt import AsymptoticParams, normalization_xi
+from pnmimo.rmt import stieltjes_mp, stieltjes_mp_derivative
 
 
 def _hhat(M, K, seed):
@@ -38,7 +38,9 @@ class TestRzf:
         M, K, alpha = 256, 64, 0.5
         p = _equal(K)
         xis = [build_rzf(_hhat(M, K, s), alpha, p).xi_empirical for s in range(200)]
-        predicted = normalization_xi(AsymptoticParams(alpha, M / K, M, p))
+        m = stieltjes_mp(alpha, M / K)
+        mp = stieltjes_mp_derivative(alpha, M / K)
+        predicted = np.sqrt(M * (1 + m) ** 2 / (mp * p.sum()))
         assert np.mean(xis) == pytest.approx(predicted, rel=0.03)
 
     def test_large_alpha_approaches_matched_filter(self):
