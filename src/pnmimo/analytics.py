@@ -12,7 +12,7 @@ floats.
 from __future__ import annotations
 
 from . import rmt
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .phase_noise import t_pn_second_moment
 
 __all__ = ["effective_quality", "resolve_alpha", "sinr_rzf", "sinr_zf", "sinr_mf"]
@@ -20,15 +20,14 @@ __all__ = ["effective_quality", "resolve_alpha", "sinr_rzf", "sinr_zf", "sinr_mf
 
 def effective_quality(config: SystemConfig) -> float:
     """q_eff = q0 * E|T_PN|^2, the phase-drift-degraded CSI quality."""
-    return config.q0 * t_pn_second_moment(config.M_osc, config.tau,
-                                          config.phase_params.sigma2_bs)
+    return config.q0 * t_pn_second_moment(config.M_osc, config.tau, config.sigma2_bs)
 
 
 def resolve_alpha(config: SystemConfig) -> float:
     """Regularization used for the RZF precoder under the configured mode."""
     if config.alpha_mode == "fixed":
         return config.alpha
-    e = t_pn_second_moment(config.M_osc, config.tau, config.phase_params.sigma2_bs)
+    e = t_pn_second_moment(config.M_osc, config.tau, config.sigma2_bs)
     return rmt.optimal_alpha(config.q0, e, config.sigma_w2, config.beta)
 
 
@@ -62,7 +61,7 @@ def sinr_zf(config: SystemConfig) -> float:
     """
     beta = config.beta
     if beta <= 1:
-        raise ValueError(f"ZF analysis requires beta > 1, got {beta}")
+        raise ConfigError(f"K: ZF needs beta = M/K > 1, got M={config.M}, K={config.K}")
     q = effective_quality(config)
     p_k = float(config.powers[config.ue_index])
     psum = float(config.powers.sum())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phase_noise import OscillatorTopology, PhaseNoiseParams, deg_to_var
+from .phase_noise import deg_to_var
 
 __all__ = ["ConfigError", "SystemConfig", "load_config", "SWEEP_AXES"]
 
@@ -73,7 +73,8 @@ class SystemConfig:
         if not 1 <= self.K <= self.M:
             raise ConfigError(f"K: need 1 <= K <= M, got K={self.K}, M={self.M}")
         if self.M % self.M_osc != 0 or not 1 <= self.M_osc <= self.M:
-            raise ConfigError(f"M_osc: must divide M with 1 <= M_osc <= M, got {self.M_osc}")
+            raise ConfigError(f"M_osc: must divide M with 1 <= M_osc <= M, "
+                              f"got M_osc={self.M_osc}, M={self.M}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ConfigError(f"q0: must be in [0, 1], got {self.q0}")
         if self.q0 == 0.0 and self.alpha_mode == "optimal":
@@ -103,6 +104,8 @@ class SystemConfig:
             raise ConfigError(f"n_realizations: must be >= 1, got {self.n_realizations}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism: must be >= 1, got {self.parallelism}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
 
     @property
     def beta(self) -> float:
@@ -115,14 +118,14 @@ class SystemConfig:
         return float(self.powers[self.ue_index] / 10.0 ** (self.snr_db / 10.0))
 
     @property
-    def topology(self) -> OscillatorTopology:
-        return OscillatorTopology(self.M, self.M_osc)
+    def sigma2_bs(self) -> float:
+        """BS phase increment variance, rad^2 per symbol."""
+        return deg_to_var(self.sigma_deg_bs)
 
     @property
-    def phase_params(self) -> PhaseNoiseParams:
-        return PhaseNoiseParams(sigma2_bs=deg_to_var(self.sigma_deg_bs),
-                                sigma2_ue=deg_to_var(self.sigma_deg_ue),
-                                tau=self.tau)
+    def sigma2_ue(self) -> float:
+        """UE phase increment variance, rad^2 per symbol."""
+        return deg_to_var(self.sigma_deg_ue)
 
     def with_(self, **changes) -> "SystemConfig":
         return replace(self, **changes)

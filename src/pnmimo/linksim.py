@@ -1,10 +1,13 @@
 """Monte-Carlo effective-SINR estimation of the downlink.
 
-One realization draws a channel, a joint phase trajectory, and an estimate,
-builds the requested precoder from the estimate, and reads off the scalar
-coefficients that the observed UE sees on its own symbol and on every
-interferer's symbol at data time.  Averaging |zeta_sig|^2 and ||zeta_int||^2
-over realizations yields the empirical effective SINR.
+One realization draws a channel H, a joint phase trajectory, and the
+estimate H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e, builds the requested
+precoder G from H_hat, and reads off the scalar coefficients
+h_k^T Theta_k(tau) G that the observed UE k sees on its own symbol and on
+every interferer's symbol at data time.  Averaging |zeta_sig|^2 and
+||zeta_int||^2 over realizations yields the empirical effective SINR.  The
+scenario is validated once, by SystemConfig; the stages below it take plain
+arrays and floats.
 
 Realization `i` always uses the RNG stream seeded by (master_seed, i), and
 results are assembled by index, so output is bit-identical for any
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EstimateQuality, draw_channel, synthesize_estimate
+from .channel import draw_channel, synthesize_estimate
 from .config import SystemConfig
 from .phase_noise import simulate_wiener, theta_vector
 from .precoding import (PrecoderMatrix, SingularChannelError, build_mf,
@@ -76,25 +79,24 @@ def _build(kind: str, H_hat: np.ndarray, alpha: float | None,
 def _simulate_block(config: SystemConfig, kind: str, alpha: float | None,
                     start: int, stop: int):
     """Per-realization powers for indices [start, stop); NaN marks rejection."""
-    topology = config.topology
-    params = config.phase_params
-    quality = EstimateQuality(config.q0)
-    k = config.ue_index
+    M, K, k, tau = config.M, config.K, config.ue_index, config.tau
+    sigma2_bs, sigma2_ue = config.sigma2_bs, config.sigma2_ue
     sig = np.empty(stop - start)
     intf = np.empty(stop - start)
     for i in range(start, stop):
         rng = np.random.default_rng((config.master_seed, i))
-        H = draw_channel(config.M, config.K, rng)
-        trace = simulate_wiener(topology, config.K, params, rng)
-        pair = synthesize_estimate(H, trace, quality, topology, config.tau, rng)
+        H = draw_channel(M, K, rng)
+        trace = simulate_wiener(config.M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
+        H_hat = synthesize_estimate(
+            H, theta_vector(trace.ue_phases[0], trace.bs_phases[0], M), config.q0, rng)
         try:
-            precoder = _build(kind, pair.H_hat, alpha, config.powers)
+            G = _build(kind, H_hat, alpha, config.powers).G
         except SingularChannelError:
             sig[i - start] = intf[i - start] = np.nan
             continue
         # the observed UE's channel row, rotated by its data-time phases
-        row = H[k] * theta_vector(trace, k, config.tau, config.tau, topology)
-        p = np.abs(row @ precoder.G) ** 2
+        row = H[k] * theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M)
+        p = np.abs(row @ G) ** 2
         sig[i - start] = p[k]
         intf[i - start] = p.sum() - p[k]
     return sig, intf

@@ -12,9 +12,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 __all__ = ["PrecoderMatrix", "SingularChannelError", "build_rzf", "build_zf",
-           "build_mf", "DEFAULT_CONDITION_CAP"]
+           "build_mf", "CONDITION_CAP"]
 
-DEFAULT_CONDITION_CAP = 1e12
+# ZF rejects an estimated channel whose Gram condition number exceeds this.
+CONDITION_CAP = 1e12
 
 
 class SingularChannelError(RuntimeError):
@@ -23,26 +24,18 @@ class SingularChannelError(RuntimeError):
 
 @dataclass
 class PrecoderMatrix:
-    """Normalized precoder, the applied scalar, and a tag naming the family."""
+    """Normalized precoder and the applied scalar."""
 
     G: np.ndarray
     xi_empirical: float
-    kind: str
 
 
-def _normalize(raw: np.ndarray, kind: str) -> PrecoderMatrix:
+def _normalize(raw: np.ndarray) -> PrecoderMatrix:
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
-        raise SingularChannelError(f"{kind} precoder collapsed to zero")
+        raise SingularChannelError("precoder collapsed to zero")
     xi = 1.0 / norm
-    return PrecoderMatrix(G=raw * xi, xi_empirical=xi, kind=kind)
-
-
-def _apply_powers(HT: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    powers = np.asarray(powers, dtype=float)
-    if powers.shape != (HT.shape[1],):
-        raise ValueError(f"powers has shape {powers.shape}, expected ({HT.shape[1]},)")
-    return HT * np.sqrt(powers)
+    return PrecoderMatrix(G=raw * xi, xi_empirical=xi)
 
 
 def build_rzf(H_hat: np.ndarray, alpha: float, powers: np.ndarray) -> PrecoderMatrix:
@@ -57,25 +50,24 @@ def build_rzf(H_hat: np.ndarray, alpha: float, powers: np.ndarray) -> PrecoderMa
     K, M = H_hat.shape
     gram = H_hat @ H_hat.conj().T + (M * alpha) * np.eye(K)
     sol = cho_solve(cho_factor(gram), np.diag(np.sqrt(np.asarray(powers, dtype=float))))
-    return _normalize(H_hat.conj().T @ sol, f"RZF(alpha={alpha:g})")
+    return _normalize(H_hat.conj().T @ sol)
 
 
-def build_zf(H_hat: np.ndarray, powers: np.ndarray,
-             condition_cap: float = DEFAULT_CONDITION_CAP) -> PrecoderMatrix:
+def build_zf(H_hat: np.ndarray, powers: np.ndarray) -> PrecoderMatrix:
     """Zero-forcing beams: exact interference nulling on the estimated channel."""
     K, M = H_hat.shape
     if K > M:
         raise ValueError(f"ZF requires K <= M, got K={K}, M={M}")
     gram = H_hat @ H_hat.conj().T
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > condition_cap:
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise SingularChannelError(
-            f"estimated-channel Gram condition number {cond:.3e} exceeds cap {condition_cap:.1e}"
+            f"estimated-channel Gram condition number {cond:.3e} exceeds cap {CONDITION_CAP:.1e}"
         )
     sol = np.linalg.solve(gram, np.diag(np.sqrt(np.asarray(powers, dtype=float))))
-    return _normalize(H_hat.conj().T @ sol, "ZF")
+    return _normalize(H_hat.conj().T @ sol)
 
 
 def build_mf(H_hat: np.ndarray, powers: np.ndarray) -> PrecoderMatrix:
     """Matched-filter (conjugate) beams proportional to the estimate itself."""
-    return _normalize(_apply_powers(H_hat.conj().T, np.asarray(powers, dtype=float)), "MF")
+    return _normalize(H_hat.conj().T * np.sqrt(np.asarray(powers, dtype=float)))

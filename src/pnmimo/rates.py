@@ -20,15 +20,14 @@ __all__ = ["RateReport", "rate_awgn_bound", "rate_lapidoth", "rate_min",
 class RateReport:
     """All rate figures for one (SINR, phase-noise) operating point.
 
-    rate_lapidoth is None when the phase-variance argument is zero and the
-    bound is undefined; rate_min then falls back to max(0, AWGN bound).
+    rate_lapidoth is None where the bound is undefined (zero phase variance
+    or zero SINR); rate_min then falls back to max(0, AWGN bound).
     """
 
     rate_awgn_bound: float
     rate_lapidoth: float | None
     rate_min: float
     rate_ergodic: float
-    delta_pn: int
 
 
 def rate_awgn_bound(sinr: float) -> float:
@@ -36,11 +35,6 @@ def rate_awgn_bound(sinr: float) -> float:
     if sinr < 0:
         raise ValueError(f"sinr must be >= 0, got {sinr}")
     return math.log2(1.0 + sinr)
-
-
-def _phase_variance(tau: int, sigma2_ue: float, sigma2_bs: float, M_osc: int) -> float:
-    delta_pn = 1 if M_osc == 1 else 0
-    return tau * (sigma2_ue + delta_pn * sigma2_bs)
 
 
 def rate_lapidoth(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
@@ -52,11 +46,11 @@ def rate_lapidoth(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
     oscillators the BS drift averages across antennas and only the UE's own
     phase survives as a common rotation.
     """
-    v = _phase_variance(tau, sigma2_ue, sigma2_bs, M_osc)
+    v = tau * (sigma2_ue + (sigma2_bs if M_osc == 1 else 0.0))
     if v <= 0:
         raise ValueError("phase-variance argument is 0; bound undefined")
     if sinr <= 0:
-        return -math.inf
+        raise ValueError(f"sinr is {sinr}; bound undefined")
     return 0.5 * math.log2(2.0 * math.pi * sinr) - 0.5 * math.log2(2.0 * math.pi * math.e * v)
 
 
@@ -94,5 +88,4 @@ def rate_report(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
         rate_lapidoth=lap,
         rate_min=rate_min(awgn, lap),
         rate_ergodic=rate_ergodic(sinr),
-        delta_pn=1 if M_osc == 1 else 0,
     )

@@ -22,7 +22,6 @@ import numpy as np
 from . import analytics, rates
 from .config import SWEEP_AXES, ConfigError, SystemConfig
 from .linksim import empirical_powers
-from .phase_noise import deg_to_var
 
 __all__ = ["COLUMNS", "SCHEMA_VERSION", "run_sweep", "run_preset",
            "emit_results", "list_presets", "PRESETS", "Preset"]
@@ -41,25 +40,30 @@ PRECODERS = ("rzf", "zf", "mf")
 
 
 def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
+    """The scenario at one sweep point; SystemConfig validates it."""
     if axis == "snr":
-        return config.with_(snr_db=float(value), sigma_w2_value=None)
-    if axis == "m_osc":
-        return config.with_(M_osc=int(value))
-    if axis == "beta":
+        changes = dict(snr_db=float(value), sigma_w2_value=None)
+    elif axis == "m_osc":
+        if value != int(value):
+            raise ConfigError(f"sweep.values: m_osc must be an integer, got {value:g}")
+        changes = dict(M_osc=int(value))
+    elif axis == "beta":
         M = int(round(value * config.K))
-        if config.M_osc == config.M:  # fully distributed stays fully distributed
-            return config.with_(M=M, M_osc=M)
-        if M % config.M_osc != 0:
-            raise ConfigError(f"sweep.values: beta={value:g} gives M={M}, which "
-                              f"M_osc={config.M_osc} does not divide")
-        return config.with_(M=M)
-    if axis == "sigma_phi":
+        # a fully distributed BS stays fully distributed
+        changes = dict(M=M, M_osc=M) if config.M_osc == config.M else dict(M=M)
+    elif axis == "sigma_phi":
         # value is an increment variance in rad^2, applied at both ends
         deg = float(np.rad2deg(np.sqrt(value)))
-        return config.with_(sigma_deg_bs=deg, sigma_deg_ue=deg)
-    if axis == "alpha":
-        return config.with_(alpha_mode="fixed", alpha=float(value))
-    raise ConfigError(f"sweep_axis: must be one of {SWEEP_AXES}, got {axis!r}")
+        changes = dict(sigma_deg_bs=deg, sigma_deg_ue=deg)
+    elif axis == "alpha":
+        changes = dict(alpha_mode="fixed", alpha=float(value))
+    else:
+        raise ConfigError(f"sweep_axis: must be one of {SWEEP_AXES}, got {axis!r}")
+    try:
+        return config.with_(**changes)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep.values: {axis} = {value:g} gives an invalid "
+                          f"scenario: {exc}") from None
 
 
 def _analytic(config: SystemConfig, kind: str):
@@ -122,9 +126,8 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
                            std_error=est.std_error_at(point.sigma_w2),
                            n_realizations=est.n_realizations,
                            n_rejected=est.n_rejected)
-            pp = point.phase_params
-            rep = rates.rate_report(sinr_a, point.tau, pp.sigma2_ue, pp.sigma2_bs,
-                                    point.M_osc)
+            rep = rates.rate_report(sinr_a, point.tau, point.sigma2_ue,
+                                    point.sigma2_bs, point.M_osc)
             row.update(rate_awgn=rep.rate_awgn_bound,
                        rate_lapidoth=rep.rate_lapidoth,
                        rate_min=rep.rate_min,

@@ -17,10 +17,9 @@ from pnmimo.lemmas import (check_free_probability_traces,
                            check_rank1_perturbation, check_resolvent_identity,
                            check_trace_lemma)
 from pnmimo.linksim import empirical_powers
-from pnmimo.channel import EstimateQuality, draw_channel, synthesize_estimate
-from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams,
-                                deg_to_var, simulate_wiener,
-                                t_pn_second_moment)
+from pnmimo.channel import draw_channel, synthesize_estimate
+from pnmimo.phase_noise import (deg_to_var, simulate_wiener, t_pn_second_moment,
+                                theta_vector)
 from pnmimo.precoding import build_mf, build_rzf, build_zf
 from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import rows_to_csv, run_preset, run_sweep
@@ -244,9 +243,7 @@ class TestCriterion6PhaseTraceSecondMoment:
 
     def test_single_oscillator_exact(self):
         # |T_PN| = 1 identically when every antenna shares one oscillator
-        params = PhaseNoiseParams(sigma2_bs=deg_to_var(6.0),
-                                  sigma2_ue=deg_to_var(6.0), tau=10)
-        assert t_pn_second_moment(1, 10, params.sigma2_bs) == pytest.approx(1.0)
+        assert t_pn_second_moment(1, 10, deg_to_var(6.0)) == pytest.approx(1.0)
 
 
 def _empirical_resolvent_trace(M, K, alpha, rng):
@@ -328,22 +325,20 @@ class TestCriterion9PrecoderConstraints:
         worst_trace = 0.0
         worst_null = 0.0
         for M, K, m_osc in topo_cases:
-            topology = OscillatorTopology(M=M, M_osc=m_osc)
-            params = PhaseNoiseParams(sigma2_bs=deg_to_var(6.0),
-                                      sigma2_ue=deg_to_var(6.0), tau=10)
-            quality = EstimateQuality(q0=0.9)
+            s2 = deg_to_var(6.0)
             powers = np.full(K, 1.0 / K)
             for _ in range(25):
                 H = draw_channel(M, K, rng)
-                tr = simulate_wiener(topology, K, params, rng)
-                pair = synthesize_estimate(H, tr, quality, topology, 10, rng)
-                for prec in (build_rzf(pair.H_hat, 0.05, powers),
-                             build_zf(pair.H_hat, powers),
-                             build_mf(pair.H_hat, powers)):
+                tr = simulate_wiener(m_osc, K, s2, s2, 10, rng)
+                H_hat = synthesize_estimate(
+                    H, theta_vector(tr.ue_phases[0], tr.bs_phases[0], M), 0.9, rng)
+                for i, prec in enumerate((build_rzf(H_hat, 0.05, powers),
+                                          build_zf(H_hat, powers),
+                                          build_mf(H_hat, powers))):
                     g2 = float(np.trace(prec.G.conj().T @ prec.G).real)
                     worst_trace = max(worst_trace, abs(g2 - 1.0))
-                    if prec.kind == "ZF":
-                        eff = pair.H_hat @ prec.G
+                    if i == 1:  # ZF
+                        eff = H_hat @ prec.G
                         diag = np.abs(np.diag(eff)).min()
                         off = np.abs(eff - np.diag(np.diag(eff))).max()
                         worst_null = max(worst_null, off / diag)

@@ -15,7 +15,7 @@ def _cfg(**kw):
 
 
 def _e_tpn2(cfg):
-    return t_pn_second_moment(cfg.M_osc, cfg.tau, cfg.phase_params.sigma2_bs)
+    return t_pn_second_moment(cfg.M_osc, cfg.tau, cfg.sigma2_bs)
 
 
 class TestEffectiveQuality:

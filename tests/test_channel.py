@@ -1,20 +1,8 @@
 import numpy as np
 import pytest
 
-from pnmimo.channel import EstimateQuality, draw_channel, synthesize_estimate
-from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams,
-                                simulate_wiener, theta_vector)
-
-
-class TestQuality:
-    def test_complement_and_cross_term(self):
-        q = EstimateQuality(0.9)
-        assert q.q1 == pytest.approx(0.1)
-        assert q.q2 == pytest.approx(np.sqrt(0.09))
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            EstimateQuality(1.2)
+from pnmimo.channel import draw_channel, synthesize_estimate
+from pnmimo.phase_noise import simulate_wiener, theta_vector
 
 
 class TestDrawChannel:
@@ -45,42 +33,48 @@ class TestDrawChannel:
 
 
 def _make_pair(q0, M=64, K=8, seed=0, sigma2=0.05, tau=5):
+    """(H, H_hat, rotated channel Theta(0) H, estimation noise W_e).
+
+    W_e is recovered by replaying the generator: the estimate draws it from
+    the same stream right after the channel and the phase trace.
+    """
     rng = np.random.default_rng(seed)
-    topo = OscillatorTopology(M, M // 4)
     H = draw_channel(M, K, rng)
-    trace = simulate_wiener(topo, K, PhaseNoiseParams(sigma2, sigma2, tau), rng)
-    pair = synthesize_estimate(H, trace, EstimateQuality(q0), topo, tau, rng)
-    return pair, trace, topo, tau
+    trace = simulate_wiener(M // 4, K, sigma2, sigma2, tau, rng)
+    theta0 = theta_vector(trace.ue_phases[0], trace.bs_phases[0], M)
+    replay = np.random.default_rng(seed)
+    H_hat = synthesize_estimate(H, theta0, q0, rng)
+    draw_channel(M, K, replay)
+    simulate_wiener(M // 4, K, sigma2, sigma2, tau, replay)
+    W_e = draw_channel(M, K, replay)
+    return H, H_hat, theta0 * H, W_e
 
 
 class TestSynthesizeEstimate:
     def test_perfect_estimate_is_rotated_channel(self):
-        pair, trace, topo, tau = _make_pair(1.0)
-        for k in range(pair.H.shape[0]):
-            expected = theta_vector(trace, k, 0, tau, topo) * pair.H[k]
-            assert np.allclose(pair.H_hat[k], expected)
+        H, H_hat, rot, _ = _make_pair(1.0)
+        assert np.allclose(H_hat, rot)
 
     def test_zero_quality_ignores_channel(self):
-        pair, _, _, _ = _make_pair(0.0)
-        assert np.allclose(pair.H_hat, pair.estimation_noise)
+        _, H_hat, _, W_e = _make_pair(0.0)
+        assert np.allclose(H_hat, W_e)
 
     def test_unit_entry_variance(self):
-        pair, _, _, _ = _make_pair(0.9, M=1024, K=1024, seed=4)
-        assert np.mean(np.abs(pair.H_hat) ** 2) == pytest.approx(1.0, rel=0.01)
+        _, H_hat, _, _ = _make_pair(0.9, M=1024, K=1024, seed=4)
+        assert np.mean(np.abs(H_hat) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_correlation_with_rotated_channel_is_sqrt_q0(self):
-        pair, trace, topo, tau = _make_pair(0.9, M=1024, K=1024, seed=5)
-        K = pair.H.shape[0]
-        rot = np.empty_like(pair.H)
-        for k in range(K):
-            rot[k] = theta_vector(trace, k, 0, tau, topo) * pair.H[k]
-        corr = np.mean(pair.H_hat * rot.conj())
+        _, H_hat, rot, _ = _make_pair(0.9, M=1024, K=1024, seed=5)
+        corr = np.mean(H_hat * rot.conj())
         assert corr.real == pytest.approx(np.sqrt(0.9), rel=0.01)
         assert abs(corr.imag) < 0.01
 
     def test_estimation_noise_independent_of_channel(self):
-        pair, _, _, _ = _make_pair(0.5, M=1024, K=1024, seed=6)
-        n = pair.H.size
-        cross = np.mean(pair.estimation_noise * pair.H.conj())
+        H, H_hat, rot, W_e = _make_pair(0.5, M=1024, K=1024, seed=6)
+        # the replayed noise is the one in the estimate
+        assert np.allclose(H_hat, np.sqrt(0.5) * rot + np.sqrt(0.5) * W_e,
+                           rtol=0, atol=1e-12)
+        n = H.size
+        cross = np.mean(W_e * H.conj())
         # each product has unit variance, so the mean's std error is 1/sqrt(n)
         assert abs(cross) <= 3 / np.sqrt(n)

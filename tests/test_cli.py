@@ -165,10 +165,16 @@ class TestCliEntry:
         ("[system]\nM = 50\nK = 10\nM_osc = 5\nn_realizations = 10\n\n"
          "[sweep]\naxis = beta\nvalues = 3.3 2\n", ("sweep.values:", "M_osc")),
         (None, ("sizes:",)),
+        ("[system]\nM = 10\nK = 10\nn_realizations = 10\n", ("K:", "beta")),
+        ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = m_osc\nvalues = 2.5\n",
+         ("sweep.values:", "m_osc")),
+        (["preset", "fig3", "--seed", "-1"], ("master_seed:",)),
     ])
     def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
         if ini is None:
             argv = ["lemmas", "--sizes", "64,x"]
+        elif isinstance(ini, list):
+            argv = ini
         else:
             if "[sweep]" not in ini:
                 ini += "\n[sweep]\naxis = snr\nvalues = 0\n"

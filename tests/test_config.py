@@ -43,6 +43,9 @@ class TestValidation:
         (dict(snr_db=None, sigma_w2_value=float("inf")), "sigma_w2"),
         (dict(alpha_mode="fixed", alpha=float("inf")), "alpha"),
         (dict(q0=0.0), "q0"),
+        (dict(master_seed=-1), "master_seed"),
+        (dict(sigma_deg_bs=-1.0), "sigma_deg_bs"),
+        (dict(tau=0), "tau"),
     ])
     def test_field_level_messages(self, kw, field):
         with pytest.raises(ConfigError, match=field):

@@ -1,47 +1,53 @@
 import numpy as np
 import pytest
 
-from pnmimo.channel import EstimateQuality, draw_channel, synthesize_estimate
+from pnmimo.channel import draw_channel, synthesize_estimate
 from pnmimo.config import SystemConfig
 from pnmimo.linksim import empirical_powers
-from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams,
-                                simulate_wiener, theta_vector)
+from pnmimo.phase_noise import simulate_wiener, theta_vector
 from pnmimo.precoding import build_mf, build_rzf, build_zf
 
 
-def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0, m_osc=None):
-    rng = np.random.default_rng(seed)
-    topo = OscillatorTopology(M, m_osc if m_osc is not None else M // 4)
+def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
+    """Channel, phase trace and estimate, drawn from rng in the library's order."""
     H = draw_channel(M, K, rng)
-    trace = simulate_wiener(topo, K, PhaseNoiseParams(sigma2, sigma2, tau), rng)
-    pair = synthesize_estimate(H, trace, EstimateQuality(q0), topo, tau, rng)
-    return rng, topo, H, trace, pair
+    trace = simulate_wiener(M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
+    H_hat = synthesize_estimate(
+        H, theta_vector(trace.ue_phases[0], trace.bs_phases[0], M), q0, rng)
+    return H, trace, H_hat
 
 
-def zeta(H, precoder, trace, ue, tau, topo):
+def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng, *_draw(M, K, M // 4, q0, sigma2, sigma2, tau, rng))
+
+
+def zeta(H, precoder, trace, ue):
     """Coefficients that UE `ue`'s received sample puts on every UE's symbol."""
-    return (H[ue] * theta_vector(trace, ue, tau, tau, topo)) @ precoder.G
+    M = H.shape[1]
+    return (H[ue] * theta_vector(trace.ue_phases[1, ue], trace.bs_phases[1], M)) @ precoder.G
 
 
 def sinr(z, ue, noise_var):
     return abs(z[ue]) ** 2 / (np.sum(np.abs(np.delete(z, ue)) ** 2) + noise_var)
 
 
-def transmit(precoder, symbols, H, trace, noise, tau, topo):
+def transmit(precoder, symbols, H, trace, noise):
     """Received samples y_k = h_k^T Theta_k(tau) G s + w_k of every UE, with
     the full diagonal phase matrix Theta_k(tau)."""
-    y = np.empty(H.shape[0], dtype=complex)
-    for k in range(H.shape[0]):
-        theta = np.diag(theta_vector(trace, k, tau, tau, topo))
+    K, M = H.shape
+    y = np.empty(K, dtype=complex)
+    for k in range(K):
+        theta = np.diag(theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M))
         y[k] = H[k] @ theta @ precoder.G @ symbols + noise[k]
     return y
 
 
 class TestDecompose:
     def test_zf_perfect_csi_no_phase_noise_nulls_interference(self):
-        rng, topo, H, trace, pair = _scene(q0=1.0, sigma2=0.0)
-        G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        z = zeta(H, G, trace, 0, 5, topo)
+        rng, H, trace, H_hat = _scene(q0=1.0, sigma2=0.0)
+        G = build_zf(H_hat, np.full(8, 1 / 8))
+        z = zeta(H, G, trace, 0)
         assert np.sum(np.abs(z[1:]) ** 2) <= 1e-18
 
     def test_single_ue_empty_interference(self):
@@ -58,7 +64,7 @@ class TestDecompose:
         # must be the ones the Monte-Carlo estimator recorded.
         cfg = SystemConfig(M=32, K=8, M_osc=4, snr_db=10.0, ue_index=2,
                            n_realizations=6)
-        topo, k, no_noise = cfg.topology, cfg.ue_index, np.zeros(cfg.K, complex)
+        k, no_noise = cfg.ue_index, np.zeros(cfg.K, complex)
         builders = {"rzf": lambda Hh: build_rzf(Hh, 0.1, cfg.powers),
                     "zf": lambda Hh: build_zf(Hh, cfg.powers),
                     "mf": lambda Hh: build_mf(Hh, cfg.powers)}
@@ -67,14 +73,12 @@ class TestDecompose:
             assert est.n_rejected == 0
             for i in (0, 3, 5):
                 rng = np.random.default_rng((cfg.master_seed, i))
-                H = draw_channel(cfg.M, cfg.K, rng)
-                trace = simulate_wiener(topo, cfg.K, cfg.phase_params, rng)
-                pair = synthesize_estimate(H, trace, EstimateQuality(cfg.q0), topo,
-                                           cfg.tau, rng)
-                G = build(pair.H_hat)
-                z = np.array([transmit(G, e, H, trace, no_noise, cfg.tau, topo)[k]
+                H, trace, H_hat = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
+                                        cfg.sigma2_ue, cfg.tau, rng)
+                G = build(H_hat)
+                z = np.array([transmit(G, e, H, trace, no_noise)[k]
                               for e in np.eye(cfg.K)])
-                assert np.allclose(z, zeta(H, G, trace, k, cfg.tau, topo),
+                assert np.allclose(z, zeta(H, G, trace, k),
                                    rtol=0.0, atol=1e-12)
                 p = np.abs(z) ** 2
                 assert p[k] == pytest.approx(est.sig_powers[i], rel=1e-12)
@@ -82,9 +86,9 @@ class TestDecompose:
                                                                 rel=1e-12)
 
     def test_received_power_budget(self):
-        rng, topo, H, trace, pair = _scene(seed=1)
-        G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        z = zeta(H, G, trace, 0, 5, topo)
+        rng, H, trace, H_hat = _scene(seed=1)
+        G = build_zf(H_hat, np.full(8, 1 / 8))
+        z = zeta(H, G, trace, 0)
         n = 200_000
         s = (rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))) / np.sqrt(2)
         w = np.sqrt(0.05 / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -93,11 +97,11 @@ class TestDecompose:
         assert np.mean(np.abs(y) ** 2) == pytest.approx(budget, rel=0.01)
 
     def test_zero_noise_zero_pn_zf_exact_symbol(self):
-        rng, topo, H, trace, pair = _scene(q0=1.0, sigma2=0.0, seed=2)
+        rng, H, trace, H_hat = _scene(q0=1.0, sigma2=0.0, seed=2)
         p = np.full(8, 1 / 8)
-        G = build_zf(pair.H_hat, p)
+        G = build_zf(H_hat, p)
         s = np.ones(8, dtype=complex)
-        y = transmit(G, s, H, trace, np.zeros(8, complex), 5, topo)
+        y = transmit(G, s, H, trace, np.zeros(8, complex))
         expected = G.xi_empirical * np.sqrt(p)
         # received symbol is xi*sqrt(p_k)*s_k up to the UE's common phase
         assert np.allclose(np.abs(y), expected, atol=1e-10)
@@ -182,9 +186,9 @@ class TestEmpiricalSinr:
     def test_invariant_under_common_phase_shift(self):
         # adding one constant to every oscillator and UE phase at both symbol
         # times multiplies zeta entries by unit-modulus factors only
-        rng, topo, H, trace, pair = _scene(seed=3)
-        G = build_zf(pair.H_hat, np.full(8, 1 / 8))
-        s0 = sinr(zeta(H, G, trace, 0, 5, topo), 0, 0.1)
+        rng, H, trace, H_hat = _scene(seed=3)
+        G = build_zf(H_hat, np.full(8, 1 / 8))
+        s0 = sinr(zeta(H, G, trace, 0), 0, 0.1)
         trace.bs_phases = trace.bs_phases + 0.7
-        s1 = sinr(zeta(H, G, trace, 0, 5, topo), 0, 0.1)
+        s1 = sinr(zeta(H, G, trace, 0), 0, 0.1)
         assert s1 == pytest.approx(s0, rel=1e-12)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pnmimo.phase_noise import (OscillatorTopology, PhaseNoiseParams, PhaseTrace,
-                                deg_to_var, simulate_wiener, t_pn_second_moment,
-                                theta_vector)
+from pnmimo.phase_noise import (PhaseTrace, deg_to_var, simulate_wiener,
+                                t_pn_second_moment, theta_vector)
 
 SIGMA2_6DEG = deg_to_var(6.0)
 
@@ -15,59 +14,54 @@ def mc_t_pn(n_draws, M_osc, tau, sigma2, rng):
     return np.exp(1j * inc).mean(axis=1)
 
 
-def drift(trace, topology, tau):
+def drift(trace, M):
     """Per-antenna phase rotation accumulated between symbols 0 and tau, as seen
     through the UE-0 phase matrices; the BS drift alone when UE 0 is still."""
-    return (theta_vector(trace, 0, tau, tau, topology)
-            * np.conj(theta_vector(trace, 0, 0, tau, topology)))
+    ue, bs = trace.ue_phases[:, 0], trace.bs_phases
+    return theta_vector(ue[1], bs[1], M) * np.conj(theta_vector(ue[0], bs[0], M))
 
 
-def t_pn(trace, topology):
+def t_pn(trace, M):
     """Normalized trace (1/M) tr(Delta Phi) of the BS drift matrix."""
     bs = trace.bs_phases
-    return complex(np.exp(1j * topology.expand(bs[1] - bs[0])).mean())
+    return complex(theta_vector(0.0, bs[1] - bs[0], M).mean())
+
+
+def antenna_phases(bs_phases, M):
+    """The BS phase seen at each antenna, read back through theta_vector."""
+    return np.angle(theta_vector(0.0, np.asarray(bs_phases, dtype=float), M))
 
 
 class TestTopology:
     def test_block_structure(self):
-        topo = OscillatorTopology(12, 3)
-        assert topo.block == 4
-        assert np.array_equal(topo.expand(np.array([1, 2, 3])),
-                              [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3])
+        # three oscillators feed contiguous blocks of four antennas each
+        assert np.allclose(antenna_phases([0.1, 0.2, 0.3], 12),
+                           np.repeat([0.1, 0.2, 0.3], 4), rtol=0, atol=1e-15)
 
     def test_common_and_distributed_flags(self):
         # one oscillator feeds every antenna; per-antenna oscillators feed one each
-        assert np.array_equal(OscillatorTopology(8, 1).expand([0.5]), np.full(8, 0.5))
-        assert np.array_equal(OscillatorTopology(8, 8).expand(np.arange(8)), np.arange(8))
-
-    def test_rejects_nondivisor(self):
-        with pytest.raises(ValueError):
-            OscillatorTopology(10, 3)
+        assert np.allclose(antenna_phases([0.5], 8), np.full(8, 0.5), rtol=0, atol=1e-15)
+        per_antenna = 0.1 * np.arange(8)
+        assert np.allclose(antenna_phases(per_antenna, 8), per_antenna, rtol=0, atol=1e-15)
 
 
 class TestSimulateWiener:
     def test_zero_variance_freezes_phase(self):
-        topo = OscillatorTopology(8, 4)
-        params = PhaseNoiseParams(0.0, 0.0, tau=10)
-        trace = simulate_wiener(topo, 3, params, np.random.default_rng(0))
+        trace = simulate_wiener(4, 3, 0.0, 0.0, 10, np.random.default_rng(0))
         assert np.array_equal(trace.bs_phases[0], trace.bs_phases[1])
         assert np.array_equal(trace.ue_phases[0], trace.ue_phases[1])
 
     def test_increment_variance(self):
         n = 1_000_000
-        topo = OscillatorTopology(n, n)
-        params = PhaseNoiseParams(SIGMA2_6DEG, 0.0, tau=10)
-        trace = simulate_wiener(topo, 1, params, np.random.default_rng(1))
+        trace = simulate_wiener(n, 1, SIGMA2_6DEG, 0.0, 10, np.random.default_rng(1))
         inc = trace.bs_phases[1] - trace.bs_phases[0]
         assert inc.var() == pytest.approx(10 * SIGMA2_6DEG, rel=0.01)
         assert 10 * SIGMA2_6DEG == pytest.approx(0.10966, rel=1e-3)
 
     def test_oscillators_independent(self):
-        topo = OscillatorTopology(2, 2)
-        params = PhaseNoiseParams(SIGMA2_6DEG, 0.0, tau=5)
         rng = np.random.default_rng(2)
-        incs = np.array([simulate_wiener(topo, 1, params, rng).bs_phases[1]
-                         - simulate_wiener(topo, 1, params, rng).bs_phases[0]
+        incs = np.array([simulate_wiener(2, 1, SIGMA2_6DEG, 0.0, 5, rng).bs_phases[1]
+                         - simulate_wiener(2, 1, SIGMA2_6DEG, 0.0, 5, rng).bs_phases[0]
                          for _ in range(100_000)])
         corr = np.corrcoef(incs[:, 0], incs[:, 1])[0, 1]
         assert abs(corr) <= 0.01
@@ -76,8 +70,7 @@ class TestSimulateWiener:
         # the single endpoint increment has the law of tau explicit Wiener steps
         tau, s2, n = 7, 0.01, 100_000
         rng = np.random.default_rng(3)
-        topo = OscillatorTopology(n, n)
-        trace = simulate_wiener(topo, 1, PhaseNoiseParams(s2, 0.0, tau), rng)
+        trace = simulate_wiener(n, 1, s2, 0.0, tau, rng)
         endpoint = trace.bs_phases[1] - trace.bs_phases[0]
         stepped = rng.normal(0.0, np.sqrt(s2), size=(tau, n)).sum(axis=0)
         assert stats.ks_2samp(endpoint, stepped).pvalue > 0.01
@@ -89,61 +82,60 @@ class TestThetaAndDrift:
                           ue_phases=np.array([ue0, uetau], dtype=float))
 
     def test_common_oscillator_entries_identical(self):
-        topo = OscillatorTopology(6, 1)
         trace = self._trace([0.7], [0.9], [0.1, 0.2], [0.3, 0.4])
-        v = theta_vector(trace, 1, 0, 10, topo)
+        v = theta_vector(trace.ue_phases[0, 1], trace.bs_phases[0], 6)
+        assert v.shape == (6,)
         assert np.allclose(v, v[0])
 
     def test_zero_phases_identity(self):
-        topo = OscillatorTopology(4, 2)
         trace = self._trace([0, 0], [0, 0], [0], [0])
-        assert np.allclose(theta_vector(trace, 0, 0, 5, topo), np.ones(4))
+        assert np.allclose(theta_vector(trace.ue_phases[0, 0], trace.bs_phases[0], 4),
+                           np.ones(4))
 
     def test_unit_modulus(self):
-        topo = OscillatorTopology(8, 4)
         rng = np.random.default_rng(4)
-        trace = simulate_wiener(topo, 2, PhaseNoiseParams(0.1, 0.1, 3), rng)
-        for sym in (0, 3):
-            assert np.allclose(np.abs(theta_vector(trace, 0, sym, 3, topo)), 1.0,
+        trace = simulate_wiener(4, 2, 0.1, 0.1, 3, rng)
+        for r in (0, 1):
+            assert np.allclose(np.abs(theta_vector(trace.ue_phases[r, 0],
+                                                   trace.bs_phases[r], 8)), 1.0,
                                atol=1e-14)
 
+    def test_vector_of_ue_phases_stacks_rows(self):
+        # a length-K vector of UE phases gives the K x M matrix whose row k
+        # is the single-UE vector of UE k, entry for entry
+        trace = simulate_wiener(4, 3, 0.1, 0.1, 3, np.random.default_rng(12))
+        for r in (0, 1):
+            full = theta_vector(trace.ue_phases[r], trace.bs_phases[r], 8)
+            assert full.shape == (3, 8)
+            for k in range(3):
+                assert np.array_equal(full[k], theta_vector(trace.ue_phases[r, k],
+                                                            trace.bs_phases[r], 8))
+
     def test_drift_common_oscillator_scalar(self):
-        topo = OscillatorTopology(5, 1)
         trace = self._trace([0.2], [1.4], [0.0], [0.0])
-        assert np.allclose(drift(trace, topo, 10), np.exp(1.2j))
+        assert np.allclose(drift(trace, 5), np.exp(1.2j))
 
     def test_drift_zero_variance_identity(self):
-        topo = OscillatorTopology(6, 3)
         trace = self._trace([1, 2, 3], [1, 2, 3], [0.0], [0.0])
-        assert np.allclose(drift(trace, topo, 10), np.ones(6))
+        assert np.allclose(drift(trace, 6), np.ones(6))
 
     def test_drift_unit_modulus(self):
-        topo = OscillatorTopology(8, 2)
         trace = self._trace([0.3, 2.5], [1.1, -0.4], [0.0], [0.0])
-        d = drift(trace, topo, 10)
+        d = drift(trace, 8)
         assert np.allclose(np.abs(d), 1.0, atol=1e-14)
         assert np.allclose(d, np.repeat(np.exp(1j * np.array([0.8, -2.9])), 4))
-
-    def test_only_endpoints_materialized(self):
-        topo = OscillatorTopology(4, 1)
-        trace = self._trace([0.0], [0.1], [0.0], [0.1])
-        with pytest.raises(IndexError):
-            theta_vector(trace, 0, 3, 10, topo)
 
 
 class TestTPn:
     def test_common_oscillator_unit_magnitude(self):
-        topo = OscillatorTopology(8, 1)
         rng = np.random.default_rng(5)
         for _ in range(20):
-            trace = simulate_wiener(topo, 1, PhaseNoiseParams(0.5, 0.0, 10), rng)
-            assert abs(t_pn(trace, topo)) == pytest.approx(1.0, abs=1e-12)
+            trace = simulate_wiener(1, 1, 0.5, 0.0, 10, rng)
+            assert abs(t_pn(trace, 8)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance_exactly_one(self):
-        topo = OscillatorTopology(8, 4)
-        trace = simulate_wiener(topo, 1, PhaseNoiseParams(0.0, 0.0, 10),
-                                np.random.default_rng(6))
-        assert t_pn(trace, topo) == pytest.approx(1.0, abs=1e-14)
+        trace = simulate_wiener(4, 1, 0.0, 0.0, 10, np.random.default_rng(6))
+        assert t_pn(trace, 8) == pytest.approx(1.0, abs=1e-14)
 
     def test_distributed_limit_hardens(self):
         tau, s2 = 10, SIGMA2_6DEG

@@ -49,6 +49,10 @@ class TestLapidothBound:
         with pytest.raises(ValueError):
             rate_lapidoth(10.0, 5, 0.0, 0.1, M_osc=2)
 
+    def test_undefined_at_zero_sinr(self):
+        with pytest.raises(ValueError, match="undefined"):
+            rate_lapidoth(0.0, 5, 0.1, 0.1, M_osc=2)
+
 
 class TestRateMin:
     def test_low_sinr_awgn_active(self):
@@ -88,10 +92,6 @@ class TestErgodic:
 
 
 class TestReport:
-    def test_delta_flag(self):
-        assert rate_report(1.0, 10, 0.01, 0.01, M_osc=1).delta_pn == 1
-        assert rate_report(1.0, 10, 0.01, 0.01, M_osc=4).delta_pn == 0
-
     def test_min_consistency(self):
         rep = rate_report(25.0, 25, S2_6DEG, S2_6DEG, M_osc=1)
         assert rep.rate_min <= rep.rate_awgn_bound
@@ -101,3 +101,9 @@ class TestReport:
         rep = rate_report(10.0, 10, 0.0, 0.0, M_osc=4)
         assert rep.rate_lapidoth is None
         assert rep.rate_min == rep.rate_awgn_bound
+
+    def test_zero_sinr_reports_none(self):
+        # at q0 = 0 the SINR is 0: no -inf cell, the AWGN bound (0) is reported
+        rep = rate_report(0.0, 10, 0.01, 0.01, M_osc=4)
+        assert rep.rate_lapidoth is None
+        assert rep.rate_min == rep.rate_awgn_bound == 0.0
