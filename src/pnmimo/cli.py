@@ -19,7 +19,8 @@ from .lemmas import (check_free_probability_traces, check_matrix_inversion_ident
                      convergence_to_csv)
 from .linksim import RejectionRateError
 from .precoding import SingularChannelError
-from .sweep import emit_results, list_presets, run_preset, run_sweep
+from .sweep import (list_presets, rows_to_csv, rows_to_jsonl, run_preset,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,13 +74,20 @@ def _overrides(args) -> dict:
     return out
 
 
-def _emit(rows, args, started: float) -> None:
-    if args.out == "-":
-        from .sweep import rows_to_csv, rows_to_jsonl
-        text = rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows)
+def _write(text: str, out: str) -> None:
+    """The one output path of every verb: stdout for '-', else the file out."""
+    if out == "-":
         sys.stdout.write(text)
-    else:
-        emit_results(rows, args.format, args.out)
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out}: {exc.strerror}") from None
+
+
+def _emit(rows, args, started: float) -> None:
+    _write(rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows), args.out)
     print(f"{len(rows)} rows in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
 
@@ -113,6 +121,15 @@ def _cmd_lemmas(args) -> int:
     except ValueError:
         raise ConfigError(f"sizes: expected comma-separated integers, "
                           f"got {args.sizes!r}") from None
+    top = max(sizes)
+    m_osc = top // 8 or 1
+    if (len(sizes) < 2 or sizes[0] < 2 or top % m_osc
+            or any(a >= b for a, b in zip(sizes, sizes[1:]))):
+        raise ConfigError(f"sizes: need at least two strictly increasing sizes "
+                          f">= 2, the largest a multiple of its oscillator "
+                          f"count (largest // 8), got {args.sizes!r}")
+    if args.trials < 1:
+        raise ConfigError(f"trials: must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     exact_mi = check_matrix_inversion_identity(64, rng)
     exact_res = check_resolvent_identity(64, rng)
@@ -121,19 +138,14 @@ def _cmd_lemmas(args) -> int:
         check_rank1_perturbation(sizes, rng, n_trials=args.trials),
         check_free_probability_traces(sizes, rng, n_trials=args.trials),
     ]
-    devs = check_quadratic_form_identities(max(sizes), 0.9, rng,
+    devs = check_quadratic_form_identities(top, 0.9, rng,
                                            n_trials=max(args.trials // 2, 10),
-                                           M_osc=max(sizes) // 8 or 1)
-    csv = convergence_to_csv(records)
-    if args.out == "-":
-        sys.stdout.write(csv)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(csv)
+                                           M_osc=m_osc)
+    _write(convergence_to_csv(records), args.out)
     print(f"exact identities: matrix-inversion {exact_mi:.2e}, "
           f"resolvent {exact_res:.2e}", file=sys.stderr)
     print("quadratic-form deviations at M="
-          f"{max(sizes)}: {', '.join(f'{d:.3g}' for d in devs)}", file=sys.stderr)
+          f"{top}: {', '.join(f'{d:.3g}' for d in devs)}", file=sys.stderr)
     if exact_mi > 1e-10 or exact_res > 1e-10:
         print("exact identity tolerance exceeded", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -154,7 +166,7 @@ def main(argv=None) -> int:
                 "lemmas": _cmd_lemmas, "validate-config": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RejectionRateError, SingularChannelError, FloatingPointError) as exc:

@@ -32,7 +32,9 @@ class SystemConfig:
     Exactly one of snr_db / sigma_w2 is the noise handle: when snr_db is
     set, sigma_w2 is derived as p_k / snr_linear for the observed UE.
 
-    Every float field that is set must be finite.  q0 = 0 (no channel
+    Every float field that is set must be finite, and so must the noise
+    variance sigma_w2, which must also be > 0.  n_realizations >= 2, so every
+    Monte-Carlo row has a finite standard error.  q0 = 0 (no channel
     knowledge) is accepted only with alpha_mode = "fixed": the optimal
     regularization divides by q0, so the default "optimal" mode rejects it.
     """
@@ -88,8 +90,6 @@ class SystemConfig:
             raise ConfigError(f"tau: must be <= T_c, got tau={self.tau}, T_c={self.T_c}")
         if (self.snr_db is None) == (self.sigma_w2_value is None):
             raise ConfigError("noise: set exactly one of snr_db, sigma_w2")
-        if self.sigma_w2_value is not None and self.sigma_w2_value < 0:
-            raise ConfigError(f"sigma_w2: must be >= 0, got {self.sigma_w2_value}")
         if p.shape != (self.K,):
             raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
         if not np.all(np.isfinite(p)) or np.any(p < 0) or p.sum() <= 0:
@@ -100,8 +100,18 @@ class SystemConfig:
             raise ConfigError("alpha: fixed mode requires alpha > 0")
         if not 0 <= self.ue_index < self.K:
             raise ConfigError(f"ue_index: out of range for K={self.K}")
-        if self.n_realizations < 1:
-            raise ConfigError(f"n_realizations: must be >= 1, got {self.n_realizations}")
+        try:
+            noise_ok = 0.0 < self.sigma_w2 < math.inf
+        except ArithmeticError:  # 10^(snr_db/10) overflows, or underflows to 0
+            noise_ok = False
+        if not noise_ok:
+            handle = (f"sigma_w2 = {self.sigma_w2_value}" if self.snr_db is None
+                      else f"snr_db = {self.snr_db}")
+            raise ConfigError(f"sigma_w2: the noise variance must be finite and > 0, "
+                              f"got {handle}")
+        if self.n_realizations < 2:
+            raise ConfigError(f"n_realizations: must be >= 2 for a standard error, "
+                              f"got {self.n_realizations}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism: must be >= 1, got {self.parallelism}")
         if self.master_seed < 0:
@@ -115,7 +125,7 @@ class SystemConfig:
     def sigma_w2(self) -> float:
         if self.sigma_w2_value is not None:
             return self.sigma_w2_value
-        return float(self.powers[self.ue_index] / 10.0 ** (self.snr_db / 10.0))
+        return float(self.powers[self.ue_index]) / 10.0 ** (self.snr_db / 10.0)
 
     @property
     def sigma2_bs(self) -> float:

@@ -54,14 +54,11 @@ class PowerEstimate:
 
     def std_error_at(self, sigma_w2: float) -> float:
         """Delta-method standard error of the SINR ratio estimator."""
-        n = self.n_realizations
-        if n < 2:
-            return float("inf")
         s, q = self.sig_powers, self.int_powers
         den = self.mean_int_power + sigma_w2
         cov = np.cov(s, q)
         grad = np.array([1.0 / den, -self.mean_sig_power / den ** 2])
-        var = float(grad @ cov @ grad) / n
+        var = float(grad @ cov @ grad) / self.n_realizations
         return float(np.sqrt(max(var, 0.0)))
 
 
@@ -102,18 +99,14 @@ def _simulate_block(config: SystemConfig, kind: str, alpha: float | None,
     return sig, intf
 
 
-def empirical_powers(config: SystemConfig, kind: str, alpha: float | None = None,
-                     n_realizations: int | None = None,
-                     parallelism: int | None = None) -> PowerEstimate:
+def empirical_powers(config: SystemConfig, kind: str,
+                     alpha: float | None = None) -> PowerEstimate:
     """Monte-Carlo averages of desired and interference power for one scenario.
 
     These averages do not depend on the receiver noise level, so one call
     serves every SNR point that shares the channel/phase configuration.
     """
-    n = config.n_realizations if n_realizations is None else n_realizations
-    workers = config.parallelism if parallelism is None else parallelism
-    if n < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n}")
+    n, workers = config.n_realizations, config.parallelism
     if workers <= 1 or n < 4 * workers:
         sig, intf = _simulate_block(config, kind, alpha, 0, n)
     else:

@@ -10,24 +10,8 @@ everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["RateReport", "rate_awgn_bound", "rate_lapidoth", "rate_min",
-           "rate_ergodic", "rate_report"]
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """All rate figures for one (SINR, phase-noise) operating point.
-
-    rate_lapidoth is None where the bound is undefined (zero phase variance
-    or zero SINR); rate_min then falls back to max(0, AWGN bound).
-    """
-
-    rate_awgn_bound: float
-    rate_lapidoth: float | None
-    rate_min: float
-    rate_ergodic: float
+__all__ = ["rate_awgn_bound", "rate_lapidoth", "rate_min", "rate_report"]
 
 
 def rate_awgn_bound(sinr: float) -> float:
@@ -65,27 +49,21 @@ def rate_min(awgn: float, lapidoth: float | None) -> float:
     return min(awgn, lapidoth)
 
 
-def rate_ergodic(sinr_effective: float) -> float:
-    """log2(1 + S_eff) for the phase-averaged effective SINR.
-
-    Ignores the differential entropy rate of the phase processes; exact for
-    the common- and distributed-oscillator extremes, an approximation in
-    between.
-    """
-    return rate_awgn_bound(sinr_effective)
-
-
 def rate_report(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
-                M_osc: int) -> RateReport:
-    """Evaluate every bound at one operating point."""
+                M_osc: int) -> dict:
+    """Every rate figure at one operating point, keyed by its column name.
+
+    rate_ergodic is log2(1 + S_eff) for the phase-averaged effective SINR,
+    the same number as rate_awgn: it ignores the differential entropy rate
+    of the phase processes, exact for the common- and distributed-oscillator
+    extremes and an approximation in between.  rate_lapidoth is None where
+    the bound is undefined (zero phase variance or zero SINR); rate_min then
+    falls back to max(0, rate_awgn).
+    """
     awgn = rate_awgn_bound(sinr)
     try:
         lap = rate_lapidoth(sinr, tau, sigma2_ue, sigma2_bs, M_osc)
     except ValueError:
         lap = None
-    return RateReport(
-        rate_awgn_bound=awgn,
-        rate_lapidoth=lap,
-        rate_min=rate_min(awgn, lap),
-        rate_ergodic=rate_ergodic(sinr),
-    )
+    return {"rate_awgn": awgn, "rate_lapidoth": lap,
+            "rate_min": rate_min(awgn, lap), "rate_ergodic": awgn}

@@ -1,10 +1,11 @@
-"""Parameter-sweep execution, scenario presets, and stable result emission.
+"""Parameter-sweep execution, scenario presets, and byte-stable serialization.
 
 A sweep evaluates one scenario along a single axis (snr, m_osc, beta,
 sigma_phi, or alpha) for a set of precoders, producing one result row per
 (sweep point, precoder).  Rows carry both the closed-form SINR prediction
 and, when requested, the Monte-Carlo estimate, plus every rate figure.
 
+rows_to_csv and rows_to_jsonl turn the rows into text; the CLI writes it.
 Serialization is byte-stable: floats are written as their shortest
 round-trip decimal and wall-clock timing never enters the table, so a rerun
 with the same master seed reproduces the file exactly at any parallelism.
@@ -12,9 +13,7 @@ with the same master seed reproduces the file exactly at any parallelism.
 
 from __future__ import annotations
 
-import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .config import SWEEP_AXES, ConfigError, SystemConfig
 from .linksim import empirical_powers
 
 __all__ = ["COLUMNS", "SCHEMA_VERSION", "run_sweep", "run_preset",
-           "emit_results", "list_presets", "PRESETS", "Preset"]
+           "rows_to_csv", "rows_to_jsonl", "list_presets", "PRESETS", "Preset"]
 
 SCHEMA_VERSION = 1
 
@@ -35,6 +34,11 @@ COLUMNS = [
     "std_error", "n_realizations", "n_rejected", "rate_awgn", "rate_lapidoth",
     "rate_min", "rate_ergodic", "master_seed",
 ]
+
+# Cells copied from the scenario as is.  alpha and n_realizations are config
+# fields too, but their cells hold the resolved alpha and the kept-draw count.
+_SCENARIO_COLUMNS = ("M", "K", "M_osc", "q0", "sigma_deg_bs", "sigma_deg_ue",
+                     "tau", "T_c", "snr_db", "sigma_w2", "master_seed")
 
 PRECODERS = ("rzf", "zf", "mf")
 
@@ -99,24 +103,13 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
         point = _apply_axis(config, sweep_axis, value)
         for kind in precoders:
             sinr_a, alpha = _analytic(point, kind)
-            row = {
-                "schema_version": SCHEMA_VERSION,
-                "preset": preset,
-                "sweep_axis": sweep_axis,
-                "sweep_value": float(value),
-                "precoder": kind,
-                "M": point.M, "K": point.K, "M_osc": point.M_osc,
-                "q0": point.q0,
-                "sigma_deg_bs": point.sigma_deg_bs,
-                "sigma_deg_ue": point.sigma_deg_ue,
-                "tau": point.tau, "T_c": point.T_c,
-                "snr_db": point.snr_db, "sigma_w2": point.sigma_w2,
-                "alpha": None if alpha is None else float(alpha),
-                "analytical_sinr": float(sinr_a),
-                "empirical_sinr": None, "std_error": None,
-                "n_realizations": None, "n_rejected": None,
-                "master_seed": point.master_seed,
-            }
+            row = dict.fromkeys(COLUMNS)
+            row.update({c: getattr(point, c) for c in _SCENARIO_COLUMNS})
+            row.update(schema_version=SCHEMA_VERSION, preset=preset,
+                       sweep_axis=sweep_axis, sweep_value=float(value),
+                       precoder=kind,
+                       alpha=None if alpha is None else float(alpha),
+                       analytical_sinr=float(sinr_a))
             if with_empirical:
                 key = _empirical_key(point, kind, alpha)
                 if key not in cache:
@@ -126,12 +119,8 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
                            std_error=est.std_error_at(point.sigma_w2),
                            n_realizations=est.n_realizations,
                            n_rejected=est.n_rejected)
-            rep = rates.rate_report(sinr_a, point.tau, point.sigma2_ue,
-                                    point.sigma2_bs, point.M_osc)
-            row.update(rate_awgn=rep.rate_awgn_bound,
-                       rate_lapidoth=rep.rate_lapidoth,
-                       rate_min=rep.rate_min,
-                       rate_ergodic=rep.rate_ergodic)
+            row.update(rates.rate_report(sinr_a, point.tau, point.sigma2_ue,
+                                         point.sigma2_bs, point.M_osc))
             rows.append(row)
     return rows
 
@@ -229,24 +218,14 @@ def run_preset(name: str, **config_overrides) -> list[dict]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
     if not rows:
         raise ValueError("emit: result table is empty")
-    out = io.StringIO()
-    out.write(",".join(COLUMNS) + "\n")
-    for row in rows:
-        out.write(",".join(_cell(row.get(c)) for c in COLUMNS) + "\n")
-    return out.getvalue()
+    lines = [COLUMNS] + [[_cell(row[c]) for c in COLUMNS] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _py(value):
@@ -260,20 +239,5 @@ def _py(value):
 def rows_to_jsonl(rows: list[dict]) -> str:
     if not rows:
         raise ValueError("emit: result table is empty")
-    return "".join(json.dumps({c: _py(row.get(c)) for c in COLUMNS}, allow_nan=True)
+    return "".join(json.dumps({c: _py(row[c]) for c in COLUMNS}, allow_nan=True)
                    + "\n" for row in rows)
-
-
-def emit_results(rows: list[dict], fmt: str, path: str) -> None:
-    """Write the result table; floats as shortest round-trip decimals."""
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json-lines":
-        text = rows_to_jsonl(rows)
-    else:
-        raise ValueError(f"format: must be csv or json-lines, got {fmt!r}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc

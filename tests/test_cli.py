@@ -5,8 +5,8 @@ import pytest
 
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig
-from pnmimo.sweep import (COLUMNS, PRESETS, emit_results, list_presets,
-                          rows_to_csv, run_preset, run_sweep)
+from pnmimo.sweep import (COLUMNS, PRESETS, list_presets, rows_to_csv,
+                          rows_to_jsonl, run_preset, run_sweep)
 
 CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
@@ -80,10 +80,8 @@ class TestPresets:
 
 class TestEmission:
     def test_csv_schema(self, tmp_path):
-        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
-        rows = run_sweep(cfg, "snr", [0.0], with_empirical=False)
         path = tmp_path / "out.csv"
-        emit_results(rows, "csv", str(path))
+        assert main(["preset", "fig6c", "--out", str(path)]) == 0
         with open(path, newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert list(parsed[0].keys()) == COLUMNS
@@ -96,23 +94,22 @@ class TestEmission:
         record = next(csv.DictReader(text.splitlines()))
         assert float(record["analytical_sinr"]) == rows[0]["analytical_sinr"]
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_jsonl_round_trip(self):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         rows = run_sweep(cfg, "snr", [0.0], with_empirical=False)
-        path = tmp_path / "out.jsonl"
-        emit_results(rows, "json-lines", str(path))
-        loaded = [json.loads(line) for line in path.read_text().splitlines()]
+        loaded = [json.loads(line) for line in rows_to_jsonl(rows).splitlines()]
+        assert list(loaded[0]) == COLUMNS
         assert loaded[0]["analytical_sinr"] == rows[0]["analytical_sinr"]
 
-    def test_empty_table_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_results([], "csv", str(tmp_path / "x.csv"))
+    def test_empty_table_rejected(self):
+        for serialize in (rows_to_csv, rows_to_jsonl):
+            with pytest.raises(ValueError):
+                serialize([])
 
-    def test_rerun_byte_identical(self, tmp_path):
-        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0, n_realizations=40)
+    def test_rerun_byte_identical(self, cfg_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(run_sweep(cfg, "snr", [0.0, 10.0]), "csv", str(a))
-        emit_results(run_sweep(cfg, "snr", [0.0, 10.0]), "csv", str(b))
+        assert main(["sweep", cfg_file, "--out", str(a)]) == 0
+        assert main(["sweep", cfg_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -169,12 +166,28 @@ class TestCliEntry:
         ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = m_osc\nvalues = 2.5\n",
          ("sweep.values:", "m_osc")),
         (["preset", "fig3", "--seed", "-1"], ("master_seed:",)),
+        (["preset", "fig5", "--out", "TMP/missing/x.csv"], ("--out:",)),
+        (["lemmas", "--sizes", "32,64", "--trials", "4", "--out", "TMP/missing/x.csv"],
+         ("--out:",)),
+        (["lemmas", "--sizes", "64,64"], ("sizes:",)),
+        (["lemmas", "--sizes", "1,2"], ("sizes:",)),
+        (["lemmas", "--sizes", "0,4"], ("sizes:",)),
+        (["lemmas", "--sizes", "64,100"], ("sizes:",)),
+        (["lemmas", "--sizes", "64"], ("sizes:",)),
+        (["lemmas", "--trials", "-1"], ("trials:",)),
+        (["lemmas", "--trials", "0"], ("trials:",)),
+        ("[system]\nq0 = 1\nsigma_w2 = 0\n", ("sigma_w2:",)),
+        ("[system]\nq0 = 1\nsigma_w2 = 0\nalpha_mode = fixed\nalpha = 0.1\n",
+         ("sigma_w2:",)),
+        ("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db")),
+        ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
+        (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
     ])
     def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
         if ini is None:
             argv = ["lemmas", "--sizes", "64,x"]
         elif isinstance(ini, list):
-            argv = ini
+            argv = [a.replace("TMP", str(tmp_path)) for a in ini]
         else:
             if "[sweep]" not in ini:
                 ini += "\n[sweep]\naxis = snr\nvalues = 0\n"

@@ -46,6 +46,8 @@ class TestValidation:
         (dict(master_seed=-1), "master_seed"),
         (dict(sigma_deg_bs=-1.0), "sigma_deg_bs"),
         (dict(tau=0), "tau"),
+        (dict(snr_db=None, sigma_w2_value=0.0), "sigma_w2"),
+        (dict(n_realizations=1), "n_realizations"),
     ])
     def test_field_level_messages(self, kw, field):
         with pytest.raises(ConfigError, match=field):

@@ -140,8 +140,8 @@ class TestEmpiricalSinr:
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
-        serial = empirical_powers(cfg, "mf", parallelism=1)
-        parallel = empirical_powers(cfg, "mf", parallelism=4)
+        serial = empirical_powers(cfg, "mf")
+        parallel = empirical_powers(cfg.with_(parallelism=4), "mf")
         assert np.array_equal(serial.sig_powers, parallel.sig_powers)
         assert np.array_equal(serial.int_powers, parallel.int_powers)
 

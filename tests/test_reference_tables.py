@@ -1,10 +1,12 @@
-"""Stored-table guard for the Monte-Carlo draw order.
+"""Stored-table guard for every preset.
 
-The fig2-fig4 presets at seed 0 with 100 realizations must reproduce the
-tables stored with the benchmark: floats within 1e-12 relative (closed forms
-may move in the last digits when products are reassociated), every other
-cell exactly.  Any change to what realization i draws from its stream
-(master_seed, i), or in which order, changes the empirical columns.
+The fig2-fig4 presets at seed 0 with 100 realizations, and the eight
+analytic-only presets at seed 0, must reproduce the tables stored with the
+benchmark: floats within 1e-12 relative (closed forms may move in the last
+digits when products are reassociated), every other cell exactly.  Any
+change to what realization i draws from its stream (master_seed, i), or in
+which order, changes the empirical columns; any change to how a row is
+assembled from its scenario, closed form and rates changes the analytic ones.
 """
 
 import csv
@@ -14,8 +16,7 @@ from pathlib import Path
 
 from pnmimo.cli import main
 
-REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-             / "mc_verify-seed0.json.gz")
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 RTOL = 1e-12
 
 
@@ -29,13 +30,13 @@ def _same(got: str, want: str) -> bool:
     return abs(g - w) <= RTOL * max(abs(g), abs(w))
 
 
-def test_mc_presets_match_stored_reference(tmp_path):
-    with gzip.open(REFERENCE, "rt") as fh:
+def _mismatches(reference: str, presets, extra_args, tmp_path) -> list:
+    with gzip.open(REFERENCE_DIR / reference, "rt") as fh:
         tables = json.load(fh)["tables"]
     mismatches = []
-    for preset in ("fig2", "fig3", "fig4"):
+    for preset in presets:
         out = tmp_path / f"{preset}.csv"
-        assert main(["preset", preset, "--seed", "0", "--realizations", "100",
+        assert main(["preset", preset, "--seed", "0", *extra_args,
                      "--out", str(out)]) == 0
         got = list(csv.reader(out.read_text().splitlines()))
         want = list(csv.reader(tables[preset].splitlines()))
@@ -44,4 +45,16 @@ def test_mc_presets_match_stored_reference(tmp_path):
             assert len(g_row) == len(w_row), (preset, i)
             mismatches += [(preset, i, g, w) for g, w in zip(g_row, w_row)
                            if not _same(g, w)]
+    return mismatches
+
+
+def test_mc_presets_match_stored_reference(tmp_path):
+    mismatches = _mismatches("mc_verify-seed0.json.gz", ("fig2", "fig3", "fig4"),
+                             ["--realizations", "100"], tmp_path)
+    assert not mismatches, mismatches[:5]
+
+
+def test_analytic_presets_match_stored_reference(tmp_path):
+    presets = ("fig5", "fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "lte")
+    mismatches = _mismatches("analytic_presets-seed0.json.gz", presets, [], tmp_path)
     assert not mismatches, mismatches[:5]
