@@ -7,6 +7,8 @@ zero-forcing rejection cap was exceeded).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 
@@ -74,6 +76,19 @@ def _overrides(args) -> dict:
     return out
 
 
+def _check_out(out: str) -> None:
+    """Reject an --out target that cannot be created, before any work runs."""
+    if out == "-":
+        return
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    else:
+        return
+    raise ConfigError(f"--out: cannot write {out}: {os.strerror(code)}")
+
+
 def _write(text: str, out: str) -> None:
     """The one output path of every verb: stdout for '-', else the file out."""
     if out == "-":
@@ -92,6 +107,7 @@ def _emit(rows, args, started: float) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     config, axis, values = load_config(args.config)
     if axis is None:
         raise ConfigError("config: a [sweep] section is required by the sweep command")
@@ -109,6 +125,7 @@ def _cmd_preset(args) -> int:
         return EXIT_OK
     if not args.name:
         raise ConfigError("preset: name required (or use --list)")
+    _check_out(args.out)
     started = time.perf_counter()
     rows = run_preset(args.name, **_overrides(args))
     _emit(rows, args, started)
@@ -116,6 +133,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    _check_out(args.out)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
@@ -123,11 +141,12 @@ def _cmd_lemmas(args) -> int:
                           f"got {args.sizes!r}") from None
     top = max(sizes)
     m_osc = top // 8 or 1
-    if (len(sizes) < 2 or sizes[0] < 2 or top % m_osc
+    if (len(sizes) < 2 or sizes[0] < 2 or top < 4 or top % m_osc
             or any(a >= b for a, b in zip(sizes, sizes[1:]))):
         raise ConfigError(f"sizes: need at least two strictly increasing sizes "
-                          f">= 2, the largest a multiple of its oscillator "
-                          f"count (largest // 8), got {args.sizes!r}")
+                          f">= 2, the largest >= 4 (it holds largest // 4 "
+                          f"users) and a multiple of its oscillator count "
+                          f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)

@@ -179,9 +179,11 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
     """
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"q0 must be in [0, 1], got {q0}")
+    K = M // 4
+    if K < 1:
+        raise ValueError(f"M must be >= 4 to hold K = M // 4 >= 1 users, got {M}")
     q1 = 1.0 - q0
     q2 = np.sqrt(q0 * q1)
-    K = M // 4
     devs = np.empty((n_trials, 3))
     for t in range(n_trials):
         H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)

@@ -1,17 +1,20 @@
 """Monte-Carlo effective-SINR estimation of the downlink.
 
 One realization draws a channel H, a joint phase trajectory, and the
-estimate H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e, builds the requested
-precoder G from H_hat, and reads off the scalar coefficients
-h_k^T Theta_k(tau) G that the observed UE k sees on its own symbol and on
-every interferer's symbol at data time.  Averaging |zeta_sig|^2 and
-||zeta_int||^2 over realizations yields the empirical effective SINR.  The
+estimate H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e, and forms the
+observed UE k's channel row h_k^T Theta_k(tau) at data time.  Every
+requested precoder G (a kind and, for RZF, a regularizer alpha) is then
+built from that one H_hat, and the row gives the scalar coefficients the UE
+sees on its own symbol and on every interferer's symbol.  Averaging
+|zeta_sig|^2 and ||zeta_int||^2 over realizations yields the empirical
+effective SINR.  The averages do not depend on the receiver noise level, so
+one draw set serves every precoder, alpha and SNR point of a scenario.  The
 scenario is validated once, by SystemConfig; the stages below it take plain
 arrays and floats.
 
 Realization `i` always uses the RNG stream seeded by (master_seed, i), and
 results are assembled by index, so output is bit-identical for any
-parallelism degree or execution order.
+parallelism degree, execution order or set of precoders built on the draw.
 """
 
 from __future__ import annotations
@@ -73,50 +76,38 @@ def _build(kind: str, H_hat: np.ndarray, alpha: float | None,
     raise ValueError(f"unknown precoder kind {kind!r}")
 
 
-def _simulate_block(config: SystemConfig, kind: str, alpha: float | None,
-                    start: int, stop: int):
-    """Per-realization powers for indices [start, stop); NaN marks rejection."""
+def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
+    """Per-variant, per-realization powers for indices [start, stop).
+
+    Returns two (len(variants), stop - start) arrays; NaN marks a draw that
+    the variant's precoder rejected.
+    """
     M, K, k, tau = config.M, config.K, config.ue_index, config.tau
     sigma2_bs, sigma2_ue = config.sigma2_bs, config.sigma2_ue
-    sig = np.empty(stop - start)
-    intf = np.empty(stop - start)
+    sig = np.empty((len(variants), stop - start))
+    intf = np.empty_like(sig)
     for i in range(start, stop):
         rng = np.random.default_rng((config.master_seed, i))
         H = draw_channel(M, K, rng)
         trace = simulate_wiener(config.M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
         H_hat = synthesize_estimate(
             H, theta_vector(trace.ue_phases[0], trace.bs_phases[0], M), config.q0, rng)
-        try:
-            G = _build(kind, H_hat, alpha, config.powers).G
-        except SingularChannelError:
-            sig[i - start] = intf[i - start] = np.nan
-            continue
         # the observed UE's channel row, rotated by its data-time phases
         row = H[k] * theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M)
-        p = np.abs(row @ G) ** 2
-        sig[i - start] = p[k]
-        intf[i - start] = p.sum() - p[k]
+        for v, (kind, alpha) in enumerate(variants):
+            try:
+                G = _build(kind, H_hat, alpha, config.powers).G
+            except SingularChannelError:
+                sig[v, i - start] = intf[v, i - start] = np.nan
+                continue
+            p = np.abs(row @ G) ** 2
+            sig[v, i - start] = p[k]
+            intf[v, i - start] = p.sum() - p[k]
     return sig, intf
 
 
-def empirical_powers(config: SystemConfig, kind: str,
-                     alpha: float | None = None) -> PowerEstimate:
-    """Monte-Carlo averages of desired and interference power for one scenario.
-
-    These averages do not depend on the receiver noise level, so one call
-    serves every SNR point that shares the channel/phase configuration.
-    """
-    n, workers = config.n_realizations, config.parallelism
-    if workers <= 1 or n < 4 * workers:
-        sig, intf = _simulate_block(config, kind, alpha, 0, n)
-    else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_simulate_block, config, kind, alpha, int(a), int(b))
-                       for a, b in zip(bounds[:-1], bounds[1:])]
-            pieces = [f.result() for f in futures]
-        sig = np.concatenate([p[0] for p in pieces])
-        intf = np.concatenate([p[1] for p in pieces])
+def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
+    n = sig.size
     rejected = int(np.isnan(sig).sum())
     if rejected > MAX_REJECTION_RATE * n:
         raise RejectionRateError(
@@ -128,3 +119,28 @@ def empirical_powers(config: SystemConfig, kind: str,
                          n_realizations=int(sig.size),
                          n_rejected=rejected,
                          sig_powers=sig, int_powers=intf)
+
+
+def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:
+    """Monte-Carlo power averages of every (kind, alpha) pair on one draw set.
+
+    Realization i is drawn once and every pair's precoder is built from it;
+    alpha is None for ZF and MF.  Returns one PowerEstimate per pair, in
+    order.  The averages do not depend on the receiver noise level, so one
+    call serves every SNR point of the scenario.  Draws a pair's precoder
+    rejects are dropped for that pair only, and the rejection cap applies
+    per pair.
+    """
+    variants = list(variants)
+    n, workers = config.n_realizations, config.parallelism
+    if workers <= 1 or n < 4 * workers:
+        sig, intf = _simulate_block(config, variants, 0, n)
+    else:
+        bounds = np.linspace(0, n, workers + 1, dtype=int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
+                       for a, b in zip(bounds[:-1], bounds[1:])]
+            pieces = [f.result() for f in futures]
+        sig = np.concatenate([p[0] for p in pieces], axis=1)
+        intf = np.concatenate([p[1] for p in pieces], axis=1)
+    return [_estimate(s, q) for s, q in zip(sig, intf)]

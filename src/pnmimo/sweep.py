@@ -14,7 +14,7 @@ with the same master seed reproduces the file exactly at any parallelism.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,10 +81,18 @@ def _analytic(config: SystemConfig, kind: str):
     raise ConfigError(f"precoder: unknown kind {kind!r}")
 
 
-def _empirical_key(config: SystemConfig, kind: str, alpha):
-    return (kind, alpha, config.M, config.K, config.M_osc, config.q0,
-            config.sigma_deg_bs, config.sigma_deg_ue, config.tau,
-            config.master_seed, config.n_realizations)
+# Fields the Monte-Carlo draws and powers do not depend on: the noise
+# handles, the regularizer (its resolved value is part of each variant) and
+# the worker count.
+_NOT_DRAWN = frozenset(("snr_db", "sigma_w2_value", "alpha", "alpha_mode",
+                        "parallelism"))
+
+
+def _draw_key(config: SystemConfig) -> tuple:
+    """Scenarios with equal keys share one Monte-Carlo draw set."""
+    return tuple(tuple(getattr(config, f.name).tolist()) if f.name == "powers"
+                 else getattr(config, f.name)
+                 for f in fields(config) if f.name not in _NOT_DRAWN)
 
 
 def run_sweep(config: SystemConfig, sweep_axis: str, values,
@@ -92,13 +100,17 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
               preset: str = "") -> list[dict]:
     """One row per (sweep point, precoder), deterministic given the seed.
 
-    Monte-Carlo power averages are noise-independent, so they are cached and
-    shared across SNR points with identical channel/phase settings.
+    Rows are built first: scenario cells, closed form, resolved alpha and
+    rates.  With with_empirical, the rows are then grouped by draw key, the
+    scenario minus its noise handles (snr_db, sigma_w2), alpha, alpha_mode
+    and parallelism, with powers compared by value.  Monte-Carlo power
+    averages do not depend on those fields, so each group makes one
+    empirical_powers call for all of its (precoder, alpha) pairs, and each
+    row reads its SINR at its own sigma_w2 off that one draw set.
     """
     if len(values) == 0:
         raise ConfigError("sweep: values must be nonempty")
-    rows = []
-    cache: dict = {}
+    rows, points = [], []
     for value in values:
         point = _apply_axis(config, sweep_axis, value)
         for kind in precoders:
@@ -110,18 +122,24 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
                        precoder=kind,
                        alpha=None if alpha is None else float(alpha),
                        analytical_sinr=float(sinr_a))
-            if with_empirical:
-                key = _empirical_key(point, kind, alpha)
-                if key not in cache:
-                    cache[key] = empirical_powers(point, kind, alpha)
-                est = cache[key]
-                row.update(empirical_sinr=est.sinr_at(point.sigma_w2),
-                           std_error=est.std_error_at(point.sigma_w2),
-                           n_realizations=est.n_realizations,
-                           n_rejected=est.n_rejected)
             row.update(rates.rate_report(sinr_a, point.tau, point.sigma2_ue,
                                          point.sigma2_bs, point.M_osc))
             rows.append(row)
+            points.append((point, (kind, alpha)))
+    if with_empirical:
+        # draw key -> (first scenario with it, its (kind, alpha) pairs in order)
+        groups: dict = {}
+        keys = [_draw_key(point) for point, _ in points]
+        for key, (point, variant) in zip(keys, points):
+            groups.setdefault(key, (point, {}))[1][variant] = None
+        estimates = {key: dict(zip(variants, empirical_powers(point, list(variants))))
+                     for key, (point, variants) in groups.items()}
+        for row, key, (point, variant) in zip(rows, keys, points):
+            est = estimates[key][variant]
+            row.update(empirical_sinr=est.sinr_at(point.sigma_w2),
+                       std_error=est.std_error_at(point.sigma_w2),
+                       n_realizations=est.n_realizations,
+                       n_rejected=est.n_rejected)
     return rows
 
 

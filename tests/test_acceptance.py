@@ -45,17 +45,17 @@ class TestCriterion1MonteCarloAgreement:
         worst = {"rzf": 0.0, "zf": 0.0, "mf": 0.0}
         for m_osc in _MOSCS:
             base = SystemConfig(M_osc=m_osc, snr_db=10.0, **_VERIFY)
-            # ZF/MF power averages are noise-free; one MC run covers all SNRs
-            fixed = {"zf": empirical_powers(base, "zf"),
-                     "mf": empirical_powers(base, "mf")}
-            for snr in _SNRS_DB:
-                cfg = base.with_(snr_db=snr)
-                alpha = analytics.resolve_alpha(cfg)
+            cfgs = [base.with_(snr_db=snr) for snr in _SNRS_DB]
+            alphas = [analytics.resolve_alpha(cfg) for cfg in cfgs]
+            # power averages are noise-free: one draw set serves every SNR's
+            # optimal RZF, ZF and MF
+            *rzf, zf, mf = empirical_powers(
+                base, [("rzf", a) for a in alphas] + [("zf", None), ("mf", None)])
+            for cfg, alpha, rzf_est in zip(cfgs, alphas, rzf):
                 preds = {"rzf": analytics.sinr_rzf(cfg, alpha),
                          "zf": analytics.sinr_zf(cfg),
                          "mf": analytics.sinr_mf(cfg, finite_k=True)}
-                est = {"rzf": empirical_powers(cfg, "rzf", alpha),
-                       **fixed}
+                est = {"rzf": rzf_est, "zf": zf, "mf": mf}
                 for kind in ("rzf", "zf", "mf"):
                     emp = est[kind].sinr_at(cfg.sigma_w2)
                     rel = abs(emp - preds[kind]) / preds[kind]
@@ -73,7 +73,7 @@ class TestCriterion1MonteCarloAgreement:
     def test_mf_limit_form(self):
         worst = 0.0
         cfg0 = SystemConfig(M_osc=5, snr_db=10.0, **_VERIFY)
-        est = empirical_powers(cfg0, "mf")
+        est, = empirical_powers(cfg0, [("mf", None)])
         for snr in _SNRS_DB:
             cfg = cfg0.with_(snr_db=snr)
             pred = analytics.sinr_mf(cfg)

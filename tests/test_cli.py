@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from pnmimo import channel, cli, linksim
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig
-from pnmimo.sweep import (COLUMNS, PRESETS, list_presets, rows_to_csv,
-                          rows_to_jsonl, run_preset, run_sweep)
+from pnmimo.sweep import (COLUMNS, PRESETS, _draw_key, list_presets,
+                          rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
 
 CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
@@ -56,6 +57,38 @@ class TestRunSweep:
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         rows = run_sweep(cfg, "snr", [0.0], with_empirical=False)
         assert all(r["empirical_sinr"] is None for r in rows)
+
+
+class TestSharedDraws:
+    def test_one_draw_set_per_oscillator_variant(self, monkeypatch):
+        # fig2: 4 M_osc variants x 9 SNR points, each with its own optimal
+        # RZF alpha; a realization draws H and the estimation noise W_e
+        calls = []
+        real = channel.draw_channel
+
+        def counted(M, K, rng):
+            calls.append((M, K))
+            return real(M, K, rng)
+
+        monkeypatch.setattr(linksim, "draw_channel", counted)
+        monkeypatch.setattr(channel, "draw_channel", counted)
+        rows = run_preset("fig2", n_realizations=10)
+        assert len(rows) == 4 * 9
+        assert len(calls) == 4 * 2 * 10
+
+    @pytest.mark.parametrize("change", [
+        dict(snr_db=0.0), dict(snr_db=None, sigma_w2_value=0.3),
+        dict(alpha_mode="fixed", alpha=0.2), dict(parallelism=2)])
+    def test_noise_alpha_and_workers_share_a_draw_key(self, change):
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
+        assert _draw_key(cfg.with_(**change)) == _draw_key(cfg)
+
+    @pytest.mark.parametrize("change", [
+        dict(ue_index=1), dict(powers=[0.4, 0.3, 0.2, 0.1]), dict(master_seed=7),
+        dict(n_realizations=100), dict(M_osc=4), dict(q0=0.8), dict(tau=5)])
+    def test_drawn_fields_split_the_draw_key(self, change):
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
+        assert _draw_key(cfg.with_(**change)) != _draw_key(cfg)
 
 
 class TestPresets:
@@ -182,6 +215,7 @@ class TestCliEntry:
         ("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db")),
         ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
         (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
+        (["lemmas", "--sizes", "2,3"], ("sizes:",)),
     ])
     def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
         if ini is None:
@@ -197,6 +231,24 @@ class TestCliEntry:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert all(f in err for f in fields)
+
+    def test_unwritable_out_fails_before_any_work(self, cfg_file, tmp_path,
+                                                   monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("run_preset", "run_sweep", "check_trace_lemma",
+                     "check_rank1_perturbation", "check_free_probability_traces",
+                     "check_quadratic_form_identities",
+                     "check_matrix_inversion_identity", "check_resolvent_identity"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        missing = str(tmp_path / "missing" / "x.csv")
+        for argv in (["preset", "fig2", "--out", missing],
+                     ["lemmas", "--out", missing],
+                     ["sweep", cfg_file, "--out", missing],
+                     ["preset", "fig2", "--out", str(tmp_path)]):
+            assert main(argv) == 2
+            assert "--out: cannot write" in capsys.readouterr().err
 
     def test_lemmas_csv(self, tmp_path, capsys):
         out = tmp_path / "lem.csv"

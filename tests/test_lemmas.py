@@ -111,3 +111,8 @@ class TestQuadraticForms:
     def test_rejects_bad_quality(self):
         with pytest.raises(ValueError):
             check_quadratic_form_identities(64, 1.5, np.random.default_rng(12))
+
+    def test_rejects_sizes_without_a_user(self):
+        with pytest.raises(ValueError, match="M must be >= 4"):
+            check_quadratic_form_identities(3, 0.9, np.random.default_rng(12),
+                                            M_osc=1)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pnmimo.channel import draw_channel, synthesize_estimate
+from pnmimo import linksim
 from pnmimo.config import SystemConfig
-from pnmimo.linksim import empirical_powers
+from pnmimo.linksim import RejectionRateError, empirical_powers
 from pnmimo.phase_noise import simulate_wiener, theta_vector
-from pnmimo.precoding import build_mf, build_rzf, build_zf
+from pnmimo.precoding import SingularChannelError, build_mf, build_rzf, build_zf
 
 
 def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
@@ -53,7 +54,7 @@ class TestDecompose:
     def test_single_ue_empty_interference(self):
         cfg = SystemConfig(M=32, K=1, M_osc=8, snr_db=None, sigma_w2_value=0.25,
                            n_realizations=20)
-        est = empirical_powers(cfg, "zf")
+        est, = empirical_powers(cfg, [("zf", None)])
         assert np.all(est.int_powers == 0.0)
         assert est.sinr_at(0.25) == pytest.approx(est.mean_sig_power / 0.25)
 
@@ -69,7 +70,7 @@ class TestDecompose:
                     "zf": lambda Hh: build_zf(Hh, cfg.powers),
                     "mf": lambda Hh: build_mf(Hh, cfg.powers)}
         for kind, build in builders.items():
-            est = empirical_powers(cfg, kind, 0.1 if kind == "rzf" else None)
+            est, = empirical_powers(cfg, [(kind, 0.1 if kind == "rzf" else None)])
             assert est.n_rejected == 0
             for i in (0, 3, 5):
                 rng = np.random.default_rng((cfg.master_seed, i))
@@ -111,14 +112,14 @@ class TestEmpiricalSinr:
     def test_noise_dominated_limit(self):
         cfg = SystemConfig(M=16, K=4, M_osc=4, snr_db=None, sigma_w2_value=1e6,
                            n_realizations=50)
-        est = empirical_powers(cfg, "mf")
+        est, = empirical_powers(cfg, [("mf", None)])
         assert est.sinr_at(cfg.sigma_w2) == pytest.approx(est.mean_sig_power / 1e6,
                                                           rel=1e-3)
 
     def test_mf_matches_closed_form_large_M(self):
         cfg = SystemConfig(M=200, K=40, M_osc=1, q0=0.9, snr_db=None,
                            sigma_w2_value=0.1, n_realizations=2000)
-        est = empirical_powers(cfg, "mf").sinr_at(cfg.sigma_w2)
+        est = empirical_powers(cfg, [("mf", None)])[0].sinr_at(cfg.sigma_w2)
         # the limit form beta*q0/(1+sigma_w2) carries an O(1/K) bias; the
         # finite-K exclusion form tracks the simulation much tighter
         assert est == pytest.approx(200 * 0.9 / 40 / 1.1, rel=0.05)
@@ -128,20 +129,20 @@ class TestEmpiricalSinr:
     def test_zf_matches_closed_form(self):
         cfg = SystemConfig(M=50, K=10, M_osc=1, q0=0.9, snr_db=None,
                            sigma_w2_value=0.1, n_realizations=2000)
-        est = empirical_powers(cfg, "zf").sinr_at(cfg.sigma_w2)
+        est = empirical_powers(cfg, [("zf", None)])[0].sinr_at(cfg.sigma_w2)
         assert est == pytest.approx(0.09 / (0.0225 * 0.1 + 0.1 / 40), rel=0.05)
 
     def test_deterministic_given_seed(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=40)
-        a = empirical_powers(cfg, "rzf", alpha=0.1)
-        b = empirical_powers(cfg, "rzf", alpha=0.1)
+        a, = empirical_powers(cfg, [("rzf", 0.1)])
+        b, = empirical_powers(cfg, [("rzf", 0.1)])
         assert a.sinr_at(cfg.sigma_w2) == b.sinr_at(cfg.sigma_w2)
         assert a.std_error_at(cfg.sigma_w2) == b.std_error_at(cfg.sigma_w2)
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
-        serial = empirical_powers(cfg, "mf")
-        parallel = empirical_powers(cfg.with_(parallelism=4), "mf")
+        serial, = empirical_powers(cfg, [("mf", None)])
+        parallel, = empirical_powers(cfg.with_(parallelism=4), [("mf", None)])
         assert np.array_equal(serial.sig_powers, parallel.sig_powers)
         assert np.array_equal(serial.int_powers, parallel.int_powers)
 
@@ -156,7 +157,7 @@ class TestEmpiricalSinr:
                 cfg = SystemConfig(M=M, K=K, M_osc=1, q0=0.9, snr_db=None,
                                    sigma_w2_value=0.1, n_realizations=800,
                                    master_seed=seed)
-                est = empirical_powers(cfg, "zf").sinr_at(cfg.sigma_w2)
+                est = empirical_powers(cfg, [("zf", None)])[0].sinr_at(cfg.sigma_w2)
                 predicted = sinr_zf(cfg)
                 gaps.append((est - predicted) / predicted)
             rms.append(float(np.sqrt(np.mean(np.square(gaps)))))
@@ -167,7 +168,7 @@ class TestEmpiricalSinr:
         for m_osc in (1, 2, 5, 10, 25, 50):
             cfg = SystemConfig(M=50, K=10, M_osc=m_osc, snr_db=10.0,
                                n_realizations=600)
-            est = empirical_powers(cfg, "zf")
+            est, = empirical_powers(cfg, [("zf", None)])
             sinrs.append((est.sinr_at(cfg.sigma_w2), est.std_error_at(cfg.sigma_w2)))
         for (a, se_a), (b, se_b) in zip(sinrs, sinrs[1:]):
             assert b <= a + 2 * (se_a + se_b)
@@ -177,7 +178,7 @@ class TestEmpiricalSinr:
         for m_osc in (1, 5, 50):
             cfg = SystemConfig(M=50, K=10, M_osc=m_osc, snr_db=10.0,
                                n_realizations=600)
-            ests.append(empirical_powers(cfg, "mf"))
+            ests += empirical_powers(cfg, [("mf", None)])
         ref = ests[0]
         for other in ests[1:]:
             se = ref.int_powers.std(ddof=1) / np.sqrt(ref.n_realizations)
@@ -192,3 +193,50 @@ class TestEmpiricalSinr:
         trace.bs_phases = trace.bs_phases + 0.7
         s1 = sinr(zeta(H, G, trace, 0), 0, 0.1)
         assert s1 == pytest.approx(s0, rel=1e-12)
+
+
+class TestSharedDraws:
+    """One call builds every (kind, alpha) pair on the same realizations."""
+
+    VARIANTS = [("rzf", 0.05), ("rzf", 0.3), ("zf", None), ("mf", None)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_matches_one_pair_calls(self, workers):
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
+                           parallelism=workers)
+        joint = empirical_powers(cfg, self.VARIANTS)
+        assert len(joint) == len(self.VARIANTS)
+        for variant, est in zip(self.VARIANTS, joint):
+            single, = empirical_powers(cfg, [variant])
+            assert np.array_equal(est.sig_powers, single.sig_powers)
+            assert np.array_equal(est.int_powers, single.int_powers)
+            assert est.n_rejected == single.n_rejected == 0
+
+    def test_zf_rejection_drops_the_draw_for_zf_only(self, monkeypatch):
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=1000)
+        chosen = 7
+        rng = np.random.default_rng((cfg.master_seed, chosen))
+        target = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
+                       cfg.sigma2_ue, cfg.tau, rng)[2]
+        clean = empirical_powers(cfg, self.VARIANTS)
+        real_zf = linksim.build_zf
+
+        def build_zf(H_hat, powers):
+            if np.array_equal(H_hat, target):
+                raise SingularChannelError("chosen draw")
+            return real_zf(H_hat, powers)
+
+        monkeypatch.setattr(linksim, "build_zf", build_zf)
+        ests = empirical_powers(cfg, self.VARIANTS)
+        for (kind, _), est, ref in zip(self.VARIANTS, ests, clean):
+            if kind == "zf":
+                assert (est.n_rejected, est.n_realizations) == (1, 999)
+                expected = [np.delete(p, chosen) for p in (ref.sig_powers, ref.int_powers)]
+            else:
+                assert (est.n_rejected, est.n_realizations) == (0, 1000)
+                expected = [ref.sig_powers, ref.int_powers]
+            assert np.array_equal(est.sig_powers, expected[0])
+            assert np.array_equal(est.int_powers, expected[1])
+        # one rejection in 64 draws is over the 1e-3 cap for the ZF pair
+        with pytest.raises(RejectionRateError):
+            empirical_powers(cfg.with_(n_realizations=64), self.VARIANTS)
