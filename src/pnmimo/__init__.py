@@ -5,7 +5,7 @@ Modules:
     rmt          closed-form random-matrix quantities
     phase_noise  Wiener phase traces and the T_PN statistic
     channel      Rayleigh fading and Gauss-Markov estimate synthesis
-    precoding    RZF / ZF / MF precoder construction
+    precoding    RZF / ZF / MF precoders from one Gram eigendecomposition
     linksim      Monte-Carlo effective-SINR estimation
     analytics    closed-form effective SINR per precoder
     rates        achievable-rate bounds

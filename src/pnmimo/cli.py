@@ -20,7 +20,6 @@ from .lemmas import (check_free_probability_traces, check_matrix_inversion_ident
                      check_resolvent_identity, check_trace_lemma,
                      convergence_to_csv)
 from .linksim import RejectionRateError
-from .precoding import SingularChannelError
 from .sweep import (list_presets, rows_to_csv, rows_to_jsonl, run_preset,
                     run_sweep)
 
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RejectionRateError, SingularChannelError, FloatingPointError) as exc:
+    except (RejectionRateError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

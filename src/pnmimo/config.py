@@ -176,9 +176,16 @@ def _parse_system(items: dict[str, str]) -> SystemConfig:
 
 def load_config(path: str) -> tuple[SystemConfig, str | None, list[float] | None]:
     """Parse a config file; returns (config, sweep_axis, sweep_values)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                       interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (M vs m_osc)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # duplicate keys/sections and a missing header carry .lineno; a line
+        # without '=' is a ParsingError listing (lineno, line) pairs
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ConfigError(f"config: line {lineno}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config: cannot read {path}")
     if "system" not in parser:

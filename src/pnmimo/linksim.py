@@ -2,10 +2,11 @@
 
 One realization draws a channel H, a joint phase trajectory, and the
 estimate H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e, and forms the
-observed UE k's channel row h_k^T Theta_k(tau) at data time.  Every
-requested precoder G (a kind and, for RZF, a regularizer alpha) is then
-built from that one H_hat, and the row gives the scalar coefficients the UE
-sees on its own symbol and on every interferer's symbol.  Averaging
+observed UE k's channel row h_k^T Theta_k(tau) at data time.  One
+`precoding.precoders` call gives every requested precoder (a kind and, for
+RZF, a regularizer alpha) as G = H_hat^H C, so the row is projected onto
+H_hat^H once and each C turns it into the scalar coefficients the UE sees
+on its own symbol and on every interferer's symbol.  Averaging
 |zeta_sig|^2 and ||zeta_int||^2 over realizations yields the empirical
 effective SINR.  The averages do not depend on the receiver noise level, so
 one draw set serves every precoder, alpha and SNR point of a scenario.  The
@@ -27,8 +28,7 @@ import numpy as np
 from .channel import draw_channel, synthesize_estimate
 from .config import SystemConfig
 from .phase_noise import simulate_wiener, theta_vector
-from .precoding import (PrecoderMatrix, SingularChannelError, build_mf,
-                        build_rzf, build_zf)
+from .precoding import precoders
 
 __all__ = ["PowerEstimate", "empirical_powers", "RejectionRateError",
            "MAX_REJECTION_RATE"]
@@ -43,7 +43,15 @@ class RejectionRateError(RuntimeError):
 
 @dataclass
 class PowerEstimate:
-    """Noise-independent Monte-Carlo averages of signal and interference power."""
+    """Noise-independent Monte-Carlo averages of signal and interference power.
+
+    The SINR is a ratio of mean powers, E|zeta_sig|^2 / (E||zeta_int||^2 +
+    sigma_w2), so the signal power the UE cannot use coherently stays in the
+    numerator.  At q0 = 0 the estimate is independent of the data-time row
+    and, with equal powers, every precoder tends to the incoherent floor
+    p_k / (sum_{j != k} p_j + sigma_w2 sum_j p_j), where the closed form,
+    which keeps only the coherent term, reads 0.
+    """
 
     mean_sig_power: float
     mean_int_power: float
@@ -65,17 +73,6 @@ class PowerEstimate:
         return float(np.sqrt(max(var, 0.0)))
 
 
-def _build(kind: str, H_hat: np.ndarray, alpha: float | None,
-           powers: np.ndarray) -> PrecoderMatrix:
-    if kind == "rzf":
-        return build_rzf(H_hat, alpha, powers)
-    if kind == "zf":
-        return build_zf(H_hat, powers)
-    if kind == "mf":
-        return build_mf(H_hat, powers)
-    raise ValueError(f"unknown precoder kind {kind!r}")
-
-
 def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
     """Per-variant, per-realization powers for indices [start, stop).
 
@@ -92,15 +89,15 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
         trace = simulate_wiener(config.M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
         H_hat = synthesize_estimate(
             H, theta_vector(trace.ue_phases[0], trace.bs_phases[0], M), config.q0, rng)
-        # the observed UE's channel row, rotated by its data-time phases
+        # the observed UE's channel row, rotated by its data-time phases, seen
+        # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
         row = H[k] * theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M)
-        for v, (kind, alpha) in enumerate(variants):
-            try:
-                G = _build(kind, H_hat, alpha, config.powers).G
-            except SingularChannelError:
+        row_hat = row @ H_hat.conj().T
+        for v, C in enumerate(precoders(H_hat, config.powers, variants)):
+            if C is None:
                 sig[v, i - start] = intf[v, i - start] = np.nan
                 continue
-            p = np.abs(row @ G) ** 2
+            p = np.abs(row_hat @ C) ** 2
             sig[v, i - start] = p[k]
             intf[v, i - start] = p.sum() - p[k]
     return sig, intf

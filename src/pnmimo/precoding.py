@@ -1,73 +1,64 @@
-"""RZF, ZF, and MF downlink precoders with exact empirical power normalization.
+"""RZF, ZF and MF downlink precoders as filters on the estimated Gram matrix.
 
-Every builder returns an M x K matrix G with trace(G^H G) = 1; column k is
-the beam serving UE k and already carries sqrt(p_k).
+Every precoder is G = H_hat^H C for a K x K coefficient matrix C, scaled so
+that ||G||_F = 1; column k is the beam serving UE k and already carries
+sqrt(p_k).  RZF and ZF are spectral filters d(lambda) of the Gram
+H_hat H_hat^H = U diag(lambda) U^H, so one eigendecomposition serves every
+regularizer and ZF:
+
+    C = U diag(d) U^H P^1/2 / sqrt(sum_i lambda_i d_i^2 ||(U^H P^1/2)_i||^2)
+
+with d = 1/(lambda + M alpha) for RZF and d = 1/lambda for ZF (RZF's
+alpha -> 0 limit).  MF is the unfiltered conjugate, C = P^1/2 scaled by the
+Gram diagonal, and needs no decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-__all__ = ["PrecoderMatrix", "SingularChannelError", "build_rzf", "build_zf",
-           "build_mf", "CONDITION_CAP"]
+__all__ = ["precoders", "CONDITION_CAP"]
 
 # ZF rejects an estimated channel whose Gram condition number exceeds this.
 CONDITION_CAP = 1e12
 
 
-class SingularChannelError(RuntimeError):
-    """Raised when the estimated channel's Gram matrix fails the condition cap."""
+def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
+    """Coefficient matrices C (G = H_hat^H C) of every (kind, alpha) pair.
 
-
-@dataclass
-class PrecoderMatrix:
-    """Normalized precoder and the applied scalar."""
-
-    G: np.ndarray
-    xi_empirical: float
-
-
-def _normalize(raw: np.ndarray) -> PrecoderMatrix:
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise SingularChannelError("precoder collapsed to zero")
-    xi = 1.0 / norm
-    return PrecoderMatrix(G=raw * xi, xi_empirical=xi)
-
-
-def build_rzf(H_hat: np.ndarray, alpha: float, powers: np.ndarray) -> PrecoderMatrix:
-    """Regularized zero-forcing beams.
-
-    Computed through the K x K Gram system H_hat H_hat^H + M*alpha*I rather
-    than the M x M form; the two are algebraically identical and the small
-    system costs O(K^2 M).
+    variants is a sequence of pairs; alpha is the RZF regularizer and is
+    ignored for ZF and MF.  Returns one
+    K x K matrix per pair, in order, or None where ZF rejects the draw: the
+    Gram's smallest eigenvalue is <= 0 or its condition number exceeds
+    CONDITION_CAP.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     K, M = H_hat.shape
-    gram = H_hat @ H_hat.conj().T + (M * alpha) * np.eye(K)
-    sol = cho_solve(cho_factor(gram), np.diag(np.sqrt(np.asarray(powers, dtype=float))))
-    return _normalize(H_hat.conj().T @ sol)
-
-
-def build_zf(H_hat: np.ndarray, powers: np.ndarray) -> PrecoderMatrix:
-    """Zero-forcing beams: exact interference nulling on the estimated channel."""
-    K, M = H_hat.shape
-    if K > M:
-        raise ValueError(f"ZF requires K <= M, got K={K}, M={M}")
-    gram = H_hat @ H_hat.conj().T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise SingularChannelError(
-            f"estimated-channel Gram condition number {cond:.3e} exceeds cap {CONDITION_CAP:.1e}"
-        )
-    sol = np.linalg.solve(gram, np.diag(np.sqrt(np.asarray(powers, dtype=float))))
-    return _normalize(H_hat.conj().T @ sol)
-
-
-def build_mf(H_hat: np.ndarray, powers: np.ndarray) -> PrecoderMatrix:
-    """Matched-filter (conjugate) beams proportional to the estimate itself."""
-    return _normalize(H_hat.conj().T * np.sqrt(np.asarray(powers, dtype=float)))
+    p = np.asarray(powers, dtype=float)
+    sqrt_p = np.sqrt(p)
+    for kind, alpha in variants:
+        if kind not in ("rzf", "zf", "mf"):
+            raise ValueError(f"unknown precoder kind {kind!r}")
+        if kind == "rzf" and not alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if kind == "zf" and K > M:
+            raise ValueError(f"ZF requires K <= M, got K={K}, M={M}")
+    if any(kind != "mf" for kind, _ in variants):
+        lam, U = np.linalg.eigh(H_hat @ H_hat.conj().T)
+        UhP = U.conj().T * sqrt_p
+        energy = np.sum(np.abs(UhP) ** 2, axis=1)
+    out = []
+    for kind, alpha in variants:
+        if kind == "mf":
+            gram_diag = np.sum(np.abs(H_hat) ** 2, axis=1)
+            out.append(np.diag(sqrt_p / np.sqrt(np.sum(p * gram_diag))))
+            continue
+        if kind == "rzf":
+            d = 1.0 / (lam + M * alpha)
+        elif lam[0] <= 0 or lam[-1] > CONDITION_CAP * lam[0]:
+            out.append(None)
+            continue
+        else:
+            d = 1.0 / lam
+        d /= np.sqrt(np.sum(lam * d ** 2 * energy))
+        out.append((U * d) @ UhP)
+    return out

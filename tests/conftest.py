@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# Every run replays the same examples and keeps no example database, so the
+# property tests are reproducible; each test keeps its own max_examples.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+
 acceptance_lines: list[str] = []
 
 

@@ -20,7 +20,7 @@ from pnmimo.linksim import empirical_powers
 from pnmimo.channel import draw_channel, synthesize_estimate
 from pnmimo.phase_noise import (deg_to_var, simulate_wiener, t_pn_second_moment,
                                 theta_vector)
-from pnmimo.precoding import build_mf, build_rzf, build_zf
+from pnmimo.precoding import precoders
 from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import rows_to_csv, run_preset, run_sweep
 
@@ -332,13 +332,13 @@ class TestCriterion9PrecoderConstraints:
                 tr = simulate_wiener(m_osc, K, s2, s2, 10, rng)
                 H_hat = synthesize_estimate(
                     H, theta_vector(tr.ue_phases[0], tr.bs_phases[0], M), 0.9, rng)
-                for i, prec in enumerate((build_rzf(H_hat, 0.05, powers),
-                                          build_zf(H_hat, powers),
-                                          build_mf(H_hat, powers))):
-                    g2 = float(np.trace(prec.G.conj().T @ prec.G).real)
+                Cs = precoders(H_hat, powers, [("rzf", 0.05), ("zf", None), ("mf", None)])
+                for i, C in enumerate(Cs):
+                    G = H_hat.conj().T @ C
+                    g2 = float(np.trace(G.conj().T @ G).real)
                     worst_trace = max(worst_trace, abs(g2 - 1.0))
                     if i == 1:  # ZF
-                        eff = H_hat @ prec.G
+                        eff = H_hat @ G
                         diag = np.abs(np.diag(eff)).min()
                         off = np.abs(eff - np.diag(np.diag(eff))).max()
                         worst_null = max(worst_null, off / diag)

@@ -216,6 +216,10 @@ class TestCliEntry:
         ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
         (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
         (["lemmas", "--sizes", "2,3"], ("sizes:",)),
+        ("[system]\nM = 20\nM = 20\n", ("config:", "line 3")),
+        ("[system]\nM = 20\n[system]\nK = 4\n", ("config:", "line 3")),
+        ("M = 20\n[system]\nK = 4\n", ("config:", "line 1")),
+        ("[system]\nM = 20\nK\n", ("config:", "line 3")),
     ])
     def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
         if ini is None:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,4 +108,22 @@ class TestFileFormat:
         path = tmp_path / "run.ini"
         path.write_text("[system]\nM = 8\nK = 2\n\n[sweep]\naxis = nope\nvalues = 1\n")
         with pytest.raises(ConfigError, match="axis"):
+            load_config(str(path))
+
+    def test_readme_example_parses(self, tmp_path):
+        # the ini block under "Config file format", inline ';' comments included
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"### Config file format.*?```ini\n(.*?)```", readme, re.S)[1]
+        path = tmp_path / "run.ini"
+        path.write_text(block)
+        cfg, axis, values = load_config(str(path))
+        assert (cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.tau) == (50, 10, 5, 0.9, 10)
+        assert (cfg.sigma_deg_bs, cfg.snr_db, cfg.n_realizations) == (6.0, 10.0, 2000)
+        assert axis == "snr"
+        assert values == [-10.0, 0.0, 10.0, 20.0, 30.0]
+
+    def test_percent_sign_is_plain_text(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[system]\nM = 50%\n")
+        with pytest.raises(ConfigError, match="M: expected int"):
             load_config(str(path))

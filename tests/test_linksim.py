@@ -6,7 +6,7 @@ from pnmimo import linksim
 from pnmimo.config import SystemConfig
 from pnmimo.linksim import RejectionRateError, empirical_powers
 from pnmimo.phase_noise import simulate_wiener, theta_vector
-from pnmimo.precoding import SingularChannelError, build_mf, build_rzf, build_zf
+from pnmimo.precoding import precoders
 
 
 def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
@@ -23,31 +23,37 @@ def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
     return (rng, *_draw(M, K, M // 4, q0, sigma2, sigma2, tau, rng))
 
 
-def zeta(H, precoder, trace, ue):
+def precoder(H_hat, powers, kind, alpha=None):
+    """The library's precoder G = H_hat^H C."""
+    C, = precoders(H_hat, powers, [(kind, alpha)])
+    return H_hat.conj().T @ C
+
+
+def zeta(H, G, trace, ue):
     """Coefficients that UE `ue`'s received sample puts on every UE's symbol."""
     M = H.shape[1]
-    return (H[ue] * theta_vector(trace.ue_phases[1, ue], trace.bs_phases[1], M)) @ precoder.G
+    return (H[ue] * theta_vector(trace.ue_phases[1, ue], trace.bs_phases[1], M)) @ G
 
 
 def sinr(z, ue, noise_var):
     return abs(z[ue]) ** 2 / (np.sum(np.abs(np.delete(z, ue)) ** 2) + noise_var)
 
 
-def transmit(precoder, symbols, H, trace, noise):
+def transmit(G, symbols, H, trace, noise):
     """Received samples y_k = h_k^T Theta_k(tau) G s + w_k of every UE, with
     the full diagonal phase matrix Theta_k(tau)."""
     K, M = H.shape
     y = np.empty(K, dtype=complex)
     for k in range(K):
         theta = np.diag(theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M))
-        y[k] = H[k] @ theta @ precoder.G @ symbols + noise[k]
+        y[k] = H[k] @ theta @ G @ symbols + noise[k]
     return y
 
 
 class TestDecompose:
     def test_zf_perfect_csi_no_phase_noise_nulls_interference(self):
         rng, H, trace, H_hat = _scene(q0=1.0, sigma2=0.0)
-        G = build_zf(H_hat, np.full(8, 1 / 8))
+        G = precoder(H_hat, np.full(8, 1 / 8), "zf")
         z = zeta(H, G, trace, 0)
         assert np.sum(np.abs(z[1:]) ** 2) <= 1e-18
 
@@ -66,17 +72,14 @@ class TestDecompose:
         cfg = SystemConfig(M=32, K=8, M_osc=4, snr_db=10.0, ue_index=2,
                            n_realizations=6)
         k, no_noise = cfg.ue_index, np.zeros(cfg.K, complex)
-        builders = {"rzf": lambda Hh: build_rzf(Hh, 0.1, cfg.powers),
-                    "zf": lambda Hh: build_zf(Hh, cfg.powers),
-                    "mf": lambda Hh: build_mf(Hh, cfg.powers)}
-        for kind, build in builders.items():
-            est, = empirical_powers(cfg, [(kind, 0.1 if kind == "rzf" else None)])
+        for kind, alpha in (("rzf", 0.1), ("zf", None), ("mf", None)):
+            est, = empirical_powers(cfg, [(kind, alpha)])
             assert est.n_rejected == 0
             for i in (0, 3, 5):
                 rng = np.random.default_rng((cfg.master_seed, i))
                 H, trace, H_hat = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
                                         cfg.sigma2_ue, cfg.tau, rng)
-                G = build(H_hat)
+                G = precoder(H_hat, cfg.powers, kind, alpha)
                 z = np.array([transmit(G, e, H, trace, no_noise)[k]
                               for e in np.eye(cfg.K)])
                 assert np.allclose(z, zeta(H, G, trace, k),
@@ -88,7 +91,7 @@ class TestDecompose:
 
     def test_received_power_budget(self):
         rng, H, trace, H_hat = _scene(seed=1)
-        G = build_zf(H_hat, np.full(8, 1 / 8))
+        G = precoder(H_hat, np.full(8, 1 / 8), "zf")
         z = zeta(H, G, trace, 0)
         n = 200_000
         s = (rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))) / np.sqrt(2)
@@ -100,10 +103,12 @@ class TestDecompose:
     def test_zero_noise_zero_pn_zf_exact_symbol(self):
         rng, H, trace, H_hat = _scene(q0=1.0, sigma2=0.0, seed=2)
         p = np.full(8, 1 / 8)
-        G = build_zf(H_hat, p)
+        G = precoder(H_hat, p, "zf")
         s = np.ones(8, dtype=complex)
         y = transmit(G, s, H, trace, np.zeros(8, complex))
-        expected = G.xi_empirical * np.sqrt(p)
+        xi = 1 / np.linalg.norm(H_hat.conj().T @ np.linalg.solve(
+            H_hat @ H_hat.conj().T, np.diag(np.sqrt(p))))
+        expected = xi * np.sqrt(p)
         # received symbol is xi*sqrt(p_k)*s_k up to the UE's common phase
         assert np.allclose(np.abs(y), expected, atol=1e-10)
 
@@ -184,11 +189,24 @@ class TestEmpiricalSinr:
             se = ref.int_powers.std(ddof=1) / np.sqrt(ref.n_realizations)
             assert abs(other.mean_int_power - ref.mean_int_power) < 2 * 2 * se
 
+    @pytest.mark.parametrize("M, K", [(20, 4), (80, 16)])
+    def test_zero_quality_incoherent_floor(self, M, K):
+        # At q0 = 0 the estimate is independent of the data-time row, so the
+        # ratio of mean powers tends to the incoherent floor
+        # p_k / (sum_{j != k} p_j + sigma_w2 * sum p) for every precoder,
+        # while the closed form keeps only the coherent term and reads 0.
+        cfg = SystemConfig(M=M, K=K, q0=0.0, alpha_mode="fixed", alpha=0.1,
+                           n_realizations=2000)
+        p, s2 = cfg.powers, cfg.sigma_w2
+        floor = p[0] / (p.sum() - p[0] + s2 * p.sum())
+        for est in empirical_powers(cfg, [("rzf", 0.1), ("zf", None), ("mf", None)]):
+            assert abs(est.sinr_at(s2) - floor) <= 4 * est.std_error_at(s2)
+
     def test_invariant_under_common_phase_shift(self):
         # adding one constant to every oscillator and UE phase at both symbol
         # times multiplies zeta entries by unit-modulus factors only
         rng, H, trace, H_hat = _scene(seed=3)
-        G = build_zf(H_hat, np.full(8, 1 / 8))
+        G = precoder(H_hat, np.full(8, 1 / 8), "zf")
         s0 = sinr(zeta(H, G, trace, 0), 0, 0.1)
         trace.bs_phases = trace.bs_phases + 0.7
         s1 = sinr(zeta(H, G, trace, 0), 0, 0.1)
@@ -219,14 +237,15 @@ class TestSharedDraws:
         target = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
                        cfg.sigma2_ue, cfg.tau, rng)[2]
         clean = empirical_powers(cfg, self.VARIANTS)
-        real_zf = linksim.build_zf
+        real = linksim.precoders
 
-        def build_zf(H_hat, powers):
+        def reject_chosen(H_hat, powers, variants):
+            Cs = real(H_hat, powers, variants)
             if np.array_equal(H_hat, target):
-                raise SingularChannelError("chosen draw")
-            return real_zf(H_hat, powers)
+                Cs = [None if kind == "zf" else C for (kind, _), C in zip(variants, Cs)]
+            return Cs
 
-        monkeypatch.setattr(linksim, "build_zf", build_zf)
+        monkeypatch.setattr(linksim, "precoders", reject_chosen)
         ests = empirical_powers(cfg, self.VARIANTS)
         for (kind, _), est, ref in zip(self.VARIANTS, ests, clean):
             if kind == "zf":

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +16,17 @@ MODULES = ["pnmimo"] + sorted(f"pnmimo.{m.name}" for m in pkgutil.iter_modules(p
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_simulation_runs_without_scipy(tmp_path):
+    # a fresh interpreter, so modules the tests import do not count
+    out_csv = str(tmp_path / "x.csv")
+    code = ("import sys; from pnmimo.cli import main; "
+            f"code = main(['preset', 'fig3', '--realizations', '10', '--out', {out_csv!r}]); "
+            "print(code, 'scipy' in sys.modules)")
+    src = str(Path(pnmimo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["0", "False"]
