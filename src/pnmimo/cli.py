@@ -148,6 +148,8 @@ def _cmd_lemmas(args) -> int:
                           f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     exact_mi = check_matrix_inversion_identity(64, rng)
     exact_res = check_resolvent_identity(64, rng)

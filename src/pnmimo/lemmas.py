@@ -60,8 +60,18 @@ def _random_spd(M, rng):
     return B @ B.conj().T / M + np.eye(M)
 
 
+def _wishart_resolvent(lam, F, a, Z):
+    """(H^H H / M + a I)^{-1} Z from the eigenpairs (lam, W) of the K x K
+    Gram H H^H / M, with F = W^H H: the inverse is I / a except on the K
+    directions that the rows of F span."""
+    M = F.shape[1]
+    return Z / a - F.conj().T @ ((F @ Z) / (M * a * (lam + a))[:, None])
+
+
 def block_phase_diag(M: int, M_osc: int, rng: np.random.Generator) -> np.ndarray:
     """Diagonal of a unitary block-constant phase matrix (M_osc blocks)."""
+    if M_osc < 1 or M % M_osc:
+        raise ValueError(f"M_osc must be >= 1 and divide M = {M}, got {M_osc}")
     phases = rng.uniform(0.0, 2.0 * np.pi, size=M_osc)
     return np.exp(1j * np.repeat(phases, M // M_osc))
 
@@ -124,6 +134,9 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
 
     The gap (1/M)|tr A[(U + zeta I + q h h^H)^{-1} - (U + zeta I)^{-1}]| is
     bounded by ||A||/(zeta M) on every draw and decays like 1/M.
+    By Sherman-Morrison, with B = U + zeta I and y = B^{-1} h, the gap is
+    q |y^H A y| / (M |1 + q h^H y|).  A gap above its bound raises
+    FloatingPointError.
     """
     per_size = []
     for M in M_values:
@@ -133,12 +146,11 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
             A = _random_spd(M, rng)
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
-            base = U + zeta * np.eye(M)
-            gap = abs(np.trace(A @ (np.linalg.inv(base + q * np.outer(h, h.conj()))
-                                    - np.linalg.inv(base)))) / M
-            bound = np.linalg.norm(A, 2) / (zeta * M)
+            y = np.linalg.solve(U + zeta * np.eye(M), h)
+            gap = q * abs(y.conj() @ A @ y) / (M * abs(1.0 + q * (h.conj() @ y)))
+            bound = np.linalg.eigvalsh(A)[-1] / (zeta * M)  # ||A||_2, A Hermitian
             if gap > bound * (1 + 1e-10):
-                raise AssertionError(
+                raise FloatingPointError(
                     f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
             errs[t] = gap
         per_size.append(errs)
@@ -149,17 +161,21 @@ def check_free_probability_traces(M_values, rng: np.random.Generator,
                                   n_trials: int = 100,
                                   M_osc: int | None = None) -> ConvergenceRecord:
     """tr(UV)/M factorizes into (tr U/M)(tr V/M) for a Wishart resolvent U and
-    an independent diagonal phase matrix V."""
+    an independent diagonal phase matrix V.
+
+    Only diag(U) is needed; by Woodbury it is 2 - 2 sum_k conj(H) * (S^{-1} H)
+    with the K x K matrix S = H H^H + (M/2) I.
+    """
     per_size = []
     for M in M_values:
         K = max(M // 4, 1)
         errs = np.empty(n_trials)
         for t in range(n_trials):
             H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
-            U = np.linalg.inv(H.conj().T @ H / M + 0.5 * np.eye(M))
+            S = H @ H.conj().T + 0.5 * M * np.eye(K)
+            u = 2.0 - 2.0 * np.sum(H.conj() * np.linalg.solve(S, H), axis=0)
             v = block_phase_diag(M, M if M_osc is None else M_osc, rng)
-            tr_uv = np.trace(U * v[None, :]).item() / M  # U @ diag(v) trace
-            errs[t] = abs(tr_uv - (np.trace(U) / M) * v.mean())
+            errs[t] = abs(u @ v / M - u.mean() * v.mean())
         per_size.append(errs)
     return _record("free_probability_traces", M_values, per_size)
 
@@ -175,6 +191,8 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
       x^H N U V N^H x  ->  t2 - q0 t1 t2 |tr N / M|^2 / (1 + t1)
       x^H U V N^H x    ->  t2 (1 + q1 t1) / (1 + t1) * tr(N^H)/M
       w^H U V N^H x    ->  -q2 t1 t2 / (1 + t1) * tr(N^H)/M
+    A and U share the eigenvectors of H^H H / M, so one eigendecomposition of
+    the K x K Gram H H^H / M gives t1, t2 and every product with A^{-1} or U.
     Returns the median absolute deviation of each identity.
     """
     if not 0.0 <= q0 <= 1.0:
@@ -187,25 +205,28 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
     devs = np.empty((n_trials, 3))
     for t in range(n_trials):
         H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
-        A = H.conj().T @ H / M + alpha * np.eye(M)
-        Ainv = np.linalg.inv(A)
-        U = np.linalg.inv(H.conj().T @ H / M + 2.0 * alpha * np.eye(M))
         x = _gaussian_vec(M, rng, 1.0 / M)
         w = _gaussian_vec(M, rng, 1.0 / M)
         n = block_phase_diag(M, M_osc, rng)
-        t1 = (np.trace(Ainv) / M).real
-        t2 = (np.trace(U @ Ainv) / M).real
+        lam, W = np.linalg.eigh(H @ H.conj().T / M)
+        F = W.conj().T @ H
+        t1 = ((M - K) / alpha + np.sum(1.0 / (lam + alpha))) / M
+        t2 = ((M - K) / (2.0 * alpha ** 2)
+              + np.sum(1.0 / ((lam + alpha) * (lam + 2.0 * alpha)))) / M
         trn = n.mean()
-        V = np.linalg.inv(A + q0 * np.outer(x, x.conj()) + q1 * np.outer(w, w.conj())
-                          + q2 * np.outer(x, w.conj()) + q2 * np.outer(w, x.conj()))
-        UV = U @ V
+        # the update is v v^H with v = sqrt(q0) x + sqrt(q1) w, as q2^2 = q0 q1,
+        # so V N^H x is one Sherman-Morrison step from A^{-1}
+        v = np.sqrt(q0) * x + np.sqrt(q1) * w
         nhx = np.conj(n) * x
-        devs[t, 0] = abs((np.conj(n) * x).conj() @ UV @ nhx
-                         - (t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1)))
-        devs[t, 1] = abs(x.conj() @ UV @ nhx
-                         - t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn))
-        devs[t, 2] = abs(w.conj() @ UV @ nhx
-                         - (-q2 * t1 * t2) / (1.0 + t1) * np.conj(trn))
+        Ai_nhx, Ai_v = _wishart_resolvent(lam, F, alpha, np.stack([nhx, v], 1)).T
+        VNhx = Ai_nhx - Ai_v * (v.conj() @ Ai_nhx) / (1.0 + v.conj() @ Ai_v)
+        # U is Hermitian: z^H U V N^H x = (U z)^H V N^H x
+        forms = _wishart_resolvent(lam, F, 2.0 * alpha,
+                                   np.stack([nhx, x, w], 1)).conj().T @ VNhx
+        targets = np.array([t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1),
+                            t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn),
+                            (-q2 * t1 * t2) / (1.0 + t1) * np.conj(trn)])
+        devs[t] = np.abs(forms - targets)
     return np.median(devs, axis=0)
 
 

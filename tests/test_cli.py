@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from pnmimo import channel, cli, linksim
@@ -220,6 +221,7 @@ class TestCliEntry:
         ("[system]\nM = 20\n[system]\nK = 4\n", ("config:", "line 3")),
         ("M = 20\n[system]\nK = 4\n", ("config:", "line 1")),
         ("[system]\nM = 20\nK\n", ("config:", "line 3")),
+        (["lemmas", "--seed", "-1"], ("seed:",)),
     ])
     def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
         if ini is None:
@@ -259,3 +261,12 @@ class TestCliEntry:
         assert main(["lemmas", "--sizes", "32,64", "--trials", "10",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("name,M,median_error,slope")
+
+    def test_rank1_bound_violation_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a zero spectral norm makes every positive rank-1 gap exceed its bound
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: np.zeros(len(A)))
+        assert main(["lemmas", "--sizes", "32,64", "--trials", "2",
+                     "--out", str(tmp_path / "lem.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: rank-1 trace gap" in err
+        assert "Traceback" not in err

@@ -1,12 +1,110 @@
 import numpy as np
 import pytest
 
-from pnmimo.lemmas import (ConvergenceRecord, block_phase_diag,
-                           check_free_probability_traces,
+from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
+                           block_phase_diag, check_free_probability_traces,
                            check_matrix_inversion_identity,
                            check_quadratic_form_identities,
                            check_rank1_perturbation, check_resolvent_identity,
                            check_trace_lemma, convergence_to_csv)
+
+
+# Oracles: the dense M x M formulas of the three checks that the library
+# evaluates on the K x K and matrix-vector route.  Each consumes the same
+# draws in the same order as its check and returns the per-size (or
+# per-identity) medians.
+
+def rank1_oracle(M_values, rng, n_trials, zeta=1.0):
+    medians = []
+    for M in M_values:
+        errs = []
+        for _ in range(n_trials):
+            U = _random_spd(M, rng) - np.eye(M)
+            A = _random_spd(M, rng)
+            h = _gaussian_vec(M, rng, 1.0)
+            q = abs(float(rng.normal())) + 0.1
+            base = U + zeta * np.eye(M)
+            errs.append(abs(np.trace(A @ (np.linalg.inv(base + q * np.outer(h, h.conj()))
+                                          - np.linalg.inv(base)))) / M)
+        medians.append(np.median(errs))
+    return np.array(medians)
+
+
+def free_probability_oracle(M_values, rng, n_trials, M_osc=None):
+    medians = []
+    for M in M_values:
+        K = max(M // 4, 1)
+        errs = []
+        for _ in range(n_trials):
+            H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
+            U = np.linalg.inv(H.conj().T @ H / M + 0.5 * np.eye(M))
+            v = block_phase_diag(M, M if M_osc is None else M_osc, rng)
+            tr_uv = np.trace(U * v[None, :]).item() / M  # U @ diag(v) trace
+            errs.append(abs(tr_uv - (np.trace(U) / M) * v.mean()))
+        medians.append(np.median(errs))
+    return np.array(medians)
+
+
+def quadratic_form_oracle(M, q0, rng, n_trials, M_osc, alpha=0.5):
+    K = M // 4
+    q1 = 1.0 - q0
+    q2 = np.sqrt(q0 * q1)
+    devs = []
+    for _ in range(n_trials):
+        H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
+        A = H.conj().T @ H / M + alpha * np.eye(M)
+        Ainv = np.linalg.inv(A)
+        U = np.linalg.inv(H.conj().T @ H / M + 2.0 * alpha * np.eye(M))
+        x = _gaussian_vec(M, rng, 1.0 / M)
+        w = _gaussian_vec(M, rng, 1.0 / M)
+        n = block_phase_diag(M, M_osc, rng)
+        t1 = (np.trace(Ainv) / M).real
+        t2 = (np.trace(U @ Ainv) / M).real
+        trn = n.mean()
+        V = np.linalg.inv(A + q0 * np.outer(x, x.conj()) + q1 * np.outer(w, w.conj())
+                          + q2 * np.outer(x, w.conj()) + q2 * np.outer(w, x.conj()))
+        UV = U @ V
+        nhx = np.conj(n) * x
+        devs.append([abs(nhx.conj() @ UV @ nhx
+                         - (t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1))),
+                     abs(x.conj() @ UV @ nhx
+                         - t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn)),
+                     abs(w.conj() @ UV @ nhx
+                         - (-q2 * t1 * t2) / (1.0 + t1) * np.conj(trn))])
+    return np.median(devs, axis=0)
+
+
+def _same_draws_same_medians(check, oracle, seed):
+    """check(rng) and oracle(rng) on two generators with the same seed: equal
+    medians within 1e-10 relative, and the same generator state afterwards."""
+    rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, ref = np.asarray(check(rng_lib)), oracle(rng_ref)
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+    assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestOracles:
+    def test_rank1_matches_dense_trace_gap(self):
+        _same_draws_same_medians(
+            lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,
+            lambda rng: rank1_oracle([8, 32, 64], rng, n_trials=5), seed=20)
+
+    @pytest.mark.parametrize("M_osc", [None, 4])
+    def test_free_probability_matches_dense_inverse(self, M_osc):
+        _same_draws_same_medians(
+            lambda rng: check_free_probability_traces([8, 32, 64], rng, n_trials=5,
+                                                      M_osc=M_osc).errors,
+            lambda rng: free_probability_oracle([8, 32, 64], rng, n_trials=5,
+                                                M_osc=M_osc), seed=21)
+
+    @pytest.mark.parametrize("M", [8, 32, 64])
+    @pytest.mark.parametrize("q0", [0.9, 1.0])
+    def test_quadratic_forms_match_dense_inverses(self, M, q0):
+        _same_draws_same_medians(
+            lambda rng: check_quadratic_form_identities(M, q0, rng, n_trials=5,
+                                                        M_osc=4),
+            lambda rng: quadratic_form_oracle(M, q0, rng, n_trials=5, M_osc=4),
+            seed=22)
 
 
 class TestExactIdentities:
@@ -23,7 +121,6 @@ class TestExactIdentities:
 
     def test_resolvent_equal_matrices(self):
         rng = np.random.default_rng(3)
-        from pnmimo.lemmas import _random_spd
         U = _random_spd(32, rng)
         Ui = np.linalg.inv(U)
         assert np.max(np.abs((Ui - Ui) + Ui @ (U - U) @ Ui)) == 0.0
@@ -53,6 +150,19 @@ class TestBlockPhase:
         assert np.allclose(v[:4], v[0])
         assert np.allclose(v[4:8], v[4])
 
+    @pytest.mark.parametrize("M_osc", [0, -2, 5, 7])
+    def test_rejects_oscillator_count_not_dividing_M(self, M_osc):
+        with pytest.raises(ValueError, match="M_osc"):
+            block_phase_diag(12, M_osc, np.random.default_rng(4))
+
+    def test_checks_reject_oscillator_count_not_dividing_M(self):
+        with pytest.raises(ValueError, match="M_osc"):
+            check_quadratic_form_identities(64, 0.9, np.random.default_rng(4),
+                                            n_trials=2, M_osc=7)
+        with pytest.raises(ValueError, match="M_osc"):
+            check_free_probability_traces([64, 128], np.random.default_rng(4),
+                                          n_trials=2, M_osc=3)
+
 
 class TestAsymptoticDecay:
     def test_trace_lemma_decays(self):
@@ -77,7 +187,6 @@ class TestAsymptoticDecay:
     def test_free_probability_identity_matrix_exact(self):
         # a scalar multiple of the identity factorizes exactly
         rng = np.random.default_rng(8)
-        from pnmimo.lemmas import _gaussian_vec
         M, K = 64, 16
         H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
         U = np.linalg.inv(H.conj().T @ H / M + 0.5 * np.eye(M))
