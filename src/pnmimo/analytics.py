@@ -24,14 +24,15 @@ def effective_quality(config: SystemConfig) -> float:
 
 
 def resolve_alpha(config: SystemConfig) -> float:
-    """Regularization used for the RZF precoder under the configured mode."""
-    if config.alpha_mode == "fixed":
+    """The RZF regularization: the configured alpha, or the SINR-maximizing
+    one when alpha is None."""
+    if config.alpha is not None:
         return config.alpha
     e = t_pn_second_moment(config.M_osc, config.tau, config.sigma2_bs)
     return rmt.optimal_alpha(config.q0, e, config.sigma_w2, config.beta)
 
 
-def sinr_rzf(config: SystemConfig, alpha: float | None = None) -> float:
+def sinr_rzf(config: SystemConfig, alpha: float) -> float:
     """Large-system effective SINR of the RZF precoder for the observed UE.
 
     With m = m(-alpha), t = m/(1+m), t2 = (sum_{j != k} p_j) m'/(1+m)^2 and
@@ -39,8 +40,6 @@ def sinr_rzf(config: SystemConfig, alpha: float | None = None) -> float:
     numerator    p_k * t^2 * q_eff
     denominator  (t2/M)(1 - t*q_eff - t*q_eff/(1+m)) + sigma_w^2/xi^2
     """
-    if alpha is None:
-        alpha = resolve_alpha(config)
     q = effective_quality(config)
     m = rmt.stieltjes_mp(alpha, config.beta)
     mp = rmt.stieltjes_mp_derivative(alpha, config.beta)
@@ -70,18 +69,10 @@ def sinr_zf(config: SystemConfig) -> float:
     return p_k * q / ((t2 / config.M) * (1.0 - q) + config.sigma_w2 / xi2)
 
 
-def sinr_mf(config: SystemConfig, finite_k: bool = False) -> float:
-    """MF (conjugate beamforming) effective SINR.
-
-    The default is the large-system limit M*q_eff*p_k / ((sigma_w^2+1)*sum p).
-    With finite_k=True the interference sum excludes the observed UE's own
-    power, which removes an O(1/K) bias at small K:
-    M*q_eff*p_k / (sum_{k1 != k} p_k1 + sigma_w^2 * sum p).
-    """
+def sinr_mf(config: SystemConfig) -> float:
+    """MF (conjugate beamforming) effective SINR, in the large-system limit
+    M*q_eff*p_k / ((sigma_w^2+1)*sum p)."""
     p_k = float(config.powers[config.ue_index])
     psum = float(config.powers.sum())
-    if finite_k:
-        den = (psum - p_k) + config.sigma_w2 * psum
-    else:
-        den = (config.sigma_w2 + 1.0) * psum
+    den = (config.sigma_w2 + 1.0) * psum
     return config.M * effective_quality(config) * p_k / den

@@ -174,6 +174,9 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, axis, values = load_config(args.config)
+    if axis is not None:
+        # every sweep point must be a valid scenario, checked as `sweep` does
+        run_sweep(config, axis, values, with_empirical=False)
     print(f"ok: M={config.M} K={config.K} M_osc={config.M_osc} "
           f"q0={config.q0} tau={config.tau}"
           + (f" sweep={axis}[{len(values)}]" if axis else ""))

@@ -18,8 +18,6 @@ __all__ = ["ConfigError", "SystemConfig", "load_config", "SWEEP_AXES"]
 
 SWEEP_AXES = ("snr", "m_osc", "beta", "sigma_phi", "alpha")
 
-ALPHA_MODES = ("optimal", "fixed")
-
 
 class ConfigError(ValueError):
     """Configuration rejected; message names the offending field."""
@@ -32,11 +30,13 @@ class SystemConfig:
     Exactly one of snr_db / sigma_w2 is the noise handle: when snr_db is
     set, sigma_w2 is derived as p_k / snr_linear for the observed UE.
 
-    Every float field that is set must be finite, and so must the noise
-    variance sigma_w2, which must also be > 0.  n_realizations >= 2, so every
-    Monte-Carlo row has a finite standard error.  q0 = 0 (no channel
-    knowledge) is accepted only with alpha_mode = "fixed": the optimal
-    regularization divides by q0, so the default "optimal" mode rejects it.
+    alpha is the RZF regularizer: None selects the SINR-maximizing value,
+    and a set alpha (> 0) is used as is.  powers is stored as a read-only
+    copy.  Every float field that is set must be finite, and so must the
+    noise variance sigma_w2, which must also be > 0.  n_realizations >= 2, so
+    every Monte-Carlo row has a finite standard error.  q0 = 0 (no channel
+    knowledge) needs an explicit alpha: the SINR-maximizing regularization
+    divides by q0.
     """
 
     M: int = 50
@@ -50,7 +50,6 @@ class SystemConfig:
     snr_db: float | None = 10.0
     sigma_w2_value: float | None = None
     powers: np.ndarray | str = "equal"
-    alpha_mode: str = "optimal"
     alpha: float | None = None
     ue_index: int = 0
     n_realizations: int = 2000
@@ -61,10 +60,11 @@ class SystemConfig:
         if isinstance(self.powers, str):
             if self.powers != "equal":
                 raise ConfigError(f"powers: unknown keyword {self.powers!r}")
-            object.__setattr__(self, "powers", np.full(self.K, 1.0 / self.K))
+            p = np.full(self.K, 1.0 / self.K)
         else:
-            object.__setattr__(self, "powers", np.asarray(self.powers, dtype=float))
-        p = self.powers
+            p = np.array(self.powers, dtype=float)  # a copy: the caller's stays writable
+        p.setflags(write=False)
+        object.__setattr__(self, "powers", p)
         for name, value in (("q0", self.q0), ("sigma_deg_bs", self.sigma_deg_bs),
                             ("sigma_deg_ue", self.sigma_deg_ue), ("snr_db", self.snr_db),
                             ("sigma_w2", self.sigma_w2_value), ("alpha", self.alpha)):
@@ -79,9 +79,9 @@ class SystemConfig:
                               f"got M_osc={self.M_osc}, M={self.M}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ConfigError(f"q0: must be in [0, 1], got {self.q0}")
-        if self.q0 == 0.0 and self.alpha_mode == "optimal":
+        if self.q0 == 0.0 and self.alpha is None:
             raise ConfigError("q0: 0 leaves the optimal regularization undefined; "
-                              "set alpha_mode = fixed with an explicit alpha")
+                              "set an explicit alpha")
         if self.sigma_deg_bs < 0 or self.sigma_deg_ue < 0:
             raise ConfigError("sigma_deg_bs/sigma_deg_ue: must be >= 0")
         if self.tau < 1:
@@ -94,10 +94,8 @@ class SystemConfig:
             raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
         if not np.all(np.isfinite(p)) or np.any(p < 0) or p.sum() <= 0:
             raise ConfigError("powers: entries must be finite and >= 0 with positive sum")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ConfigError(f"alpha_mode: must be one of {ALPHA_MODES}, got {self.alpha_mode!r}")
-        if self.alpha_mode == "fixed" and (self.alpha is None or self.alpha <= 0):
-            raise ConfigError("alpha: fixed mode requires alpha > 0")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ConfigError(f"alpha: must be > 0, got {self.alpha}")
         if not 0 <= self.ue_index < self.K:
             raise ConfigError(f"ue_index: out of range for K={self.K}")
         try:
@@ -165,8 +163,6 @@ def _parse_system(items: dict[str, str]) -> SystemConfig:
         elif key == "powers":
             kwargs["powers"] = raw if raw == "equal" else np.array(
                 [_number(key, x, float) for x in raw.split()], dtype=float)
-        elif key == "alpha_mode":
-            kwargs["alpha_mode"] = raw
         else:
             raise ConfigError(f"{key}: unknown configuration key")
     if "sigma_w2_value" in kwargs and "snr_db" not in kwargs:

@@ -129,14 +129,13 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
 
 
 def check_rank1_perturbation(M_values, rng: np.random.Generator,
-                             n_trials: int = 100, zeta: float = 1.0) -> ConvergenceRecord:
+                             n_trials: int = 100) -> ConvergenceRecord:
     """Normalized trace gap from a rank-1 update of a regularized matrix.
 
-    The gap (1/M)|tr A[(U + zeta I + q h h^H)^{-1} - (U + zeta I)^{-1}]| is
-    bounded by ||A||/(zeta M) on every draw and decays like 1/M.
-    By Sherman-Morrison, with B = U + zeta I and y = B^{-1} h, the gap is
-    q |y^H A y| / (M |1 + q h^H y|).  A gap above its bound raises
-    FloatingPointError.
+    The gap (1/M)|tr A[(U + I + q h h^H)^{-1} - (U + I)^{-1}]| is bounded by
+    ||A||/M on every draw and decays like 1/M.  By Sherman-Morrison, with
+    B = U + I and y = B^{-1} h, the gap is q |y^H A y| / (M |1 + q h^H y|).
+    A gap above its bound raises FloatingPointError.
     """
     per_size = []
     for M in M_values:
@@ -146,9 +145,9 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
             A = _random_spd(M, rng)
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
-            y = np.linalg.solve(U + zeta * np.eye(M), h)
+            y = np.linalg.solve(U + np.eye(M), h)
             gap = q * abs(y.conj() @ A @ y) / (M * abs(1.0 + q * (h.conj() @ y)))
-            bound = np.linalg.eigvalsh(A)[-1] / (zeta * M)  # ||A||_2, A Hermitian
+            bound = np.linalg.eigvalsh(A)[-1] / M  # ||A||_2, A Hermitian
             if gap > bound * (1 + 1e-10):
                 raise FloatingPointError(
                     f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
@@ -181,12 +180,12 @@ def check_free_probability_traces(M_values, rng: np.random.Generator,
 
 
 def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
-                                    n_trials: int = 100, M_osc: int = 5,
-                                    alpha: float = 0.5) -> np.ndarray:
+                                    n_trials: int = 100, M_osc: int = 5) -> np.ndarray:
     """Phase-rotated quadratic forms against their three deterministic limits.
 
-    With V = (A + q0 xx^H + q1 ww^H + q2 xw^H + q2 wx^H)^{-1}, N a unitary
-    block-phase diagonal independent of A, and t1 = tr(A^{-1})/M,
+    With A = H^H H / M + alpha I and U = (H^H H / M + 2 alpha I)^{-1} at
+    alpha = 1/2, V = (A + q0 xx^H + q1 ww^H + q2 xw^H + q2 wx^H)^{-1}, N a
+    unitary block-phase diagonal independent of A, and t1 = tr(A^{-1})/M,
     t2 = tr(U A^{-1})/M, the targets are
       x^H N U V N^H x  ->  t2 - q0 t1 t2 |tr N / M|^2 / (1 + t1)
       x^H U V N^H x    ->  t2 (1 + q1 t1) / (1 + t1) * tr(N^H)/M
@@ -200,6 +199,7 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
     K = M // 4
     if K < 1:
         raise ValueError(f"M must be >= 4 to hold K = M // 4 >= 1 users, got {M}")
+    alpha = 0.5
     q1 = 1.0 - q0
     q2 = np.sqrt(q0 * q1)
     devs = np.empty((n_trials, 3))

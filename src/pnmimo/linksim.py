@@ -6,8 +6,8 @@ observed UE k's channel row h_k^T Theta_k(tau) at data time.  One
 `precoding.precoders` call gives every requested precoder (a kind and, for
 RZF, a regularizer alpha) as G = H_hat^H C, so the row is projected onto
 H_hat^H once and each C turns it into the scalar coefficients the UE sees
-on its own symbol and on every interferer's symbol.  Averaging
-|zeta_sig|^2 and ||zeta_int||^2 over realizations yields the empirical
+on its own symbol (c_sig) and on every interferer's symbol (c_int).
+Averaging |c_sig|^2 and ||c_int||^2 over realizations yields the empirical
 effective SINR.  The averages do not depend on the receiver noise level, so
 one draw set serves every precoder, alpha and SNR point of a scenario.  The
 scenario is validated once, by SystemConfig; the stages below it take plain
@@ -45,7 +45,7 @@ class RejectionRateError(RuntimeError):
 class PowerEstimate:
     """Noise-independent Monte-Carlo averages of signal and interference power.
 
-    The SINR is a ratio of mean powers, E|zeta_sig|^2 / (E||zeta_int||^2 +
+    The SINR is a ratio of mean powers, E|c_sig|^2 / (E||c_int||^2 +
     sigma_w2), so the signal power the UE cannot use coherently stays in the
     numerator.  At q0 = 0 the estimate is independent of the data-time row
     and, with equal powers, every precoder tends to the incoherent floor
@@ -86,12 +86,11 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
     for i in range(start, stop):
         rng = np.random.default_rng((config.master_seed, i))
         H = draw_channel(M, K, rng)
-        trace = simulate_wiener(config.M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
-        H_hat = synthesize_estimate(
-            H, theta_vector(trace.ue_phases[0], trace.bs_phases[0], M), config.q0, rng)
+        bs, ue = simulate_wiener(config.M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
+        H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), config.q0, rng)
         # the observed UE's channel row, rotated by its data-time phases, seen
         # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
-        row = H[k] * theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M)
+        row = H[k] * theta_vector(ue[1, k], bs[1], M)
         row_hat = row @ H_hat.conj().T
         for v, C in enumerate(precoders(H_hat, config.powers, variants)):
             if C is None:

@@ -9,12 +9,9 @@ divides M, variances >= 0, tau >= 1) are enforced once, by SystemConfig.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PhaseTrace",
     "deg_to_var",
     "simulate_wiener",
     "theta_vector",
@@ -27,18 +24,6 @@ def deg_to_var(sigma_deg: float) -> float:
     return float(np.deg2rad(sigma_deg) ** 2)
 
 
-@dataclass
-class PhaseTrace:
-    """Oscillator phases at symbols 0 and tau.
-
-    bs_phases : (2, M_osc) array, rows are symbol 0 and symbol tau
-    ue_phases : (2, K) array, same layout
-    """
-
-    bs_phases: np.ndarray
-    ue_phases: np.ndarray
-
-
 def _wiener_endpoints(n: int, tau: int, sigma2: float, rng: np.random.Generator):
     """Phases at 0 and tau for n independent Wiener processes."""
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -49,16 +34,18 @@ def _wiener_endpoints(n: int, tau: int, sigma2: float, rng: np.random.Generator)
 
 
 def simulate_wiener(M_osc: int, K: int, sigma2_bs: float, sigma2_ue: float,
-                    tau: int, rng: np.random.Generator) -> PhaseTrace:
+                    tau: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one joint realization of BS-oscillator and UE phase processes.
 
     Each process starts uniform on [0, 2*pi) and advances by a zero-mean
     Gaussian increment of variance tau*sigma2 between symbols 0 and tau.
-    The M_osc BS oscillators are drawn first, then the K UEs.
+    The M_osc BS oscillators are drawn first, then the K UEs.  Returns
+    (bs_phases, ue_phases), a (2, M_osc) and a (2, K) array whose rows are
+    symbol 0 and symbol tau.
     """
     bs = _wiener_endpoints(M_osc, tau, sigma2_bs, rng)
     ue = _wiener_endpoints(K, tau, sigma2_ue, rng)
-    return PhaseTrace(bs_phases=bs, ue_phases=ue)
+    return bs, ue
 
 
 def theta_vector(ue_phases, bs_phases: np.ndarray, M: int) -> np.ndarray:

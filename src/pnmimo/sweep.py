@@ -57,10 +57,12 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
         changes = dict(M=M, M_osc=M) if config.M_osc == config.M else dict(M=M)
     elif axis == "sigma_phi":
         # value is an increment variance in rad^2, applied at both ends
+        if value < 0:
+            raise ConfigError(f"sweep.values: sigma_phi must be >= 0, got {value:g}")
         deg = float(np.rad2deg(np.sqrt(value)))
         changes = dict(sigma_deg_bs=deg, sigma_deg_ue=deg)
     elif axis == "alpha":
-        changes = dict(alpha_mode="fixed", alpha=float(value))
+        changes = dict(alpha=float(value))
     else:
         raise ConfigError(f"sweep_axis: must be one of {SWEEP_AXES}, got {axis!r}")
     try:
@@ -84,8 +86,7 @@ def _analytic(config: SystemConfig, kind: str):
 # Fields the Monte-Carlo draws and powers do not depend on: the noise
 # handles, the regularizer (its resolved value is part of each variant) and
 # the worker count.
-_NOT_DRAWN = frozenset(("snr_db", "sigma_w2_value", "alpha", "alpha_mode",
-                        "parallelism"))
+_NOT_DRAWN = frozenset(("snr_db", "sigma_w2_value", "alpha", "parallelism"))
 
 
 def _draw_key(config: SystemConfig) -> tuple:
@@ -102,8 +103,8 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
 
     Rows are built first: scenario cells, closed form, resolved alpha and
     rates.  With with_empirical, the rows are then grouped by draw key, the
-    scenario minus its noise handles (snr_db, sigma_w2), alpha, alpha_mode
-    and parallelism, with powers compared by value.  Monte-Carlo power
+    scenario minus its noise handles (snr_db, sigma_w2), alpha and
+    parallelism, with powers compared by value.  Monte-Carlo power
     averages do not depend on those fields, so each group makes one
     empirical_powers call for all of its (precoder, alpha) pairs, and each
     row reads its SINR at its own sigma_w2 off that one draw set.

@@ -24,7 +24,7 @@ from pnmimo.precoding import precoders
 from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import rows_to_csv, run_preset, run_sweep
 
-from conftest import acceptance_lines
+from conftest import acceptance_lines, sinr_mf_finite_k
 
 
 def _line(criterion: str, ok: bool, detail: str) -> None:
@@ -54,7 +54,7 @@ class TestCriterion1MonteCarloAgreement:
             for cfg, alpha, rzf_est in zip(cfgs, alphas, rzf):
                 preds = {"rzf": analytics.sinr_rzf(cfg, alpha),
                          "zf": analytics.sinr_zf(cfg),
-                         "mf": analytics.sinr_mf(cfg, finite_k=True)}
+                         "mf": sinr_mf_finite_k(cfg)}
                 est = {"rzf": rzf_est, "zf": zf, "mf": mf}
                 for kind in ("rzf", "zf", "mf"):
                     emp = est[kind].sinr_at(cfg.sigma_w2)
@@ -329,9 +329,8 @@ class TestCriterion9PrecoderConstraints:
             powers = np.full(K, 1.0 / K)
             for _ in range(25):
                 H = draw_channel(M, K, rng)
-                tr = simulate_wiener(m_osc, K, s2, s2, 10, rng)
-                H_hat = synthesize_estimate(
-                    H, theta_vector(tr.ue_phases[0], tr.bs_phases[0], M), 0.9, rng)
+                bs, ue = simulate_wiener(m_osc, K, s2, s2, 10, rng)
+                H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), 0.9, rng)
                 Cs = precoders(H_hat, powers, [("rzf", 0.05), ("zf", None), ("mf", None)])
                 for i, C in enumerate(Cs):
                     G = H_hat.conj().T @ C

@@ -6,6 +6,8 @@ from pnmimo.analytics import (effective_quality, resolve_alpha, sinr_mf,
 from pnmimo.config import SystemConfig
 from pnmimo.phase_noise import t_pn_second_moment
 
+from conftest import sinr_mf_finite_k
+
 
 def _cfg(**kw):
     base = dict(M=50, K=10, M_osc=1, q0=0.9, sigma_deg_bs=6.0, sigma_deg_ue=6.0,
@@ -33,7 +35,7 @@ class TestResolveAlpha:
         assert resolve_alpha(cfg) == pytest.approx(0.1 / 5.0)
 
     def test_fixed_mode(self):
-        cfg = _cfg(alpha_mode="fixed", alpha=0.25)
+        cfg = _cfg(alpha=0.25)
         assert resolve_alpha(cfg) == 0.25
 
 
@@ -144,4 +146,4 @@ class TestMf:
 
     def test_finite_k_exceeds_limit_form(self):
         cfg = _cfg()
-        assert sinr_mf(cfg, finite_k=True) > sinr_mf(cfg)
+        assert sinr_mf_finite_k(cfg) > sinr_mf(cfg)

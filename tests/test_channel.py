@@ -40,8 +40,8 @@ def _make_pair(q0, M=64, K=8, seed=0, sigma2=0.05, tau=5):
     """
     rng = np.random.default_rng(seed)
     H = draw_channel(M, K, rng)
-    trace = simulate_wiener(M // 4, K, sigma2, sigma2, tau, rng)
-    theta0 = theta_vector(trace.ue_phases[0], trace.bs_phases[0], M)
+    bs, ue = simulate_wiener(M // 4, K, sigma2, sigma2, tau, rng)
+    theta0 = theta_vector(ue[0], bs[0], M)
     replay = np.random.default_rng(seed)
     H_hat = synthesize_estimate(H, theta0, q0, rng)
     draw_channel(M, K, replay)

@@ -14,6 +14,64 @@ CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
 
 
+# Each input exits 2 with a message naming the listed fields: an INI text
+# (given a one-point snr sweep when it has none), None for a bad --sizes,
+# or an argv list.
+INVALID_INPUTS = [
+    ("[system]\nalpha = inf\n", ("alpha:",)),
+    ("[system]\nsnr_db = nan\n", ("snr_db:",)),
+    ("[system]\nM = abc\n", ("M:",)),
+    ("[system]\nq0 = 0\n", ("q0:",)),
+    ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 x\n",
+     ("sweep.values:",)),
+    ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 inf\n",
+     ("sweep.values:",)),
+    ("[system]\nM = 50\nK = 10\nM_osc = 5\nn_realizations = 10\n\n"
+     "[sweep]\naxis = beta\nvalues = 3.3 2\n", ("sweep.values:", "M_osc")),
+    (None, ("sizes:",)),
+    ("[system]\nM = 10\nK = 10\nn_realizations = 10\n", ("K:", "beta")),
+    ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = m_osc\nvalues = 2.5\n",
+     ("sweep.values:", "m_osc")),
+    (["preset", "fig3", "--seed", "-1"], ("master_seed:",)),
+    (["preset", "fig5", "--out", "TMP/missing/x.csv"], ("--out:",)),
+    (["lemmas", "--sizes", "32,64", "--trials", "4", "--out", "TMP/missing/x.csv"],
+     ("--out:",)),
+    (["lemmas", "--sizes", "64,64"], ("sizes:",)),
+    (["lemmas", "--sizes", "1,2"], ("sizes:",)),
+    (["lemmas", "--sizes", "0,4"], ("sizes:",)),
+    (["lemmas", "--sizes", "64,100"], ("sizes:",)),
+    (["lemmas", "--sizes", "64"], ("sizes:",)),
+    (["lemmas", "--trials", "-1"], ("trials:",)),
+    (["lemmas", "--trials", "0"], ("trials:",)),
+    ("[system]\nq0 = 1\nsigma_w2 = 0\n", ("sigma_w2:",)),
+    ("[system]\nq0 = 1\nsigma_w2 = 0\nalpha = 0.1\n", ("sigma_w2:",)),
+    ("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db")),
+    ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
+    (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
+    (["lemmas", "--sizes", "2,3"], ("sizes:",)),
+    ("[system]\nM = 20\nM = 20\n", ("config:", "line 3")),
+    ("[system]\nM = 20\n[system]\nK = 4\n", ("config:", "line 3")),
+    ("M = 20\n[system]\nK = 4\n", ("config:", "line 1")),
+    ("[system]\nM = 20\nK\n", ("config:", "line 3")),
+    (["lemmas", "--seed", "-1"], ("seed:",)),
+    ("[system]\nsigma_deg_bs = 6\n\n[sweep]\naxis = sigma_phi\nvalues = 0.1 -0.1\n",
+     ("sweep.values:", "sigma_phi")),
+    ("[system]\nalpha = -1\n", ("alpha:",)),
+    ("[system]\nalpha_mode = fixed\nalpha = 0.3\n", ("alpha_mode:", "unknown")),
+    ("[system]\nM = 50\n\n[sweep]\naxis = m_osc\nvalues = 1 3\n",
+     ("sweep.values:", "M_osc")),
+]
+INVALID_INI = [(ini, fields) for ini, fields in INVALID_INPUTS if isinstance(ini, str)]
+
+
+def _ini_file(ini, tmp_path):
+    if "[sweep]" not in ini:
+        ini += "\n[sweep]\naxis = snr\nvalues = 0\n"
+    path = tmp_path / "bad.ini"
+    path.write_text(ini)
+    return str(path)
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "run.ini"
@@ -79,7 +137,7 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("change", [
         dict(snr_db=0.0), dict(snr_db=None, sigma_w2_value=0.3),
-        dict(alpha_mode="fixed", alpha=0.2), dict(parallelism=2)])
+        dict(alpha=0.2), dict(parallelism=2)])
     def test_noise_alpha_and_workers_share_a_draw_key(self, change):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         assert _draw_key(cfg.with_(**change)) == _draw_key(cfg)
@@ -184,59 +242,35 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert json.loads(out.splitlines()[0])["preset"] == "fig6d"
 
-    @pytest.mark.parametrize("ini,fields", [
-        ("[system]\nalpha_mode = fixed\nalpha = inf\n", ("alpha:",)),
-        ("[system]\nsnr_db = nan\n", ("snr_db:",)),
-        ("[system]\nM = abc\n", ("M:",)),
-        ("[system]\nq0 = 0\n", ("q0:",)),
-        ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 x\n",
-         ("sweep.values:",)),
-        ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 inf\n",
-         ("sweep.values:",)),
-        ("[system]\nM = 50\nK = 10\nM_osc = 5\nn_realizations = 10\n\n"
-         "[sweep]\naxis = beta\nvalues = 3.3 2\n", ("sweep.values:", "M_osc")),
-        (None, ("sizes:",)),
-        ("[system]\nM = 10\nK = 10\nn_realizations = 10\n", ("K:", "beta")),
-        ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = m_osc\nvalues = 2.5\n",
-         ("sweep.values:", "m_osc")),
-        (["preset", "fig3", "--seed", "-1"], ("master_seed:",)),
-        (["preset", "fig5", "--out", "TMP/missing/x.csv"], ("--out:",)),
-        (["lemmas", "--sizes", "32,64", "--trials", "4", "--out", "TMP/missing/x.csv"],
-         ("--out:",)),
-        (["lemmas", "--sizes", "64,64"], ("sizes:",)),
-        (["lemmas", "--sizes", "1,2"], ("sizes:",)),
-        (["lemmas", "--sizes", "0,4"], ("sizes:",)),
-        (["lemmas", "--sizes", "64,100"], ("sizes:",)),
-        (["lemmas", "--sizes", "64"], ("sizes:",)),
-        (["lemmas", "--trials", "-1"], ("trials:",)),
-        (["lemmas", "--trials", "0"], ("trials:",)),
-        ("[system]\nq0 = 1\nsigma_w2 = 0\n", ("sigma_w2:",)),
-        ("[system]\nq0 = 1\nsigma_w2 = 0\nalpha_mode = fixed\nalpha = 0.1\n",
-         ("sigma_w2:",)),
-        ("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db")),
-        ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
-        (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
-        (["lemmas", "--sizes", "2,3"], ("sizes:",)),
-        ("[system]\nM = 20\nM = 20\n", ("config:", "line 3")),
-        ("[system]\nM = 20\n[system]\nK = 4\n", ("config:", "line 3")),
-        ("M = 20\n[system]\nK = 4\n", ("config:", "line 1")),
-        ("[system]\nM = 20\nK\n", ("config:", "line 3")),
-        (["lemmas", "--seed", "-1"], ("seed:",)),
-    ])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ini,fields", INVALID_INPUTS)
     def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
         if ini is None:
             argv = ["lemmas", "--sizes", "64,x"]
         elif isinstance(ini, list):
             argv = [a.replace("TMP", str(tmp_path)) for a in ini]
         else:
-            if "[sweep]" not in ini:
-                ini += "\n[sweep]\naxis = snr\nvalues = 0\n"
-            path = tmp_path / "bad.ini"
-            path.write_text(ini)
-            argv = ["sweep", str(path), "--out", str(tmp_path / "out.csv")]
+            argv = ["sweep", _ini_file(ini, tmp_path), "--out", str(tmp_path / "out.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert all(f in err for f in fields)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ini,fields", INVALID_INI)
+    def test_validate_config_rejects_what_sweep_rejects(self, ini, fields, tmp_path,
+                                                        capsys):
+        assert main(["validate-config", _ini_file(ini, tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(f in err for f in fields)
+
+    def test_alpha_alone_fixes_the_regularizer(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[system]\nalpha = 0.3\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(path), "--realizations", "10", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            alphas = [r["alpha"] for r in csv.DictReader(fh) if r["precoder"] == "rzf"]
+        assert alphas == ["0.3", "0.3"]
 
     def test_unwritable_out_fails_before_any_work(self, cfg_file, tmp_path,
                                                    monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pnmimo import config
 from pnmimo.config import ConfigError, SystemConfig, load_config
 
 
@@ -32,8 +34,8 @@ class TestValidation:
         (dict(q0=1.5), "q0"),
         (dict(tau=200, T_c=100), "tau"),
         (dict(powers=np.array([1.0, 2.0])), "powers"),
-        (dict(alpha_mode="weird"), "alpha_mode"),
-        (dict(alpha_mode="fixed"), "alpha"),
+        (dict(alpha=0.0), "alpha"),
+        (dict(alpha=-1.0), "alpha"),
         (dict(ue_index=99), "ue_index"),
         (dict(n_realizations=0), "n_realizations"),
         (dict(parallelism=0), "parallelism"),
@@ -44,7 +46,7 @@ class TestValidation:
         (dict(sigma_deg_ue=float("-inf")), "sigma_deg_ue"),
         (dict(snr_db=float("nan")), "snr_db"),
         (dict(snr_db=None, sigma_w2_value=float("inf")), "sigma_w2"),
-        (dict(alpha_mode="fixed", alpha=float("inf")), "alpha"),
+        (dict(alpha=float("inf")), "alpha"),
         (dict(q0=0.0), "q0"),
         (dict(master_seed=-1), "master_seed"),
         (dict(sigma_deg_bs=-1.0), "sigma_deg_bs"),
@@ -57,9 +59,9 @@ class TestValidation:
             SystemConfig(**kw)
 
     def test_zero_quality_needs_fixed_alpha(self):
-        with pytest.raises(ConfigError, match="alpha_mode = fixed"):
+        with pytest.raises(ConfigError, match="set an explicit alpha"):
             SystemConfig(q0=0.0)
-        assert SystemConfig(q0=0.0, alpha_mode="fixed", alpha=0.1).q0 == 0.0
+        assert SystemConfig(q0=0.0, alpha=0.1).q0 == 0.0
 
     def test_tau_may_equal_coherence_window(self):
         cfg = SystemConfig(tau=100, T_c=100)
@@ -73,6 +75,15 @@ class TestValidation:
     def test_with_override(self):
         cfg = SystemConfig().with_(M_osc=5)
         assert cfg.M_osc == 5
+
+    def test_powers_are_a_read_only_copy(self):
+        p = np.full(10, 0.1)
+        cfg = SystemConfig(powers=p)
+        for c in (cfg, cfg.with_(M_osc=5), SystemConfig()):
+            with pytest.raises(ValueError, match="read-only"):
+                c.powers[0] = 5.0
+        p[0] = 5.0  # the caller's array stays writable and is not shared
+        assert cfg.powers[0] == 0.1
 
 
 class TestFileFormat:
@@ -121,6 +132,26 @@ class TestFileFormat:
         assert (cfg.sigma_deg_bs, cfg.snr_db, cfg.n_realizations) == (6.0, 10.0, 2000)
         assert axis == "snr"
         assert values == [-10.0, 0.0, 10.0, 20.0, 30.0]
+
+    def test_ini_keys_and_fields_map_one_to_one(self, tmp_path):
+        # every SystemConfig field has exactly one INI key, its own name
+        # (sigma_w2 sets sigma_w2_value), and every INI key sets a field
+        key = {"sigma_w2_value": "sigma_w2"}
+        names = [f.name for f in fields(SystemConfig)]
+        assert (config._INT_KEYS | config._FLOAT_KEYS | {"sigma_w2", "powers"}
+                == {key.get(n, n) for n in names})
+        sample = dict(M=40, K=5, M_osc=4, q0=0.5, sigma_deg_bs=3.0, sigma_deg_ue=2.0,
+                      tau=5, T_c=50, snr_db=None, sigma_w2_value=0.2,
+                      powers=[0.1, 0.2, 0.3, 0.2, 0.2], alpha=0.3, ue_index=3,
+                      n_realizations=100, master_seed=7, parallelism=2)
+        assert list(sample) == names
+        path = tmp_path / "run.ini"
+        path.write_text("[system]\n" + "".join(
+            f"{key.get(n, n)} = {' '.join(map(str, v)) if n == 'powers' else v}\n"
+            for n, v in sample.items() if v is not None))
+        cfg, _, _ = load_config(str(path))
+        assert np.array_equal(cfg.powers, sample.pop("powers"))
+        assert {n: getattr(cfg, n) for n in sample} == sample
 
     def test_percent_sign_is_plain_text(self, tmp_path):
         path = tmp_path / "run.ini"

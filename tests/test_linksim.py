@@ -8,14 +8,16 @@ from pnmimo.linksim import RejectionRateError, empirical_powers
 from pnmimo.phase_noise import simulate_wiener, theta_vector
 from pnmimo.precoding import precoders
 
+from conftest import sinr_mf_finite_k
+
 
 def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
-    """Channel, phase trace and estimate, drawn from rng in the library's order."""
+    """Channel, (BS, UE) phases and estimate, drawn from rng in the library's order."""
     H = draw_channel(M, K, rng)
-    trace = simulate_wiener(M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
-    H_hat = synthesize_estimate(
-        H, theta_vector(trace.ue_phases[0], trace.bs_phases[0], M), q0, rng)
-    return H, trace, H_hat
+    phases = simulate_wiener(M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
+    bs, ue = phases
+    H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), q0, rng)
+    return H, phases, H_hat
 
 
 def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
@@ -29,32 +31,33 @@ def precoder(H_hat, powers, kind, alpha=None):
     return H_hat.conj().T @ C
 
 
-def zeta(H, G, trace, ue):
+def zeta(H, G, phases, ue):
     """Coefficients that UE `ue`'s received sample puts on every UE's symbol."""
-    M = H.shape[1]
-    return (H[ue] * theta_vector(trace.ue_phases[1, ue], trace.bs_phases[1], M)) @ G
+    bs, ue_phases = phases
+    return (H[ue] * theta_vector(ue_phases[1, ue], bs[1], H.shape[1])) @ G
 
 
 def sinr(z, ue, noise_var):
     return abs(z[ue]) ** 2 / (np.sum(np.abs(np.delete(z, ue)) ** 2) + noise_var)
 
 
-def transmit(G, symbols, H, trace, noise):
+def transmit(G, symbols, H, phases, noise):
     """Received samples y_k = h_k^T Theta_k(tau) G s + w_k of every UE, with
     the full diagonal phase matrix Theta_k(tau)."""
     K, M = H.shape
+    bs, ue = phases
     y = np.empty(K, dtype=complex)
     for k in range(K):
-        theta = np.diag(theta_vector(trace.ue_phases[1, k], trace.bs_phases[1], M))
+        theta = np.diag(theta_vector(ue[1, k], bs[1], M))
         y[k] = H[k] @ theta @ G @ symbols + noise[k]
     return y
 
 
 class TestDecompose:
     def test_zf_perfect_csi_no_phase_noise_nulls_interference(self):
-        rng, H, trace, H_hat = _scene(q0=1.0, sigma2=0.0)
+        rng, H, phases, H_hat = _scene(q0=1.0, sigma2=0.0)
         G = precoder(H_hat, np.full(8, 1 / 8), "zf")
-        z = zeta(H, G, trace, 0)
+        z = zeta(H, G, phases, 0)
         assert np.sum(np.abs(z[1:]) ** 2) <= 1e-18
 
     def test_single_ue_empty_interference(self):
@@ -77,12 +80,12 @@ class TestDecompose:
             assert est.n_rejected == 0
             for i in (0, 3, 5):
                 rng = np.random.default_rng((cfg.master_seed, i))
-                H, trace, H_hat = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
+                H, phases, H_hat = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
                                         cfg.sigma2_ue, cfg.tau, rng)
                 G = precoder(H_hat, cfg.powers, kind, alpha)
-                z = np.array([transmit(G, e, H, trace, no_noise)[k]
+                z = np.array([transmit(G, e, H, phases, no_noise)[k]
                               for e in np.eye(cfg.K)])
-                assert np.allclose(z, zeta(H, G, trace, k),
+                assert np.allclose(z, zeta(H, G, phases, k),
                                    rtol=0.0, atol=1e-12)
                 p = np.abs(z) ** 2
                 assert p[k] == pytest.approx(est.sig_powers[i], rel=1e-12)
@@ -90,9 +93,9 @@ class TestDecompose:
                                                                 rel=1e-12)
 
     def test_received_power_budget(self):
-        rng, H, trace, H_hat = _scene(seed=1)
+        rng, H, phases, H_hat = _scene(seed=1)
         G = precoder(H_hat, np.full(8, 1 / 8), "zf")
-        z = zeta(H, G, trace, 0)
+        z = zeta(H, G, phases, 0)
         n = 200_000
         s = (rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))) / np.sqrt(2)
         w = np.sqrt(0.05 / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -101,11 +104,11 @@ class TestDecompose:
         assert np.mean(np.abs(y) ** 2) == pytest.approx(budget, rel=0.01)
 
     def test_zero_noise_zero_pn_zf_exact_symbol(self):
-        rng, H, trace, H_hat = _scene(q0=1.0, sigma2=0.0, seed=2)
+        rng, H, phases, H_hat = _scene(q0=1.0, sigma2=0.0, seed=2)
         p = np.full(8, 1 / 8)
         G = precoder(H_hat, p, "zf")
         s = np.ones(8, dtype=complex)
-        y = transmit(G, s, H, trace, np.zeros(8, complex))
+        y = transmit(G, s, H, phases, np.zeros(8, complex))
         xi = 1 / np.linalg.norm(H_hat.conj().T @ np.linalg.solve(
             H_hat @ H_hat.conj().T, np.diag(np.sqrt(p))))
         expected = xi * np.sqrt(p)
@@ -128,8 +131,7 @@ class TestEmpiricalSinr:
         # the limit form beta*q0/(1+sigma_w2) carries an O(1/K) bias; the
         # finite-K exclusion form tracks the simulation much tighter
         assert est == pytest.approx(200 * 0.9 / 40 / 1.1, rel=0.05)
-        from pnmimo.analytics import sinr_mf
-        assert est == pytest.approx(sinr_mf(cfg, finite_k=True), rel=0.02)
+        assert est == pytest.approx(sinr_mf_finite_k(cfg), rel=0.02)
 
     def test_zf_matches_closed_form(self):
         cfg = SystemConfig(M=50, K=10, M_osc=1, q0=0.9, snr_db=None,
@@ -195,7 +197,7 @@ class TestEmpiricalSinr:
         # ratio of mean powers tends to the incoherent floor
         # p_k / (sum_{j != k} p_j + sigma_w2 * sum p) for every precoder,
         # while the closed form keeps only the coherent term and reads 0.
-        cfg = SystemConfig(M=M, K=K, q0=0.0, alpha_mode="fixed", alpha=0.1,
+        cfg = SystemConfig(M=M, K=K, q0=0.0, alpha=0.1,
                            n_realizations=2000)
         p, s2 = cfg.powers, cfg.sigma_w2
         floor = p[0] / (p.sum() - p[0] + s2 * p.sum())
@@ -205,11 +207,11 @@ class TestEmpiricalSinr:
     def test_invariant_under_common_phase_shift(self):
         # adding one constant to every oscillator and UE phase at both symbol
         # times multiplies zeta entries by unit-modulus factors only
-        rng, H, trace, H_hat = _scene(seed=3)
+        rng, H, phases, H_hat = _scene(seed=3)
         G = precoder(H_hat, np.full(8, 1 / 8), "zf")
-        s0 = sinr(zeta(H, G, trace, 0), 0, 0.1)
-        trace.bs_phases = trace.bs_phases + 0.7
-        s1 = sinr(zeta(H, G, trace, 0), 0, 0.1)
+        s0 = sinr(zeta(H, G, phases, 0), 0, 0.1)
+        bs, ue = phases
+        s1 = sinr(zeta(H, G, (bs + 0.7, ue), 0), 0, 0.1)
         assert s1 == pytest.approx(s0, rel=1e-12)
 
 

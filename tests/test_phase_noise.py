@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pnmimo.phase_noise import (PhaseTrace, deg_to_var, simulate_wiener,
-                                t_pn_second_moment, theta_vector)
+from pnmimo.phase_noise import (deg_to_var, simulate_wiener, t_pn_second_moment,
+                                theta_vector)
 
 SIGMA2_6DEG = deg_to_var(6.0)
 
@@ -14,16 +14,16 @@ def mc_t_pn(n_draws, M_osc, tau, sigma2, rng):
     return np.exp(1j * inc).mean(axis=1)
 
 
-def drift(trace, M):
+def drift(phases, M):
     """Per-antenna phase rotation accumulated between symbols 0 and tau, as seen
     through the UE-0 phase matrices; the BS drift alone when UE 0 is still."""
-    ue, bs = trace.ue_phases[:, 0], trace.bs_phases
+    bs, ue = phases[0], phases[1][:, 0]
     return theta_vector(ue[1], bs[1], M) * np.conj(theta_vector(ue[0], bs[0], M))
 
 
-def t_pn(trace, M):
+def t_pn(phases, M):
     """Normalized trace (1/M) tr(Delta Phi) of the BS drift matrix."""
-    bs = trace.bs_phases
+    bs = phases[0]
     return complex(theta_vector(0.0, bs[1] - bs[0], M).mean())
 
 
@@ -47,21 +47,21 @@ class TestTopology:
 
 class TestSimulateWiener:
     def test_zero_variance_freezes_phase(self):
-        trace = simulate_wiener(4, 3, 0.0, 0.0, 10, np.random.default_rng(0))
-        assert np.array_equal(trace.bs_phases[0], trace.bs_phases[1])
-        assert np.array_equal(trace.ue_phases[0], trace.ue_phases[1])
+        bs, ue = simulate_wiener(4, 3, 0.0, 0.0, 10, np.random.default_rng(0))
+        assert np.array_equal(bs[0], bs[1])
+        assert np.array_equal(ue[0], ue[1])
 
     def test_increment_variance(self):
         n = 1_000_000
-        trace = simulate_wiener(n, 1, SIGMA2_6DEG, 0.0, 10, np.random.default_rng(1))
-        inc = trace.bs_phases[1] - trace.bs_phases[0]
+        bs, _ = simulate_wiener(n, 1, SIGMA2_6DEG, 0.0, 10, np.random.default_rng(1))
+        inc = bs[1] - bs[0]
         assert inc.var() == pytest.approx(10 * SIGMA2_6DEG, rel=0.01)
         assert 10 * SIGMA2_6DEG == pytest.approx(0.10966, rel=1e-3)
 
     def test_oscillators_independent(self):
         rng = np.random.default_rng(2)
-        incs = np.array([simulate_wiener(2, 1, SIGMA2_6DEG, 0.0, 5, rng).bs_phases[1]
-                         - simulate_wiener(2, 1, SIGMA2_6DEG, 0.0, 5, rng).bs_phases[0]
+        incs = np.array([simulate_wiener(2, 1, SIGMA2_6DEG, 0.0, 5, rng)[0][1]
+                         - simulate_wiener(2, 1, SIGMA2_6DEG, 0.0, 5, rng)[0][0]
                          for _ in range(100_000)])
         corr = np.corrcoef(incs[:, 0], incs[:, 1])[0, 1]
         assert abs(corr) <= 0.01
@@ -70,58 +70,55 @@ class TestSimulateWiener:
         # the single endpoint increment has the law of tau explicit Wiener steps
         tau, s2, n = 7, 0.01, 100_000
         rng = np.random.default_rng(3)
-        trace = simulate_wiener(n, 1, s2, 0.0, tau, rng)
-        endpoint = trace.bs_phases[1] - trace.bs_phases[0]
+        bs, _ = simulate_wiener(n, 1, s2, 0.0, tau, rng)
+        endpoint = bs[1] - bs[0]
         stepped = rng.normal(0.0, np.sqrt(s2), size=(tau, n)).sum(axis=0)
         assert stats.ks_2samp(endpoint, stepped).pvalue > 0.01
 
 
 class TestThetaAndDrift:
-    def _trace(self, bs0, bstau, ue0, uetau):
-        return PhaseTrace(bs_phases=np.array([bs0, bstau], dtype=float),
-                          ue_phases=np.array([ue0, uetau], dtype=float))
+    def _phases(self, bs0, bstau, ue0, uetau):
+        return (np.array([bs0, bstau], dtype=float),
+                np.array([ue0, uetau], dtype=float))
 
     def test_common_oscillator_entries_identical(self):
-        trace = self._trace([0.7], [0.9], [0.1, 0.2], [0.3, 0.4])
-        v = theta_vector(trace.ue_phases[0, 1], trace.bs_phases[0], 6)
+        bs, ue = self._phases([0.7], [0.9], [0.1, 0.2], [0.3, 0.4])
+        v = theta_vector(ue[0, 1], bs[0], 6)
         assert v.shape == (6,)
         assert np.allclose(v, v[0])
 
     def test_zero_phases_identity(self):
-        trace = self._trace([0, 0], [0, 0], [0], [0])
-        assert np.allclose(theta_vector(trace.ue_phases[0, 0], trace.bs_phases[0], 4),
-                           np.ones(4))
+        bs, ue = self._phases([0, 0], [0, 0], [0], [0])
+        assert np.allclose(theta_vector(ue[0, 0], bs[0], 4), np.ones(4))
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(4)
-        trace = simulate_wiener(4, 2, 0.1, 0.1, 3, rng)
+        bs, ue = simulate_wiener(4, 2, 0.1, 0.1, 3, rng)
         for r in (0, 1):
-            assert np.allclose(np.abs(theta_vector(trace.ue_phases[r, 0],
-                                                   trace.bs_phases[r], 8)), 1.0,
+            assert np.allclose(np.abs(theta_vector(ue[r, 0], bs[r], 8)), 1.0,
                                atol=1e-14)
 
     def test_vector_of_ue_phases_stacks_rows(self):
         # a length-K vector of UE phases gives the K x M matrix whose row k
         # is the single-UE vector of UE k, entry for entry
-        trace = simulate_wiener(4, 3, 0.1, 0.1, 3, np.random.default_rng(12))
+        bs, ue = simulate_wiener(4, 3, 0.1, 0.1, 3, np.random.default_rng(12))
         for r in (0, 1):
-            full = theta_vector(trace.ue_phases[r], trace.bs_phases[r], 8)
+            full = theta_vector(ue[r], bs[r], 8)
             assert full.shape == (3, 8)
             for k in range(3):
-                assert np.array_equal(full[k], theta_vector(trace.ue_phases[r, k],
-                                                            trace.bs_phases[r], 8))
+                assert np.array_equal(full[k], theta_vector(ue[r, k], bs[r], 8))
 
     def test_drift_common_oscillator_scalar(self):
-        trace = self._trace([0.2], [1.4], [0.0], [0.0])
-        assert np.allclose(drift(trace, 5), np.exp(1.2j))
+        phases = self._phases([0.2], [1.4], [0.0], [0.0])
+        assert np.allclose(drift(phases, 5), np.exp(1.2j))
 
     def test_drift_zero_variance_identity(self):
-        trace = self._trace([1, 2, 3], [1, 2, 3], [0.0], [0.0])
-        assert np.allclose(drift(trace, 6), np.ones(6))
+        phases = self._phases([1, 2, 3], [1, 2, 3], [0.0], [0.0])
+        assert np.allclose(drift(phases, 6), np.ones(6))
 
     def test_drift_unit_modulus(self):
-        trace = self._trace([0.3, 2.5], [1.1, -0.4], [0.0], [0.0])
-        d = drift(trace, 8)
+        phases = self._phases([0.3, 2.5], [1.1, -0.4], [0.0], [0.0])
+        d = drift(phases, 8)
         assert np.allclose(np.abs(d), 1.0, atol=1e-14)
         assert np.allclose(d, np.repeat(np.exp(1j * np.array([0.8, -2.9])), 4))
 
@@ -130,12 +127,12 @@ class TestTPn:
     def test_common_oscillator_unit_magnitude(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            trace = simulate_wiener(1, 1, 0.5, 0.0, 10, rng)
-            assert abs(t_pn(trace, 8)) == pytest.approx(1.0, abs=1e-12)
+            phases = simulate_wiener(1, 1, 0.5, 0.0, 10, rng)
+            assert abs(t_pn(phases, 8)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance_exactly_one(self):
-        trace = simulate_wiener(4, 1, 0.0, 0.0, 10, np.random.default_rng(6))
-        assert t_pn(trace, 8) == pytest.approx(1.0, abs=1e-14)
+        phases = simulate_wiener(4, 1, 0.0, 0.0, 10, np.random.default_rng(6))
+        assert t_pn(phases, 8) == pytest.approx(1.0, abs=1e-14)
 
     def test_distributed_limit_hardens(self):
         tau, s2 = 10, SIGMA2_6DEG
