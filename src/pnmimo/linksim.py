@@ -1,21 +1,30 @@
 """Monte-Carlo effective-SINR estimation of the downlink.
 
-One realization draws a channel H, a joint phase trajectory, and the
-estimate H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e, and forms the
-observed UE k's channel row h_k^T Theta_k(tau) at data time.  One
-`precoding.precoders` call gives every requested precoder (a kind and, for
-RZF, a regularizer alpha) as G = H_hat^H C, so the row is projected onto
-H_hat^H once and each C turns it into the scalar coefficients the UE sees
-on its own symbol (c_sig) and on every interferer's symbol (c_int).
-Averaging |c_sig|^2 and ||c_int||^2 over realizations yields the empirical
-effective SINR.  The averages do not depend on the receiver noise level, so
-one draw set serves every precoder, alpha and SNR point of a scenario.  The
-scenario is validated once, by SystemConfig; the stages below it take plain
-arrays and floats.
+One realization draws a channel H, a joint phase trajectory and the
+estimation noise W_e.  From them come the estimate
+H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e and the observed UE k's
+channel row h_k^T Theta_k(tau) at data time.  One `precoding.precoders`
+call gives every requested precoder (a kind and, for RZF, a regularizer
+alpha) as G = H_hat^H C, so the row is projected onto H_hat^H once and each
+C turns it into the scalar coefficients the UE sees on its own symbol
+(c_sig) and on every interferer's symbol (c_int).  Averaging |c_sig|^2 and
+||c_int||^2 over realizations yields the empirical effective SINR.  The
+averages do not depend on the receiver noise level, so one draw set serves
+every precoder, alpha and SNR point of a scenario.  The scenario is
+validated once, by SystemConfig; the stages below it take plain arrays and
+floats.
 
-Realization `i` always uses the RNG stream seeded by (master_seed, i), and
-results are assembled by index, so output is bit-identical for any
-parallelism degree, execution order or set of precoders built on the draw.
+Realizations run in small chunks (see CHUNK_ELEMENTS).  Each realization of
+a chunk draws from its own stream; everything after the draws (the phase
+rotations, the estimate, the data-time row, the Gram decomposition and every
+precoder) runs once on the chunk's stacked arrays.  A draw ZF rejects is a
+NaN slice of the ZF coefficients, which turns that realization's ZF powers
+into NaN.
+
+Realization `i` always uses the RNG stream seeded by (master_seed, i), in
+the order channel, phases, estimation noise, and results are assembled by
+index, so output is bit-identical for any chunk size, parallelism degree,
+execution order or set of precoders built on the draw.
 """
 
 from __future__ import annotations
@@ -35,6 +44,11 @@ __all__ = ["PowerEstimate", "empirical_powers", "RejectionRateError",
 
 # A ZF run aborts if more than this fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
+
+# A chunk stacks max(1, CHUNK_ELEMENTS // (K*M)) realizations, so each K x M
+# stack stays near 64 KiB: 8 realizations at M=50, K=10, one at M=200, K=40.
+# Larger chunks save little more interpreter time and raise peak memory.
+CHUNK_ELEMENTS = 4096
 
 
 class RejectionRateError(RuntimeError):
@@ -79,26 +93,32 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
     Returns two (len(variants), stop - start) arrays; NaN marks a draw that
     the variant's precoder rejected.
     """
-    M, K, k, tau = config.M, config.K, config.ue_index, config.tau
-    sigma2_bs, sigma2_ue = config.sigma2_bs, config.sigma2_ue
+    M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
+    chunk = max(1, CHUNK_ELEMENTS // (K * M))
     sig = np.empty((len(variants), stop - start))
     intf = np.empty_like(sig)
-    for i in range(start, stop):
-        rng = np.random.default_rng((config.master_seed, i))
-        H = draw_channel(M, K, rng)
-        bs, ue = simulate_wiener(config.M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
-        H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), config.q0, rng)
+    for lo in range(start, stop, chunk):
+        b = min(chunk, stop - lo)
+        H = np.empty((b, K, M), dtype=complex)
+        W_e = np.empty_like(H)
+        bs, ue = np.empty((2, b, M_osc)), np.empty((2, b, K))
+        for j in range(b):
+            rng = np.random.default_rng((config.master_seed, lo + j))
+            H[j] = draw_channel(M, K, rng)
+            bs[:, j], ue[:, j] = simulate_wiener(M_osc, K, config.sigma2_bs,
+                                                 config.sigma2_ue, config.tau, rng)
+            W_e[j] = draw_channel(M, K, rng)
+        H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0][:, None], M),
+                                    config.q0, W_e)
         # the observed UE's channel row, rotated by its data-time phases, seen
         # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
-        row = H[k] * theta_vector(ue[1, k], bs[1], M)
-        row_hat = row @ H_hat.conj().T
+        row = H[:, k] * theta_vector(ue[1, :, k], bs[1], M)
+        row_hat = row[:, None] @ H_hat.conj().swapaxes(-1, -2)
+        cols = slice(lo - start, lo - start + b)
         for v, C in enumerate(precoders(H_hat, config.powers, variants)):
-            if C is None:
-                sig[v, i - start] = intf[v, i - start] = np.nan
-                continue
-            p = np.abs(row_hat @ C) ** 2
-            sig[v, i - start] = p[k]
-            intf[v, i - start] = p.sum() - p[k]
+            p = np.abs(row_hat @ C)[:, 0] ** 2
+            sig[v, cols] = p[:, k]
+            intf[v, cols] = p.sum(axis=-1) - p[:, k]
     return sig, intf
 
 

@@ -53,9 +53,14 @@ def theta_vector(ue_phases, bs_phases: np.ndarray, M: int) -> np.ndarray:
 
     Entry m is exp(j(ue phase + phase of the oscillator feeding antenna m)).
     A scalar UE phase gives one length-M row; a length-K vector gives K x M.
+    Stacks broadcast as ue_phases[..., None] against bs_phases' (..., M_osc):
+    UE phases (b, K) with BS phases (b, 1, M_osc) give (b, K, M).  Each
+    oscillator's block shares one exponential, copied to its M/M_osc
+    antennas.
     """
-    bs = np.repeat(bs_phases, M // len(bs_phases))
-    return np.exp(1j * (np.asarray(ue_phases)[..., None] + bs))
+    bs_phases = np.asarray(bs_phases)
+    block = np.exp(1j * (np.asarray(ue_phases)[..., None] + bs_phases))
+    return np.repeat(block, M // bs_phases.shape[-1], axis=-1)
 
 
 def t_pn_second_moment(M_osc: int, tau: int, sigma2_bs: float) -> float:

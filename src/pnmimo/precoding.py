@@ -11,6 +11,10 @@ regularizer and ZF:
 with d = 1/(lambda + M alpha) for RZF and d = 1/lambda for ZF (RZF's
 alpha -> 0 limit).  MF is the unfiltered conjugate, C = P^1/2 scaled by the
 Gram diagonal, and needs no decomposition.
+
+Estimates may come stacked, (..., K, M); every step then runs once on the
+whole stack.  A draw ZF rejects is a NaN slice of the ZF array, so the
+other slices and variants are unaffected.
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ CONDITION_CAP = 1e12
 def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
     """Coefficient matrices C (G = H_hat^H C) of every (kind, alpha) pair.
 
-    variants is a sequence of pairs; alpha is the RZF regularizer and is
-    ignored for ZF and MF.  Returns one
-    K x K matrix per pair, in order, or None where ZF rejects the draw: the
-    Gram's smallest eigenvalue is <= 0 or its condition number exceeds
-    CONDITION_CAP.
+    H_hat is one K x M estimate or a (..., K, M) stack of them; each slice
+    is treated on its own, with the same bits as a call on that slice
+    alone.  variants is a sequence of pairs; alpha is the RZF regularizer
+    and is ignored for ZF and MF.  Returns one (..., K, K) array per pair,
+    in order.  A slice that ZF rejects, because its Gram's smallest
+    eigenvalue is <= 0 or its condition number exceeds CONDITION_CAP, is
+    NaN in the ZF array only.
     """
-    K, M = H_hat.shape
+    K, M = H_hat.shape[-2:]
     p = np.asarray(powers, dtype=float)
     sqrt_p = np.sqrt(p)
     for kind, alpha in variants:
@@ -43,22 +49,21 @@ def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
         if kind == "zf" and K > M:
             raise ValueError(f"ZF requires K <= M, got K={K}, M={M}")
     if any(kind != "mf" for kind, _ in variants):
-        lam, U = np.linalg.eigh(H_hat @ H_hat.conj().T)
-        UhP = U.conj().T * sqrt_p
-        energy = np.sum(np.abs(UhP) ** 2, axis=1)
+        lam, U = np.linalg.eigh(H_hat @ H_hat.conj().swapaxes(-1, -2))
+        UhP = U.conj().swapaxes(-1, -2) * sqrt_p
+        energy = np.sum(np.abs(UhP) ** 2, axis=-1)
     out = []
     for kind, alpha in variants:
         if kind == "mf":
-            gram_diag = np.sum(np.abs(H_hat) ** 2, axis=1)
-            out.append(np.diag(sqrt_p / np.sqrt(np.sum(p * gram_diag))))
+            gram_diag = np.sum(np.abs(H_hat) ** 2, axis=-1)
+            scale = sqrt_p / np.sqrt(np.sum(p * gram_diag, axis=-1, keepdims=True))
+            out.append(scale[..., None] * np.eye(K))
             continue
         if kind == "rzf":
             d = 1.0 / (lam + M * alpha)
-        elif lam[0] <= 0 or lam[-1] > CONDITION_CAP * lam[0]:
-            out.append(None)
-            continue
         else:
-            d = 1.0 / lam
-        d /= np.sqrt(np.sum(lam * d ** 2 * energy))
-        out.append((U * d) @ UhP)
+            lo, hi = lam[..., :1], lam[..., -1:]
+            d = 1.0 / np.where((lo <= 0) | (hi > CONDITION_CAP * lo), np.nan, lam)
+        d /= np.sqrt(np.sum(lam * d ** 2 * energy, axis=-1, keepdims=True))
+        out.append((U * d[..., None, :]) @ UhP)
     return out

@@ -83,6 +83,20 @@ class TestCriterion1MonteCarloAgreement:
         _line("1 (MF large-K form companion)", ok, f"worst rel err {worst:.3f}")
         assert ok
 
+    def test_std_error_matches_seed_to_seed_spread(self):
+        # The delta-method std_error a single run reports should match the
+        # spread of its SINR estimate across independent master seeds.
+        variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
+        base = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0, n_realizations=100)
+        s2 = base.sigma_w2
+        sinrs, errors = [], []
+        for seed in range(200):
+            ests = empirical_powers(base.with_(master_seed=seed), variants)
+            sinrs.append([e.sinr_at(s2) for e in ests])
+            errors.append([e.std_error_at(s2) for e in ests])
+        ratio = np.std(sinrs, axis=0, ddof=1) / np.mean(errors, axis=0)
+        assert np.all((0.8 <= ratio) & (ratio <= 1.25)), ratio
+
 
 class TestCriterion2RegularizationFormula:
 
@@ -330,7 +344,8 @@ class TestCriterion9PrecoderConstraints:
             for _ in range(25):
                 H = draw_channel(M, K, rng)
                 bs, ue = simulate_wiener(m_osc, K, s2, s2, 10, rng)
-                H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), 0.9, rng)
+                H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), 0.9,
+                                            draw_channel(M, K, rng))
                 Cs = precoders(H_hat, powers, [("rzf", 0.05), ("zf", None), ("mf", None)])
                 for i, C in enumerate(Cs):
                     G = H_hat.conj().T @ C

@@ -43,7 +43,7 @@ def _make_pair(q0, M=64, K=8, seed=0, sigma2=0.05, tau=5):
     bs, ue = simulate_wiener(M // 4, K, sigma2, sigma2, tau, rng)
     theta0 = theta_vector(ue[0], bs[0], M)
     replay = np.random.default_rng(seed)
-    H_hat = synthesize_estimate(H, theta0, q0, rng)
+    H_hat = synthesize_estimate(H, theta0, q0, draw_channel(M, K, rng))
     draw_channel(M, K, replay)
     simulate_wiener(M // 4, K, sigma2, sigma2, tau, replay)
     W_e = draw_channel(M, K, replay)

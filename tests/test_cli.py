@@ -16,7 +16,8 @@ CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
 
 # Each input exits 2 with a message naming the listed fields: an INI text
 # (given a one-point snr sweep when it has none), None for a bad --sizes,
-# or an argv list.
+# or an argv list.  The three cases whose generated ids collided with
+# other cases' when test names are cut at 100 characters carry short ids.
 INVALID_INPUTS = [
     ("[system]\nalpha = inf\n", ("alpha:",)),
     ("[system]\nsnr_db = nan\n", ("snr_db:",)),
@@ -24,14 +25,14 @@ INVALID_INPUTS = [
     ("[system]\nq0 = 0\n", ("q0:",)),
     ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 x\n",
      ("sweep.values:",)),
-    ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 inf\n",
-     ("sweep.values:",)),
+    pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 inf\n",
+                 ("sweep.values:",), id="snr-values-inf"),
     ("[system]\nM = 50\nK = 10\nM_osc = 5\nn_realizations = 10\n\n"
      "[sweep]\naxis = beta\nvalues = 3.3 2\n", ("sweep.values:", "M_osc")),
     (None, ("sizes:",)),
     ("[system]\nM = 10\nK = 10\nn_realizations = 10\n", ("K:", "beta")),
-    ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = m_osc\nvalues = 2.5\n",
-     ("sweep.values:", "m_osc")),
+    pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = m_osc\nvalues = 2.5\n",
+                 ("sweep.values:", "m_osc"), id="m_osc-values-2.5"),
     (["preset", "fig3", "--seed", "-1"], ("master_seed:",)),
     (["preset", "fig5", "--out", "TMP/missing/x.csv"], ("--out:",)),
     (["lemmas", "--sizes", "32,64", "--trials", "4", "--out", "TMP/missing/x.csv"],
@@ -44,7 +45,8 @@ INVALID_INPUTS = [
     (["lemmas", "--trials", "-1"], ("trials:",)),
     (["lemmas", "--trials", "0"], ("trials:",)),
     ("[system]\nq0 = 1\nsigma_w2 = 0\n", ("sigma_w2:",)),
-    ("[system]\nq0 = 1\nsigma_w2 = 0\nalpha = 0.1\n", ("sigma_w2:",)),
+    pytest.param("[system]\nq0 = 1\nsigma_w2 = 0\nalpha = 0.1\n", ("sigma_w2:",),
+                 id="sigma_w2-0-alpha"),
     ("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db")),
     ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
     (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
@@ -61,7 +63,8 @@ INVALID_INPUTS = [
     ("[system]\nM = 50\n\n[sweep]\naxis = m_osc\nvalues = 1 3\n",
      ("sweep.values:", "M_osc")),
 ]
-INVALID_INI = [(ini, fields) for ini, fields in INVALID_INPUTS if isinstance(ini, str)]
+INVALID_INI = [case for case in INVALID_INPUTS
+               if isinstance(getattr(case, "values", case)[0], str)]
 
 
 def _ini_file(ini, tmp_path):

@@ -16,7 +16,8 @@ def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
     H = draw_channel(M, K, rng)
     phases = simulate_wiener(M_osc, K, sigma2_bs, sigma2_ue, tau, rng)
     bs, ue = phases
-    H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), q0, rng)
+    H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), q0,
+                                draw_channel(M, K, rng))
     return H, phases, H_hat
 
 
@@ -146,6 +147,20 @@ class TestEmpiricalSinr:
         assert a.sinr_at(cfg.sigma_w2) == b.sinr_at(cfg.sigma_w2)
         assert a.std_error_at(cfg.sigma_w2) == b.std_error_at(cfg.sigma_w2)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 50])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, chunk, workers):
+        # CHUNK_ELEMENTS // (K*M) realizations share one stacked pass; 3 does
+        # not divide n, 50 is the whole block
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=50,
+                           parallelism=workers)
+        variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
+        ref = empirical_powers(cfg.with_(parallelism=1), variants)
+        monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
+        for est, r in zip(empirical_powers(cfg, variants), ref):
+            assert np.array_equal(est.sig_powers, r.sig_powers)
+            assert np.array_equal(est.int_powers, r.int_powers)
+
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
         serial, = empirical_powers(cfg, [("mf", None)])
@@ -243,8 +258,11 @@ class TestSharedDraws:
 
         def reject_chosen(H_hat, powers, variants):
             Cs = real(H_hat, powers, variants)
-            if np.array_equal(H_hat, target):
-                Cs = [None if kind == "zf" else C for (kind, _), C in zip(variants, Cs)]
+            for j, slice_ in enumerate(H_hat):
+                if np.array_equal(slice_, target):
+                    for (kind, _), C in zip(variants, Cs):
+                        if kind == "zf":
+                            C[j] = np.nan
             return Cs
 
         monkeypatch.setattr(linksim, "precoders", reject_chosen)

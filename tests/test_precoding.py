@@ -19,7 +19,7 @@ def _equal(K):
 def _G(H, powers, kind, alpha=None):
     """The library's precoder G = H^H C, or None where it rejects the draw."""
     C, = precoders(H, powers, [(kind, alpha)])
-    return None if C is None else H.conj().T @ C
+    return None if np.isnan(C).any() else H.conj().T @ C
 
 
 def _xi(H, powers, kind, alpha=None):
@@ -52,6 +52,29 @@ def zf_oracle(H, powers):
 
 def mf_oracle(H, powers):
     return _unit(H.conj().T * np.sqrt(powers))
+
+
+class TestStacked:
+    @given(st.integers(1, 10).flatmap(
+               lambda K: st.tuples(st.just(K), st.integers(K, 40))),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_per_slice_calls(self, shape, b, seed, data):
+        K, M = shape
+        rng = np.random.default_rng(seed)
+        H = np.stack([draw_channel(M, K, rng) for _ in range(b)])
+        degenerate = data.draw(st.integers(0, b - 1))
+        if K > 1:
+            H[degenerate, 1] = H[degenerate, 0]  # a singular Gram ZF rejects
+        powers = rng.uniform(0.1, 1.0, K)
+        variants = [("rzf", 0.2), ("zf", None), ("mf", None), ("rzf", 3.0)]
+        stacked = precoders(H, powers, variants)
+        for j in range(b):
+            for (kind, _), C, C_j in zip(variants, stacked,
+                                         precoders(H[j], powers, variants)):
+                assert np.array_equal(C[j], C_j, equal_nan=True)
+                rejected = kind == "zf" and K > 1 and j == degenerate
+                assert np.isnan(C_j).all() if rejected else np.isfinite(C_j).all()
 
 
 class TestPowerConstraint:
@@ -157,7 +180,8 @@ class TestZf:
         H = _hhat(16, 16, 7)
         # force near-singularity by duplicating a row
         H[1] = H[0] * (1 + 1e-14)
-        assert precoders(H, _equal(16), [("zf", None)]) == [None]
+        C, = precoders(H, _equal(16), [("zf", None)])
+        assert np.isnan(C).all()
 
     def test_empirical_xi2_matches_closed_form_limit(self):
         M, K = 50, 10
