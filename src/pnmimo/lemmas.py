@@ -52,12 +52,19 @@ def _record(name, M_values, per_size_errors) -> ConvergenceRecord:
 
 
 def _gaussian_vec(M, rng, scale):
-    return np.sqrt(scale / 2.0) * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
+    z = rng.standard_normal((2, M))  # the real parts, then the imaginary parts
+    z *= np.sqrt(scale / 2.0)
+    out = np.empty(M, dtype=complex)
+    out.real, out.imag = z
+    return out
 
 
 def _random_spd(M, rng):
     B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
-    return B @ B.conj().T / M + np.eye(M)
+    S = B @ B.conj().T
+    S /= M
+    S.flat[::M + 1] += 1.0
+    return S
 
 
 def _wishart_resolvent(lam, F, a, Z):
@@ -132,22 +139,33 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
                              n_trials: int = 100) -> ConvergenceRecord:
     """Normalized trace gap from a rank-1 update of a regularized matrix.
 
-    The gap (1/M)|tr A[(U + I + q h h^H)^{-1} - (U + I)^{-1}]| is bounded by
-    ||A||/M on every draw and decays like 1/M.  By Sherman-Morrison, with
-    B = U + I and y = B^{-1} h, the gap is q |y^H A y| / (M |1 + q h^H y|).
-    A gap above its bound raises FloatingPointError.
+    The gap (1/M)|tr A[(U + I + q h h^H)^{-1} - (U + I)^{-1}]| decays like
+    1/M.  By Sherman-Morrison, with B = U + I and y = B^{-1} h, the gap is
+    q y^H A y / (M |1 + q h^H y|).  A = C C^H / M + I is never formed: its
+    factor C is drawn as _random_spd draws it, and y^H A y = ||C^H y||^2 / M
+    + ||y||^2.
+
+    A gap above the Rayleigh quotient of y over M, (y^H A y / ||y||^2) / M,
+    raises FloatingPointError.  That bound is at most ||A||_2 / M, so every
+    draw it passes also passes the ||A||_2 / M bound of the lemma.  In exact
+    arithmetic the test reads q ||y||^2 <= |1 + q h^H y|, and h^H y =
+    y^H B y >= ||y||^2 leaves a margin of at least 1, so rounding cannot trip
+    it; only a wrong solve or quadratic form can.
     """
     per_size = []
     for M in M_values:
         errs = np.empty(n_trials)
         for t in range(n_trials):
             U = _random_spd(M, rng) - np.eye(M)  # nonnegative Hermitian
-            A = _random_spd(M, rng)
+            C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
             y = np.linalg.solve(U + np.eye(M), h)
-            gap = q * abs(y.conj() @ A @ y) / (M * abs(1.0 + q * (h.conj() @ y)))
-            bound = np.linalg.eigvalsh(A)[-1] / M  # ||A||_2, A Hermitian
+            Chy = y.conj() @ C  # (C^H y)^*, the same norm as C^H y
+            yy = np.vdot(y, y).real
+            yAy = np.vdot(Chy, Chy).real / M + yy
+            gap = q * yAy / (M * abs(1.0 + q * (h.conj() @ y)))
+            bound = yAy / yy / M
             if gap > bound * (1 + 1e-10):
                 raise FloatingPointError(
                     f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")

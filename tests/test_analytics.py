@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnmimo.analytics import (effective_quality, resolve_alpha, sinr_mf,
                               sinr_rzf, sinr_zf)
@@ -147,3 +148,24 @@ class TestMf:
     def test_finite_k_exceeds_limit_form(self):
         cfg = _cfg()
         assert sinr_mf_finite_k(cfg) > sinr_mf(cfg)
+
+
+class TestOscillatorCountProperty:
+    @given(st.sampled_from([12, 24, 36, 60, 120]).flatmap(
+               lambda M: st.tuples(st.just(M), st.integers(1, M))),
+           st.floats(0.01, 1.0), st.floats(0.0, 20.0),
+           st.integers(1, 49), st.floats(-10.0, 40.0))
+    @settings(max_examples=200, deadline=None)
+    def test_sinrs_finite_positive_nonincreasing_in_m_osc(self, shape, q0, sigma_deg,
+                                                           tau, snr):
+        M, K = shape
+        cfgs = [SystemConfig(M=M, K=K, M_osc=m, q0=q0, sigma_deg_bs=sigma_deg,
+                             sigma_deg_ue=sigma_deg, tau=tau, snr_db=snr)
+                for m in range(1, M + 1) if M % m == 0]
+        curves = [[sinr_rzf(c, resolve_alpha(c)) for c in cfgs],
+                  [sinr_mf(c) for c in cfgs]]
+        if M > K:
+            curves.append([sinr_zf(c) for c in cfgs])
+        for vals in curves:
+            assert all(np.isfinite(v) and v > 0 for v in vals)
+            assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))

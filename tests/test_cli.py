@@ -20,11 +20,11 @@ CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
 # other cases' when test names are cut at 100 characters carry short ids.
 INVALID_INPUTS = [
     ("[system]\nalpha = inf\n", ("alpha:",)),
-    ("[system]\nsnr_db = nan\n", ("snr_db:",)),
+    pytest.param("[system]\nsnr_db = nan\n", ("snr_db:",), id="snr_db-nan"),
     ("[system]\nM = abc\n", ("M:",)),
     ("[system]\nq0 = 0\n", ("q0:",)),
-    ("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 x\n",
-     ("sweep.values:",)),
+    pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 x\n",
+                 ("sweep.values:",), id="snr-values-x"),
     pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = snr\nvalues = 0 inf\n",
                  ("sweep.values:",), id="snr-values-inf"),
     ("[system]\nM = 50\nK = 10\nM_osc = 5\nn_realizations = 10\n\n"
@@ -47,14 +47,16 @@ INVALID_INPUTS = [
     ("[system]\nq0 = 1\nsigma_w2 = 0\n", ("sigma_w2:",)),
     pytest.param("[system]\nq0 = 1\nsigma_w2 = 0\nalpha = 0.1\n", ("sigma_w2:",),
                  id="sigma_w2-0-alpha"),
-    ("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db")),
-    ("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db")),
+    pytest.param("[system]\nsnr_db = 4000\n", ("sigma_w2:", "snr_db"),
+                 id="snr_db-4000"),
+    pytest.param("[system]\nsnr_db = -4000\n", ("sigma_w2:", "snr_db"),
+                 id="snr_db-neg-4000"),
     (["preset", "fig3", "--realizations", "1"], ("n_realizations:",)),
     (["lemmas", "--sizes", "2,3"], ("sizes:",)),
     ("[system]\nM = 20\nM = 20\n", ("config:", "line 3")),
     ("[system]\nM = 20\n[system]\nK = 4\n", ("config:", "line 3")),
     ("M = 20\n[system]\nK = 4\n", ("config:", "line 1")),
-    ("[system]\nM = 20\nK\n", ("config:", "line 3")),
+    pytest.param("[system]\nM = 20\nK\n", ("config:", "line 3"), id="K-without-value"),
     (["lemmas", "--seed", "-1"], ("seed:",)),
     ("[system]\nsigma_deg_bs = 6\n\n[sweep]\naxis = sigma_phi\nvalues = 0.1 -0.1\n",
      ("sweep.values:", "sigma_phi")),
@@ -300,8 +302,10 @@ class TestCliEntry:
         assert out.read_text().startswith("name,M,median_error,slope")
 
     def test_rank1_bound_violation_exits_3(self, tmp_path, monkeypatch, capsys):
-        # a zero spectral norm makes every positive rank-1 gap exceed its bound
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: np.zeros(len(A)))
+        # a solve that returns 1e3 y inflates the rank-1 gap 1e3-fold against a
+        # scale-free bound, which no correct solve can do
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1e3 * solve(a, b))
         assert main(["lemmas", "--sizes", "32,64", "--trials", "2",
                      "--out", str(tmp_path / "lem.csv")]) == 3
         err = capsys.readouterr().err

@@ -24,8 +24,11 @@ def rank1_oracle(M_values, rng, n_trials, zeta=1.0):
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
             base = U + zeta * np.eye(M)
-            errs.append(abs(np.trace(A @ (np.linalg.inv(base + q * np.outer(h, h.conj()))
-                                          - np.linalg.inv(base)))) / M)
+            gap = abs(np.trace(A @ (np.linalg.inv(base + q * np.outer(h, h.conj()))
+                                    - np.linalg.inv(base)))) / M
+            # the lemma's bound ||A||_2 / M, A Hermitian
+            assert gap <= np.linalg.eigvalsh(A)[-1] / M * (1 + 1e-10)
+            errs.append(gap)
         medians.append(np.median(errs))
     return np.array(medians)
 
@@ -88,6 +91,16 @@ class TestOracles:
         _same_draws_same_medians(
             lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,
             lambda rng: rank1_oracle([8, 32, 64], rng, n_trials=5), seed=20)
+
+    def test_rank1_needs_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank-1 check decomposes no matrix")
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rec = check_rank1_perturbation([8, 32, 64], np.random.default_rng(20),
+                                       n_trials=5)
+        assert len(rec.errors) == 3
 
     @pytest.mark.parametrize("M_osc", [None, 4])
     def test_free_probability_matches_dense_inverse(self, M_osc):
