@@ -57,6 +57,14 @@ class SystemConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        # range checks on the sizes come before any arithmetic on them
+        if self.M < 1:
+            raise ConfigError(f"M: must be >= 1, got {self.M}")
+        if not 1 <= self.K <= self.M:
+            raise ConfigError(f"K: need 1 <= K <= M, got K={self.K}, M={self.M}")
+        if not 1 <= self.M_osc <= self.M or self.M % self.M_osc != 0:
+            raise ConfigError(f"M_osc: must divide M with 1 <= M_osc <= M, "
+                              f"got M_osc={self.M_osc}, M={self.M}")
         if isinstance(self.powers, str):
             if self.powers != "equal":
                 raise ConfigError(f"powers: unknown keyword {self.powers!r}")
@@ -70,13 +78,6 @@ class SystemConfig:
                             ("sigma_w2", self.sigma_w2_value), ("alpha", self.alpha)):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name}: must be finite, got {value}")
-        if self.M < 1:
-            raise ConfigError(f"M: must be >= 1, got {self.M}")
-        if not 1 <= self.K <= self.M:
-            raise ConfigError(f"K: need 1 <= K <= M, got K={self.K}, M={self.M}")
-        if self.M % self.M_osc != 0 or not 1 <= self.M_osc <= self.M:
-            raise ConfigError(f"M_osc: must divide M with 1 <= M_osc <= M, "
-                              f"got M_osc={self.M_osc}, M={self.M}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ConfigError(f"q0: must be in [0, 1], got {self.q0}")
         if self.q0 == 0.0 and self.alpha is None:
@@ -176,7 +177,9 @@ def load_config(path: str) -> tuple[SystemConfig, str | None, list[float] | None
                                        interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (M vs m_osc)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not UTF-8 text, byte {exc.start}: {exc.reason}") from None
     except configparser.Error as exc:
         # duplicate keys/sections and a missing header carry .lineno; a line
         # without '=' is a ParsingError listing (lineno, line) pairs

@@ -15,28 +15,35 @@ validated once, by SystemConfig; the stages below it take plain arrays and
 floats.
 
 Realizations run in small chunks (see CHUNK_ELEMENTS).  Each realization of
-a chunk draws from its own stream; everything after the draws (the phase
-rotations, the estimate, the data-time row, the Gram decomposition and every
-precoder) runs once on the chunk's stacked arrays.  A draw ZF rejects is a
-NaN slice of the ZF coefficients, which turns that realization's ZF powers
-into NaN.
+a chunk draws from its own stream straight into the chunk's buffers, in this
+order: 2KM standard normals for H (real parts, then imaginary parts); M_osc
+uniforms on [0, 1) and M_osc standard normals for the BS oscillators; K of
+each for the UEs; 2KM standard normals for W_e.  The scaling runs once per
+chunk: a start phase is 2 pi times its uniform, the phase at tau adds
+sqrt(tau sigma2) times its normal (one Gaussian of variance tau sigma2
+stands for the tau Wiener steps), and H and W_e are sqrt(1/2) times their
+normals.  Everything after the draws (the phase rotations, the estimate,
+the data-time row, the Gram decomposition and every precoder) runs once on
+the chunk's stacked arrays.  A draw ZF rejects is a NaN slice of the ZF
+coefficients, which turns that realization's ZF powers into NaN.
 
-Realization `i` always uses the RNG stream seeded by (master_seed, i), in
-the order channel, phases, estimation noise, and results are assembled by
-index, so output is bit-identical for any chunk size, parallelism degree,
-execution order or set of precoders built on the draw.
+Realization `i` always uses the RNG stream seeded by (master_seed, i), and
+results are assembled by index, so output is bit-identical for any chunk
+size, parallelism degree, execution order or set of precoders built on the
+draw.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_channel, synthesize_estimate
+from .channel import synthesize_estimate
 from .config import SystemConfig
-from .phase_noise import simulate_wiener, theta_vector
+from .phase_noise import theta_vector
 from .precoding import precoders
 
 __all__ = ["PowerEstimate", "empirical_powers", "RejectionRateError",
@@ -95,19 +102,32 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
     """
     M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
     chunk = max(1, CHUNK_ELEMENTS // (K * M))
+    step_bs = np.sqrt(config.tau * config.sigma2_bs)  # std dev of the drift over tau
+    step_ue = np.sqrt(config.tau * config.sigma2_ue)
     sig = np.empty((len(variants), stop - start))
     intf = np.empty_like(sig)
     for lo in range(start, stop, chunk):
         b = min(chunk, stop - lo)
-        H = np.empty((b, K, M), dtype=complex)
-        W_e = np.empty_like(H)
+        # z[0] is H and z[1] W_e as (real, imaginary) normals; bs/ue row 0
+        # is the phase at symbol 0, row 1 at symbol tau
+        z = np.empty((2, b, 2, K, M))
         bs, ue = np.empty((2, b, M_osc)), np.empty((2, b, K))
         for j in range(b):
             rng = np.random.default_rng((config.master_seed, lo + j))
-            H[j] = draw_channel(M, K, rng)
-            bs[:, j], ue[:, j] = simulate_wiener(M_osc, K, config.sigma2_bs,
-                                                 config.sigma2_ue, config.tau, rng)
-            W_e[j] = draw_channel(M, K, rng)
+            rng.standard_normal(out=z[0, j])
+            rng.random(out=bs[0, j])
+            rng.standard_normal(out=bs[1, j])
+            rng.random(out=ue[0, j])
+            rng.standard_normal(out=ue[1, j])
+            rng.standard_normal(out=z[1, j])
+        for phases, step in ((bs, step_bs), (ue, step_ue)):
+            phases[0] *= 2.0 * np.pi
+            phases[1] *= step
+            phases[1] += phases[0]
+        z *= np.sqrt(0.5)
+        HW = np.empty((2, b, K, M), dtype=complex)
+        HW.real, HW.imag = z[:, :, 0], z[:, :, 1]
+        H, W_e = HW
         H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0][:, None], M),
                                     config.q0, W_e)
         # the observed UE's channel row, rotated by its data-time phases, seen
@@ -153,7 +173,7 @@ def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:
         sig, intf = _simulate_block(config, variants, 0, n)
     else:
         bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
                        for a, b in zip(bounds[:-1], bounds[1:])]
             pieces = [f.result() for f in futures]

@@ -13,7 +13,10 @@ alpha -> 0 limit).  MF is the unfiltered conjugate, C = P^1/2 scaled by the
 Gram diagonal, and needs no decomposition.
 
 Estimates may come stacked, (..., K, M); every step then runs once on the
-whole stack.  A draw ZF rejects is a NaN slice of the ZF array, so the
+whole stack.  The RZF alphas of one call form a leading axis of their own:
+d for all of them comes from one broadcast, followed by one normalization
+and one batched product, and each slice keeps the bits of a call with that
+alpha alone.  A draw ZF rejects is a NaN slice of the ZF array, so the
 other slices and variants are unaffected.
 """
 
@@ -52,18 +55,23 @@ def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
         lam, U = np.linalg.eigh(H_hat @ H_hat.conj().swapaxes(-1, -2))
         UhP = U.conj().swapaxes(-1, -2) * sqrt_p
         energy = np.sum(np.abs(UhP) ** 2, axis=-1)
+
+    def filtered(d):
+        d /= np.sqrt(np.sum(lam * d ** 2 * energy, axis=-1, keepdims=True))
+        return (U * d[..., None, :]) @ UhP
+
+    alphas = np.array([alpha for kind, alpha in variants if kind == "rzf"], dtype=float)
+    rzf = iter(filtered(1.0 / np.add.outer(M * alphas, lam)) if alphas.size else ())
     out = []
     for kind, alpha in variants:
         if kind == "mf":
             gram_diag = np.sum(np.abs(H_hat) ** 2, axis=-1)
             scale = sqrt_p / np.sqrt(np.sum(p * gram_diag, axis=-1, keepdims=True))
             out.append(scale[..., None] * np.eye(K))
-            continue
-        if kind == "rzf":
-            d = 1.0 / (lam + M * alpha)
+        elif kind == "rzf":
+            out.append(next(rzf))
         else:
             lo, hi = lam[..., :1], lam[..., -1:]
-            d = 1.0 / np.where((lo <= 0) | (hi > CONDITION_CAP * lo), np.nan, lam)
-        d /= np.sqrt(np.sum(lam * d ** 2 * energy, axis=-1, keepdims=True))
-        out.append((U * d[..., None, :]) @ UhP)
+            out.append(filtered(1.0 / np.where((lo <= 0) | (hi > CONDITION_CAP * lo),
+                                               np.nan, lam)))
     return out

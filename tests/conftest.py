@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import settings
 
 from pnmimo.analytics import effective_quality
@@ -25,3 +26,44 @@ def sinr_mf_finite_k(config) -> float:
     psum = float(config.powers.sum())
     den = (psum - p_k) + config.sigma_w2 * psum
     return config.M * effective_quality(config) * p_k / den
+
+
+# The library's draw rules, written out one realization at a time: the
+# Monte-Carlo kernel (linksim._simulate_block) must consume each stream in
+# this order and produce these values.
+
+def draw_channel(M: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """K x M matrix of i.i.d. unit-variance circularly symmetric Gaussians."""
+    if M < 1 or K < 1:
+        raise ValueError(f"M and K must be >= 1, got M={M}, K={K}")
+    # one draw of the real parts, then the imaginary parts: the same stream
+    # use and the same values as two separate K x M draws
+    z = rng.standard_normal((2, K, M))
+    H = np.empty((K, M), dtype=complex)
+    H.real = np.sqrt(0.5) * z[0]
+    H.imag = np.sqrt(0.5) * z[1]
+    return H
+
+
+def _wiener_endpoints(n: int, tau: int, sigma2: float, rng: np.random.Generator):
+    """Phases at 0 and tau for n independent Wiener processes."""
+    phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    # A single Gaussian of variance tau*sigma2 is distributionally identical
+    # to the sum of tau i.i.d. steps.
+    phit = phi0 + rng.normal(0.0, np.sqrt(tau * sigma2), size=n)
+    return np.vstack([phi0, phit])
+
+
+def simulate_wiener(M_osc: int, K: int, sigma2_bs: float, sigma2_ue: float,
+                    tau: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one joint realization of BS-oscillator and UE phase processes.
+
+    Each process starts uniform on [0, 2*pi) and advances by a zero-mean
+    Gaussian increment of variance tau*sigma2 between symbols 0 and tau.
+    The M_osc BS oscillators are drawn first, then the K UEs.  Returns
+    (bs_phases, ue_phases), a (2, M_osc) and a (2, K) array whose rows are
+    symbol 0 and symbol tau.
+    """
+    bs = _wiener_endpoints(M_osc, tau, sigma2_bs, rng)
+    ue = _wiener_endpoints(K, tau, sigma2_ue, rng)
+    return bs, ue

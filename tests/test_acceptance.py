@@ -17,14 +17,13 @@ from pnmimo.lemmas import (check_free_probability_traces,
                            check_rank1_perturbation, check_resolvent_identity,
                            check_trace_lemma)
 from pnmimo.linksim import empirical_powers
-from pnmimo.channel import draw_channel, synthesize_estimate
-from pnmimo.phase_noise import (deg_to_var, simulate_wiener, t_pn_second_moment,
-                                theta_vector)
+from pnmimo.channel import synthesize_estimate
+from pnmimo.phase_noise import deg_to_var, t_pn_second_moment, theta_vector
 from pnmimo.precoding import precoders
 from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import rows_to_csv, run_preset, run_sweep
 
-from conftest import acceptance_lines, sinr_mf_finite_k
+from conftest import acceptance_lines, draw_channel, simulate_wiener, sinr_mf_finite_k
 
 
 def _line(criterion: str, ok: bool, detail: str) -> None:

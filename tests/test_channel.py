@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pnmimo.channel import draw_channel, synthesize_estimate
-from pnmimo.phase_noise import simulate_wiener, theta_vector
+from pnmimo.channel import synthesize_estimate
+from pnmimo.phase_noise import theta_vector
+
+from conftest import draw_channel, simulate_wiener
 
 
 class TestDrawChannel:

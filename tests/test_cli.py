@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pnmimo import channel, cli, linksim
+from pnmimo import cli, linksim
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig
 from pnmimo.sweep import (COLUMNS, PRESETS, _draw_key, list_presets,
@@ -64,6 +64,8 @@ INVALID_INPUTS = [
     ("[system]\nalpha_mode = fixed\nalpha = 0.3\n", ("alpha_mode:", "unknown")),
     ("[system]\nM = 50\n\n[sweep]\naxis = m_osc\nvalues = 1 3\n",
      ("sweep.values:", "M_osc")),
+    pytest.param("[system]\nM_osc = 0\n", ("M_osc:",), id="m_osc-0"),
+    pytest.param("[system]\nK = 0\n", ("K:",), id="K-0"),
 ]
 INVALID_INI = [case for case in INVALID_INPUTS
                if isinstance(getattr(case, "values", case)[0], str)]
@@ -126,19 +128,18 @@ class TestRunSweep:
 class TestSharedDraws:
     def test_one_draw_set_per_oscillator_variant(self, monkeypatch):
         # fig2: 4 M_osc variants x 9 SNR points, each with its own optimal
-        # RZF alpha; a realization draws H and the estimation noise W_e
-        calls = []
-        real = channel.draw_channel
+        # RZF alpha; each realization of a variant builds its own stream once
+        seeds = []
+        real = np.random.default_rng
 
-        def counted(M, K, rng):
-            calls.append((M, K))
-            return real(M, K, rng)
+        def counted(seed=None):
+            seeds.append(seed)
+            return real(seed)
 
-        monkeypatch.setattr(linksim, "draw_channel", counted)
-        monkeypatch.setattr(channel, "draw_channel", counted)
+        monkeypatch.setattr(linksim.np.random, "default_rng", counted)
         rows = run_preset("fig2", n_realizations=10)
         assert len(rows) == 4 * 9
-        assert len(calls) == 4 * 2 * 10
+        assert len(seeds) == 4 * 10
 
     @pytest.mark.parametrize("change", [
         dict(snr_db=0.0), dict(snr_db=None, sigma_w2_value=0.3),
@@ -267,6 +268,16 @@ class TestCliEntry:
         assert main(["validate-config", _ini_file(ini, tmp_path)]) == 2
         err = capsys.readouterr().err
         assert all(f in err for f in fields)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", ["validate-config", "sweep"])
+    def test_non_utf8_config_exits_2(self, verb, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[system]\nM = 20\xff\n\n[sweep]\naxis = snr\nvalues = 0\n")
+        out = ["--out", str(tmp_path / "out.csv")] if verb == "sweep" else []
+        assert main([verb, str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and "Traceback" not in err
 
     def test_alpha_alone_fixes_the_regularizer(self, tmp_path):
         path = tmp_path / "run.ini"

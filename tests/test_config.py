@@ -53,6 +53,8 @@ class TestValidation:
         (dict(tau=0), "tau"),
         (dict(snr_db=None, sigma_w2_value=0.0), "sigma_w2"),
         (dict(n_realizations=1), "n_realizations"),
+        (dict(M_osc=0), "M_osc"),
+        (dict(K=0), "K"),
     ])
     def test_field_level_messages(self, kw, field):
         with pytest.raises(ConfigError, match=field):

@@ -1,14 +1,16 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from pnmimo.channel import draw_channel, synthesize_estimate
+from pnmimo.channel import synthesize_estimate
 from pnmimo import linksim
 from pnmimo.config import SystemConfig
 from pnmimo.linksim import RejectionRateError, empirical_powers
-from pnmimo.phase_noise import simulate_wiener, theta_vector
+from pnmimo.phase_noise import theta_vector
 from pnmimo.precoding import precoders
 
-from conftest import sinr_mf_finite_k
+from conftest import draw_channel, simulate_wiener, sinr_mf_finite_k
 
 
 def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
@@ -161,6 +163,40 @@ class TestEmpiricalSinr:
             assert np.array_equal(est.sig_powers, r.sig_powers)
             assert np.array_equal(est.int_powers, r.int_powers)
 
+    @pytest.mark.parametrize("cores", [2, None])
+    def test_pool_size_clamped_to_cores(self, monkeypatch, cores):
+        # 16 workers on 2 cores (or an unknown count) start at most 2 (1)
+        # processes; the block still splits into 16 index ranges, so the
+        # bits are the serial run's
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
+                           parallelism=16)
+        pools, ranges = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                ranges.append(args[-2:])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(linksim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(linksim.os, "cpu_count", lambda: cores)
+        est, = empirical_powers(cfg, [("rzf", 0.1)])
+        assert pools == [cores or 1]
+        assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
+        ref, = empirical_powers(cfg.with_(parallelism=1), [("rzf", 0.1)])
+        assert np.array_equal(est.sig_powers, ref.sig_powers)
+        assert np.array_equal(est.int_powers, ref.int_powers)
+
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
         serial, = empirical_powers(cfg, [("mf", None)])
@@ -228,6 +264,34 @@ class TestEmpiricalSinr:
         bs, ue = phases
         s1 = sinr(zeta(H, G, (bs + 0.7, ue), 0), 0, 0.1)
         assert s1 == pytest.approx(s0, rel=1e-12)
+
+
+class TestChunkDraws:
+    """The chunk kernel's draws and precoders equal a per-realization replay."""
+
+    VARIANTS = [("rzf", 0.05), ("zf", None), ("rzf", 0.3), ("mf", None), ("rzf", 2.0)]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10])
+    @pytest.mark.parametrize("sigma_deg", [0.0, 6.0])
+    @pytest.mark.parametrize("m_osc", [2, 20])
+    def test_matches_per_realization_replay(self, monkeypatch, m_osc, sigma_deg, chunk):
+        # chunk 3 does not divide n, 10 is the whole block
+        cfg = SystemConfig(M=20, K=4, M_osc=m_osc, sigma_deg_bs=sigma_deg,
+                           sigma_deg_ue=sigma_deg, snr_db=10.0, ue_index=1,
+                           n_realizations=10)
+        monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
+        ests = empirical_powers(cfg, self.VARIANTS)
+        M, k = cfg.M, cfg.ue_index
+        for i in range(cfg.n_realizations):
+            rng = np.random.default_rng((cfg.master_seed, i))
+            H, (bs, ue), H_hat = _draw(M, cfg.K, m_osc, cfg.q0, cfg.sigma2_bs,
+                                       cfg.sigma2_ue, cfg.tau, rng)
+            row_hat = (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T
+            for variant, est in zip(self.VARIANTS, ests):
+                C, = precoders(H_hat, cfg.powers, [variant])
+                p = np.abs(row_hat @ C) ** 2
+                assert est.sig_powers[i] == p[k]
+                assert est.int_powers[i] == p.sum() - p[k]
 
 
 class TestSharedDraws:

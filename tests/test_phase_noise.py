@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pnmimo.phase_noise import (deg_to_var, simulate_wiener, t_pn_second_moment,
-                                theta_vector)
+from pnmimo.phase_noise import deg_to_var, t_pn_second_moment, theta_vector
+
+from conftest import simulate_wiener
 
 SIGMA2_6DEG = deg_to_var(6.0)
 

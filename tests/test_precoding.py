@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from pnmimo.channel import draw_channel
 from pnmimo.precoding import precoders
 from pnmimo.rmt import stieltjes_mp, stieltjes_mp_derivative
+
+from conftest import draw_channel
 
 
 def _hhat(M, K, seed):
@@ -75,6 +76,27 @@ class TestStacked:
                 assert np.array_equal(C[j], C_j, equal_nan=True)
                 rejected = kind == "zf" and K > 1 and j == degenerate
                 assert np.isnan(C_j).all() if rejected else np.isfinite(C_j).all()
+
+
+    @given(st.integers(1, 8).flatmap(
+               lambda K: st.tuples(st.just(K), st.integers(K, 30))),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=6),
+           st.lists(st.sampled_from([("zf", None), ("mf", None)]), max_size=3),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rzf_alphas_match_one_call_per_variant(self, shape, b, seed, alphas,
+                                                   others, data):
+        # every RZF alpha rides one array axis; mixed in any order with ZF
+        # and MF, each variant keeps the bits of a call on it alone
+        K, M = shape
+        rng = np.random.default_rng(seed)
+        H = np.stack([draw_channel(M, K, rng) for _ in range(b)])
+        powers = rng.uniform(0.1, 1.0, K)
+        variants = data.draw(st.permutations([("rzf", a) for a in alphas] + others))
+        for variant, C in zip(variants, precoders(H, powers, variants)):
+            C_alone, = precoders(H, powers, [variant])
+            assert np.array_equal(C, C_alone, equal_nan=True)
 
 
 class TestPowerConstraint:
