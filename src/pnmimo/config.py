@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phase_noise import deg_to_var
+from .phase_noise import deg_to_var, t_pn_second_moment
+from .rmt import optimal_alpha
 
 __all__ = ["ConfigError", "SystemConfig", "load_config", "SWEEP_AXES"]
 
@@ -32,11 +33,11 @@ class SystemConfig:
 
     alpha is the RZF regularizer: None selects the SINR-maximizing value,
     and a set alpha (> 0) is used as is.  powers is stored as a read-only
-    copy.  Every float field that is set must be finite, and so must the
-    noise variance sigma_w2, which must also be > 0.  n_realizations >= 2, so
-    every Monte-Carlo row has a finite standard error.  q0 = 0 (no channel
-    knowledge) needs an explicit alpha: the SINR-maximizing regularization
-    divides by q0.
+    copy.  Every float field that is set must be finite, and so must tau
+    sigma^2 and the noise variance sigma_w2, which must also be > 0.
+    n_realizations >= 2, so every Monte-Carlo row has a finite standard
+    error.  An unset alpha's optimum must be finite and > 0: it divides by
+    q0^2 E|T_PN|^2, so q0 = 0 or an underflowing q0^2 needs an explicit alpha.
     """
 
     M: int = 50
@@ -80,21 +81,19 @@ class SystemConfig:
                 raise ConfigError(f"{name}: must be finite, got {value}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ConfigError(f"q0: must be in [0, 1], got {self.q0}")
-        if self.q0 == 0.0 and self.alpha is None:
-            raise ConfigError("q0: 0 leaves the optimal regularization undefined; "
-                              "set an explicit alpha")
-        if self.sigma_deg_bs < 0 or self.sigma_deg_ue < 0:
-            raise ConfigError("sigma_deg_bs/sigma_deg_ue: must be >= 0")
-        if self.tau < 1:
-            raise ConfigError(f"tau: must be >= 1, got {self.tau}")
-        if self.tau > self.T_c:
-            raise ConfigError(f"tau: must be <= T_c, got tau={self.tau}, T_c={self.T_c}")
+        if not 1 <= self.tau <= self.T_c:
+            raise ConfigError(f"tau: need 1 <= tau <= T_c = {self.T_c}, got {self.tau}")
         if (self.snr_db is None) == (self.sigma_w2_value is None):
-            raise ConfigError("noise: set exactly one of snr_db, sigma_w2")
-        if p.shape != (self.K,):
-            raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
-        if not np.all(np.isfinite(p)) or np.any(p < 0) or p.sum() <= 0:
-            raise ConfigError("powers: entries must be finite and >= 0 with positive sum")
+            raise ConfigError("snr_db/sigma_w2: set exactly one noise handle")
+        with np.errstate(over="ignore"):  # an overflow is the inf rejected here
+            for name in ("sigma_deg_bs", "sigma_deg_ue"):
+                deg = getattr(self, name)
+                if deg < 0 or not math.isfinite(self.tau * deg_to_var(deg)):
+                    raise ConfigError(f"{name}: need >= 0 and tau * sigma^2 < inf, got {deg}")
+            if p.shape != (self.K,):
+                raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
+            if not np.all(np.isfinite(p)) or np.any(p < 0) or not 0 < p.sum() < math.inf:
+                raise ConfigError("powers: need entries >= 0 with a finite positive sum")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha: must be > 0, got {self.alpha}")
         if not 0 <= self.ue_index < self.K:
@@ -108,6 +107,14 @@ class SystemConfig:
                       else f"snr_db = {self.snr_db}")
             raise ConfigError(f"sigma_w2: the noise variance must be finite and > 0, "
                               f"got {handle}")
+        if self.alpha is None:
+            e_tpn2 = t_pn_second_moment(self.M_osc, self.tau, self.sigma2_bs)
+            try:
+                alpha = optimal_alpha(self.q0, e_tpn2, self.sigma_w2, self.beta)
+            except ArithmeticError:  # q0^2 E|T_PN|^2 underflows to 0
+                alpha = math.nan
+            if not 0.0 < alpha < math.inf:
+                raise ConfigError(f"q0: optimal alpha is {alpha}; set an explicit alpha")
         if self.n_realizations < 2:
             raise ConfigError(f"n_realizations: must be >= 2 for a standard error, "
                               f"got {self.n_realizations}")

@@ -134,11 +134,11 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
         # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
         row = H[:, k] * theta_vector(ue[1, :, k], bs[1], M)
         row_hat = row[:, None] @ H_hat.conj().swapaxes(-1, -2)
+        C = np.stack(precoders(H_hat, config.powers, variants))
+        p = np.abs(row_hat @ C)[..., 0, :] ** 2
         cols = slice(lo - start, lo - start + b)
-        for v, C in enumerate(precoders(H_hat, config.powers, variants)):
-            p = np.abs(row_hat @ C)[:, 0] ** 2
-            sig[v, cols] = p[:, k]
-            intf[v, cols] = p.sum(axis=-1) - p[:, k]
+        sig[:, cols] = p[..., k]
+        intf[:, cols] = p.sum(axis=-1) - p[..., k]
     return sig, intf
 
 

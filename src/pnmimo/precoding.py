@@ -10,7 +10,8 @@ regularizer and ZF:
 
 with d = 1/(lambda + M alpha) for RZF and d = 1/lambda for ZF (RZF's
 alpha -> 0 limit).  MF is the unfiltered conjugate, C = P^1/2 scaled by the
-Gram diagonal, and needs no decomposition.
+Gram diagonal, and needs no decomposition.  SystemConfig enforces once
+that RZF's alpha > 0 and ZF's K <= M.
 
 Estimates may come stacked, (..., K, M); every step then runs once on the
 whole stack.  The RZF alphas of one call form a leading axis of their own:
@@ -44,13 +45,6 @@ def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
     K, M = H_hat.shape[-2:]
     p = np.asarray(powers, dtype=float)
     sqrt_p = np.sqrt(p)
-    for kind, alpha in variants:
-        if kind not in ("rzf", "zf", "mf"):
-            raise ValueError(f"unknown precoder kind {kind!r}")
-        if kind == "rzf" and not alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if kind == "zf" and K > M:
-            raise ValueError(f"ZF requires K <= M, got K={K}, M={M}")
     if any(kind != "mf" for kind, _ in variants):
         lam, U = np.linalg.eigh(H_hat @ H_hat.conj().swapaxes(-1, -2))
         UhP = U.conj().swapaxes(-1, -2) * sqrt_p

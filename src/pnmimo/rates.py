@@ -4,7 +4,7 @@ Two upper bounds are combined: the AWGN capacity log2(1 + S) and a
 high-SNR bound that subtracts the differential entropy rate of the residual
 phase process.  Their minimum is the reported rate for common-vs-distributed
 oscillator comparisons; the ergodic approximation log2(1 + S_eff) is used
-everywhere else.
+everywhere else.  Their domain is enforced once, by SystemConfig and the sweep.
 """
 
 from __future__ import annotations
@@ -16,25 +16,21 @@ __all__ = ["rate_awgn_bound", "rate_lapidoth", "rate_min", "rate_report"]
 
 def rate_awgn_bound(sinr: float) -> float:
     """AWGN channel capacity log2(1 + sinr), bits per channel use."""
-    if sinr < 0:
-        raise ValueError(f"sinr must be >= 0, got {sinr}")
     return math.log2(1.0 + sinr)
 
 
 def rate_lapidoth(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
-                  M_osc: int) -> float:
+                  M_osc: int) -> float | None:
     """High-SNR bound 0.5*log2(2*pi*sinr) - 0.5*log2(2*pi*e*v).
 
     v is the accumulated phase variance tau*(sigma2_ue + delta*sigma2_bs),
     where delta = 1 only for a single common oscillator: with several
     oscillators the BS drift averages across antennas and only the UE's own
-    phase survives as a common rotation.
+    phase survives as a common rotation.  None at v = 0 or sinr = 0.
     """
     v = tau * (sigma2_ue + (sigma2_bs if M_osc == 1 else 0.0))
-    if v <= 0:
-        raise ValueError("phase-variance argument is 0; bound undefined")
-    if sinr <= 0:
-        raise ValueError(f"sinr is {sinr}; bound undefined")
+    if v <= 0 or sinr <= 0:
+        return None
     return 0.5 * math.log2(2.0 * math.pi * sinr) - 0.5 * math.log2(2.0 * math.pi * math.e * v)
 
 
@@ -56,14 +52,9 @@ def rate_report(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
     rate_ergodic is log2(1 + S_eff) for the phase-averaged effective SINR,
     the same number as rate_awgn: it ignores the differential entropy rate
     of the phase processes, exact for the common- and distributed-oscillator
-    extremes and an approximation in between.  rate_lapidoth is None where
-    the bound is undefined (zero phase variance or zero SINR); rate_min then
-    falls back to max(0, rate_awgn).
+    extremes and an approximation in between.
     """
     awgn = rate_awgn_bound(sinr)
-    try:
-        lap = rate_lapidoth(sinr, tau, sigma2_ue, sigma2_bs, M_osc)
-    except ValueError:
-        lap = None
+    lap = rate_lapidoth(sinr, tau, sigma2_ue, sigma2_bs, M_osc)
     return {"rate_awgn": awgn, "rate_lapidoth": lap,
             "rate_min": rate_min(awgn, lap), "rate_ergodic": awgn}

@@ -14,6 +14,7 @@ with the same master seed reproduces the file exactly at any parallelism.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -52,6 +53,8 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
             raise ConfigError(f"sweep.values: m_osc must be an integer, got {value:g}")
         changes = dict(M_osc=int(value))
     elif axis == "beta":
+        if not math.isfinite(value * config.K):
+            raise ConfigError(f"sweep.values: beta = {value:g} makes M = beta K overflow")
         M = int(round(value * config.K))
         # a fully distributed BS stays fully distributed
         changes = dict(M=M, M_osc=M) if config.M_osc == config.M else dict(M=M)
@@ -70,6 +73,15 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
     except ConfigError as exc:
         raise ConfigError(f"sweep.values: {axis} = {value:g} gives an invalid "
                           f"scenario: {exc}") from None
+
+
+def _set_finite(row: dict, **cells) -> None:
+    """row.update(cells), but a nan or inf cell raises FloatingPointError."""
+    for c, v in cells.items():
+        if v is not None and not math.isfinite(v):
+            raise FloatingPointError(f"{c} is {v} for {row['precoder']} at "
+                                     f"{row['sweep_axis']} = {row['sweep_value']!r}")
+    row.update(cells)
 
 
 def _analytic(config: SystemConfig, kind: str):
@@ -102,12 +114,14 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
     """One row per (sweep point, precoder), deterministic given the seed.
 
     Rows are built first: scenario cells, closed form, resolved alpha and
-    rates.  With with_empirical, the rows are then grouped by draw key, the
-    scenario minus its noise handles (snr_db, sigma_w2), alpha and
-    parallelism, with powers compared by value.  Monte-Carlo power
-    averages do not depend on those fields, so each group makes one
-    empirical_powers call for all of its (precoder, alpha) pairs, and each
-    row reads its SINR at its own sigma_w2 off that one draw set.
+    rates.  A nan or inf cell, such as a closed form that overflows, raises
+    FloatingPointError, before any Monte-Carlo work.  With with_empirical,
+    the rows are then grouped by draw key, the scenario minus its noise
+    handles (snr_db, sigma_w2), alpha and parallelism, with powers compared
+    by value.  Monte-Carlo power averages do not depend on those fields, so
+    each group makes one empirical_powers call for all of its (precoder,
+    alpha) pairs, and each row reads its SINR at its own sigma_w2 off that
+    one draw set.
     """
     if len(values) == 0:
         raise ConfigError("sweep: values must be nonempty")
@@ -115,16 +129,20 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
     for value in values:
         point = _apply_axis(config, sweep_axis, value)
         for kind in precoders:
-            sinr_a, alpha = _analytic(point, kind)
             row = dict.fromkeys(COLUMNS)
             row.update({c: getattr(point, c) for c in _SCENARIO_COLUMNS})
             row.update(schema_version=SCHEMA_VERSION, preset=preset,
                        sweep_axis=sweep_axis, sweep_value=float(value),
-                       precoder=kind,
-                       alpha=None if alpha is None else float(alpha),
-                       analytical_sinr=float(sinr_a))
-            row.update(rates.rate_report(sinr_a, point.tau, point.sigma2_ue,
-                                         point.sigma2_bs, point.M_osc))
+                       precoder=kind)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    sinr_a, alpha = _analytic(point, kind)
+            except ArithmeticError:
+                sinr_a, alpha = math.nan, None
+            sinr_a = float(sinr_a) if sinr_a >= 0 else math.nan
+            _set_finite(row, alpha=None if alpha is None else float(alpha),
+                        analytical_sinr=sinr_a, **rates.rate_report(
+                            sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
             rows.append(row)
             points.append((point, (kind, alpha)))
     if with_empirical:
@@ -137,10 +155,10 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
                      for key, (point, variants) in groups.items()}
         for row, key, (point, variant) in zip(rows, keys, points):
             est = estimates[key][variant]
-            row.update(empirical_sinr=est.sinr_at(point.sigma_w2),
-                       std_error=est.std_error_at(point.sigma_w2),
-                       n_realizations=est.n_realizations,
-                       n_rejected=est.n_rejected)
+            _set_finite(row, empirical_sinr=est.sinr_at(point.sigma_w2),
+                        std_error=est.std_error_at(point.sigma_w2),
+                        n_realizations=est.n_realizations,
+                        n_rejected=est.n_rejected)
     return rows
 
 

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnmimo import cli, linksim
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig
-from pnmimo.sweep import (COLUMNS, PRESETS, _draw_key, list_presets,
+from pnmimo.sweep import (COLUMNS, PRESETS, SWEEP_AXES, _draw_key, list_presets,
                           rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
 
 CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
@@ -66,6 +70,28 @@ INVALID_INPUTS = [
      ("sweep.values:", "M_osc")),
     pytest.param("[system]\nM_osc = 0\n", ("M_osc:",), id="m_osc-0"),
     pytest.param("[system]\nK = 0\n", ("K:",), id="K-0"),
+    pytest.param("[system]\nsigma_deg_bs = 1e200\n", ("sigma_deg_bs:",),
+                 id="sigma_deg_bs-1e200"),
+    pytest.param("[system]\nq0 = 1e-300\n", ("q0:",), id="q0-1e-300"),
+    pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = beta\nvalues = 1e308\n",
+                 ("sweep.values:", "beta"), id="beta-values-1e308"),
+    pytest.param("[system]\nK = 2\npowers = 1e308 1e308\n", ("powers:",),
+                 id="powers-sum-1e308"),
+]
+
+# Each scenario passes SystemConfig, but its RZF closed form overflows, turns
+# 0/0 or goes negative: the run exits 3 naming the column and the sweep point.
+_SMALL = "[system]\nM = 20\nK = 4\nn_realizations = 4\n"
+NUMERICAL_FAILURES = [
+    pytest.param(_SMALL + "\n[sweep]\naxis = alpha\nvalues = 1e-320\n",
+                 "rzf at alpha = 1e-320", id="alpha-values-1e-320"),
+    pytest.param(_SMALL + "alpha = 1e300\n\n[sweep]\naxis = snr\nvalues = 0\n",
+                 "rzf at snr = 0.0", id="alpha-1e300"),
+    pytest.param(_SMALL + "\n[sweep]\naxis = beta\nvalues = 1e300\n",
+                 "rzf at beta = 1e+300", id="beta-values-1e300"),
+    pytest.param("[system]\nM = 10\nK = 10\nq0 = 1\nsigma_deg_bs = 0\nalpha = 1e-18\n"
+                 "n_realizations = 4\n\n[sweep]\naxis = snr\nvalues = 200\n",
+                 "rzf at snr = 200.0", id="negative-rzf-sinr"),
 ]
 INVALID_INI = [case for case in INVALID_INPUTS
                if isinstance(getattr(case, "values", case)[0], str)]
@@ -312,6 +338,19 @@ class TestCliEntry:
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("name,M,median_error,slope")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
+    @pytest.mark.parametrize("ini,where", NUMERICAL_FAILURES)
+    def test_closed_form_failure_exits_3(self, ini, where, verb, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        out = tmp_path / "out.csv"
+        assert main([verb, str(path), *(["--out", str(out)] if verb == "sweep" else [])]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: analytical_sinr is nan for {where}" in err
+        assert "rejected" not in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_rank1_bound_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         # a solve that returns 1e3 y inflates the rank-1 gap 1e3-fold against a
         # scale-free bound, which no correct solve can do
@@ -322,3 +361,64 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "numerical failure: rank-1 trace gap" in err
         assert "Traceback" not in err
+
+
+# Generated config files: a small valid scenario with up to two keys, and
+# the sweep, set to values from the edges of float range or to malformed
+# text.  M <= 24 (at most 30 K on the beta axis) and n_realizations <= 4 keep
+# a run to milliseconds, and n_realizations < 4 * parallelism never starts a
+# worker process.
+_TEXT_FLOATS = st.sampled_from(["0", "-0", "0.5", "1", "2", "6", "10", "-10", "30",
+                                "1e300", "-1e300", "1e308", "1e-300", "-1e-300",
+                                "1e-320", "5e-324", "nan", "inf", "-inf"])
+_TEXT_INTS = st.sampled_from(["1", "2", "4", "10", "0", "-1", "2.5", "1e1", "nan", "x",
+                              ""])
+_TEXT_KEYS = {
+    "M": st.sampled_from(["1", "4", "10", "24", "0", "-1", "2.5", "1e300", "nan"]),
+    "n_realizations": st.sampled_from(["2", "3", "1", "0", "2.5", "inf"]),
+    **{key: _TEXT_INTS for key in ("K", "M_osc", "tau", "T_c", "ue_index",
+                                   "master_seed", "parallelism")},
+    **{key: _TEXT_FLOATS for key in ("q0", "sigma_deg_bs", "sigma_deg_ue", "snr_db",
+                                     "sigma_w2", "alpha")},
+    "powers": st.one_of(st.just("equal"), st.lists(_TEXT_FLOATS, min_size=4, max_size=4)
+                        .map(" ".join)),
+}
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    system = {"M": "20", "K": "4", "M_osc": "2", "n_realizations": "4"}
+    for key in draw(st.lists(st.sampled_from(sorted(_TEXT_KEYS)), max_size=2, unique=True)):
+        system[key] = draw(_TEXT_KEYS[key])
+    text = "[system]\n" + "".join(f"{k} = {v}\n" for k, v in system.items())
+    # a sweep in most files, a non-UTF-8 byte in few
+    if draw(st.sampled_from([True] * 9 + [False])):
+        axis = draw(st.sampled_from(SWEEP_AXES + ("bogus",)))
+        values = draw(st.lists(_TEXT_FLOATS, min_size=1, max_size=2))
+        text += f"\n[sweep]\naxis = {axis}\nvalues = {' '.join(values)}\n"
+    data = text.encode()
+    if draw(st.sampled_from([False] * 9 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@given(config_files())
+@settings(max_examples=400, deadline=None)
+def test_generated_config_files_exit_0_2_or_3(data):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        validated = main(["validate-config", path])
+        swept = main(["sweep", path, "--out", out])
+        assert validated in (0, 2, 3) and swept in (0, 2, 3)
+        if validated != 0:
+            assert swept == validated  # sweep rejects what validate-config rejects
+        if swept != 0:
+            assert not os.path.exists(out)
+            return
+        with open(out, newline="") as fh:
+            cells = [c for row in csv.reader(fh) for c in row]
+        assert not {c.lower() for c in cells} & {"nan", "inf", "-inf"}

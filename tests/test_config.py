@@ -1,12 +1,17 @@
+import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnmimo import config
+from pnmimo.analytics import resolve_alpha
 from pnmimo.config import ConfigError, SystemConfig, load_config
+from pnmimo.sweep import PRECODERS, run_sweep
 
 
 class TestValidation:
@@ -160,3 +165,66 @@ class TestFileFormat:
         path.write_text("[system]\nM = 50%\n")
         with pytest.raises(ConfigError, match="M: expected int"):
             load_config(str(path))
+
+
+# The domain the closed forms and the simulator rely on, built from inputs at
+# and beyond the edges of float range.  SystemConfig is the one place it is
+# checked, so every mix must either build inside it or name a field.
+_EDGE_FLOATS = [0.0, -0.0, 0.5, 1.0, 6.0, 10.0, -10.0, 1e300, -1e300, 1e-300,
+                -1e-300, 1e-320, 5e-324, math.nan, math.inf, -math.inf]
+_FIELDS = {f.name for f in fields(SystemConfig)} | {"sigma_w2"}
+
+
+_EDGES = {
+    "M": st.sampled_from([0, 4, 24]), "K": st.sampled_from([0, 1, 20]),
+    "M_osc": st.sampled_from([0, 3, 4]), "tau": st.sampled_from([0, 1, 100]),
+    "T_c": st.sampled_from([10, 10 ** 6]), "ue_index": st.sampled_from([-1, 3]),
+    "n_realizations": st.sampled_from([1, 2]), "master_seed": st.sampled_from([-1, 2 ** 70]),
+    "parallelism": st.sampled_from([0, 2]),
+    "q0": st.sampled_from(_EDGE_FLOATS), "sigma_deg_bs": st.sampled_from(_EDGE_FLOATS),
+    "sigma_deg_ue": st.sampled_from(_EDGE_FLOATS),
+    "snr_db": st.sampled_from(_EDGE_FLOATS + [None]),
+    "sigma_w2_value": st.sampled_from(_EDGE_FLOATS + [None]),
+    "alpha": st.sampled_from(_EDGE_FLOATS + [None]),
+    "powers": st.one_of(st.just("equal"), st.lists(st.sampled_from(_EDGE_FLOATS),
+                                                   min_size=4, max_size=4)),
+}
+
+
+@st.composite
+def config_kwargs(draw):
+    """A valid scenario with one to four fields set to edge values."""
+    kw = dict(M=20, K=4, M_osc=2, n_realizations=4)
+    for name in draw(st.lists(st.sampled_from(sorted(_EDGES)), min_size=1, max_size=4,
+                              unique=True)):
+        kw[name] = draw(_EDGES[name])
+    if isinstance(kw.get("powers"), list):
+        kw["powers"] = np.array(kw["powers"])
+    return kw
+
+
+class TestDomain:
+    @given(config_kwargs())
+    @settings(max_examples=500, deadline=None)
+    def test_builds_in_domain_or_names_a_field(self, kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = SystemConfig(**kw)
+            except ConfigError as exc:
+                head = str(exc).split(":")[0]
+                assert set(head.split("/")) <= _FIELDS, str(exc)
+                return
+            # the preconditions the rmt, precoding and rates modules no longer check
+            assert cfg.beta >= 1
+            assert 0.0 < resolve_alpha(cfg) < math.inf
+            assert math.isfinite(cfg.tau * cfg.sigma2_bs)
+            assert math.isfinite(cfg.tau * cfg.sigma2_ue)
+            precoders = PRECODERS if cfg.beta > 1 else ("rzf", "mf")
+            try:
+                rows = run_sweep(cfg, "m_osc", [cfg.M_osc], precoders,
+                                 with_empirical=False)
+            except FloatingPointError:
+                return
+        assert all(math.isfinite(v) for row in rows for v in row.values()
+                   if isinstance(v, float))

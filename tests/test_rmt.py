@@ -74,12 +74,6 @@ class TestStieltjes:
             assert alpha * beta * m * m + (1 + alpha * beta - beta) * m - beta == \
                 pytest.approx(0.0, abs=1e-10)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            stieltjes_mp(0.0, 2.0)
-        with pytest.raises(ValueError):
-            stieltjes_mp(1.0, 0.5)
-
     @given(st.floats(0.01, 100), st.floats(1.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_positive(self, alpha, beta):
@@ -138,12 +132,6 @@ class TestHardening:
 
     def test_beta1_alpha1_value(self):
         assert rzf_equivalents(1.0, 1.0, 8, [1.0], 0)[0] == pytest.approx(0.381966, abs=1e-5)
-
-    def test_rejects_nonpositive(self):
-        cfg = SystemConfig(M=8, K=2, M_osc=1)
-        for alpha in (0.0, -0.1):
-            with pytest.raises(ValueError):
-                sinr_rzf(cfg, alpha)
 
 
 class TestNormalizationAndInterference:
@@ -224,10 +212,6 @@ class TestOptimalAlpha:
 
     def test_vanishes_with_noise(self):
         assert optimal_alpha(1.0, 1.0, 0.0, 5.0) == 0.0
-
-    def test_degenerate_q0(self):
-        with pytest.raises(ValueError):
-            optimal_alpha(0.0, 1.0, 0.1, 5.0)
 
     @pytest.mark.xfail(strict=True, reason="the closed-form regularization is a "
                        "near-optimal approximation, not the exact argmax of the "
