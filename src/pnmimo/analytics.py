@@ -13,23 +13,19 @@ from __future__ import annotations
 
 from . import rmt
 from .config import ConfigError, SystemConfig
-from .phase_noise import t_pn_second_moment
 
 __all__ = ["effective_quality", "resolve_alpha", "sinr_rzf", "sinr_zf", "sinr_mf"]
 
 
 def effective_quality(config: SystemConfig) -> float:
     """q_eff = q0 * E|T_PN|^2, the phase-drift-degraded CSI quality."""
-    return config.q0 * t_pn_second_moment(config.M_osc, config.tau, config.sigma2_bs)
+    return config.q0 * config.e_tpn2
 
 
 def resolve_alpha(config: SystemConfig) -> float:
     """The RZF regularization: the configured alpha, or the SINR-maximizing
-    one when alpha is None."""
-    if config.alpha is not None:
-        return config.alpha
-    e = t_pn_second_moment(config.M_osc, config.tau, config.sigma2_bs)
-    return rmt.optimal_alpha(config.q0, e, config.sigma_w2, config.beta)
+    one when alpha is None (both computed once, by SystemConfig)."""
+    return config.rzf_alpha
 
 
 def sinr_rzf(config: SystemConfig, alpha: float) -> float:

@@ -38,6 +38,9 @@ class SystemConfig:
     n_realizations >= 2, so every Monte-Carlo row has a finite standard
     error.  An unset alpha's optimum must be finite and > 0: it divides by
     q0^2 E|T_PN|^2, so q0 = 0 or an underflowing q0^2 needs an explicit alpha.
+
+    Two derived values are kept on the instance: e_tpn2 = E|T_PN|^2 and
+    rzf_alpha, the configured alpha or, when alpha is None, its optimum.
     """
 
     M: int = 50
@@ -107,14 +110,19 @@ class SystemConfig:
                       else f"snr_db = {self.snr_db}")
             raise ConfigError(f"sigma_w2: the noise variance must be finite and > 0, "
                               f"got {handle}")
-        if self.alpha is None:
-            e_tpn2 = t_pn_second_moment(self.M_osc, self.tau, self.sigma2_bs)
+        e_tpn2 = t_pn_second_moment(self.M_osc, self.tau, self.sigma2_bs)
+        alpha = self.alpha
+        if alpha is None:
             try:
                 alpha = optimal_alpha(self.q0, e_tpn2, self.sigma_w2, self.beta)
             except ArithmeticError:  # q0^2 E|T_PN|^2 underflows to 0
                 alpha = math.nan
             if not 0.0 < alpha < math.inf:
                 raise ConfigError(f"q0: optimal alpha is {alpha}; set an explicit alpha")
+        # derived once, for analytics; plain attributes, not fields, so
+        # equality, replace() and the Monte-Carlo draw key ignore them
+        object.__setattr__(self, "e_tpn2", e_tpn2)
+        object.__setattr__(self, "rzf_alpha", alpha)
         if self.n_realizations < 2:
             raise ConfigError(f"n_realizations: must be >= 2 for a standard error, "
                               f"got {self.n_realizations}")

@@ -65,6 +65,24 @@ def _random_spd(M, rng):
     return S
 
 
+def _random_spd_from_parts(M, rng):
+    """_random_spd's matrix B B^H / M + I from the same draws, without the
+    complex product: with B = (Zr + j Zi) / sqrt(2), the real part is
+    (Zr Zr^T + Zi Zi^T) / (2M) + I and the imaginary part (Y - Y^T) / (2M),
+    Y = Zi Zr^T.  It agrees with _random_spd to rounding."""
+    Zr, Zi = rng.standard_normal((2, M, M))
+    G = Zr @ Zr.T  # X @ X.T takes BLAS's symmetric product
+    G += Zi @ Zi.T
+    G /= 2.0 * M
+    G.flat[::M + 1] += 1.0
+    S = np.empty((M, M), dtype=complex)
+    S.real = G
+    Y = Zi @ Zr.T
+    np.subtract(Y, Y.T, out=S.imag)
+    S.imag /= 2.0 * M
+    return S
+
+
 def _wishart_resolvent(lam, F, a, Z):
     """(H^H H / M + a I)^{-1} Z from the eigenpairs (lam, W) of the K x K
     Gram H H^H / M, with F = W^H H: the inverse is I / a except on the K
@@ -115,19 +133,31 @@ def check_resolvent_identity(M: int, rng: np.random.Generator,
 
 def check_trace_lemma(M_values, rng: np.random.Generator,
                       n_trials: int = 200) -> ConvergenceRecord:
-    """|x^H A x - tr(A)/M| and |x^H A w| vanish at the 1/sqrt(M) rate."""
+    """|x^H A x - tr(A)/M| and |x^H A w| vanish at the 1/sqrt(M) rate.
+
+    A = B B^H / M + I is never formed.  B is drawn as _random_spd draws it,
+    then every trial's (x, w) in one call, and one product B^H [x w ...]
+    gives x^H A x = ||B^H x||^2 / M + ||x||^2, x^H A w = (B^H x)^H (B^H w) / M
+    + x^H w and tr(A)/M = ||B||_F^2 / M^2 + 1.
+    """
     per_size = []
     for M in M_values:
-        A = _random_spd(M, rng)
-        tr = np.trace(A).real / M
-        errs = np.empty(n_trials)
-        for t in range(n_trials):
-            x = _gaussian_vec(M, rng, 1.0 / M)
-            w = _gaussian_vec(M, rng, 1.0 / M)
-            e1 = abs(np.real(x.conj() @ A @ x) - tr)
-            e2 = abs(x.conj() @ A @ w)
-            errs[t] = max(e1, e2)
-        per_size.append(errs)
+        B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+        tr = np.vdot(B, B).real / M ** 2 + 1.0
+        # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary) rows,
+        # the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
+        z = rng.standard_normal((n_trials, 2, 2, M))
+        z *= np.sqrt(1.0 / M / 2.0)
+        xw = np.empty((n_trials, 2, M), dtype=complex)
+        xw.real, xw.imag = z[:, :, 0], z[:, :, 1]
+        x, w = xw[:, 0], xw[:, 1]
+        # rows (B^H x)^* and (B^H w)^*, from one (2 n_trials) x M product
+        r = (xw.conj().reshape(-1, M) @ B).reshape(n_trials, 2, M)
+        xAx = (np.sum(np.abs(r[:, 0]) ** 2, axis=1) / M
+               + np.sum(np.abs(x) ** 2, axis=1))
+        xAw = (np.sum(r[:, 0] * r[:, 1].conj(), axis=1) / M
+               + np.sum(x.conj() * w, axis=1))
+        per_size.append(np.maximum(np.abs(xAx - tr), np.abs(xAw)))
     return _record("trace_lemma", M_values, per_size)
 
 
@@ -136,27 +166,28 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     """Normalized trace gap from a rank-1 update of a regularized matrix.
 
     The gap (1/M)|tr A[(U + I + q h h^H)^{-1} - (U + I)^{-1}]| decays like
-    1/M.  By Sherman-Morrison, with B = U + I and y = B^{-1} h, the gap is
-    q y^H A y / (M |1 + q h^H y|).  A = C C^H / M + I is never formed: its
-    factor C is drawn as _random_spd draws it, and y^H A y = ||C^H y||^2 / M
-    + ||y||^2.
+    1/M.  By Sherman-Morrison, with S = U + I and y = S^{-1} h, the gap is
+    q y^H A y / (M |1 + q h^H y|).  S is _random_spd's matrix, formed from
+    real products by _random_spd_from_parts.  A = C C^H / M + I is never
+    formed: its factor C is drawn as _random_spd draws it, and y^H A y =
+    ||C^H y||^2 / M + ||y||^2.
 
     A gap above the Rayleigh quotient of y over M, (y^H A y / ||y||^2) / M,
     raises FloatingPointError.  That bound is at most ||A||_2 / M, so every
     draw it passes also passes the ||A||_2 / M bound of the lemma.  In exact
     arithmetic the test reads q ||y||^2 <= |1 + q h^H y|, and h^H y =
-    y^H B y >= ||y||^2 leaves a margin of at least 1, so rounding cannot trip
+    y^H S y >= ||y||^2 leaves a margin of at least 1, so rounding cannot trip
     it; only a wrong solve or quadratic form can.
     """
     per_size = []
     for M in M_values:
         errs = np.empty(n_trials)
         for t in range(n_trials):
-            U = _random_spd(M, rng) - np.eye(M)  # nonnegative Hermitian
+            S = _random_spd_from_parts(M, rng)  # U + I
             C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
-            y = np.linalg.solve(U + np.eye(M), h)
+            y = np.linalg.solve(S, h)
             Chy = y.conj() @ C  # (C^H y)^*, the same norm as C^H y
             yy = np.vdot(y, y).real
             yAy = np.vdot(Chy, Chy).real / M + yy

@@ -42,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import synthesize_estimate
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .phase_noise import theta_vector
 from .precoding import precoders
 
-__all__ = ["PowerEstimate", "empirical_powers", "RejectionRateError",
-           "MAX_REJECTION_RATE"]
+__all__ = ["PowerEstimate", "empirical_powers", "check_draw_size",
+           "RejectionRateError", "MAX_REJECTION_RATE"]
 
 # A ZF run aborts if more than this fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
@@ -92,6 +92,15 @@ class PowerEstimate:
         grad = np.array([1.0 / den, -self.mean_sig_power / den ** 2])
         var = float(grad @ cov @ grad) / self.n_realizations
         return float(np.sqrt(max(var, 0.0)))
+
+
+def check_draw_size(config: SystemConfig) -> None:
+    """Raise ConfigError naming M when one realization's draws, the
+    (2, 2, K, M) float64 buffer of _simulate_block, are larger than numpy
+    can index."""
+    if 32 * config.K * config.M > np.iinfo(np.intp).max:
+        raise ConfigError(f"M: one realization's 4 K M Monte-Carlo draws exceed "
+                          f"numpy's array size, got M={config.M}, K={config.K}")
 
 
 def _simulate_block(config: SystemConfig, variants, start: int, stop: int):

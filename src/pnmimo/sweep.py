@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytics, rates
 from .config import SWEEP_AXES, ConfigError, SystemConfig
-from .linksim import empirical_powers
+from .linksim import check_draw_size, empirical_powers
 
 __all__ = ["COLUMNS", "SCHEMA_VERSION", "run_sweep", "run_preset",
            "rows_to_csv", "rows_to_jsonl", "list_presets", "PRESETS", "Preset"]
@@ -115,7 +115,10 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
 
     Rows are built first: scenario cells, closed form, resolved alpha and
     rates.  A nan or inf cell, such as a closed form that overflows, raises
-    FloatingPointError, before any Monte-Carlo work.  With with_empirical,
+    FloatingPointError, before any Monte-Carlo work.  After a point's closed
+    forms, a point whose draws numpy cannot index raises ConfigError
+    (linksim.check_draw_size), with or without with_empirical, so that
+    validate-config rejects what sweep rejects.  With with_empirical,
     the rows are then grouped by draw key, the scenario minus its noise
     handles (snr_db, sigma_w2), alpha and parallelism, with powers compared
     by value.  Monte-Carlo power averages do not depend on those fields, so
@@ -145,6 +148,7 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
                             sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
             rows.append(row)
             points.append((point, (kind, alpha)))
+        check_draw_size(point)
     if with_empirical:
         # draw key -> (first scenario with it, its (kind, alpha) pairs in order)
         groups: dict = {}

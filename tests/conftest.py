@@ -1,5 +1,6 @@
 import numpy as np
 from hypothesis import settings
+from scipy.linalg import blas, lapack
 
 from pnmimo.analytics import effective_quality
 
@@ -26,6 +27,32 @@ def sinr_mf_finite_k(config) -> float:
     psum = float(config.powers.sum())
     den = (psum - p_k) + config.sigma_w2 * psum
     return config.M * effective_quality(config) * p_k / den
+
+
+def empirical_resolvent_trace(M: int, K: int, alpha: float, rng: np.random.Generator,
+                              power: int = 1) -> float:
+    """(1/M) tr((H^H H / M + alpha I)^-power) for one K x M channel draw H.
+
+    H^H H / M has M - K zero eigenvalues and the K eigenvalues lam of the
+    Gram H H^H / M.  For power 1, sum 1/(lam + alpha) = ||U^-1||_F^2 with
+    U^H U = H H^H / M + alpha I, from scipy's zherk, zpotrf and ztrtri; for
+    power 2 the sum comes from eigvalsh.
+    """
+    H = np.sqrt(0.5 / M) * (rng.standard_normal((K, M))
+                            + 1j * rng.standard_normal((K, M)))
+    if power == 2:
+        lam = np.linalg.eigvalsh(H @ H.conj().T)
+        return float(((M - K) / alpha ** 2 + np.sum(1.0 / (lam + alpha) ** 2)) / M)
+    # H.T is Fortran-ordered, so herk reads it without a copy; trans=2 forms
+    # conj(H H^H), whose inverse has the same trace
+    G = blas.zherk(1.0, H.T, trans=2)  # upper triangle
+    G.flat[::K + 1] += alpha
+    U, info = lapack.zpotrf(G, overwrite_a=1)
+    assert info == 0, info
+    U_inv, info = lapack.ztrtri(U, overwrite_c=1)
+    assert info == 0, info
+    u = U_inv.ravel(order="K")  # Fortran-ordered: a view, not a copy
+    return float(((M - K) / alpha + np.vdot(u, u).real) / M)
 
 
 # The library's draw rules, written out one realization at a time: the

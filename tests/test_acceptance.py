@@ -23,7 +23,8 @@ from pnmimo.precoding import precoders
 from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import rows_to_csv, run_preset, run_sweep
 
-from conftest import acceptance_lines, draw_channel, simulate_wiener, sinr_mf_finite_k
+from conftest import (acceptance_lines, draw_channel, empirical_resolvent_trace,
+                      simulate_wiener, sinr_mf_finite_k)
 
 
 def _line(criterion: str, ok: bool, detail: str) -> None:
@@ -245,7 +246,9 @@ class TestCriterion6PhaseTraceSecondMoment:
                 acc = np.empty(n)
                 for lo in range(0, n, chunk):
                     phi = rng.normal(0.0, np.sqrt(tau * s2), (chunk, m_osc))
-                    acc[lo:lo + chunk] = np.abs(np.exp(1j * phi).mean(axis=1)) ** 2
+                    # |mean e^{j phi}|^2 from its real and imaginary parts
+                    acc[lo:lo + chunk] = (np.cos(phi).mean(axis=1) ** 2
+                                          + np.sin(phi).mean(axis=1) ** 2)
                 mc, se = acc.mean(), acc.std(ddof=1) / np.sqrt(n)
                 dev = abs(mc - formula)
                 ok = ok and dev <= 3.0 * se + 1e-12
@@ -257,14 +260,6 @@ class TestCriterion6PhaseTraceSecondMoment:
     def test_single_oscillator_exact(self):
         # |T_PN| = 1 identically when every antenna shares one oscillator
         assert t_pn_second_moment(1, 10, deg_to_var(6.0)) == pytest.approx(1.0)
-
-
-def _empirical_resolvent_trace(M, K, alpha, rng):
-    H = np.sqrt(0.5 / M) * (rng.standard_normal((K, M))
-                            + 1j * rng.standard_normal((K, M)))
-    lam = np.linalg.eigvalsh(H @ H.conj().T)
-    vals = np.concatenate([lam, np.zeros(M - K)])
-    return float(np.mean(1.0 / (vals + alpha)))
 
 
 _STIELTJES_PAIRS = ((0.01, 2.0), (0.1, 2.0), (1.0, 1.0),
@@ -282,8 +277,8 @@ class TestCriterion7StieltjesConcentration:
             errs = []
             for alpha, beta in _STIELTJES_PAIRS:
                 m = stieltjes_mp(alpha, beta)
-                tr = np.mean([_empirical_resolvent_trace(M, int(M / beta),
-                                                         alpha, rng)
+                tr = np.mean([empirical_resolvent_trace(M, int(M / beta),
+                                                        alpha, rng)
                               for _ in range(n_trials)])
                 rel = abs(tr - m) / m
                 errs.append(rel)

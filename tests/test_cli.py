@@ -77,6 +77,8 @@ INVALID_INPUTS = [
                  ("sweep.values:", "beta"), id="beta-values-1e308"),
     pytest.param("[system]\nK = 2\npowers = 1e308 1e308\n", ("powers:",),
                  id="powers-sum-1e308"),
+    pytest.param("[system]\nM = 1000000000000000000\nK = 10\nn_realizations = 2\n",
+                 ("M:",), id="M-1e18"),
 ]
 
 # Each scenario passes SystemConfig, but its RZF closed form overflows, turns
@@ -422,3 +424,26 @@ def test_generated_config_files_exit_0_2_or_3(data):
         with open(out, newline="") as fh:
             cells = [c for row in csv.reader(fh) for c in row]
         assert not {c.lower() for c in cells} & {"nan", "inf", "-inf"}
+
+
+# Toy scenarios whose tables must not depend on the worker count.
+# n_realizations >= 8 = 4 * 2, so parallelism 2 splits the draws over two
+# worker processes; parallelism 1 and 2 are the only values run.
+@st.composite
+def toy_scenarios(draw) -> SystemConfig:
+    M = draw(st.integers(2, 24))
+    return SystemConfig(M=M, K=draw(st.integers(1, M // 2)),
+                        M_osc=draw(st.sampled_from([d for d in range(1, M + 1)
+                                                    if M % d == 0])),
+                        q0=draw(st.sampled_from([0.5, 0.9, 1.0])),
+                        n_realizations=draw(st.integers(8, 16)),
+                        master_seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(toy_scenarios())
+@settings(max_examples=6, deadline=None)
+def test_tables_byte_identical_at_parallelism_1_and_2(cfg):
+    assert cfg.n_realizations >= 4 * 2
+    tables = [rows_to_csv(run_sweep(cfg.with_(parallelism=workers), "snr", [0.0, 10.0]))
+              for workers in (1, 2)]
+    assert tables[0] == tables[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
+                           _random_spd_from_parts,
                            block_phase_diag, check_free_probability_traces,
                            check_matrix_inversion_identity,
                            check_quadratic_form_identities,
@@ -9,10 +10,25 @@ from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
                            check_trace_lemma, convergence_to_csv)
 
 
-# Oracles: the dense M x M formulas of the three checks that the library
-# evaluates on the K x K and matrix-vector route.  Each consumes the same
-# draws in the same order as its check and returns the per-size (or
+# Oracles: the dense M x M formulas of the four checks that the library
+# evaluates on the K x K, factor and matrix-vector route.  Each consumes the
+# same draws in the same order as its check and returns the per-size (or
 # per-identity) medians.
+
+def trace_lemma_oracle(M_values, rng, n_trials):
+    medians = []
+    for M in M_values:
+        A = _random_spd(M, rng)
+        tr = np.trace(A).real / M
+        errs = []
+        for _ in range(n_trials):
+            x = _gaussian_vec(M, rng, 1.0 / M)
+            w = _gaussian_vec(M, rng, 1.0 / M)
+            errs.append(max(abs(np.real(x.conj() @ A @ x) - tr),
+                            abs(x.conj() @ A @ w)))
+        medians.append(np.median(errs))
+    return np.array(medians)
+
 
 def rank1_oracle(M_values, rng, n_trials, zeta=1.0):
     medians = []
@@ -87,6 +103,19 @@ def _same_draws_same_medians(check, oracle, seed):
 
 
 class TestOracles:
+    def test_trace_lemma_matches_dense_quadratic_forms(self):
+        _same_draws_same_medians(
+            lambda rng: check_trace_lemma([8, 32, 64], rng, n_trials=5).errors,
+            lambda rng: trace_lemma_oracle([8, 32, 64], rng, n_trials=5), seed=19)
+
+    def test_spd_from_real_parts_matches_complex_gram(self):
+        rng_parts, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
+        for M in (1, 7, 64):
+            S = _random_spd_from_parts(M, rng_parts)
+            assert np.array_equal(S, S.conj().T)
+            np.testing.assert_allclose(S, _random_spd(M, rng_ref), rtol=0.0, atol=1e-13)
+        assert rng_parts.bit_generator.state == rng_ref.bit_generator.state
+
     def test_rank1_matches_dense_trace_gap(self):
         _same_draws_same_medians(
             lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,

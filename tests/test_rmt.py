@@ -7,6 +7,8 @@ from pnmimo.config import SystemConfig
 from pnmimo.rmt import optimal_alpha, stieltjes_mp, stieltjes_mp_derivative
 from pnmimo.sweep import PRESETS
 
+from conftest import empirical_resolvent_trace
+
 
 def rzf_equivalents(alpha, beta, M, powers, k):
     """Hardening t, interference t2 of UE k, and normalization xi^2 of the RZF
@@ -43,14 +45,6 @@ def zf_configurations():
     return cfgs
 
 
-def empirical_trace(M, K, alpha, rng, power=1):
-    """(1/M) tr((H^H H / M + alpha I)^-power) via the K nonzero eigenvalues."""
-    H = np.sqrt(0.5 / M) * (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M)))
-    lam = np.linalg.eigvalsh(H @ H.conj().T)  # nonzero spectrum of H^H H / M... scaled below
-    vals = np.concatenate([lam, np.zeros(M - K)])
-    return float(np.mean(1.0 / (vals + alpha) ** power))
-
-
 class TestStieltjes:
     def test_beta1_alpha1_golden_ratio(self):
         assert stieltjes_mp(1.0, 1.0) == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
@@ -64,7 +58,7 @@ class TestStieltjes:
 
     def test_matches_empirical_trace(self):
         rng = np.random.default_rng(0)
-        vals = [empirical_trace(1024, 1024, 1.0, rng) for _ in range(3)]
+        vals = [empirical_resolvent_trace(1024, 1024, 1.0, rng) for _ in range(3)]
         assert np.mean(vals) == pytest.approx(stieltjes_mp(1.0, 1.0), rel=0.02)
 
     def test_quadratic_fixed_point(self):
@@ -88,7 +82,7 @@ class TestStieltjes:
         rng = np.random.default_rng(3)
         errs = []
         for M in (512, 1024, 2048):
-            devs = [abs(empirical_trace(M, M // 2, 0.5, rng) - stieltjes_mp(0.5, 2.0))
+            devs = [abs(empirical_resolvent_trace(M, M // 2, 0.5, rng) - stieltjes_mp(0.5, 2.0))
                     for _ in range(32)]
             errs.append(np.median(devs))
         for a, b in zip(errs, errs[1:]):
@@ -113,7 +107,7 @@ class TestDerivative:
 
     def test_matches_empirical_squared_trace(self):
         rng = np.random.default_rng(1)
-        vals = [empirical_trace(1024, 1024, 1.0, rng, power=2) for _ in range(3)]
+        vals = [empirical_resolvent_trace(1024, 1024, 1.0, rng, power=2) for _ in range(3)]
         assert np.mean(vals) == pytest.approx(stieltjes_mp_derivative(1.0, 1.0), rel=0.03)
 
     @given(st.floats(0.01, 100), st.floats(1.0, 50.0))
