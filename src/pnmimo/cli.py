@@ -11,6 +11,7 @@ import errno
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def _cmd_sweep(args) -> int:
     config, axis, values = load_config(args.config)
     if axis is None:
         raise ConfigError("config: a [sweep] section is required by the sweep command")
-    config = config.with_(**_overrides(args))
+    config = replace(config, **_overrides(args))
     started = time.perf_counter()
     rows = run_sweep(config, axis, values)
     _emit(rows, args, started)
@@ -148,6 +149,12 @@ def _cmd_lemmas(args) -> int:
                           f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
+    # the bytes of the M x M factors and of the trace lemma's (x, w) pairs at
+    # the largest size M, counted as linksim.check_draw_size counts them
+    for name, nbytes in (("sizes", 16 * top * top), ("trials", 32 * args.trials * top)):
+        if nbytes > np.iinfo(np.intp).max:
+            raise ConfigError(f"{name}: a draw buffer at M={top} exceeds numpy's "
+                              f"array size, got {name} = {getattr(args, name)}")
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

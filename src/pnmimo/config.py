@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,10 @@ class SystemConfig:
     error.  An unset alpha's optimum must be finite and > 0: it divides by
     q0^2 E|T_PN|^2, so q0 = 0 or an underflowing q0^2 needs an explicit alpha.
 
-    Two derived values are kept on the instance: e_tpn2 = E|T_PN|^2 and
-    rzf_alpha, the configured alpha or, when alpha is None, its optimum.
+    The derived values are computed once, here, as plain attributes: beta =
+    M/K, sigma_w2, the BS and UE phase increment variances sigma2_bs and
+    sigma2_ue (rad^2 per symbol), p_k, p_sum, e_tpn2 = E|T_PN|^2, q_eff =
+    q0 * e_tpn2 and rzf_alpha, the configured alpha or else its optimum.
     """
 
     M: int = 50
@@ -89,40 +91,41 @@ class SystemConfig:
         if (self.snr_db is None) == (self.sigma_w2_value is None):
             raise ConfigError("snr_db/sigma_w2: set exactly one noise handle")
         with np.errstate(over="ignore"):  # an overflow is the inf rejected here
-            for name in ("sigma_deg_bs", "sigma_deg_ue"):
+            sigma2_bs, sigma2_ue = map(deg_to_var, (self.sigma_deg_bs, self.sigma_deg_ue))
+            for name, var in (("sigma_deg_bs", sigma2_bs), ("sigma_deg_ue", sigma2_ue)):
                 deg = getattr(self, name)
-                if deg < 0 or not math.isfinite(self.tau * deg_to_var(deg)):
+                if deg < 0 or not math.isfinite(self.tau * var):
                     raise ConfigError(f"{name}: need >= 0 and tau * sigma^2 < inf, got {deg}")
             if p.shape != (self.K,):
                 raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
-            if not np.all(np.isfinite(p)) or np.any(p < 0) or not 0 < p.sum() < math.inf:
+            if (not np.all(np.isfinite(p)) or np.any(p < 0)
+                    or not 0 < (p_sum := float(p.sum())) < math.inf):
                 raise ConfigError("powers: need entries >= 0 with a finite positive sum")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha: must be > 0, got {self.alpha}")
         if not 0 <= self.ue_index < self.K:
             raise ConfigError(f"ue_index: out of range for K={self.K}")
+        p_k = float(p[self.ue_index])
         try:
-            noise_ok = 0.0 < self.sigma_w2 < math.inf
+            sigma_w2 = (self.sigma_w2_value if self.snr_db is None
+                        else p_k / 10.0 ** (self.snr_db / 10.0))
         except ArithmeticError:  # 10^(snr_db/10) overflows, or underflows to 0
-            noise_ok = False
-        if not noise_ok:
+            sigma_w2 = math.nan
+        if not 0.0 < sigma_w2 < math.inf:
             handle = (f"sigma_w2 = {self.sigma_w2_value}" if self.snr_db is None
                       else f"snr_db = {self.snr_db}")
             raise ConfigError(f"sigma_w2: the noise variance must be finite and > 0, "
                               f"got {handle}")
-        e_tpn2 = t_pn_second_moment(self.M_osc, self.tau, self.sigma2_bs)
+        beta = self.M / self.K
+        e_tpn2 = t_pn_second_moment(self.M_osc, self.tau, sigma2_bs)
         alpha = self.alpha
         if alpha is None:
             try:
-                alpha = optimal_alpha(self.q0, e_tpn2, self.sigma_w2, self.beta)
+                alpha = optimal_alpha(self.q0, e_tpn2, sigma_w2, beta)
             except ArithmeticError:  # q0^2 E|T_PN|^2 underflows to 0
                 alpha = math.nan
             if not 0.0 < alpha < math.inf:
                 raise ConfigError(f"q0: optimal alpha is {alpha}; set an explicit alpha")
-        # derived once, for analytics; plain attributes, not fields, so
-        # equality, replace() and the Monte-Carlo draw key ignore them
-        object.__setattr__(self, "e_tpn2", e_tpn2)
-        object.__setattr__(self, "rzf_alpha", alpha)
         if self.n_realizations < 2:
             raise ConfigError(f"n_realizations: must be >= 2 for a standard error, "
                               f"got {self.n_realizations}")
@@ -130,29 +133,13 @@ class SystemConfig:
             raise ConfigError(f"parallelism: must be >= 1, got {self.parallelism}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
-
-    @property
-    def beta(self) -> float:
-        return self.M / self.K
-
-    @property
-    def sigma_w2(self) -> float:
-        if self.sigma_w2_value is not None:
-            return self.sigma_w2_value
-        return float(self.powers[self.ue_index]) / 10.0 ** (self.snr_db / 10.0)
-
-    @property
-    def sigma2_bs(self) -> float:
-        """BS phase increment variance, rad^2 per symbol."""
-        return deg_to_var(self.sigma_deg_bs)
-
-    @property
-    def sigma2_ue(self) -> float:
-        """UE phase increment variance, rad^2 per symbol."""
-        return deg_to_var(self.sigma_deg_ue)
-
-    def with_(self, **changes) -> "SystemConfig":
-        return replace(self, **changes)
+        # plain attributes, not fields, so equality, replace() and the
+        # Monte-Carlo draw key ignore them
+        for name, value in (("beta", beta), ("sigma_w2", sigma_w2),
+                            ("sigma2_bs", sigma2_bs), ("sigma2_ue", sigma2_ue),
+                            ("p_k", p_k), ("p_sum", p_sum), ("e_tpn2", e_tpn2),
+                            ("q_eff", self.q0 * e_tpn2), ("rzf_alpha", alpha)):
+            object.__setattr__(self, name, value)
 
 
 _INT_KEYS = {"M", "K", "M_osc", "tau", "T_c", "ue_index", "n_realizations",

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phase_noise import theta_vector
+
 __all__ = ["ConvergenceRecord", "check_matrix_inversion_identity",
            "check_resolvent_identity", "check_trace_lemma",
            "check_rank1_perturbation", "check_free_probability_traces",
-           "check_quadratic_form_identities", "block_phase_diag",
-           "convergence_to_csv"]
+           "check_quadratic_form_identities", "convergence_to_csv"]
 
 
 @dataclass
@@ -58,18 +59,11 @@ def _gaussian_vec(M, rng, scale):
 
 
 def _random_spd(M, rng):
-    B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
-    S = B @ B.conj().T
-    S /= M
-    S.flat[::M + 1] += 1.0
-    return S
-
-
-def _random_spd_from_parts(M, rng):
-    """_random_spd's matrix B B^H / M + I from the same draws, without the
-    complex product: with B = (Zr + j Zi) / sqrt(2), the real part is
-    (Zr Zr^T + Zi Zi^T) / (2M) + I and the imaginary part (Y - Y^T) / (2M),
-    Y = Zi Zr^T.  It agrees with _random_spd to rounding."""
+    """B B^H / M + I for B = (Zr + j Zi) / sqrt(2), Zr and Zi the two halves
+    of one (2, M, M) standard normal draw, without the complex product: the
+    real part is (Zr Zr^T + Zi Zi^T) / (2M) + I and the imaginary part
+    (Y - Y^T) / (2M), Y = Zi Zr^T.  It uses the stream as
+    _gaussian_vec(M * M, rng, 1.0) does."""
     Zr, Zi = rng.standard_normal((2, M, M))
     G = Zr @ Zr.T  # X @ X.T takes BLAS's symmetric product
     G += Zi @ Zi.T
@@ -83,18 +77,14 @@ def _random_spd_from_parts(M, rng):
     return S
 
 
-def _wishart_resolvent(lam, F, a, Z):
+def _wishart_resolvent(lam, W, H, a, Z):
     """(H^H H / M + a I)^{-1} Z from the eigenpairs (lam, W) of the K x K
-    Gram H H^H / M, with F = W^H H: the inverse is I / a except on the K
-    directions that the rows of F span."""
-    M = F.shape[1]
-    return Z / a - F.conj().T @ ((F @ Z) / (M * a * (lam + a))[:, None])
-
-
-def block_phase_diag(M: int, M_osc: int, rng: np.random.Generator) -> np.ndarray:
-    """Diagonal of a unitary block-constant phase matrix (M_osc blocks)."""
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=M_osc)
-    return np.exp(1j * np.repeat(phases, M // M_osc))
+    Gram H H^H / M: the inverse is I / a except on the K directions that the
+    rows of W^H H span.  W^H H is never formed; Z's few columns meet H and W
+    one product at a time."""
+    M = H.shape[1]
+    Y = np.conj(W.T @ np.conj(H @ Z)) / (M * a * (lam + a))[:, None]  # W^H H Z, scaled
+    return Z / a - np.conj(H.T @ np.conj(W @ Y))  # H^H W Y
 
 
 def check_matrix_inversion_identity(M: int, rng: np.random.Generator,
@@ -167,10 +157,9 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
 
     The gap (1/M)|tr A[(U + I + q h h^H)^{-1} - (U + I)^{-1}]| decays like
     1/M.  By Sherman-Morrison, with S = U + I and y = S^{-1} h, the gap is
-    q y^H A y / (M |1 + q h^H y|).  S is _random_spd's matrix, formed from
-    real products by _random_spd_from_parts.  A = C C^H / M + I is never
-    formed: its factor C is drawn as _random_spd draws it, and y^H A y =
-    ||C^H y||^2 / M + ||y||^2.
+    q y^H A y / (M |1 + q h^H y|), S from _random_spd.  A = C C^H / M + I is
+    never formed: its factor C is drawn as _random_spd draws it, and
+    y^H A y = ||C^H y||^2 / M + ||y||^2.
 
     A gap above the Rayleigh quotient of y over M, (y^H A y / ||y||^2) / M,
     raises FloatingPointError.  That bound is at most ||A||_2 / M, so every
@@ -183,7 +172,7 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     for M in M_values:
         errs = np.empty(n_trials)
         for t in range(n_trials):
-            S = _random_spd_from_parts(M, rng)  # U + I
+            S = _random_spd(M, rng)  # U + I
             C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
@@ -217,7 +206,7 @@ def check_free_probability_traces(M_values, rng: np.random.Generator,
             H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
             S = H @ H.conj().T + 0.5 * M * np.eye(K)
             u = 2.0 - 2.0 * np.sum(H.conj() * np.linalg.solve(S, H), axis=0)
-            v = block_phase_diag(M, M, rng)
+            v = theta_vector(0.0, rng.uniform(0.0, 2.0 * np.pi, M), M)
             errs[t] = abs(u @ v / M - u.mean() * v.mean())
         per_size.append(errs)
     return _record("free_probability_traces", M_values, per_size)
@@ -247,9 +236,8 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
         H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
         x = _gaussian_vec(M, rng, 1.0 / M)
         w = _gaussian_vec(M, rng, 1.0 / M)
-        n = block_phase_diag(M, M_osc, rng)
+        n = theta_vector(0.0, rng.uniform(0.0, 2.0 * np.pi, M_osc), M)
         lam, W = np.linalg.eigh(H @ H.conj().T / M)
-        F = W.conj().T @ H
         t1 = ((M - K) / alpha + np.sum(1.0 / (lam + alpha))) / M
         t2 = ((M - K) / (2.0 * alpha ** 2)
               + np.sum(1.0 / ((lam + alpha) * (lam + 2.0 * alpha)))) / M
@@ -258,10 +246,10 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
         # so V N^H x is one Sherman-Morrison step from A^{-1}
         v = np.sqrt(q0) * x + np.sqrt(q1) * w
         nhx = np.conj(n) * x
-        Ai_nhx, Ai_v = _wishart_resolvent(lam, F, alpha, np.stack([nhx, v], 1)).T
+        Ai_nhx, Ai_v = _wishart_resolvent(lam, W, H, alpha, np.stack([nhx, v], 1)).T
         VNhx = Ai_nhx - Ai_v * (v.conj() @ Ai_nhx) / (1.0 + v.conj() @ Ai_v)
         # U is Hermitian: z^H U V N^H x = (U z)^H V N^H x
-        forms = _wishart_resolvent(lam, F, 2.0 * alpha,
+        forms = _wishart_resolvent(lam, W, H, 2.0 * alpha,
                                    np.stack([nhx, x, w], 1)).conj().T @ VNhx
         targets = np.array([t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1),
                             t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn),

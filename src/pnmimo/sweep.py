@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
     else:
         raise ConfigError(f"sweep_axis: must be one of {SWEEP_AXES}, got {axis!r}")
     try:
-        return config.with_(**changes)
+        return replace(config, **changes)
     except ConfigError as exc:
         raise ConfigError(f"sweep.values: {axis} = {value:g} gives an invalid "
                           f"scenario: {exc}") from None
@@ -86,8 +86,7 @@ def _set_finite(row: dict, **cells) -> None:
 
 def _analytic(config: SystemConfig, kind: str):
     if kind == "rzf":
-        alpha = analytics.resolve_alpha(config)
-        return analytics.sinr_rzf(config, alpha), alpha
+        return analytics.sinr_rzf(config, config.rzf_alpha), config.rzf_alpha
     if kind == "zf":
         return analytics.sinr_zf(config), None
     if kind == "mf":

@@ -6,6 +6,8 @@ forms provably cannot meet are asserted faithfully and marked
 xfail(strict=True); their recorded line says FAIL (expected).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,8 @@ class TestCriterion1MonteCarloAgreement:
         worst = {"rzf": 0.0, "zf": 0.0, "mf": 0.0}
         for m_osc in _MOSCS:
             base = SystemConfig(M_osc=m_osc, snr_db=10.0, **_VERIFY)
-            cfgs = [base.with_(snr_db=snr) for snr in _SNRS_DB]
-            alphas = [analytics.resolve_alpha(cfg) for cfg in cfgs]
+            cfgs = [replace(base, snr_db=snr) for snr in _SNRS_DB]
+            alphas = [cfg.rzf_alpha for cfg in cfgs]
             # power averages are noise-free: one draw set serves every SNR's
             # optimal RZF, ZF and MF
             *rzf, zf, mf = empirical_powers(
@@ -75,7 +77,7 @@ class TestCriterion1MonteCarloAgreement:
         cfg0 = SystemConfig(M_osc=5, snr_db=10.0, **_VERIFY)
         est, = empirical_powers(cfg0, [("mf", None)])
         for snr in _SNRS_DB:
-            cfg = cfg0.with_(snr_db=snr)
+            cfg = replace(cfg0, snr_db=snr)
             pred = analytics.sinr_mf(cfg)
             rel = abs(est.sinr_at(cfg.sigma_w2) - pred) / pred
             worst = max(worst, rel)
@@ -91,7 +93,7 @@ class TestCriterion1MonteCarloAgreement:
         s2 = base.sigma_w2
         sinrs, errors = [], []
         for seed in range(200):
-            ests = empirical_powers(base.with_(master_seed=seed), variants)
+            ests = empirical_powers(replace(base, master_seed=seed), variants)
             sinrs.append([e.sinr_at(s2) for e in ests])
             errors.append([e.std_error_at(s2) for e in ests])
         ratio = np.std(sinrs, axis=0, ddof=1) / np.mean(errors, axis=0)
@@ -114,7 +116,7 @@ class TestCriterion2RegularizationFormula:
                 cfg = SystemConfig(M=200, K=40, M_osc=m_osc, q0=0.9,
                                    sigma_deg_bs=6.0, sigma_deg_ue=6.0,
                                    tau=10, T_c=100, snr_db=snr)
-                formula = analytics.resolve_alpha(cfg)
+                formula = cfg.rzf_alpha
                 sinrs = [analytics.sinr_rzf(cfg, a) for a in grid]
                 best = grid[int(np.argmax(sinrs))]
                 worst = max(worst, abs(best - formula))
@@ -364,7 +366,7 @@ class TestCriterion10Determinism:
                            tau=10, T_c=100, n_realizations=200)
         texts = []
         for workers in (1, 4, 16, 1):  # trailing 1 doubles as the rerun check
-            rows = run_sweep(cfg.with_(parallelism=workers), "snr",
+            rows = run_sweep(replace(cfg, parallelism=workers), "snr",
                              [0.0, 10.0])
             texts.append(rows_to_csv(rows).encode())
         ok = all(t == texts[0] for t in texts[1:])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo.analytics import (effective_quality, resolve_alpha, sinr_mf,
-                              sinr_rzf, sinr_zf)
+from pnmimo.analytics import sinr_mf, sinr_rzf, sinr_zf
 from pnmimo.config import SystemConfig
 from pnmimo.phase_noise import t_pn_second_moment
 
@@ -23,21 +22,21 @@ def _e_tpn2(cfg):
 
 class TestEffectiveQuality:
     def test_no_phase_noise_keeps_q0(self):
-        assert effective_quality(_cfg(sigma_deg_bs=0.0)) == pytest.approx(0.9)
+        assert _cfg(sigma_deg_bs=0.0).q_eff == pytest.approx(0.9)
 
     def test_degrades_with_oscillator_count(self):
-        vals = [effective_quality(_cfg(M_osc=m)) for m in (1, 2, 5, 10, 25, 50)]
+        vals = [_cfg(M_osc=m).q_eff for m in (1, 2, 5, 10, 25, 50)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestResolveAlpha:
     def test_optimal_mode(self):
         cfg = _cfg(q0=1.0, sigma_deg_bs=0.0, snr_db=None, sigma_w2_value=0.1)
-        assert resolve_alpha(cfg) == pytest.approx(0.1 / 5.0)
+        assert cfg.rzf_alpha == pytest.approx(0.1 / 5.0)
 
     def test_fixed_mode(self):
         cfg = _cfg(alpha=0.25)
-        assert resolve_alpha(cfg) == 0.25
+        assert cfg.rzf_alpha == 0.25
 
 
 class TestRzf:
@@ -77,8 +76,7 @@ class TestRzf:
         for m_osc in (1, 5, 50):
             for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):
                 cfg = _cfg(M_osc=m_osc, snr_db=snr)
-                a = resolve_alpha(cfg)
-                r = sinr_rzf(cfg, a)
+                r = sinr_rzf(cfg, cfg.rzf_alpha)
                 assert r >= sinr_zf(cfg) * (1 - 1e-3)
                 assert r >= sinr_mf(cfg)
 
@@ -89,7 +87,7 @@ class TestRzf:
         for m_osc in (1, 5, 50):
             for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):
                 cfg = _cfg(M_osc=m_osc, snr_db=snr)
-                r = sinr_rzf(cfg, resolve_alpha(cfg))
+                r = sinr_rzf(cfg, cfg.rzf_alpha)
                 assert r >= sinr_zf(cfg) * (1 - 1e-12)
                 assert r >= sinr_mf(cfg) * (1 - 1e-12)
 
@@ -162,7 +160,7 @@ class TestOscillatorCountProperty:
         cfgs = [SystemConfig(M=M, K=K, M_osc=m, q0=q0, sigma_deg_bs=sigma_deg,
                              sigma_deg_ue=sigma_deg, tau=tau, snr_db=snr)
                 for m in range(1, M + 1) if M % m == 0]
-        curves = [[sinr_rzf(c, resolve_alpha(c)) for c in cfgs],
+        curves = [[sinr_rzf(c, c.rzf_alpha) for c in cfgs],
                   [sinr_mf(c) for c in cfgs]]
         if M > K:
             curves.append([sinr_zf(c) for c in cfgs])

@@ -3,6 +3,7 @@ import json
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,9 @@ INVALID_INPUTS = [
                  id="powers-sum-1e308"),
     pytest.param("[system]\nM = 1000000000000000000\nK = 10\nn_realizations = 2\n",
                  ("M:",), id="M-1e18"),
+    pytest.param(["lemmas", "--sizes", "64,10000000000"], ("sizes:",), id="sizes-1e10"),
+    pytest.param(["lemmas", "--sizes", "8,16", "--trials", "1000000000000000000"],
+                 ("trials:",), id="trials-1e18"),
 ]
 
 # Each scenario passes SystemConfig, but its RZF closed form overflows, turns
@@ -144,7 +148,7 @@ class TestRunSweep:
                          with_empirical=False)
         assert (rows[0]["M"], rows[0]["M_osc"]) == (33, 33)
         with pytest.raises(ConfigError, match="sweep.values.*M_osc"):
-            run_sweep(distributed.with_(M_osc=5), "beta", [3.3], precoders=("mf",),
+            run_sweep(replace(distributed, M_osc=5), "beta", [3.3], precoders=("mf",),
                       with_empirical=False)
 
     def test_analytic_only_mode(self):
@@ -174,14 +178,14 @@ class TestSharedDraws:
         dict(alpha=0.2), dict(parallelism=2)])
     def test_noise_alpha_and_workers_share_a_draw_key(self, change):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
-        assert _draw_key(cfg.with_(**change)) == _draw_key(cfg)
+        assert _draw_key(replace(cfg, **change)) == _draw_key(cfg)
 
     @pytest.mark.parametrize("change", [
         dict(ue_index=1), dict(powers=[0.4, 0.3, 0.2, 0.1]), dict(master_seed=7),
         dict(n_realizations=100), dict(M_osc=4), dict(q0=0.8), dict(tau=5)])
     def test_drawn_fields_split_the_draw_key(self, change):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
-        assert _draw_key(cfg.with_(**change)) != _draw_key(cfg)
+        assert _draw_key(replace(cfg, **change)) != _draw_key(cfg)
 
 
 class TestPresets:
@@ -444,6 +448,6 @@ def toy_scenarios(draw) -> SystemConfig:
 @settings(max_examples=6, deadline=None)
 def test_tables_byte_identical_at_parallelism_1_and_2(cfg):
     assert cfg.n_realizations >= 4 * 2
-    tables = [rows_to_csv(run_sweep(cfg.with_(parallelism=workers), "snr", [0.0, 10.0]))
+    tables = [rows_to_csv(run_sweep(replace(cfg, parallelism=workers), "snr", [0.0, 10.0]))
               for workers in (1, 2)]
     assert tables[0] == tables[1]

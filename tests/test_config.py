@@ -1,7 +1,8 @@
+import copy
 import math
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnmimo import config
-from pnmimo.analytics import resolve_alpha
 from pnmimo.config import ConfigError, SystemConfig, load_config
-from pnmimo.sweep import PRECODERS, run_sweep
+from pnmimo.phase_noise import deg_to_var, t_pn_second_moment
+from pnmimo.rmt import optimal_alpha
+from pnmimo.sweep import PRECODERS, _draw_key, run_sweep
 
 
 class TestValidation:
@@ -80,13 +82,14 @@ class TestValidation:
         assert np.array_equal(cfg.powers, p)
 
     def test_with_override(self):
-        cfg = SystemConfig().with_(M_osc=5)
+        cfg = replace(SystemConfig(), M_osc=5)
         assert cfg.M_osc == 5
+        assert cfg.e_tpn2 == t_pn_second_moment(5, cfg.tau, cfg.sigma2_bs)
 
     def test_powers_are_a_read_only_copy(self):
         p = np.full(10, 0.1)
         cfg = SystemConfig(powers=p)
-        for c in (cfg, cfg.with_(M_osc=5), SystemConfig()):
+        for c in (cfg, replace(cfg, M_osc=5), SystemConfig()):
             with pytest.raises(ValueError, match="read-only"):
                 c.powers[0] = 5.0
         p[0] = 5.0  # the caller's array stays writable and is not shared
@@ -203,6 +206,36 @@ def config_kwargs(draw):
     return kw
 
 
+def _derived_oracle(cfg) -> dict:
+    """The derived values from their defining formulas, each written out on
+    its own, as SystemConfig's properties once computed them on access."""
+    sigma_w2 = (cfg.sigma_w2_value if cfg.sigma_w2_value is not None
+                else float(cfg.powers[cfg.ue_index]) / 10.0 ** (cfg.snr_db / 10.0))
+    beta = cfg.M / cfg.K
+    e_tpn2 = t_pn_second_moment(cfg.M_osc, cfg.tau, deg_to_var(cfg.sigma_deg_bs))
+    return dict(beta=beta, sigma_w2=sigma_w2,
+                sigma2_bs=deg_to_var(cfg.sigma_deg_bs),
+                sigma2_ue=deg_to_var(cfg.sigma_deg_ue),
+                p_k=float(cfg.powers[cfg.ue_index]), p_sum=float(cfg.powers.sum()),
+                e_tpn2=e_tpn2, q_eff=cfg.q0 * e_tpn2,
+                rzf_alpha=(cfg.alpha if cfg.alpha is not None
+                           else optimal_alpha(cfg.q0, e_tpn2, sigma_w2, beta)))
+
+
+def _check_derived(cfg) -> None:
+    """Each derived attribute equals its formula, bit for bit; none is a
+    field, so equality, replace() and the draw key ignore them."""
+    derived = _derived_oracle(cfg)
+    assert {name: getattr(cfg, name) for name in derived} == derived
+    assert not set(derived) & {f.name for f in fields(cfg)}
+    twin = copy.copy(cfg)  # the same field values, the powers array included
+    for name in derived:
+        object.__setattr__(twin, name, -1.0)  # a wrong value must go unnoticed
+    assert twin == cfg
+    assert _draw_key(twin) == _draw_key(cfg)
+    assert {name: getattr(replace(twin), name) for name in derived} == derived
+
+
 class TestDomain:
     @given(config_kwargs())
     @settings(max_examples=500, deadline=None)
@@ -215,9 +248,10 @@ class TestDomain:
                 head = str(exc).split(":")[0]
                 assert set(head.split("/")) <= _FIELDS, str(exc)
                 return
+            _check_derived(cfg)
             # the preconditions the rmt, precoding and rates modules no longer check
             assert cfg.beta >= 1
-            assert 0.0 < resolve_alpha(cfg) < math.inf
+            assert 0.0 < cfg.rzf_alpha < math.inf
             assert math.isfinite(cfg.tau * cfg.sigma2_bs)
             assert math.isfinite(cfg.tau * cfg.sigma2_ue)
             precoders = PRECODERS if cfg.beta > 1 else ("rzf", "mf")

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
-                           _random_spd_from_parts,
-                           block_phase_diag, check_free_probability_traces,
+                           check_free_probability_traces,
                            check_matrix_inversion_identity,
                            check_quadratic_form_identities,
                            check_rank1_perturbation, check_resolvent_identity,
                            check_trace_lemma, convergence_to_csv)
+from pnmimo.phase_noise import theta_vector
 
 
 # Oracles: the dense M x M formulas of the four checks that the library
@@ -15,10 +15,25 @@ from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
 # same draws in the same order as its check and returns the per-size (or
 # per-identity) medians.
 
+def complex_gram_spd(M, rng):
+    """B B^H / M + I from the complex factor B, which _random_spd builds from
+    B's real and imaginary parts."""
+    B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+    S = B @ B.conj().T
+    S /= M
+    S.flat[::M + 1] += 1.0
+    return S
+
+
+def block_phases(M, M_osc, rng):
+    """A unitary diagonal with M_osc blocks of equal phase, uniform on [0, 2 pi)."""
+    return np.exp(1j * np.repeat(rng.uniform(0.0, 2.0 * np.pi, M_osc), M // M_osc))
+
+
 def trace_lemma_oracle(M_values, rng, n_trials):
     medians = []
     for M in M_values:
-        A = _random_spd(M, rng)
+        A = complex_gram_spd(M, rng)
         tr = np.trace(A).real / M
         errs = []
         for _ in range(n_trials):
@@ -35,8 +50,8 @@ def rank1_oracle(M_values, rng, n_trials, zeta=1.0):
     for M in M_values:
         errs = []
         for _ in range(n_trials):
-            U = _random_spd(M, rng) - np.eye(M)
-            A = _random_spd(M, rng)
+            U = complex_gram_spd(M, rng) - np.eye(M)
+            A = complex_gram_spd(M, rng)
             h = _gaussian_vec(M, rng, 1.0)
             q = abs(float(rng.normal())) + 0.1
             base = U + zeta * np.eye(M)
@@ -57,7 +72,7 @@ def free_probability_oracle(M_values, rng, n_trials):
         for _ in range(n_trials):
             H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
             U = np.linalg.inv(H.conj().T @ H / M + 0.5 * np.eye(M))
-            v = block_phase_diag(M, M, rng)
+            v = block_phases(M, M, rng)
             tr_uv = np.trace(U * v[None, :]).item() / M  # U @ diag(v) trace
             errs.append(abs(tr_uv - (np.trace(U) / M) * v.mean()))
         medians.append(np.median(errs))
@@ -76,7 +91,7 @@ def quadratic_form_oracle(M, q0, rng, n_trials, M_osc, alpha=0.5):
         U = np.linalg.inv(H.conj().T @ H / M + 2.0 * alpha * np.eye(M))
         x = _gaussian_vec(M, rng, 1.0 / M)
         w = _gaussian_vec(M, rng, 1.0 / M)
-        n = block_phase_diag(M, M_osc, rng)
+        n = block_phases(M, M_osc, rng)
         t1 = (np.trace(Ainv) / M).real
         t2 = (np.trace(U @ Ainv) / M).real
         trn = n.mean()
@@ -111,9 +126,9 @@ class TestOracles:
     def test_spd_from_real_parts_matches_complex_gram(self):
         rng_parts, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
         for M in (1, 7, 64):
-            S = _random_spd_from_parts(M, rng_parts)
+            S = _random_spd(M, rng_parts)
             assert np.array_equal(S, S.conj().T)
-            np.testing.assert_allclose(S, _random_spd(M, rng_ref), rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(S, complex_gram_spd(M, rng_ref), rtol=0.0, atol=1e-13)
         assert rng_parts.bit_generator.state == rng_ref.bit_generator.state
 
     def test_rank1_matches_dense_trace_gap(self):
@@ -180,7 +195,10 @@ class TestConvergenceRecord:
 
 class TestBlockPhase:
     def test_unit_modulus_and_block_structure(self):
-        v = block_phase_diag(12, 3, np.random.default_rng(4))
+        # the checks' phase diagonal: theta_vector at zero UE phase gives the
+        # block_phases oracle's bits from the same draws
+        v = theta_vector(0.0, np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 3), 12)
+        assert np.array_equal(v, block_phases(12, 3, np.random.default_rng(4)))
         assert np.allclose(np.abs(v), 1.0)
         assert np.allclose(v[:4], v[0])
         assert np.allclose(v[4:8], v[4])

@@ -1,4 +1,5 @@
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestEmpiricalSinr:
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=50,
                            parallelism=workers)
         variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
-        ref = empirical_powers(cfg.with_(parallelism=1), variants)
+        ref = empirical_powers(replace(cfg, parallelism=1), variants)
         monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
         for est, r in zip(empirical_powers(cfg, variants), ref):
             assert np.array_equal(est.sig_powers, r.sig_powers)
@@ -193,14 +194,14 @@ class TestEmpiricalSinr:
         est, = empirical_powers(cfg, [("rzf", 0.1)])
         assert pools == [cores or 1]
         assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
-        ref, = empirical_powers(cfg.with_(parallelism=1), [("rzf", 0.1)])
+        ref, = empirical_powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
         assert np.array_equal(est.sig_powers, ref.sig_powers)
         assert np.array_equal(est.int_powers, ref.int_powers)
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
         serial, = empirical_powers(cfg, [("mf", None)])
-        parallel, = empirical_powers(cfg.with_(parallelism=4), [("mf", None)])
+        parallel, = empirical_powers(replace(cfg, parallelism=4), [("mf", None)])
         assert np.array_equal(serial.sig_powers, parallel.sig_powers)
         assert np.array_equal(serial.int_powers, parallel.int_powers)
 
@@ -342,4 +343,4 @@ class TestSharedDraws:
             assert np.array_equal(est.int_powers, expected[1])
         # one rejection in 64 draws is over the 1e-3 cap for the ZF pair
         with pytest.raises(RejectionRateError):
-            empirical_powers(cfg.with_(n_realizations=64), self.VARIANTS)
+            empirical_powers(replace(cfg, n_realizations=64), self.VARIANTS)

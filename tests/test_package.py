@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -16,6 +17,19 @@ MODULES = ["pnmimo"] + sorted(f"pnmimo.{m.name}" for m in pkgutil.iter_modules(p
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_traced_modules_import():
+    # perfbench/tracer.py imports each pnmimo module named in its TRACED dict,
+    # so a removed or renamed module would break traced benchmark runs; the
+    # dict is read with ast, without importing perfbench
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "tracer.py").read_text())
+    traced, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and getattr(node.targets[0], "id", None) == "TRACED"]
+    names = ast.literal_eval(traced)
+    assert "lemmas" in names
+    for name in names:
+        importlib.import_module(f"pnmimo.{name}")
 
 
 def test_simulation_runs_without_scipy(tmp_path):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo.analytics import effective_quality, sinr_rzf, sinr_zf
+from pnmimo.analytics import sinr_rzf, sinr_zf
 from pnmimo.config import SystemConfig
 from pnmimo.rmt import optimal_alpha, stieltjes_mp, stieltjes_mp_derivative
 from pnmimo.sweep import PRESETS
@@ -158,7 +160,7 @@ class TestNormalizationAndInterference:
     def test_single_ue_no_interference(self):
         # with one UE only the noise term is left in either denominator
         cfg = SystemConfig(M=8, K=1, M_osc=2, snr_db=None, sigma_w2_value=0.1)
-        q = effective_quality(cfg)
+        q = cfg.q_eff
         t, t2, xi2 = rzf_equivalents(1.0, 8.0, 8, [1.0], 0)
         assert t2 == 0.0
         assert sinr_rzf(cfg, 1.0) == pytest.approx(t ** 2 * q * xi2 / 0.1, rel=1e-12)
@@ -185,8 +187,8 @@ class TestZfLimit:
     def test_sinr_closed_forms_assemble_the_equivalents(self):
         for cfg in zf_configurations():
             for snr in (-10.0, 10.0, 30.0):
-                point = cfg.with_(snr_db=snr, sigma_w2_value=None)
-                q, s2, M = effective_quality(point), point.sigma_w2, point.M
+                point = replace(cfg, snr_db=snr, sigma_w2_value=None)
+                q, s2, M = point.q_eff, point.sigma_w2, point.M
                 p_k = point.powers[point.ue_index]
                 zf_t2, zf_xi2 = zf_limits(point.beta, M, point.powers, point.ue_index)
                 assert sinr_zf(point) == pytest.approx(
