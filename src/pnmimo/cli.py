@@ -1,7 +1,8 @@
 """Command-line interface: sweeps, scenario presets, lemma checks, validation.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (e.g. the
-zero-forcing rejection cap was exceeded).
+Exit codes: 0 success, 2 configuration error (a run that does not fit in
+memory included), 3 numerical failure (e.g. the zero-forcing rejection cap
+was exceeded).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .lemmas import (check_free_probability_traces, check_matrix_inversion_ident
                      check_quadratic_form_identities, check_rank1_perturbation,
                      check_resolvent_identity, check_trace_lemma,
                      convergence_to_csv)
-from .linksim import RejectionRateError
+from .linksim import RejectionRateError, check_buffer, draw_bytes
 from .sweep import (list_presets, rows_to_csv, rows_to_jsonl, run_preset,
                     run_sweep)
 
@@ -149,12 +150,10 @@ def _cmd_lemmas(args) -> int:
                           f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
-    # the bytes of the M x M factors and of the trace lemma's (x, w) pairs at
-    # the largest size M, counted as linksim.check_draw_size counts them
-    for name, nbytes in (("sizes", 16 * top * top), ("trials", 32 * args.trials * top)):
-        if nbytes > np.iinfo(np.intp).max:
-            raise ConfigError(f"{name}: a draw buffer at M={top} exceeds numpy's "
-                              f"array size, got {name} = {getattr(args, name)}")
+    # an M x M factor with its normals, and the trace lemma's (x, w) pairs,
+    # at the largest size M
+    check_buffer("sizes", args.sizes, draw_bytes(top, top))
+    check_buffer("trials", args.trials, draw_bytes(args.trials, top))
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -198,6 +197,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a buffer the gates did not count
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RejectionRateError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +43,9 @@ class SystemConfig:
     M/K, sigma_w2, the BS and UE phase increment variances sigma2_bs and
     sigma2_ue (rad^2 per symbol), p_k, p_sum, e_tpn2 = E|T_PN|^2, q_eff =
     q0 * e_tpn2 and rzf_alpha, the configured alpha or else its optimum.
+
+    A SystemConfig is a value: == and hash compare value_key(), its fields
+    with powers by value, so a dataclasses.replace copy equals the original.
     """
 
     M: int = 50
@@ -140,6 +143,19 @@ class SystemConfig:
                             ("p_k", p_k), ("p_sum", p_sum), ("e_tpn2", e_tpn2),
                             ("q_eff", self.q0 * e_tpn2), ("rzf_alpha", alpha)):
             object.__setattr__(self, name, value)
+
+    def value_key(self) -> tuple:
+        """The field values in field order, powers as a tuple of floats."""
+        return tuple(tuple(self.powers.tolist()) if f.name == "powers"
+                     else getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value_key() == other.value_key()
+
+    def __hash__(self):
+        return hash(self.value_key())
 
 
 _INT_KEYS = {"M", "K", "M_osc", "tau", "T_c", "ue_index", "n_realizations",

@@ -27,15 +27,21 @@ the data-time row, the Gram decomposition and every precoder) runs once on
 the chunk's stacked arrays.  A draw ZF rejects is a NaN slice of the ZF
 coefficients, which turns that realization's ZF powers into NaN.
 
-Realization `i` always uses the RNG stream seeded by (master_seed, i), and
-results are assembled by index, so output is bit-identical for any chunk
-size, parallelism degree, execution order or set of precoders built on the
-draw.
+Realization `i` always uses the RNG stream of
+np.random.default_rng((master_seed, i)), and results are assembled by index,
+so output is bit-identical for any chunk size, parallelism degree, execution
+order or set of precoders built on the draw.  A block hashes all of its
+(master_seed, i) entropies in one pass of array arithmetic (_seed_words),
+which equals np.random.SeedSequence((master_seed, i)).generate_state(4,
+np.uint64) word for word, and each realization's PCG64 seeds itself from
+its row of that hash: the same generator default_rng builds.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -46,8 +52,8 @@ from .config import ConfigError, SystemConfig
 from .phase_noise import theta_vector
 from .precoding import precoders
 
-__all__ = ["PowerEstimate", "empirical_powers", "check_draw_size",
-           "RejectionRateError", "MAX_REJECTION_RATE"]
+__all__ = ["PowerEstimate", "empirical_powers", "draw_bytes", "check_buffer",
+           "check_draw_size", "RejectionRateError", "MAX_REJECTION_RATE"]
 
 # A ZF run aborts if more than this fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
@@ -56,6 +62,13 @@ MAX_REJECTION_RATE = 1e-3
 # stack stays near 64 KiB: 8 realizations at M=50, K=10, one at M=200, K=40.
 # Larger chunks save little more interpreter time and raise peak memory.
 CHUNK_ELEMENTS = 4096
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+# with its pool of 4 words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 class RejectionRateError(RuntimeError):
@@ -80,27 +93,146 @@ class PowerEstimate:
     n_rejected: int
     sig_powers: np.ndarray
     int_powers: np.ndarray
+    cov: np.ndarray  # 2 x 2 sample covariance of (sig_powers, int_powers)
 
     def sinr_at(self, sigma_w2: float) -> float:
         return self.mean_sig_power / (self.mean_int_power + sigma_w2)
 
     def std_error_at(self, sigma_w2: float) -> float:
         """Delta-method standard error of the SINR ratio estimator."""
-        s, q = self.sig_powers, self.int_powers
         den = self.mean_int_power + sigma_w2
-        cov = np.cov(s, q)
         grad = np.array([1.0 / den, -self.mean_sig_power / den ** 2])
-        var = float(grad @ cov @ grad) / self.n_realizations
+        var = float(grad @ self.cov @ grad) / self.n_realizations
         return float(np.sqrt(max(var, 0.0)))
 
 
+def draw_bytes(rows: int, M: int, n: int = 0) -> int:
+    """Bytes of a (2, 2, rows, M) float64 draw buffer plus the 32 bytes of
+    PCG64 seed words of each of n realizations.
+
+    The Monte-Carlo kernel holds one chunk's draws (rows = chunk K) and its
+    block's seed words; the lemma lab holds a complex M x M factor with its
+    normals (rows = M) and the trace lemma's (x, w) pairs (rows = trials).
+    """
+    return 32 * (rows * M + n)
+
+
+def _memory_limit() -> int:
+    """The machine's physical memory in bytes where the OS reports it, and
+    never more than numpy can index (sys.maxsize, the largest np.intp)."""
+    limit = sys.maxsize
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return limit
+    return min(limit, pages * size) if pages > 0 and size > 0 else limit
+
+
+def check_buffer(name: str, value, nbytes: int) -> None:
+    """Raise ConfigError naming the field `name` when a buffer of nbytes
+    cannot be allocated: more than physical memory or numpy's index range."""
+    limit = _memory_limit()
+    if nbytes > limit:
+        raise ConfigError(f"{name}: the draw buffers need {nbytes} bytes, more "
+                          f"than the {limit} bytes available, got {name} = {value}")
+
+
+def _chunk(K: int, M: int) -> int:
+    return max(1, CHUNK_ELEMENTS // (K * M))
+
+
 def check_draw_size(config: SystemConfig) -> None:
-    """Raise ConfigError naming M when one realization's draws, the
-    (2, 2, K, M) float64 buffer of _simulate_block, are larger than numpy
-    can index."""
-    if 32 * config.K * config.M > np.iinfo(np.intp).max:
-        raise ConfigError(f"M: one realization's 4 K M Monte-Carlo draws exceed "
-                          f"numpy's array size, got M={config.M}, K={config.K}")
+    """Raise ConfigError when _simulate_block's buffers do not fit: one
+    chunk's draws, named by M, plus the seed words of every realization,
+    named by n_realizations when they are the larger part."""
+    K, M, n = config.K, config.M, config.n_realizations
+    rows = _chunk(K, M) * K
+    name, value = ("M", M) if rows * M >= n else ("n_realizations", n)
+    check_buffer(name, value, draw_bytes(rows, M, n))
+
+
+def _uint32_words(x: int) -> list[int]:
+    """x as SeedSequence reads an integer: little-endian 32-bit words, [0] for 0."""
+    words = []
+    while x:
+        words.append(x & _MASK32)
+        x >>= 32
+    return words or [0]
+
+
+def _hash_steps(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n + 1 values of a SeedSequence hash constant, as a column."""
+    steps = [init]
+    for _ in range(n):
+        steps.append(steps[-1] * mult & _MASK32)
+    return np.array(steps, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of v against each consecutive pair of steps:
+    XOR with the constant, step it, multiply by the stepped one, xorshift."""
+    v = (v ^ steps[:-1]) * steps[1:]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ r >> 16
+
+
+def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 4) uint64 array whose row j equals
+    np.random.SeedSequence((master_seed, start + j)).generate_state(4, np.uint64).
+
+    The entropy of (master_seed, i) is the 32-bit words of master_seed, then
+    those of i.  The hash constants step the same way for every i with as
+    many words, so indices below and from 2^32 (one and two words) each take
+    one pass of uint32 array arithmetic, whatever their count.  Scalars would
+    warn on the intended uint32 overflow; arrays wrap silently.
+    """
+    out = np.empty((stop - start, 4), dtype=np.uint64)
+    head = _uint32_words(master_seed)
+    for lo, hi in ((start, min(stop, 2 ** 32)), (max(start, 2 ** 32), stop)):
+        if lo >= hi:
+            continue
+        i = np.arange(lo, hi, dtype=np.uint64)
+        tail = [i] if hi <= 2 ** 32 else [i, i >> np.uint64(32)]
+        entropy = np.empty((len(head) + len(tail), hi - lo), dtype=np.uint32)
+        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head):] = tail  # the uint32 cast keeps each low word
+        n_extra = max(len(entropy) - 4, 0)
+        steps = _hash_steps(_INIT_A, _MULT_A, 4 + 12 + 4 * n_extra)
+        pool = np.zeros((4, hi - lo), dtype=np.uint32)
+        pool[:len(entropy)] = entropy[:4]
+        pool = _hashmix(pool, steps[:5])
+        s = 4
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps[s:s + 4]))
+            s += 3
+        for word in entropy[4:]:
+            pool = _mix(pool, _hashmix(word, steps[s:s + 5]))
+            s += 4
+        state = _hashmix(np.tile(pool, (2, 1)), _hash_steps(_INIT_B, _MULT_B, 8))
+        out[lo - start:hi - start] = (np.ascontiguousarray(state.T, dtype="<u4")
+                                      .view("<u8"))
+    return out
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed PCG64 takes from one realization's row of _seed_words.  Built
+    on first use, so that importing pnmimo does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
@@ -110,7 +242,9 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
     the variant's precoder rejected.
     """
     M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
-    chunk = max(1, CHUNK_ELEMENTS // (K * M))
+    chunk = _chunk(K, M)
+    words = _seed_words(config.master_seed, start, stop)
+    SeedWords = _seed_words_type()
     step_bs = np.sqrt(config.tau * config.sigma2_bs)  # std dev of the drift over tau
     step_ue = np.sqrt(config.tau * config.sigma2_ue)
     sig = np.empty((len(variants), stop - start))
@@ -122,7 +256,7 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
         z = np.empty((2, b, 2, K, M))
         bs, ue = np.empty((2, b, M_osc)), np.empty((2, b, K))
         for j in range(b):
-            rng = np.random.default_rng((config.master_seed, lo + j))
+            rng = np.random.Generator(np.random.PCG64(SeedWords(words[lo - start + j])))
             rng.standard_normal(out=z[0, j])
             rng.random(out=bs[0, j])
             rng.standard_normal(out=bs[1, j])
@@ -163,7 +297,7 @@ def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
                          mean_int_power=float(intf.mean()),
                          n_realizations=int(sig.size),
                          n_rejected=rejected,
-                         sig_powers=sig, int_powers=intf)
+                         sig_powers=sig, int_powers=intf, cov=np.cov(sig, intf))
 
 
 def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:

@@ -102,9 +102,8 @@ _NOT_DRAWN = frozenset(("snr_db", "sigma_w2_value", "alpha", "parallelism"))
 
 def _draw_key(config: SystemConfig) -> tuple:
     """Scenarios with equal keys share one Monte-Carlo draw set."""
-    return tuple(tuple(getattr(config, f.name).tolist()) if f.name == "powers"
-                 else getattr(config, f.name)
-                 for f in fields(config) if f.name not in _NOT_DRAWN)
+    return tuple(v for f, v in zip(fields(config), config.value_key())
+                 if f.name not in _NOT_DRAWN)
 
 
 def run_sweep(config: SystemConfig, sweep_axis: str, values,
@@ -115,15 +114,15 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
     Rows are built first: scenario cells, closed form, resolved alpha and
     rates.  A nan or inf cell, such as a closed form that overflows, raises
     FloatingPointError, before any Monte-Carlo work.  After a point's closed
-    forms, a point whose draws numpy cannot index raises ConfigError
-    (linksim.check_draw_size), with or without with_empirical, so that
-    validate-config rejects what sweep rejects.  With with_empirical,
-    the rows are then grouped by draw key, the scenario minus its noise
-    handles (snr_db, sigma_w2), alpha and parallelism, with powers compared
-    by value.  Monte-Carlo power averages do not depend on those fields, so
-    each group makes one empirical_powers call for all of its (precoder,
-    alpha) pairs, and each row reads its SINR at its own sigma_w2 off that
-    one draw set.
+    forms, a point whose Monte-Carlo buffers do not fit in memory raises
+    ConfigError (linksim.check_draw_size), with or without with_empirical,
+    so that validate-config rejects what sweep rejects.  With
+    with_empirical, the rows are then grouped by draw key, the scenario
+    minus its noise handles (snr_db, sigma_w2), alpha and parallelism, with
+    powers compared by value.  Monte-Carlo power averages do not depend on
+    those fields, so each group makes one empirical_powers call for all of
+    its (precoder, alpha) pairs, and each row reads its SINR at its own
+    sigma_w2 off that one draw set.
     """
     if len(values) == 0:
         raise ConfigError("sweep: values must be nonempty")

@@ -83,6 +83,11 @@ INVALID_INPUTS = [
     pytest.param(["lemmas", "--sizes", "64,10000000000"], ("sizes:",), id="sizes-1e10"),
     pytest.param(["lemmas", "--sizes", "8,16", "--trials", "1000000000000000000"],
                  ("trials:",), id="trials-1e18"),
+    # indexable, but more than the 16 GiB machine the tests pin (_machine)
+    pytest.param("[system]\nM = 1000000000000\nK = 10\nn_realizations = 2\n",
+                 ("M:", "320000000000064 bytes"), id="M-1e12"),
+    pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
+                 ("sizes:", "1280000000000 bytes"), id="sizes-200000"),
 ]
 
 # Each scenario passes SystemConfig, but its RZF closed form overflows, turns
@@ -101,6 +106,14 @@ NUMERICAL_FAILURES = [
 ]
 INVALID_INI = [case for case in INVALID_INPUTS
                if isinstance(getattr(case, "values", case)[0], str)]
+
+
+def _machine(monkeypatch, nbytes):
+    """Report nbytes of physical memory (4 KiB pages) to the memory gate."""
+    real = os.sysconf
+    fake = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake
+                        else real(name))
 
 
 def _ini_file(ini, tmp_path):
@@ -161,17 +174,17 @@ class TestSharedDraws:
     def test_one_draw_set_per_oscillator_variant(self, monkeypatch):
         # fig2: 4 M_osc variants x 9 SNR points, each with its own optimal
         # RZF alpha; each realization of a variant builds its own stream once
-        seeds = []
-        real = np.random.default_rng
+        streams = []
+        real = np.random.PCG64
 
-        def counted(seed=None):
-            seeds.append(seed)
+        def counted(seed):
+            streams.append(seed)
             return real(seed)
 
-        monkeypatch.setattr(linksim.np.random, "default_rng", counted)
+        monkeypatch.setattr(linksim.np.random, "PCG64", counted)
         rows = run_preset("fig2", n_realizations=10)
         assert len(rows) == 4 * 9
-        assert len(seeds) == 4 * 10
+        assert len(streams) == 4 * 10
 
     @pytest.mark.parametrize("change", [
         dict(snr_db=0.0), dict(snr_db=None, sigma_w2_value=0.3),
@@ -282,7 +295,8 @@ class TestCliEntry:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ini,fields", INVALID_INPUTS)
-    def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys):
+    def test_invalid_input_exits_2(self, ini, fields, tmp_path, capsys, monkeypatch):
+        _machine(monkeypatch, 16 << 30)
         if ini is None:
             argv = ["lemmas", "--sizes", "64,x"]
         elif isinstance(ini, list):
@@ -296,7 +310,8 @@ class TestCliEntry:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ini,fields", INVALID_INI)
     def test_validate_config_rejects_what_sweep_rejects(self, ini, fields, tmp_path,
-                                                        capsys):
+                                                        capsys, monkeypatch):
+        _machine(monkeypatch, 16 << 30)
         assert main(["validate-config", _ini_file(ini, tmp_path)]) == 2
         err = capsys.readouterr().err
         assert all(f in err for f in fields)
@@ -356,6 +371,46 @@ class TestCliEntry:
         assert f"numerical failure: analytical_sinr is nan for {where}" in err
         assert "rejected" not in err and "Traceback" not in err
         assert not out.exists()
+
+    # one chunk of 32 K M bytes and 32 bytes of seed words per realization:
+    # 32 (10 x 20000 + 2000) and 32 (51 x 4 x 20 + 200000)
+    @pytest.mark.parametrize("argv, field", [
+        pytest.param(["sweep", "M = 20000\nK = 10\n"],
+                     "M: the draw buffers need 6464000 bytes", id="sweep-M"),
+        pytest.param(["validate-config", "M = 20000\nK = 10\n"],
+                     "M: the draw buffers need 6464000 bytes", id="validate-M"),
+        pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
+                     "n_realizations: the draw buffers need 6530560 bytes",
+                     id="sweep-n_realizations"),
+        pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
+                     "sizes: the draw buffers need 8388608 bytes", id="lemmas-sizes"),
+        pytest.param(["lemmas", "--sizes", "8,16", "--trials", "20000"],
+                     "trials: the draw buffers need 10240000 bytes", id="lemmas-trials")])
+    def test_memory_gate_names_the_field(self, argv, field, tmp_path, monkeypatch,
+                                         capsys):
+        # a 4 MiB machine rejects what a real one would accept, before any
+        # closed form's Monte Carlo or lemma check runs
+        _machine(monkeypatch, 4 << 20)
+        monkeypatch.setattr(linksim, "_simulate_block", None)
+        monkeypatch.setattr(cli, "check_trace_lemma", None)
+        if argv[0] != "lemmas":
+            path = tmp_path / "run.ini"
+            path.write_text(f"[system]\n{argv[1]}\n[sweep]\naxis = snr\nvalues = 0\n")
+            argv = [argv[0], str(path)] + (["--out", str(tmp_path / "o.csv")]
+                                           if argv[0] == "sweep" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "4194304 bytes available" in err
+
+    def test_escaped_memory_error_exits_2(self, cfg_file, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(linksim, "_simulate_block", out_of_memory)
+        assert main(["sweep", cfg_file, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "out of memory: Unable to allocate 1.00 TiB" in err
+        assert "Traceback" not in err
 
     def test_rank1_bound_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         # a solve that returns 1e3 y inflates the rank-1 gap 1e3-fold against a

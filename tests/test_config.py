@@ -262,3 +262,21 @@ class TestDomain:
                 return
         assert all(math.isfinite(v) for row in rows for v in row.values()
                    if isinstance(v, float))
+
+    @given(config_kwargs())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_and_hashed_by_value(self, kw):
+        try:
+            cfg = SystemConfig(**kw)
+        except ConfigError:
+            return
+        twin = replace(cfg)  # equal fields, its own copy of powers
+        assert twin.powers is not cfg.powers
+        assert twin == cfg and hash(twin) == hash(cfg) and len({cfg, twin}) == 1
+        nudged = copy.copy(cfg)
+        p = cfg.powers.copy()
+        p[-1] = np.nextafter(p[-1], math.inf)
+        object.__setattr__(nudged, "powers", p)
+        assert nudged != cfg
+        assert replace(cfg, master_seed=cfg.master_seed + 1) != cfg
+        assert cfg != cfg.value_key()

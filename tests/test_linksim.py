@@ -281,18 +281,56 @@ class TestChunkDraws:
                            sigma_deg_ue=sigma_deg, snr_db=10.0, ue_index=1,
                            n_realizations=10)
         monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
-        ests = empirical_powers(cfg, self.VARIANTS)
         M, k = cfg.M, cfg.ue_index
-        for i in range(cfg.n_realizations):
-            rng = np.random.default_rng((cfg.master_seed, i))
-            H, (bs, ue), H_hat = _draw(M, cfg.K, m_osc, cfg.q0, cfg.sigma2_bs,
-                                       cfg.sigma2_ue, cfg.tau, rng)
-            row_hat = (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T
-            for variant, est in zip(self.VARIANTS, ests):
-                C, = precoders(H_hat, cfg.powers, [variant])
-                p = np.abs(row_hat @ C) ** 2
-                assert est.sig_powers[i] == p[k]
-                assert est.int_powers[i] == p.sum() - p[k]
+        # the default seed is one 32-bit word; 2^70 is three, so the seed hash
+        # takes its entropy-longer-than-the-pool branch
+        for seed in (cfg.master_seed, 2 ** 70):
+            ests = empirical_powers(replace(cfg, master_seed=seed), self.VARIANTS)
+            for i in range(cfg.n_realizations):
+                rng = np.random.default_rng((seed, i))
+                H, (bs, ue), H_hat = _draw(M, cfg.K, m_osc, cfg.q0, cfg.sigma2_bs,
+                                           cfg.sigma2_ue, cfg.tau, rng)
+                row_hat = (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T
+                for variant, est in zip(self.VARIANTS, ests):
+                    C, = precoders(H_hat, cfg.powers, [variant])
+                    p = np.abs(row_hat @ C) ** 2
+                    assert est.sig_powers[i] == p[k]
+                    assert est.int_powers[i] == p.sum() - p[k]
+
+
+class TestSeedWords:
+    """The block hash equals numpy's SeedSequence hash of (master_seed, i)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5,
+                                      2 ** 64 + 3, 3 ** 50, 7 ** 90, 2 ** 200 + 12345])
+    @pytest.mark.parametrize("start, stop", [(0, 40), (2 ** 32 - 6, 2 ** 32 + 5),
+                                             (2 ** 32, 2 ** 32 + 3),
+                                             (2 ** 40 + 9, 2 ** 40 + 10)])
+    def test_matches_seed_sequence(self, seed, start, stop):
+        # index words change from one to two at 2^32: the ranges below,
+        # across and above it; nothing of the block's size is allocated
+        words = linksim._seed_words(seed, start, stop)
+        expected = [np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+                    for i in range(start, stop)]
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
+
+
+class TestMemoryLimit:
+    def test_physical_memory_within_numpy_index_range(self):
+        assert 0 < linksim._memory_limit() <= np.iinfo(np.intp).max
+
+    @pytest.mark.parametrize("sysconf", [
+        pytest.param({"SC_PHYS_PAGES": -1, "SC_PAGE_SIZE": 4096}, id="unknown-pages"),
+        pytest.param({}, id="no-such-name")])
+    def test_unreported_memory_falls_back_to_index_range(self, monkeypatch, sysconf):
+        def fake(name):
+            if name not in sysconf:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return sysconf[name]
+
+        monkeypatch.setattr(linksim.os, "sysconf", fake)
+        assert linksim._memory_limit() == np.iinfo(np.intp).max
 
 
 class TestSharedDraws:
