@@ -2,11 +2,13 @@
 oscillator phase noise.
 
 Modules:
+    config       the SystemConfig scenario record and its INI file format
     rmt          closed-form random-matrix quantities
-    phase_noise  Wiener phase traces and the T_PN statistic
-    channel      Rayleigh fading and Gauss-Markov estimate synthesis
+    phase_noise  per-antenna phase rotations and the E|T_PN|^2 statistic
+    channel      Gauss-Markov channel-estimate synthesis
     precoding    RZF / ZF / MF precoders from one Gram eigendecomposition
-    linksim      Monte-Carlo effective-SINR estimation
+    linksim      Monte-Carlo effective-SINR estimation; draws the Rayleigh
+                 channel, the Wiener phases and the estimation noise
     analytics    closed-form effective SINR per precoder
     rates        achievable-rate bounds
     lemmas       numerical checks of the underlying matrix identities

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 import time
@@ -17,10 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, load_config
-from .lemmas import (check_free_probability_traces, check_matrix_inversion_identity,
-                     check_quadratic_form_identities, check_rank1_perturbation,
-                     check_resolvent_identity, check_trace_lemma,
-                     convergence_to_csv)
 from .linksim import RejectionRateError, check_buffer, draw_bytes
 from .sweep import (list_presets, rows_to_csv, rows_to_jsonl, run_preset,
                     run_sweep)
@@ -38,6 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="csv", choices=("csv", "json-lines"))
 
 
+@functools.cache  # one parser per process: main() may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pnmimo",
@@ -134,6 +132,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    from . import lemmas  # loaded by this verb only
     _check_out(args.out)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
@@ -157,17 +156,17 @@ def _cmd_lemmas(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    exact_mi = check_matrix_inversion_identity(64, rng)
-    exact_res = check_resolvent_identity(64, rng)
+    exact_mi = lemmas.check_matrix_inversion_identity(64, rng)
+    exact_res = lemmas.check_resolvent_identity(64, rng)
     records = [
-        check_trace_lemma(sizes, rng, n_trials=args.trials),
-        check_rank1_perturbation(sizes, rng, n_trials=args.trials),
-        check_free_probability_traces(sizes, rng, n_trials=args.trials),
+        lemmas.check_trace_lemma(sizes, rng, n_trials=args.trials),
+        lemmas.check_rank1_perturbation(sizes, rng, n_trials=args.trials),
+        lemmas.check_free_probability_traces(sizes, rng, n_trials=args.trials),
     ]
-    devs = check_quadratic_form_identities(top, 0.9, rng,
-                                           n_trials=max(args.trials // 2, 10),
-                                           M_osc=m_osc)
-    _write(convergence_to_csv(records), args.out)
+    devs = lemmas.check_quadratic_form_identities(top, 0.9, rng,
+                                                  n_trials=max(args.trials // 2, 10),
+                                                  M_osc=m_osc)
+    _write(lemmas.convergence_to_csv(records), args.out)
     print(f"exact identities: matrix-inversion {exact_mi:.2e}, "
           f"resolvent {exact_res:.2e}", file=sys.stderr)
     print("quadratic-form deviations at M="

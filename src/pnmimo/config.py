@@ -6,7 +6,6 @@ and an optional [sweep] section naming the axis and its values.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, fields
 
@@ -24,7 +23,7 @@ class ConfigError(ValueError):
     """Configuration rejected; message names the offending field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash are value_key()'s, below
 class SystemConfig:
     """All parameters of one simulation scenario.
 
@@ -81,7 +80,6 @@ class SystemConfig:
         else:
             p = np.array(self.powers, dtype=float)  # a copy: the caller's stays writable
         p.setflags(write=False)
-        object.__setattr__(self, "powers", p)
         for name, value in (("q0", self.q0), ("sigma_deg_bs", self.sigma_deg_bs),
                             ("sigma_deg_ue", self.sigma_deg_ue), ("snr_db", self.snr_db),
                             ("sigma_w2", self.sigma_w2_value), ("alpha", self.alpha)):
@@ -95,14 +93,14 @@ class SystemConfig:
             raise ConfigError("snr_db/sigma_w2: set exactly one noise handle")
         with np.errstate(over="ignore"):  # an overflow is the inf rejected here
             sigma2_bs, sigma2_ue = map(deg_to_var, (self.sigma_deg_bs, self.sigma_deg_ue))
-            for name, var in (("sigma_deg_bs", sigma2_bs), ("sigma_deg_ue", sigma2_ue)):
-                deg = getattr(self, name)
+            for name, deg, var in (("sigma_deg_bs", self.sigma_deg_bs, sigma2_bs),
+                                   ("sigma_deg_ue", self.sigma_deg_ue, sigma2_ue)):
                 if deg < 0 or not math.isfinite(self.tau * var):
                     raise ConfigError(f"{name}: need >= 0 and tau * sigma^2 < inf, got {deg}")
             if p.shape != (self.K,):
                 raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
-            if (not np.all(np.isfinite(p)) or np.any(p < 0)
-                    or not 0 < (p_sum := float(p.sum())) < math.inf):
+            # a NaN minimum fails >= 0, and an inf entry makes the sum inf
+            if not p.min() >= 0 or not 0 < (p_sum := float(p.sum())) < math.inf:
                 raise ConfigError("powers: need entries >= 0 with a finite positive sum")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha: must be > 0, got {self.alpha}")
@@ -136,13 +134,11 @@ class SystemConfig:
             raise ConfigError(f"parallelism: must be >= 1, got {self.parallelism}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
-        # plain attributes, not fields, so equality, replace() and the
-        # Monte-Carlo draw key ignore them
-        for name, value in (("beta", beta), ("sigma_w2", sigma_w2),
-                            ("sigma2_bs", sigma2_bs), ("sigma2_ue", sigma2_ue),
-                            ("p_k", p_k), ("p_sum", p_sum), ("e_tpn2", e_tpn2),
-                            ("q_eff", self.q0 * e_tpn2), ("rzf_alpha", alpha)):
-            object.__setattr__(self, name, value)
+        # the powers copy, then the derived values as plain attributes, not
+        # fields, so that equality, replace() and the Monte-Carlo draw key ignore them
+        self.__dict__.update(powers=p, beta=beta, sigma_w2=sigma_w2, sigma2_bs=sigma2_bs,
+                             sigma2_ue=sigma2_ue, p_k=p_k, p_sum=p_sum, e_tpn2=e_tpn2,
+                             q_eff=self.q0 * e_tpn2, rzf_alpha=alpha)
 
     def value_key(self) -> tuple:
         """The field values in field order, powers as a tuple of floats."""
@@ -191,6 +187,7 @@ def _parse_system(items: dict[str, str]) -> SystemConfig:
 
 def load_config(path: str) -> tuple[SystemConfig, str | None, list[float] | None]:
     """Parse a config file; returns (config, sweep_axis, sweep_values)."""
+    import configparser  # only the sweep and validate-config verbs read files
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
                                        interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (M vs m_osc)

@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,7 @@ class RejectionRateError(RuntimeError):
     """Too many degenerate channel draws were rejected for a trustworthy result."""
 
 
-@dataclass
+@dataclass(eq=False)
 class PowerEstimate:
     """Noise-independent Monte-Carlo averages of signal and interference power.
 
@@ -315,6 +314,7 @@ def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:
     if workers <= 1 or n < 4 * workers:
         sig, intf = _simulate_block(config, variants, 0, n)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded by the pool path only
         bounds = np.linspace(0, n, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))

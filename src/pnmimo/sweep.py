@@ -13,9 +13,8 @@ with the same master seed reproduces the file exactly at any parallelism.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -129,23 +128,24 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
     rows, points = [], []
     for value in values:
         point = _apply_axis(config, sweep_axis, value)
-        for kind in precoders:
-            row = dict.fromkeys(COLUMNS)
-            row.update({c: getattr(point, c) for c in _SCENARIO_COLUMNS})
-            row.update(schema_version=SCHEMA_VERSION, preset=preset,
-                       sweep_axis=sweep_axis, sweep_value=float(value),
-                       precoder=kind)
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # the cells every precoder's row at this point shares, in column order
+        head = dict.fromkeys(COLUMNS)
+        head.update({c: getattr(point, c) for c in _SCENARIO_COLUMNS}, preset=preset,
+                    schema_version=SCHEMA_VERSION, sweep_axis=sweep_axis, sweep_value=float(value))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for kind in precoders:
+                row = dict(head, precoder=kind)
+                try:
                     sinr_a, alpha = _analytic(point, kind)
-            except ArithmeticError:
-                sinr_a, alpha = math.nan, None
-            sinr_a = float(sinr_a) if sinr_a >= 0 else math.nan
-            _set_finite(row, alpha=None if alpha is None else float(alpha),
-                        analytical_sinr=sinr_a, **rates.rate_report(
-                            sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
-            rows.append(row)
-            points.append((point, (kind, alpha)))
+                except ArithmeticError:
+                    sinr_a, alpha = math.nan, None
+                sinr_a = float(sinr_a) if sinr_a >= 0 else math.nan
+                _set_finite(row, alpha=None if alpha is None else float(alpha),
+                            analytical_sinr=sinr_a, **rates.rate_report(
+                                sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs,
+                                point.M_osc))
+                rows.append(row)
+                points.append((point, (kind, alpha)))
         check_draw_size(point)
     if with_empirical:
         # draw key -> (first scenario with it, its (kind, alpha) pairs in order)
@@ -164,7 +164,7 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preset:
     """A named, self-contained sweep scenario.
 
@@ -181,16 +181,14 @@ class Preset:
     values: tuple
     precoders: tuple = PRECODERS
     with_empirical: bool = True
-    variants: tuple = field(default=())  # extra config overrides, one sweep each
+    variants: tuple = ()  # extra config overrides, one sweep each
 
     def run(self, **config_overrides) -> list[dict]:
         base = {**self.config, **config_overrides}
-        variants = self.variants or ({},)
         rows = []
-        for extra in variants:
-            cfg = SystemConfig(**{**base, **extra})
-            rows += run_sweep(cfg, self.axis, self.values, self.precoders,
-                              self.with_empirical, preset=self.name)
+        for extra in self.variants or ({},):
+            rows += run_sweep(SystemConfig(**{**base, **extra}), self.axis, self.values,
+                              self.precoders, self.with_empirical, preset=self.name)
         return rows
 
 
@@ -263,7 +261,9 @@ def _cell(value) -> str:
 def rows_to_csv(rows: list[dict]) -> str:
     if not rows:
         raise ValueError("emit: result table is empty")
-    lines = [COLUMNS] + [[_cell(row[c]) for c in COLUMNS] for row in rows]
+    # a Python float, the commonest cell, skips the _cell call
+    lines = [COLUMNS] + [[repr(v) if type(v) is float else _cell(v)
+                          for v in map(row.__getitem__, COLUMNS)] for row in rows]
     return "".join(",".join(line) + "\n" for line in lines)
 
 
@@ -276,6 +276,7 @@ def _py(value):
 
 
 def rows_to_jsonl(rows: list[dict]) -> str:
+    import json  # loaded by the json-lines format only
     if not rows:
         raise ValueError("emit: result table is empty")
     return "".join(json.dumps({c: _py(row[c]) for c in COLUMNS}, allow_nan=True)

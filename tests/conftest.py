@@ -1,6 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 from scipy.linalg import blas, lapack
+
+import pnmimo
 
 # Every run replays the same examples and keeps no example database, so the
 # property tests are reproducible; each test keeps its own max_examples.
@@ -15,6 +20,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def fresh_env() -> dict:
+    """Environment for a fresh interpreter that imports the pnmimo under test."""
+    src = str(Path(pnmimo.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def sinr_mf_finite_k(config) -> float:

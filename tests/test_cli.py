@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -9,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo import cli, linksim
+from pnmimo import cli, lemmas, linksim
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig
 from pnmimo.sweep import (COLUMNS, PRESETS, SWEEP_AXES, _draw_key, list_presets,
                           rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
+
+from conftest import fresh_env
 
 CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
@@ -340,11 +344,13 @@ class TestCliEntry:
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
-        for name in ("run_preset", "run_sweep", "check_trace_lemma",
-                     "check_rank1_perturbation", "check_free_probability_traces",
-                     "check_quadratic_form_identities",
-                     "check_matrix_inversion_identity", "check_resolvent_identity"):
+        for name in ("run_preset", "run_sweep"):
             monkeypatch.setattr(cli, name, must_not_run)
+        # the lemmas verb imports its checks on first use, from pnmimo.lemmas
+        for name in ("check_trace_lemma", "check_rank1_perturbation",
+                     "check_free_probability_traces", "check_quadratic_form_identities",
+                     "check_matrix_inversion_identity", "check_resolvent_identity"):
+            monkeypatch.setattr(lemmas, name, must_not_run)
         missing = str(tmp_path / "missing" / "x.csv")
         for argv in (["preset", "fig2", "--out", missing],
                      ["lemmas", "--out", missing],
@@ -392,7 +398,7 @@ class TestCliEntry:
         # closed form's Monte Carlo or lemma check runs
         _machine(monkeypatch, 4 << 20)
         monkeypatch.setattr(linksim, "_simulate_block", None)
-        monkeypatch.setattr(cli, "check_trace_lemma", None)
+        monkeypatch.setattr(lemmas, "check_trace_lemma", None)
         if argv[0] != "lemmas":
             path = tmp_path / "run.ini"
             path.write_text(f"[system]\n{argv[1]}\n[sweep]\naxis = snr\nvalues = 0\n")
@@ -422,6 +428,22 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "numerical failure: rank-1 trace gap" in err
         assert "Traceback" not in err
+
+    def test_one_parser_serves_repeated_calls(self, capsys):
+        # main() parses with one parser per process: a call argparse rejects
+        # leaves nothing behind, and each later table has a fresh process's bytes
+        parser = cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "fig2", "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in (["preset", "--list"], ["preset", "fig6a"],
+                     ["lemmas", "--sizes", "8,16", "--trials", "2"]):
+            assert main(argv) == 0
+            fresh = subprocess.run([sys.executable, "-m", "pnmimo.cli", *argv],
+                                   capture_output=True, env=fresh_env(), check=True).stdout
+            assert capsys.readouterr().out.encode() == fresh, argv
+        assert cli.build_parser() is parser
 
 
 # Generated config files: a small valid scenario with up to two keys, and

@@ -1,3 +1,4 @@
+import concurrent.futures
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -189,7 +190,8 @@ class TestEmpiricalSinr:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(linksim, "ProcessPoolExecutor", InlinePool)
+        # the pool path imports ProcessPoolExecutor from concurrent.futures on use
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(linksim.os, "cpu_count", lambda: cores)
         est, = empirical_powers(cfg, [("rzf", 0.1)])
         assert pools == [cores or 1]
@@ -301,8 +303,11 @@ class TestChunkDraws:
 class TestSeedWords:
     """The block hash equals numpy's SeedSequence hash of (master_seed, i)."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5,
-                                      2 ** 64 + 3, 3 ** 50, 7 ** 90, 2 ** 200 + 12345])
+    # 2^32 has a short id: cut at 100 characters, its decimal id in the 2^40
+    # range is the same string as 2^32 - 1's
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, pytest.param(2 ** 32, id="2^32"),
+                                      2 ** 63 + 5, 2 ** 64 + 3, 3 ** 50, 7 ** 90,
+                                      2 ** 200 + 12345])
     @pytest.mark.parametrize("start, stop", [(0, 40), (2 ** 32 - 6, 2 ** 32 + 5),
                                              (2 ** 32, 2 ** 32 + 3),
                                              (2 ** 40 + 9, 2 ** 40 + 10)])

@@ -1,6 +1,5 @@
 import ast
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
@@ -9,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import pnmimo
+
+from conftest import fresh_env
 
 MODULES = ["pnmimo"] + sorted(f"pnmimo.{m.name}" for m in pkgutil.iter_modules(pnmimo.__path__))
 
@@ -32,15 +33,30 @@ def test_traced_modules_import():
         importlib.import_module(f"pnmimo.{name}")
 
 
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter, so that modules the tests
+    import do not count."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=fresh_env(), check=True).stdout
+
+
 def test_simulation_runs_without_scipy(tmp_path):
-    # a fresh interpreter, so modules the tests import do not count
     out_csv = str(tmp_path / "x.csv")
-    code = ("import sys; from pnmimo.cli import main; "
-            f"code = main(['preset', 'fig3', '--realizations', '10', '--out', {out_csv!r}]); "
-            "print(code, 'scipy' in sys.modules)")
-    src = str(Path(pnmimo.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+    out = _fresh("import sys; from pnmimo.cli import main; "
+                 f"code = main(['preset', 'fig3', '--realizations', '10', '--out', {out_csv!r}]); "
+                 "print(code, 'scipy' in sys.modules)")
     assert out.split() == ["0", "False"]
+
+
+# Modules that only the process pool, the lemmas verb and config files need
+ON_FIRST_USE = ("concurrent.futures.process", "multiprocessing", "pnmimo.lemmas",
+                "configparser", "numpy.random")
+
+
+def test_closed_form_preset_loads_only_what_it_runs(tmp_path):
+    out_csv = str(tmp_path / "x.csv")
+    out = _fresh(f"import sys; lazy = {ON_FIRST_USE!r}; import pnmimo.cli; "
+                 "print([m for m in lazy if m in sys.modules]); "
+                 f"code = pnmimo.cli.main(['preset', 'fig6a', '--out', {out_csv!r}]); "
+                 "print(code, [m for m in lazy if m in sys.modules])")
+    assert out.splitlines() == ["[]", "0 []"]
