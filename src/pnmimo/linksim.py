@@ -116,9 +116,11 @@ def draw_bytes(rows: int, M: int, n: int = 0) -> int:
     return 32 * (rows * M + n)
 
 
+@functools.cache
 def _memory_limit() -> int:
     """The machine's physical memory in bytes where the OS reports it, and
-    never more than numpy can index (sys.maxsize, the largest np.intp)."""
+    never more than numpy can index (sys.maxsize, the largest np.intp).
+    Read once per process."""
     limit = sys.maxsize
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")

@@ -52,9 +52,13 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
             raise ConfigError(f"sweep.values: m_osc must be an integer, got {value:g}")
         changes = dict(M_osc=int(value))
     elif axis == "beta":
-        if not math.isfinite(value * config.K):
+        M = value * config.K
+        if not math.isfinite(M):
             raise ConfigError(f"sweep.values: beta = {value:g} makes M = beta K overflow")
-        M = int(round(value * config.K))
+        if not math.isclose(M, round(M), rel_tol=1e-9):  # 2.2 * 25 is 55.00000000000001
+            raise ConfigError(f"sweep.values: beta = {value:g} makes M = beta K = {M:g}, "
+                              "not an integer")
+        M = round(M)
         # a fully distributed BS stays fully distributed
         changes = dict(M=M, M_osc=M) if config.M_osc == config.M else dict(M=M)
     elif axis == "sigma_phi":
@@ -110,24 +114,26 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
               preset: str = "") -> list[dict]:
     """One row per (sweep point, precoder), deterministic given the seed.
 
-    Rows are built first: scenario cells, closed form, resolved alpha and
-    rates.  A nan or inf cell, such as a closed form that overflows, raises
-    FloatingPointError, before any Monte-Carlo work.  After a point's closed
-    forms, a point whose Monte-Carlo buffers do not fit in memory raises
-    ConfigError (linksim.check_draw_size), with or without with_empirical,
-    so that validate-config rejects what sweep rejects.  With
-    with_empirical, the rows are then grouped by draw key, the scenario
-    minus its noise handles (snr_db, sigma_w2), alpha and parallelism, with
-    powers compared by value.  Monte-Carlo power averages do not depend on
-    those fields, so each group makes one empirical_powers call for all of
-    its (precoder, alpha) pairs, and each row reads its SINR at its own
-    sigma_w2 off that one draw set.
+    One pass over the points builds each row: scenario cells, closed form,
+    resolved alpha and rates.  A nan or inf cell raises FloatingPointError
+    before any Monte-Carlo work.  A point whose Monte-Carlo buffers do not
+    fit in memory raises ConfigError after its closed forms
+    (linksim.check_draw_size), with or without with_empirical, so that
+    validate-config rejects what sweep rejects.  With with_empirical, each
+    row joins its draw set as it is built: the draw key is the scenario
+    minus snr_db, sigma_w2, alpha and parallelism, which the Monte-Carlo
+    power averages do not depend on.  Each draw set then makes one
+    empirical_powers call for its (precoder, alpha) pairs in first-seen
+    order, and each row reads its SINR off it at its own sigma_w2.
     """
     if len(values) == 0:
         raise ConfigError("sweep: values must be nonempty")
-    rows, points = [], []
+    # draw key -> (first scenario with it, {(kind, alpha): its rows})
+    rows, groups = [], {}
     for value in values:
         point = _apply_axis(config, sweep_axis, value)
+        if with_empirical:
+            variants = groups.setdefault(_draw_key(point), (point, {}))[1]
         # the cells every precoder's row at this point shares, in column order
         head = dict.fromkeys(COLUMNS)
         head.update({c: getattr(point, c) for c in _SCENARIO_COLUMNS}, preset=preset,
@@ -145,22 +151,16 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
                                 sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs,
                                 point.M_osc))
                 rows.append(row)
-                points.append((point, (kind, alpha)))
+                if with_empirical:
+                    variants.setdefault((kind, alpha), []).append(row)
         check_draw_size(point)
-    if with_empirical:
-        # draw key -> (first scenario with it, its (kind, alpha) pairs in order)
-        groups: dict = {}
-        keys = [_draw_key(point) for point, _ in points]
-        for key, (point, variant) in zip(keys, points):
-            groups.setdefault(key, (point, {}))[1][variant] = None
-        estimates = {key: dict(zip(variants, empirical_powers(point, list(variants))))
-                     for key, (point, variants) in groups.items()}
-        for row, key, (point, variant) in zip(rows, keys, points):
-            est = estimates[key][variant]
-            _set_finite(row, empirical_sinr=est.sinr_at(point.sigma_w2),
-                        std_error=est.std_error_at(point.sigma_w2),
-                        n_realizations=est.n_realizations,
-                        n_rejected=est.n_rejected)
+    for point, variants in groups.values():
+        for est, members in zip(empirical_powers(point, list(variants)), variants.values()):
+            for row in members:
+                _set_finite(row, empirical_sinr=est.sinr_at(row["sigma_w2"]),
+                            std_error=est.std_error_at(row["sigma_w2"]),
+                            n_realizations=est.n_realizations,
+                            n_rejected=est.n_rejected)
     return rows
 
 
@@ -182,14 +182,6 @@ class Preset:
     precoders: tuple = PRECODERS
     with_empirical: bool = True
     variants: tuple = ()  # extra config overrides, one sweep each
-
-    def run(self, **config_overrides) -> list[dict]:
-        base = {**self.config, **config_overrides}
-        rows = []
-        for extra in self.variants or ({},):
-            rows += run_sweep(SystemConfig(**{**base, **extra}), self.axis, self.values,
-                              self.precoders, self.with_empirical, preset=self.name)
-        return rows
 
 
 _VERIFY = dict(M=50, K=10, q0=0.9, sigma_deg_bs=6.0, sigma_deg_ue=6.0,
@@ -249,30 +241,24 @@ def list_presets() -> list[tuple[str, str]]:
 def run_preset(name: str, **config_overrides) -> list[dict]:
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown name {name!r}; have {sorted(PRESETS)}")
-    return PRESETS[name].run(**config_overrides)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+    p = PRESETS[name]
+    base = {**p.config, **config_overrides}
+    return [row for extra in p.variants or ({},)
+            for row in run_sweep(SystemConfig(**{**base, **extra}), p.axis, p.values,
+                                 p.precoders, p.with_empirical, preset=name)]
 
 
 def rows_to_csv(rows: list[dict]) -> str:
     if not rows:
         raise ValueError("emit: result table is empty")
-    # a Python float, the commonest cell, skips the _cell call
-    lines = [COLUMNS] + [[repr(v) if type(v) is float else _cell(v)
+    # str of a float, numpy's included, is its shortest round-trip repr
+    lines = [COLUMNS] + [["" if v is None else str(v)
                           for v in map(row.__getitem__, COLUMNS)] for row in rows]
     return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _py(value):
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def rows_to_jsonl(rows: list[dict]) -> str:

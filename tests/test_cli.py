@@ -80,6 +80,9 @@ INVALID_INPUTS = [
     pytest.param("[system]\nq0 = 1e-300\n", ("q0:",), id="q0-1e-300"),
     pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = beta\nvalues = 1e308\n",
                  ("sweep.values:", "beta"), id="beta-values-1e308"),
+    # M = 23.4 would run as 23, i.e. beta 2.3, under a row saying 2.34
+    pytest.param("[system]\nM = 20\nK = 10\n\n[sweep]\naxis = beta\nvalues = 2.34\n",
+                 ("sweep.values:", "beta"), id="beta-values-2.34"),
     pytest.param("[system]\nK = 2\npowers = 1e308 1e308\n", ("powers:",),
                  id="powers-sum-1e308"),
     pytest.param("[system]\nM = 1000000000000000000\nK = 10\nn_realizations = 2\n",
@@ -113,11 +116,9 @@ INVALID_INI = [case for case in INVALID_INPUTS
 
 
 def _machine(monkeypatch, nbytes):
-    """Report nbytes of physical memory (4 KiB pages) to the memory gate."""
-    real = os.sysconf
-    fake = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake
-                        else real(name))
+    """Report nbytes of physical memory to the memory gate, which reads it
+    once per process (test_linksim.TestMemoryLimit covers that read)."""
+    monkeypatch.setattr(linksim, "_memory_limit", lambda: nbytes)
 
 
 def _ini_file(ini, tmp_path):
@@ -167,6 +168,21 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="sweep.values.*M_osc"):
             run_sweep(replace(distributed, M_osc=5), "beta", [3.3], precoders=("mf",),
                       with_empirical=False)
+
+    @pytest.mark.parametrize("K,beta,M", [(25, 2.2, 55), (4, 2.5, 10)])
+    def test_beta_axis_takes_integer_M_within_rounding(self, K, beta, M):
+        cfg = SystemConfig(M=2 * K, K=K, snr_db=10.0)
+        rows = run_sweep(cfg, "beta", [beta], precoders=("mf",), with_empirical=False)
+        assert (rows[0]["M"], rows[0]["sweep_value"]) == (M, beta)
+
+    @pytest.mark.parametrize("axis,values", [("snr", [0.0, 10.0, 20.0]),
+                                             ("alpha", [0.05, 0.3])])
+    def test_one_pass_equals_one_point_sweeps(self, axis, values):
+        # the points share one draw set; each row must still read its own
+        # (precoder, alpha) estimate at its own sigma_w2
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0, n_realizations=30)
+        alone = [row for v in values for row in run_sweep(cfg, axis, [v])]
+        assert run_sweep(cfg, axis, values) == alone
 
     def test_analytic_only_mode(self):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
@@ -240,6 +256,16 @@ class TestEmission:
         text = rows_to_csv(rows)
         record = next(csv.DictReader(text.splitlines()))
         assert float(record["analytical_sinr"]) == rows[0]["analytical_sinr"]
+
+    def test_csv_numpy_scalars_written_as_python_scalars(self):
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
+        row = dict(run_sweep(cfg, "snr", [0.0], with_empirical=False)[0],
+                   empirical_sinr=0.1, std_error=5e-324, rate_awgn=1e16,
+                   rate_lapidoth=-0.0, rate_min=1e-5, n_realizations=30, n_rejected=0)
+        as_numpy = {c: np.float64(v) if type(v) is float else
+                    np.int64(v) if type(v) is int else v for c, v in row.items()}
+        assert any(isinstance(v, np.int64) for v in as_numpy.values())
+        assert rows_to_csv([as_numpy]) == rows_to_csv([row])
 
     def test_jsonl_round_trip(self):
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)

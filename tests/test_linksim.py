@@ -321,21 +321,34 @@ class TestSeedWords:
         assert np.array_equal(words, expected)
 
 
+def _sysconf(values):
+    def fake(name):
+        if name not in values:
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        return values[name]
+    return fake
+
+
 class TestMemoryLimit:
     def test_physical_memory_within_numpy_index_range(self):
         assert 0 < linksim._memory_limit() <= np.iinfo(np.intp).max
+
+    def test_read_once_per_process(self, monkeypatch):
+        limit = linksim._memory_limit()
+        monkeypatch.setattr(linksim.os, "sysconf", _sysconf({}))
+        assert linksim._memory_limit() == limit
+
+    def test_reported_memory(self, monkeypatch):
+        monkeypatch.setattr(linksim.os, "sysconf",
+                            _sysconf({"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}))
+        assert linksim._memory_limit.__wrapped__() == 4 << 20
 
     @pytest.mark.parametrize("sysconf", [
         pytest.param({"SC_PHYS_PAGES": -1, "SC_PAGE_SIZE": 4096}, id="unknown-pages"),
         pytest.param({}, id="no-such-name")])
     def test_unreported_memory_falls_back_to_index_range(self, monkeypatch, sysconf):
-        def fake(name):
-            if name not in sysconf:
-                raise ValueError(f"unrecognized configuration name {name!r}")
-            return sysconf[name]
-
-        monkeypatch.setattr(linksim.os, "sysconf", fake)
-        assert linksim._memory_limit() == np.iinfo(np.intp).max
+        monkeypatch.setattr(linksim.os, "sysconf", _sysconf(sysconf))
+        assert linksim._memory_limit.__wrapped__() == np.iinfo(np.intp).max
 
 
 class TestSharedDraws:
