@@ -70,8 +70,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-class RejectionRateError(RuntimeError):
-    """Too many degenerate channel draws were rejected for a trustworthy result."""
+class RejectionRateError(FloatingPointError):
+    """Too many degenerate channel draws were rejected for a trustworthy result.
+
+    A FloatingPointError, so the CLI exits 3 on it as on any other
+    ArithmeticError."""
 
 
 @dataclass(eq=False)

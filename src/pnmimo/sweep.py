@@ -87,14 +87,19 @@ def _set_finite(row: dict, **cells) -> None:
     row.update(cells)
 
 
-def _analytic(config: SystemConfig, kind: str):
-    if kind == "rzf":
-        return analytics.sinr_rzf(config, config.rzf_alpha), config.rzf_alpha
-    if kind == "zf":
-        return analytics.sinr_zf(config), None
-    if kind == "mf":
-        return analytics.sinr_mf(config), None
-    raise ConfigError(f"precoder: unknown kind {kind!r}")
+def _cell(compute, *args) -> float:
+    """compute(*args) as a float, nan where it raises an ArithmeticError or
+    goes negative, so that _set_finite names the cell.  Callers hold numpy's
+    raise mode, so a numpy overflow, 0/0 or division by zero raises too."""
+    try:
+        value = compute(*args)
+    except ArithmeticError:
+        return math.nan
+    return float(value) if value >= 0 else math.nan
+
+
+_CLOSED_FORMS = {"rzf": lambda c: analytics.sinr_rzf(c, c.rzf_alpha),
+                 "zf": analytics.sinr_zf, "mf": analytics.sinr_mf}
 
 
 # Fields the Monte-Carlo draws and powers do not depend on: the noise
@@ -115,19 +120,25 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
     """One row per (sweep point, precoder), deterministic given the seed.
 
     One pass over the points builds each row: scenario cells, closed form,
-    resolved alpha and rates.  A nan or inf cell raises FloatingPointError
-    before any Monte-Carlo work.  A point whose Monte-Carlo buffers do not
-    fit in memory raises ConfigError after its closed forms
-    (linksim.check_draw_size), with or without with_empirical, so that
-    validate-config rejects what sweep rejects.  With with_empirical, each
-    row joins its draw set as it is built: the draw key is the scenario
-    minus snr_db, sigma_w2, alpha and parallelism, which the Monte-Carlo
-    power averages do not depend on.  Each draw set then makes one
-    empirical_powers call for its (precoder, alpha) pairs in first-seen
+    resolved alpha and rates.  A cell whose computation raises an
+    ArithmeticError or gives a negative, nan or inf value raises
+    FloatingPointError naming the column, the precoder and the sweep point;
+    a closed-form cell does so before any Monte-Carlo work, a Monte-Carlo
+    cell (empirical_sinr, std_error) once its draw set ran.  A point whose
+    Monte-Carlo buffers do not fit in memory raises ConfigError after its
+    closed forms (linksim.check_draw_size), with or without with_empirical,
+    so that validate-config rejects what sweep rejects.  With
+    with_empirical, each row joins its draw set as it is built: the draw key
+    is the scenario minus snr_db, sigma_w2, alpha and parallelism, which the
+    Monte-Carlo power averages do not depend on.  Each draw set then makes
+    one empirical_powers call for its (precoder, alpha) pairs in first-seen
     order, and each row reads its SINR off it at its own sigma_w2.
     """
     if len(values) == 0:
         raise ConfigError("sweep: values must be nonempty")
+    for kind in precoders:
+        if kind not in _CLOSED_FORMS:
+            raise ConfigError(f"precoder: unknown kind {kind!r}")
     # draw key -> (first scenario with it, {(kind, alpha): its rows})
     rows, groups = [], {}
     for value in values:
@@ -141,26 +152,22 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for kind in precoders:
                 row = dict(head, precoder=kind)
-                try:
-                    sinr_a, alpha = _analytic(point, kind)
-                except ArithmeticError:
-                    sinr_a, alpha = math.nan, None
-                sinr_a = float(sinr_a) if sinr_a >= 0 else math.nan
-                _set_finite(row, alpha=None if alpha is None else float(alpha),
-                            analytical_sinr=sinr_a, **rates.rate_report(
-                                sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs,
-                                point.M_osc))
+                alpha = point.rzf_alpha if kind == "rzf" else None
+                sinr_a = _cell(_CLOSED_FORMS[kind], point)
+                _set_finite(row, alpha=alpha, analytical_sinr=sinr_a, **rates.rate_report(
+                    sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
                 rows.append(row)
                 if with_empirical:
                     variants.setdefault((kind, alpha), []).append(row)
         check_draw_size(point)
     for point, variants in groups.values():
         for est, members in zip(empirical_powers(point, list(variants)), variants.values()):
-            for row in members:
-                _set_finite(row, empirical_sinr=est.sinr_at(row["sigma_w2"]),
-                            std_error=est.std_error_at(row["sigma_w2"]),
-                            n_realizations=est.n_realizations,
-                            n_rejected=est.n_rejected)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for row in members:
+                    _set_finite(row, empirical_sinr=_cell(est.sinr_at, row["sigma_w2"]),
+                                std_error=_cell(est.std_error_at, row["sigma_w2"]),
+                                n_realizations=est.n_realizations,
+                                n_rejected=est.n_rejected)
     return rows
 
 

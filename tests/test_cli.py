@@ -111,6 +111,18 @@ NUMERICAL_FAILURES = [
                  "n_realizations = 4\n\n[sweep]\naxis = snr\nvalues = 200\n",
                  "rzf at snr = 200.0", id="negative-rzf-sinr"),
 ]
+# Each scenario's closed forms are finite, but std_error_at squares
+# mean_int_power + sigma_w2: at K = 1 and snr 3000 dB the square underflows
+# to 0, at snr -1560 dB it overflows.  sweep exits 3 naming std_error and the
+# sweep point; validate-config, which draws nothing, exits 0.
+MONTE_CARLO_FAILURES = [
+    pytest.param("[system]\nM = 8\nK = 1\nn_realizations = 4\n\n"
+                 "[sweep]\naxis = snr\nvalues = 0 3000\n", "at snr = 3000.0",
+                 id="K-1-snr-3000"),
+    pytest.param("[system]\nM = 8\nK = 4\nalpha = 0.1\nn_realizations = 4\n\n"
+                 "[sweep]\naxis = snr\nvalues = -1560\n", "at snr = -1560.0",
+                 id="snr-neg-1560"),
+]
 INVALID_INI = [case for case in INVALID_INPUTS
                if isinstance(getattr(case, "values", case)[0], str)]
 
@@ -404,6 +416,43 @@ class TestCliEntry:
         assert "rejected" not in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ini,where", MONTE_CARLO_FAILURES)
+    def test_monte_carlo_failure_exits_3(self, ini, where, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: std_error is nan for" in err and where in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert main(["validate-config", str(path)]) == 0
+
+    def test_rejection_cap_exits_3(self, cfg_file, tmp_path, monkeypatch, capsys):
+        # a cap below 0 rejects every draw set, even one with no rejected draw
+        monkeypatch.setattr(linksim, "MAX_REJECTION_RATE", -1.0)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", cfg_file, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: 0/40 realizations rejected" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_exact_identity_deviation_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the table and both report lines come first, then the failure
+        monkeypatch.setattr(lemmas, "check_matrix_inversion_identity", lambda M, rng: 1e-3)
+        out = tmp_path / "lem.csv"
+        assert main(["lemmas", "--sizes", "32,64", "--trials", "2",
+                     "--out", str(out)]) == 3
+        assert out.read_text().startswith("name,M,median_error,slope")
+        err = capsys.readouterr().err
+        assert "exact identities: matrix-inversion 1.00e-03, resolvent" in err
+        assert "quadratic-form deviations at M=64: " in err
+        assert ("numerical failure: exact identity tolerance 1e-10 exceeded: "
+                "matrix-inversion 1.00e-03, resolvent ") in err
+        assert "Traceback" not in err
+
     # one chunk of 32 K M bytes and 32 bytes of seed words per realization:
     # 32 (10 x 20000 + 2000) and 32 (51 x 4 x 20 + 200000)
     @pytest.mark.parametrize("argv, field", [
@@ -479,7 +528,8 @@ class TestCliEntry:
 # worker process.
 _TEXT_FLOATS = st.sampled_from(["0", "-0", "0.5", "1", "2", "6", "10", "-10", "30",
                                 "1e300", "-1e300", "1e308", "1e-300", "-1e-300",
-                                "1e-320", "5e-324", "nan", "inf", "-inf"])
+                                "1e-320", "5e-324", "nan", "inf", "-inf", "3000",
+                                "-1560"])
 _TEXT_INTS = st.sampled_from(["1", "2", "4", "10", "0", "-1", "2.5", "1e1", "nan", "x",
                               ""])
 _TEXT_KEYS = {
