@@ -1,11 +1,13 @@
 """Command-line interface: sweeps, scenario presets, lemma checks, validation.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, or a
-MemoryError from a run that does not fit in memory), 3 numerical failure
-(any ArithmeticError: a closed-form or Monte-Carlo cell that is nan or inf,
-which names its column, the zero-forcing rejection cap, a lemma check out
-of tolerance).  main() maps the exception family to the code; the verb
-handlers only raise.
+MemoryError from a run that does not fit in memory, among them a pool
+worker that died), 3 numerical failure (any ArithmeticError: a closed-form
+or Monte-Carlo cell that is nan or inf, which names its column, the
+zero-forcing rejection cap, a lemma check out of tolerance).  main() maps
+the exception family to the code; the verb handlers only raise.
+validate-config runs sweep's plan (sweep.plan_sweep: every point, closed
+form and draw-set memory gate) and stops before the Monte Carlo.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, load_config
-from .linksim import check_buffer, draw_bytes
-from .sweep import (list_presets, rows_to_csv, rows_to_jsonl, run_preset,
-                    run_sweep)
+from .linksim import check_buffer
+from .sweep import (list_presets, plan_sweep, rows_to_csv, rows_to_jsonl,
+                    run_preset, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,14 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["master_seed"] = args.seed
-    if args.realizations is not None:
-        out["n_realizations"] = args.realizations
-    if args.parallelism is not None:
-        out["parallelism"] = args.parallelism
-    return out
+    """The SystemConfig fields that --seed, --realizations and --parallelism set."""
+    names = {"seed": "master_seed", "realizations": "n_realizations",
+             "parallelism": "parallelism"}
+    return {field: getattr(args, flag) for flag, field in names.items()
+            if getattr(args, flag) is not None}
 
 
 def _check_out(out: str) -> None:
@@ -115,8 +114,7 @@ def _cmd_sweep(args) -> None:
         raise ConfigError("config: a [sweep] section is required by the sweep command")
     config = replace(config, **_overrides(args))
     started = time.perf_counter()
-    rows = run_sweep(config, axis, values)
-    _emit(rows, args, started)
+    _emit(run_sweep(config, axis, values), args, started)
 
 
 def _cmd_preset(args) -> None:
@@ -128,8 +126,7 @@ def _cmd_preset(args) -> None:
         raise ConfigError("preset: name required (or use --list)")
     _check_out(args.out)
     started = time.perf_counter()
-    rows = run_preset(args.name, **_overrides(args))
-    _emit(rows, args, started)
+    _emit(run_preset(args.name, **_overrides(args)), args, started)
 
 
 def _cmd_lemmas(args) -> None:
@@ -150,10 +147,10 @@ def _cmd_lemmas(args) -> None:
                           f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
-    # an M x M factor with its normals, and the trace lemma's (x, w) pairs,
-    # at the largest size M
-    check_buffer("sizes", args.sizes, draw_bytes(top, top))
-    check_buffer("trials", args.trials, draw_bytes(args.trials, top))
+    # (2, 2, rows, M) float64 draws at the largest size M: an M x M factor
+    # with its normals (rows = M) and the trace lemma's (x, w) pairs (rows = trials)
+    check_buffer("sizes", args.sizes, 32 * top * top)
+    check_buffer("trials", args.trials, 32 * args.trials * top)
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -180,8 +177,8 @@ def _cmd_lemmas(args) -> None:
 def _cmd_validate(args) -> None:
     config, axis, values = load_config(args.config)
     if axis is not None:
-        # every sweep point must be a valid scenario, checked as `sweep` does
-        run_sweep(config, axis, values, with_empirical=False)
+        # sweep's own plan: every point, closed form and draw-set memory gate
+        plan_sweep(config, axis, values)
     print(f"ok: M={config.M} K={config.K} M_osc={config.M_osc} "
           f"q0={config.q0} tau={config.tau}"
           + (f" sweep={axis}[{len(values)}]" if axis else ""))

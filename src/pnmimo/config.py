@@ -154,9 +154,11 @@ class SystemConfig:
         return hash(self.value_key())
 
 
-_INT_KEYS = {"M", "K", "M_osc", "tau", "T_c", "ue_index", "n_realizations",
-             "master_seed", "parallelism"}
-_FLOAT_KEYS = {"q0", "sigma_deg_bs", "sigma_deg_ue", "snr_db", "alpha"}
+# INI key -> SystemConfig field: each field's own name, but sigma_w2 sets
+# sigma_w2_value.  An int field parses as int, any other as float (the
+# annotations are strings under postponed evaluation); powers also takes "equal".
+_FIELDS = {"sigma_w2" if f.name == "sigma_w2_value" else f.name: f
+           for f in fields(SystemConfig)}
 
 
 def _number(key: str, raw: str, kind: type):
@@ -169,17 +171,14 @@ def _number(key: str, raw: str, kind: type):
 def _parse_system(items: dict[str, str]) -> SystemConfig:
     kwargs: dict = {}
     for key, raw in items.items():
-        if key in _INT_KEYS:
-            kwargs[key] = _number(key, raw, int)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = _number(key, raw, float)
-        elif key == "sigma_w2":
-            kwargs["sigma_w2_value"] = _number(key, raw, float)
-        elif key == "powers":
-            kwargs["powers"] = raw if raw == "equal" else np.array(
+        field = _FIELDS.get(key)
+        if field is None:
+            raise ConfigError(f"{key}: unknown configuration key")
+        if key == "powers":
+            kwargs[key] = raw if raw == "equal" else np.array(
                 [_number(key, x, float) for x in raw.split()], dtype=float)
         else:
-            raise ConfigError(f"{key}: unknown configuration key")
+            kwargs[field.name] = _number(key, raw, int if field.type == "int" else float)
     if "sigma_w2_value" in kwargs and "snr_db" not in kwargs:
         kwargs["snr_db"] = None
     return SystemConfig(**kwargs)

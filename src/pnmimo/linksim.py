@@ -51,8 +51,8 @@ from .config import ConfigError, SystemConfig
 from .phase_noise import theta_vector
 from .precoding import precoders
 
-__all__ = ["PowerEstimate", "empirical_powers", "draw_bytes", "check_buffer",
-           "check_draw_size", "RejectionRateError", "MAX_REJECTION_RATE"]
+__all__ = ["PowerEstimate", "empirical_powers", "check_buffer", "check_draw_size",
+           "RejectionRateError", "MAX_REJECTION_RATE"]
 
 # A ZF run aborts if more than this fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
@@ -93,9 +93,7 @@ class PowerEstimate:
     mean_int_power: float
     n_realizations: int
     n_rejected: int
-    sig_powers: np.ndarray
-    int_powers: np.ndarray
-    cov: np.ndarray  # 2 x 2 sample covariance of (sig_powers, int_powers)
+    cov: np.ndarray  # 2 x 2 sample covariance of the kept (signal, interference) powers
 
     def sinr_at(self, sigma_w2: float) -> float:
         return self.mean_sig_power / (self.mean_int_power + sigma_w2)
@@ -106,17 +104,6 @@ class PowerEstimate:
         grad = np.array([1.0 / den, -self.mean_sig_power / den ** 2])
         var = float(grad @ self.cov @ grad) / self.n_realizations
         return float(np.sqrt(max(var, 0.0)))
-
-
-def draw_bytes(rows: int, M: int, n: int = 0) -> int:
-    """Bytes of a (2, 2, rows, M) float64 draw buffer plus the 32 bytes of
-    PCG64 seed words of each of n realizations.
-
-    The Monte-Carlo kernel holds one chunk's draws (rows = chunk K) and its
-    block's seed words; the lemma lab holds a complex M x M factor with its
-    normals (rows = M) and the trace lemma's (x, w) pairs (rows = trials).
-    """
-    return 32 * (rows * M + n)
 
 
 @functools.cache
@@ -145,14 +132,31 @@ def _chunk(K: int, M: int) -> int:
     return max(1, CHUNK_ELEMENTS // (K * M))
 
 
-def check_draw_size(config: SystemConfig) -> None:
-    """Raise ConfigError when _simulate_block's buffers do not fit: one
-    chunk's draws, named by M, plus the seed words of every realization,
-    named by n_realizations when they are the larger part."""
+def check_draw_size(config: SystemConfig, n_variants: int) -> None:
+    """Raise ConfigError when an empirical_powers call over n_variants
+    (kind, alpha) pairs would hold more than fits in memory at once.
+
+    Each worker (the parent on the serial path) holds one chunk: its draws,
+    their complex working copies, and the K x K Gram factors and every
+    pair's coefficient matrices.  Each realization holds its seed words and
+    the seed hash's working arrays, one pair's reduction to a PowerEstimate,
+    and 16 B in every pair's two power arrays, counted twice on the pool
+    path (the workers' pieces and the joined arrays).  The byte counts bound
+    tracemalloc's peak of a serial run (tests/test_linksim.py).  The error
+    names M when the chunks are the larger part, else n_realizations.
+    """
     K, M, n = config.K, config.M, config.n_realizations
-    rows = _chunk(K, M) * K
-    name, value = ("M", M) if rows * M >= n else ("n_realizations", n)
-    check_buffer(name, value, draw_bytes(rows, M, n))
+    workers = _pool_size(config)
+    # a chunk of b realizations: (2, 2, b K, M) float64 draws, six complex
+    # (b K, M) working copies, 3 complex b (K, K) arrays per pair and 4 more
+    chunks = max(workers, 1) * 16 * _chunk(K, M) * K * (8 * M + (3 * n_variants + 4) * K)
+    # 32 B of seed words, the hash's entropy (4 B per 32-bit word of the
+    # master seed, two for the index) and its other arrays (128 B), then
+    # 48 B of one pair's reduction
+    per_realization = (4 * len(_uint32_words(config.master_seed)) + 216
+                       + 16 * n_variants * (2 if workers else 1))
+    name, value = ("M", M) if chunks >= n * per_realization else ("n_realizations", n)
+    check_buffer(name, value, chunks + n * per_realization)
 
 
 def _uint32_words(x: int) -> list[int]:
@@ -300,8 +304,38 @@ def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
     return PowerEstimate(mean_sig_power=float(sig.mean()),
                          mean_int_power=float(intf.mean()),
                          n_realizations=int(sig.size),
-                         n_rejected=rejected,
-                         sig_powers=sig, int_powers=intf, cov=np.cov(sig, intf))
+                         n_rejected=rejected, cov=np.cov(sig, intf))
+
+
+def _pool_size(config: SystemConfig) -> int:
+    """Worker processes an empirical_powers call starts: 0 runs it serially."""
+    p = config.parallelism
+    return min(p, os.cpu_count() or 1) if p > 1 and config.n_realizations >= 4 * p else 0
+
+
+def _powers(config: SystemConfig, variants: list) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and interference powers of every (kind, alpha) pair, as two
+    (len(variants), n_realizations) arrays with NaN where the pair's
+    precoder rejected the draw: one block, or one block per index range on
+    the process pool, joined in index order.
+
+    A worker that dies (the OOM killer's usual work) breaks the pool; that
+    is raised as a MemoryError, which the CLI reports as a run that does not
+    fit in memory.
+    """
+    n, workers = config.n_realizations, _pool_size(config)
+    if not workers:
+        return _simulate_block(config, variants, 0, n)
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # pool path only
+    bounds = np.linspace(0, n, config.parallelism + 1, dtype=int)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
+                       for a, b in zip(bounds[:-1], bounds[1:])]
+            pieces = [f.result() for f in futures]
+    except BrokenExecutor:
+        raise MemoryError("a worker process died, most likely for lack of memory") from None
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*pieces))
 
 
 def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:
@@ -309,22 +343,11 @@ def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:
 
     Realization i is drawn once and every pair's precoder is built from it;
     alpha is None for ZF and MF.  Returns one PowerEstimate per pair, in
-    order.  The averages do not depend on the receiver noise level, so one
-    call serves every SNR point of the scenario.  Draws a pair's precoder
-    rejects are dropped for that pair only, and the rejection cap applies
-    per pair.
+    order; it keeps the means, counts and covariance the table reads, not
+    the per-realization powers.  The averages do not depend on the receiver
+    noise level, so one call serves every SNR point of the scenario.  Draws
+    a pair's precoder rejects are dropped for that pair only, and the
+    rejection cap applies per pair.
     """
-    variants = list(variants)
-    n, workers = config.n_realizations, config.parallelism
-    if workers <= 1 or n < 4 * workers:
-        sig, intf = _simulate_block(config, variants, 0, n)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded by the pool path only
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
-                       for a, b in zip(bounds[:-1], bounds[1:])]
-            pieces = [f.result() for f in futures]
-        sig = np.concatenate([p[0] for p in pieces], axis=1)
-        intf = np.concatenate([p[1] for p in pieces], axis=1)
+    sig, intf = _powers(config, list(variants))
     return [_estimate(s, q) for s, q in zip(sig, intf)]

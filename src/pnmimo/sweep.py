@@ -22,7 +22,7 @@ from . import analytics, rates
 from .config import SWEEP_AXES, ConfigError, SystemConfig
 from .linksim import check_draw_size, empirical_powers
 
-__all__ = ["COLUMNS", "SCHEMA_VERSION", "run_sweep", "run_preset",
+__all__ = ["COLUMNS", "SCHEMA_VERSION", "plan_sweep", "run_sweep", "run_preset",
            "rows_to_csv", "rows_to_jsonl", "list_presets", "PRESETS", "Preset"]
 
 SCHEMA_VERSION = 1
@@ -98,10 +98,6 @@ def _cell(compute, *args) -> float:
     return float(value) if value >= 0 else math.nan
 
 
-_CLOSED_FORMS = {"rzf": lambda c: analytics.sinr_rzf(c, c.rzf_alpha),
-                 "zf": analytics.sinr_zf, "mf": analytics.sinr_mf}
-
-
 # Fields the Monte-Carlo draws and powers do not depend on: the noise
 # handles, the regularizer (its resolved value is part of each variant) and
 # the worker count.
@@ -114,30 +110,29 @@ def _draw_key(config: SystemConfig) -> tuple:
                  if f.name not in _NOT_DRAWN)
 
 
-def run_sweep(config: SystemConfig, sweep_axis: str, values,
-              precoders=PRECODERS, with_empirical: bool = True,
-              preset: str = "") -> list[dict]:
-    """One row per (sweep point, precoder), deterministic given the seed.
+def plan_sweep(config: SystemConfig, sweep_axis: str, values,
+               precoders=PRECODERS, with_empirical: bool = True,
+               preset: str = "") -> tuple[list[dict], list]:
+    """The rows of a sweep with their closed-form cells, and its draw sets,
+    gated on memory: everything run_sweep does but the Monte Carlo.
 
     One pass over the points builds each row: scenario cells, closed form,
     resolved alpha and rates.  A cell whose computation raises an
     ArithmeticError or gives a negative, nan or inf value raises
-    FloatingPointError naming the column, the precoder and the sweep point;
-    a closed-form cell does so before any Monte-Carlo work, a Monte-Carlo
-    cell (empirical_sinr, std_error) once its draw set ran.  A point whose
-    Monte-Carlo buffers do not fit in memory raises ConfigError after its
-    closed forms (linksim.check_draw_size), with or without with_empirical,
-    so that validate-config rejects what sweep rejects.  With
-    with_empirical, each row joins its draw set as it is built: the draw key
-    is the scenario minus snr_db, sigma_w2, alpha and parallelism, which the
-    Monte-Carlo power averages do not depend on.  Each draw set then makes
-    one empirical_powers call for its (precoder, alpha) pairs in first-seen
-    order, and each row reads its SINR off it at its own sigma_w2.
+    FloatingPointError naming the column, the precoder and the sweep point.
+    With with_empirical, each row joins its draw set as it is built: the
+    draw key is the scenario minus snr_db, sigma_w2, alpha and parallelism,
+    which the Monte-Carlo power averages do not depend on.  A draw set is
+    its first scenario and a {(precoder, alpha): rows} dict in first-seen
+    order.  After the pass each draw set is gated once on what its
+    Monte-Carlo run will hold (linksim.check_draw_size, a ConfigError);
+    without with_empirical nothing is drawn, so nothing is gated.
+    validate-config runs this plan as sweep does and stops here.
     """
     if len(values) == 0:
         raise ConfigError("sweep: values must be nonempty")
     for kind in precoders:
-        if kind not in _CLOSED_FORMS:
+        if kind not in PRECODERS:
             raise ConfigError(f"precoder: unknown kind {kind!r}")
     # draw key -> (first scenario with it, {(kind, alpha): its rows})
     rows, groups = [], {}
@@ -153,14 +148,35 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
             for kind in precoders:
                 row = dict(head, precoder=kind)
                 alpha = point.rzf_alpha if kind == "rzf" else None
-                sinr_a = _cell(_CLOSED_FORMS[kind], point)
+                # analytics.sinr_<kind>, looked up per call so that a
+                # patched or wrapped closed form is the one that runs
+                args = (point,) if alpha is None else (point, alpha)
+                sinr_a = _cell(getattr(analytics, f"sinr_{kind}"), *args)
                 _set_finite(row, alpha=alpha, analytical_sinr=sinr_a, **rates.rate_report(
                     sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
                 rows.append(row)
                 if with_empirical:
                     variants.setdefault((kind, alpha), []).append(row)
-        check_draw_size(point)
     for point, variants in groups.values():
+        check_draw_size(point, len(variants))
+    return rows, list(groups.values())
+
+
+def run_sweep(config: SystemConfig, sweep_axis: str, values,
+              precoders=PRECODERS, with_empirical: bool = True,
+              preset: str = "") -> list[dict]:
+    """One row per (sweep point, precoder), deterministic given the seed.
+
+    The plan (plan_sweep) builds the rows and their draw sets and raises
+    before any Monte-Carlo work.  Each draw set then makes one
+    empirical_powers call for its (precoder, alpha) pairs, and each row
+    reads its SINR off it at its own sigma_w2; a Monte-Carlo cell
+    (empirical_sinr, std_error) fails as a closed-form cell does, once its
+    draw set ran.
+    """
+    rows, draw_sets = plan_sweep(config, sweep_axis, values, precoders,
+                                 with_empirical, preset)
+    for point, variants in draw_sets:
         for est, members in zip(empirical_powers(point, list(variants)), variants.values()):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for row in members:

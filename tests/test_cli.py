@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo import cli, lemmas, linksim
+from pnmimo import analytics, cli, lemmas, linksim, sweep
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig
 from pnmimo.sweep import (COLUMNS, PRESETS, SWEEP_AXES, _draw_key, list_presets,
-                          rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
+                          plan_sweep, rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
 
 from conftest import fresh_env
 
@@ -92,7 +92,7 @@ INVALID_INPUTS = [
                  ("trials:",), id="trials-1e18"),
     # indexable, but more than the 16 GiB machine the tests pin (_machine)
     pytest.param("[system]\nM = 1000000000000\nK = 10\nn_realizations = 2\n",
-                 ("M:", "320000000000064 bytes"), id="M-1e12"),
+                 ("M:", "1280000000021336 bytes"), id="M-1e12"),
     pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
                  ("sizes:", "1280000000000 bytes"), id="sizes-200000"),
 ]
@@ -125,6 +125,22 @@ MONTE_CARLO_FAILURES = [
 ]
 INVALID_INI = [case for case in INVALID_INPUTS
                if isinstance(getattr(case, "values", case)[0], str)]
+
+# A 9-point snr sweep over all three precoders on M = 20, K = 4: one draw set
+# of 11 (kind, alpha) pairs whose 100,000 realizations hold far more than
+# their chunk.
+SNR_SWEEP_INI = ("[system]\nM = 20\nK = 4\nn_realizations = 100000\n\n[sweep]\n"
+                 "axis = snr\nvalues = -10 -5 0 5 10 15 20 25 30\n")
+
+_PARENT = os.getpid()
+
+
+def _die(*args):
+    """A pool worker that dies, as one the OOM killer ends: it exits its own
+    forked process, never the test's."""
+    if os.getpid() == _PARENT:
+        raise AssertionError("the serial path ran")
+    os._exit(1)
 
 
 def _machine(monkeypatch, nbytes):
@@ -200,6 +216,32 @@ class TestRunSweep:
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         rows = run_sweep(cfg, "snr", [0.0], with_empirical=False)
         assert all(r["empirical_sinr"] is None for r in rows)
+
+    def test_closed_forms_looked_up_per_call(self, monkeypatch):
+        # a wrapped or patched analytics function is the one a row runs
+        calls = []
+        for kind in ("zf", "mf"):
+            monkeypatch.setattr(analytics, f"sinr_{kind}",
+                                lambda c, kind=kind: calls.append(kind) or 1.0)
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
+        rows = run_sweep(cfg, "snr", [0.0, 10.0], with_empirical=False)
+        assert calls == ["zf", "mf", "zf", "mf"]
+        assert [r["analytical_sinr"] for r in rows if r["precoder"] != "rzf"] == [1.0] * 4
+
+    def test_gate_runs_once_per_draw_set(self, monkeypatch):
+        gated = []
+        monkeypatch.setattr(sweep, "check_draw_size",
+                            lambda point, n_variants: gated.append((point.M_osc, n_variants)))
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
+        rows, draw_sets = plan_sweep(cfg, "snr", [0.0, 10.0, 20.0])
+        assert gated == [(2, 5)] and len(draw_sets) == 1 and len(rows) == 9
+        plan_sweep(cfg, "m_osc", [1, 2, 4], precoders=("zf",))
+        assert gated[1:] == [(1, 1), (2, 1), (4, 1)]
+        # a closed-form-only sweep draws nothing, so nothing is gated
+        del gated[:]
+        assert plan_sweep(cfg, "snr", [0.0], with_empirical=False)[1] == []
+        run_preset("fig6a")
+        assert gated == []
 
 
 class TestSharedDraws:
@@ -453,15 +495,16 @@ class TestCliEntry:
                 "matrix-inversion 1.00e-03, resolvent ") in err
         assert "Traceback" not in err
 
-    # one chunk of 32 K M bytes and 32 bytes of seed words per realization:
-    # 32 (10 x 20000 + 2000) and 32 (51 x 4 x 20 + 200000)
+    # three (kind, alpha) pairs; one chunk of b realizations holds
+    # 16 b K (8 M + 13 K) bytes, and each realization 268 bytes:
+    # 160 (160000 + 130) + 268 x 2000 and 16 x 204 (160 + 52) + 268 x 200000
     @pytest.mark.parametrize("argv, field", [
         pytest.param(["sweep", "M = 20000\nK = 10\n"],
-                     "M: the draw buffers need 6464000 bytes", id="sweep-M"),
+                     "M: the draw buffers need 26156800 bytes", id="sweep-M"),
         pytest.param(["validate-config", "M = 20000\nK = 10\n"],
-                     "M: the draw buffers need 6464000 bytes", id="validate-M"),
+                     "M: the draw buffers need 26156800 bytes", id="validate-M"),
         pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
-                     "n_realizations: the draw buffers need 6530560 bytes",
+                     "n_realizations: the draw buffers need 54291968 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
                      "sizes: the draw buffers need 8388608 bytes", id="lemmas-sizes"),
@@ -482,6 +525,47 @@ class TestCliEntry:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert field in err and "4194304 bytes available" in err
+
+    @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
+    def test_gate_counts_every_pair_of_a_draw_set(self, verb, tmp_path, monkeypatch,
+                                                  capsys):
+        # 11 pairs hold 16 B per realization each, far more than their chunk:
+        # a 4 MiB machine rejects the run before any draw
+        _machine(monkeypatch, 4 << 20)
+        monkeypatch.setattr(linksim, "_simulate_block", None)
+        path = tmp_path / "run.ini"
+        path.write_text(SNR_SWEEP_INI)
+        out = tmp_path / "o.csv"
+        assert main([verb, str(path), *(["--out", str(out)] if verb == "sweep" else [])]) == 2
+        err = capsys.readouterr().err
+        assert "n_realizations: the draw buffers need" in err
+        assert "4194304 bytes available" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_closed_form_preset_is_not_gated(self, monkeypatch, capsys):
+        # fig6a draws nothing, so no realization count makes it too large
+        _machine(monkeypatch, 4 << 20)
+        assert main(["preset", "fig6a"]) == 0
+        table = capsys.readouterr().out
+        assert main(["preset", "fig6a", "--realizations", "100000000000000"]) == 0
+        assert capsys.readouterr().out == table
+
+    def test_validate_config_plans_without_drawing(self, cfg_file, monkeypatch, capsys):
+        monkeypatch.setattr(linksim, "_simulate_block", None)
+        monkeypatch.setattr(cli, "run_sweep", None)
+        assert main(["validate-config", cfg_file]) == 0
+        assert capsys.readouterr().out.startswith("ok: M=20 K=4 ")
+
+    def test_dead_worker_exits_2(self, cfg_file, tmp_path, monkeypatch, capsys):
+        # a forked worker that exits breaks the pool: exit 2 naming the
+        # cause, no table and no traceback
+        monkeypatch.setattr(linksim, "_simulate_block", _die)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", cfg_file, "--parallelism", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: out of memory: a worker process died" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_escaped_memory_error_exits_2(self, cfg_file, tmp_path, monkeypatch, capsys):
         def out_of_memory(*args):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from pnmimo.config import SystemConfig
 from pnmimo.linksim import RejectionRateError, empirical_powers
 from pnmimo.phase_noise import theta_vector
 from pnmimo.precoding import precoders
+from pnmimo.sweep import plan_sweep
 
 from conftest import draw_channel, simulate_wiener, sinr_mf_finite_k
 
@@ -69,7 +71,8 @@ class TestDecompose:
         cfg = SystemConfig(M=32, K=1, M_osc=8, snr_db=None, sigma_w2_value=0.25,
                            n_realizations=20)
         est, = empirical_powers(cfg, [("zf", None)])
-        assert np.all(est.int_powers == 0.0)
+        _, (int_powers,) = linksim._powers(cfg, [("zf", None)])
+        assert np.all(int_powers == 0.0)
         assert est.sinr_at(0.25) == pytest.approx(est.mean_sig_power / 0.25)
 
     def test_consistent_with_transmit_symbols(self):
@@ -83,6 +86,7 @@ class TestDecompose:
         for kind, alpha in (("rzf", 0.1), ("zf", None), ("mf", None)):
             est, = empirical_powers(cfg, [(kind, alpha)])
             assert est.n_rejected == 0
+            (sig_powers,), (int_powers,) = linksim._powers(cfg, [(kind, alpha)])
             for i in (0, 3, 5):
                 rng = np.random.default_rng((cfg.master_seed, i))
                 H, phases, H_hat = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
@@ -93,8 +97,8 @@ class TestDecompose:
                 assert np.allclose(z, zeta(H, G, phases, k),
                                    rtol=0.0, atol=1e-12)
                 p = np.abs(z) ** 2
-                assert p[k] == pytest.approx(est.sig_powers[i], rel=1e-12)
-                assert np.sum(np.delete(p, k)) == pytest.approx(est.int_powers[i],
+                assert p[k] == pytest.approx(sig_powers[i], rel=1e-12)
+                assert np.sum(np.delete(p, k)) == pytest.approx(int_powers[i],
                                                                 rel=1e-12)
 
     def test_received_power_budget(self):
@@ -159,11 +163,10 @@ class TestEmpiricalSinr:
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=50,
                            parallelism=workers)
         variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
-        ref = empirical_powers(replace(cfg, parallelism=1), variants)
+        ref = linksim._powers(replace(cfg, parallelism=1), variants)
         monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
-        for est, r in zip(empirical_powers(cfg, variants), ref):
-            assert np.array_equal(est.sig_powers, r.sig_powers)
-            assert np.array_equal(est.int_powers, r.int_powers)
+        for powers, r in zip(linksim._powers(cfg, variants), ref):
+            assert np.array_equal(powers, r)
 
     @pytest.mark.parametrize("cores", [2, None])
     def test_pool_size_clamped_to_cores(self, monkeypatch, cores):
@@ -193,19 +196,19 @@ class TestEmpiricalSinr:
         # the pool path imports ProcessPoolExecutor from concurrent.futures on use
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(linksim.os, "cpu_count", lambda: cores)
-        est, = empirical_powers(cfg, [("rzf", 0.1)])
+        sig, intf = linksim._powers(cfg, [("rzf", 0.1)])
         assert pools == [cores or 1]
         assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
-        ref, = empirical_powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
-        assert np.array_equal(est.sig_powers, ref.sig_powers)
-        assert np.array_equal(est.int_powers, ref.int_powers)
+        ref_sig, ref_int = linksim._powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
+        assert np.array_equal(sig, ref_sig)
+        assert np.array_equal(intf, ref_int)
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
-        serial, = empirical_powers(cfg, [("mf", None)])
-        parallel, = empirical_powers(replace(cfg, parallelism=4), [("mf", None)])
-        assert np.array_equal(serial.sig_powers, parallel.sig_powers)
-        assert np.array_equal(serial.int_powers, parallel.int_powers)
+        serial = linksim._powers(cfg, [("mf", None)])
+        parallel = linksim._powers(replace(cfg, parallelism=4), [("mf", None)])
+        assert np.array_equal(serial[0], parallel[0])
+        assert np.array_equal(serial[1], parallel[1])
 
     def test_agreement_improves_with_M(self):
         # single-seed gaps are dominated by MC noise, so compare RMS relative
@@ -235,14 +238,16 @@ class TestEmpiricalSinr:
             assert b <= a + 2 * (se_a + se_b)
 
     def test_mf_interference_insensitive_to_oscillator_count(self):
-        ests = []
+        ests, cfgs = [], []
         for m_osc in (1, 5, 50):
             cfg = SystemConfig(M=50, K=10, M_osc=m_osc, snr_db=10.0,
                                n_realizations=600)
             ests += empirical_powers(cfg, [("mf", None)])
+            cfgs.append(cfg)
         ref = ests[0]
+        _, (ref_int_powers,) = linksim._powers(cfgs[0], [("mf", None)])
         for other in ests[1:]:
-            se = ref.int_powers.std(ddof=1) / np.sqrt(ref.n_realizations)
+            se = ref_int_powers.std(ddof=1) / np.sqrt(ref.n_realizations)
             assert abs(other.mean_int_power - ref.mean_int_power) < 2 * 2 * se
 
     @pytest.mark.parametrize("M, K", [(20, 4), (80, 16)])
@@ -287,17 +292,17 @@ class TestChunkDraws:
         # the default seed is one 32-bit word; 2^70 is three, so the seed hash
         # takes its entropy-longer-than-the-pool branch
         for seed in (cfg.master_seed, 2 ** 70):
-            ests = empirical_powers(replace(cfg, master_seed=seed), self.VARIANTS)
+            sig, intf = linksim._powers(replace(cfg, master_seed=seed), self.VARIANTS)
             for i in range(cfg.n_realizations):
                 rng = np.random.default_rng((seed, i))
                 H, (bs, ue), H_hat = _draw(M, cfg.K, m_osc, cfg.q0, cfg.sigma2_bs,
                                            cfg.sigma2_ue, cfg.tau, rng)
                 row_hat = (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T
-                for variant, est in zip(self.VARIANTS, ests):
+                for variant, sig_powers, int_powers in zip(self.VARIANTS, sig, intf):
                     C, = precoders(H_hat, cfg.powers, [variant])
                     p = np.abs(row_hat @ C) ** 2
-                    assert est.sig_powers[i] == p[k]
-                    assert est.int_powers[i] == p.sum() - p[k]
+                    assert sig_powers[i] == p[k]
+                    assert int_powers[i] == p.sum() - p[k]
 
 
 class TestSeedWords:
@@ -351,6 +356,39 @@ class TestMemoryLimit:
         assert linksim._memory_limit.__wrapped__() == np.iinfo(np.intp).max
 
 
+class TestDrawSizeGate:
+    """check_draw_size counts no less than a serial run holds at once."""
+
+    SNRS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+    # one RZF pair at one SNR; the draw set of a 9-point snr sweep over all
+    # three precoders (nine optimal RZF alphas, ZF, MF); a one-realization
+    # chunk that dominates the count
+    @pytest.mark.parametrize("M, K, n, precoders, snrs, n_variants", [
+        pytest.param(20, 4, 20_000, ("rzf",), (10.0,), 1, id="one-pair"),
+        pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, 11, id="snr-sweep"),
+        pytest.param(2000, 40, 4, ("rzf",), (10.0,), 1, id="M-2000")])
+    def test_count_bounds_traced_peak(self, monkeypatch, M, K, n, precoders, snrs,
+                                      n_variants):
+        cfg = SystemConfig(M=M, K=K, M_osc=2, snr_db=10.0, n_realizations=n)
+        counted = []
+        monkeypatch.setattr(linksim, "check_buffer",
+                            lambda name, value, nbytes: counted.append(nbytes))
+        _, draw_sets = plan_sweep(cfg, "snr", snrs, precoders)
+        (point, variants), = draw_sets
+        variants = list(variants)
+        assert len(counted) == 1 and len(variants) == n_variants
+        # first use loads numpy.random and builds the seed type: not the run's
+        empirical_powers(replace(point, n_realizations=2), variants)
+        tracemalloc.start()
+        try:
+            empirical_powers(point, variants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[0]
+
+
 class TestSharedDraws:
     """One call builds every (kind, alpha) pair on the same realizations."""
 
@@ -362,10 +400,12 @@ class TestSharedDraws:
                            parallelism=workers)
         joint = empirical_powers(cfg, self.VARIANTS)
         assert len(joint) == len(self.VARIANTS)
-        for variant, est in zip(self.VARIANTS, joint):
+        sig, intf = linksim._powers(cfg, self.VARIANTS)
+        for variant, est, sig_powers, int_powers in zip(self.VARIANTS, joint, sig, intf):
             single, = empirical_powers(cfg, [variant])
-            assert np.array_equal(est.sig_powers, single.sig_powers)
-            assert np.array_equal(est.int_powers, single.int_powers)
+            (single_sig,), (single_int,) = linksim._powers(cfg, [variant])
+            assert np.array_equal(sig_powers, single_sig)
+            assert np.array_equal(int_powers, single_int)
             assert est.n_rejected == single.n_rejected == 0
 
     def test_zf_rejection_drops_the_draw_for_zf_only(self, monkeypatch):
@@ -374,7 +414,7 @@ class TestSharedDraws:
         rng = np.random.default_rng((cfg.master_seed, chosen))
         target = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs,
                        cfg.sigma2_ue, cfg.tau, rng)[2]
-        clean = empirical_powers(cfg, self.VARIANTS)
+        clean = zip(*linksim._powers(cfg, self.VARIANTS))
         real = linksim.precoders
 
         def reject_chosen(H_hat, powers, variants):
@@ -388,15 +428,19 @@ class TestSharedDraws:
 
         monkeypatch.setattr(linksim, "precoders", reject_chosen)
         ests = empirical_powers(cfg, self.VARIANTS)
-        for (kind, _), est, ref in zip(self.VARIANTS, ests, clean):
+        powers = zip(*linksim._powers(cfg, self.VARIANTS))
+        for (kind, _), est, (sig, intf), ref in zip(self.VARIANTS, ests, powers, clean):
+            # the pair's kept draws, as its PowerEstimate averages them
+            kept = ~np.isnan(sig)
             if kind == "zf":
                 assert (est.n_rejected, est.n_realizations) == (1, 999)
-                expected = [np.delete(p, chosen) for p in (ref.sig_powers, ref.int_powers)]
+                assert not kept[chosen]
+                expected = [np.delete(p, chosen) for p in ref]
             else:
                 assert (est.n_rejected, est.n_realizations) == (0, 1000)
-                expected = [ref.sig_powers, ref.int_powers]
-            assert np.array_equal(est.sig_powers, expected[0])
-            assert np.array_equal(est.int_powers, expected[1])
+                expected = list(ref)
+            assert np.array_equal(sig[kept], expected[0])
+            assert np.array_equal(intf[kept], expected[1])
         # one rejection in 64 draws is over the 1e-3 cap for the ZF pair
         with pytest.raises(RejectionRateError):
             empirical_powers(replace(cfg, n_realizations=64), self.VARIANTS)
