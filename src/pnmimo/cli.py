@@ -110,21 +110,18 @@ def _emit(rows, args, started: float) -> None:
 def _cmd_sweep(args) -> None:
     _check_out(args.out)
     config, axis, values = load_config(args.config)
-    if axis is None:
-        raise ConfigError("config: a [sweep] section is required by the sweep command")
     config = replace(config, **_overrides(args))
     started = time.perf_counter()
     _emit(run_sweep(config, axis, values), args, started)
 
 
 def _cmd_preset(args) -> None:
+    _check_out(args.out)
     if args.list:
-        for name, note in list_presets():
-            print(f"{name:8s} {note}")
+        _write("".join(f"{name:8s} {note}\n" for name, note in list_presets()), args.out)
         return
     if not args.name:
         raise ConfigError("preset: name required (or use --list)")
-    _check_out(args.out)
     started = time.perf_counter()
     _emit(run_preset(args.name, **_overrides(args)), args, started)
 
@@ -176,12 +173,10 @@ def _cmd_lemmas(args) -> None:
 
 def _cmd_validate(args) -> None:
     config, axis, values = load_config(args.config)
-    if axis is not None:
-        # sweep's own plan: every point, closed form and draw-set memory gate
-        plan_sweep(config, axis, values)
+    # sweep's own plan: every point, closed form and draw-set memory gate
+    plan_sweep(config, axis, values)
     print(f"ok: M={config.M} K={config.K} M_osc={config.M_osc} "
-          f"q0={config.q0} tau={config.tau}"
-          + (f" sweep={axis}[{len(values)}]" if axis else ""))
+          f"q0={config.q0} tau={config.tau} sweep={axis}[{len(values)}]")
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """Scenario configuration: the SystemConfig record and its file format.
 
 Config files are flat INI text with a [system] section of key = value pairs
-and an optional [sweep] section naming the axis and its values.
+and a [sweep] section naming the axis and its values; both are required.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class ConfigError(ValueError):
     """Configuration rejected; message names the offending field."""
 
 
-@dataclass(frozen=True, eq=False)  # == and hash are value_key()'s, below
+@dataclass(frozen=True)
 class SystemConfig:
     """All parameters of one simulation scenario.
 
@@ -31,8 +31,8 @@ class SystemConfig:
     set, sigma_w2 is derived as p_k / snr_linear for the observed UE.
 
     alpha is the RZF regularizer: None selects the SINR-maximizing value,
-    and a set alpha (> 0) is used as is.  powers is stored as a read-only
-    copy.  Every float field that is set must be finite, and so must tau
+    and a set alpha (> 0) is used as is.  powers is stored as a tuple of
+    floats.  Every float field that is set must be finite, and so must tau
     sigma^2 and the noise variance sigma_w2, which must also be > 0.
     n_realizations >= 2, so every Monte-Carlo row has a finite standard
     error.  An unset alpha's optimum must be finite and > 0: it divides by
@@ -43,8 +43,9 @@ class SystemConfig:
     sigma2_ue (rad^2 per symbol), p_k, p_sum, e_tpn2 = E|T_PN|^2, q_eff =
     q0 * e_tpn2 and rzf_alpha, the configured alpha or else its optimum.
 
-    A SystemConfig is a value: == and hash compare value_key(), its fields
-    with powers by value, so a dataclasses.replace copy equals the original.
+    A SystemConfig is a value: every field, powers included, is a plain
+    immutable value, so the dataclass's == and hash compare by value and a
+    dataclasses.replace copy equals the original.
     """
 
     M: int = 50
@@ -57,7 +58,7 @@ class SystemConfig:
     T_c: int = 100
     snr_db: float | None = 10.0
     sigma_w2_value: float | None = None
-    powers: np.ndarray | str = "equal"
+    powers: tuple[float, ...] | str = "equal"
     alpha: float | None = None
     ue_index: int = 0
     n_realizations: int = 2000
@@ -78,8 +79,7 @@ class SystemConfig:
                 raise ConfigError(f"powers: unknown keyword {self.powers!r}")
             p = np.full(self.K, 1.0 / self.K)
         else:
-            p = np.array(self.powers, dtype=float)  # a copy: the caller's stays writable
-        p.setflags(write=False)
+            p = np.array(self.powers, dtype=float)
         for name, value in (("q0", self.q0), ("sigma_deg_bs", self.sigma_deg_bs),
                             ("sigma_deg_ue", self.sigma_deg_ue), ("snr_db", self.snr_db),
                             ("sigma_w2", self.sigma_w2_value), ("alpha", self.alpha)):
@@ -134,24 +134,11 @@ class SystemConfig:
             raise ConfigError(f"parallelism: must be >= 1, got {self.parallelism}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
-        # the powers copy, then the derived values as plain attributes, not
+        # the powers tuple, then the derived values as plain attributes, not
         # fields, so that equality, replace() and the Monte-Carlo draw key ignore them
-        self.__dict__.update(powers=p, beta=beta, sigma_w2=sigma_w2, sigma2_bs=sigma2_bs,
-                             sigma2_ue=sigma2_ue, p_k=p_k, p_sum=p_sum, e_tpn2=e_tpn2,
-                             q_eff=self.q0 * e_tpn2, rzf_alpha=alpha)
-
-    def value_key(self) -> tuple:
-        """The field values in field order, powers as a tuple of floats."""
-        return tuple(tuple(self.powers.tolist()) if f.name == "powers"
-                     else getattr(self, f.name) for f in fields(self))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value_key() == other.value_key()
-
-    def __hash__(self):
-        return hash(self.value_key())
+        self.__dict__.update(powers=tuple(p.tolist()), beta=beta, sigma_w2=sigma_w2,
+                             sigma2_bs=sigma2_bs, sigma2_ue=sigma2_ue, p_k=p_k, p_sum=p_sum,
+                             e_tpn2=e_tpn2, q_eff=self.q0 * e_tpn2, rzf_alpha=alpha)
 
 
 # INI key -> SystemConfig field: each field's own name, but sigma_w2 sets
@@ -175,8 +162,8 @@ def _parse_system(items: dict[str, str]) -> SystemConfig:
         if field is None:
             raise ConfigError(f"{key}: unknown configuration key")
         if key == "powers":
-            kwargs[key] = raw if raw == "equal" else np.array(
-                [_number(key, x, float) for x in raw.split()], dtype=float)
+            kwargs[key] = raw if raw == "equal" else tuple(
+                _number(key, x, float) for x in raw.split())
         else:
             kwargs[field.name] = _number(key, raw, int if field.type == "int" else float)
     if "sigma_w2_value" in kwargs and "snr_db" not in kwargs:
@@ -184,7 +171,7 @@ def _parse_system(items: dict[str, str]) -> SystemConfig:
     return SystemConfig(**kwargs)
 
 
-def load_config(path: str) -> tuple[SystemConfig, str | None, list[float] | None]:
+def load_config(path: str) -> tuple[SystemConfig, str, list[float]]:
     """Parse a config file; returns (config, sweep_axis, sweep_values)."""
     import configparser  # only the sweep and validate-config verbs read files
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
@@ -201,19 +188,17 @@ def load_config(path: str) -> tuple[SystemConfig, str | None, list[float] | None
         raise ConfigError(f"config: line {lineno}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config: cannot read {path}")
-    if "system" not in parser:
-        raise ConfigError("config: missing [system] section")
+    for section in ("system", "sweep"):
+        if section not in parser:
+            raise ConfigError(f"config: missing [{section}] section")
     config = _parse_system(dict(parser["system"]))
-    axis = values = None
-    if "sweep" in parser:
-        sweep = parser["sweep"]
-        axis = sweep.get("axis")
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
-        raw = sweep.get("values")
-        if not raw:
-            raise ConfigError("sweep.values: required when [sweep] present")
-        values = [_number("sweep.values", x, float) for x in raw.split()]
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"sweep.values: must be finite, got {raw!r}")
+    axis = parser["sweep"].get("axis")
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
+    raw = parser["sweep"].get("values")
+    if not raw:
+        raise ConfigError("sweep.values: required")
+    values = [_number("sweep.values", x, float) for x in raw.split()]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"sweep.values: must be finite, got {raw!r}")
     return config, axis, values

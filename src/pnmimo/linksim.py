@@ -52,9 +52,10 @@ from .phase_noise import theta_vector
 from .precoding import precoders
 
 __all__ = ["PowerEstimate", "empirical_powers", "check_buffer", "check_draw_size",
-           "RejectionRateError", "MAX_REJECTION_RATE"]
+           "MAX_REJECTION_RATE"]
 
-# A ZF run aborts if more than this fraction of draws fails the condition cap.
+# A ZF run aborts (FloatingPointError, so the CLI exits 3) if more than this
+# fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
 
 # A chunk stacks max(1, CHUNK_ELEMENTS // (K*M)) realizations, so each K x M
@@ -68,13 +69,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-
-class RejectionRateError(FloatingPointError):
-    """Too many degenerate channel draws were rejected for a trustworthy result.
-
-    A FloatingPointError, so the CLI exits 3 on it as on any other
-    ArithmeticError."""
 
 
 @dataclass(eq=False)
@@ -297,7 +291,7 @@ def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
     n = sig.size
     rejected = int(np.isnan(sig).sum())
     if rejected > MAX_REJECTION_RATE * n:
-        raise RejectionRateError(
+        raise FloatingPointError(
             f"{rejected}/{n} realizations rejected (cap {MAX_REJECTION_RATE:.1%})")
     keep = ~np.isnan(sig)
     sig, intf = sig[keep], intf[keep]

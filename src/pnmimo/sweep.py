@@ -106,7 +106,7 @@ _NOT_DRAWN = frozenset(("snr_db", "sigma_w2_value", "alpha", "parallelism"))
 
 def _draw_key(config: SystemConfig) -> tuple:
     """Scenarios with equal keys share one Monte-Carlo draw set."""
-    return tuple(v for f, v in zip(fields(config), config.value_key())
+    return tuple(getattr(config, f.name) for f in fields(config)
                  if f.name not in _NOT_DRAWN)
 
 

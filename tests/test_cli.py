@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -347,7 +349,7 @@ class TestCliEntry:
 
     def test_validate_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[system]\nM = 10\nK = 20\n")
+        bad.write_text("[system]\nM = 10\nK = 20\n\n[sweep]\naxis = snr\nvalues = 0\n")
         assert main(["validate-config", str(bad)]) == 2
         assert "K" in capsys.readouterr().err
 
@@ -362,9 +364,15 @@ class TestCliEntry:
         main(["sweep", cfg_file, "--out", str(b), "--seed", "2"])
         assert a.read_text() != b.read_text()
 
-    def test_preset_list(self, capsys):
+    def test_preset_list(self, tmp_path, capsys):
         assert main(["preset", "--list"]) == 0
-        assert "fig2" in capsys.readouterr().out
+        listing = capsys.readouterr().out
+        assert "fig2" in listing
+        # --out takes the listing as it takes any table
+        out = tmp_path / "presets.txt"
+        assert main(["preset", "--list", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == listing.encode()
 
     def test_preset_unknown(self, capsys):
         assert main(["preset", "nope"]) == 2
@@ -409,6 +417,19 @@ class TestCliEntry:
         assert main([verb, str(path), *out]) == 2
         err = capsys.readouterr().err
         assert "config:" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_config_without_sweep_exits_2(self, tmp_path, capsys):
+        # every config file is a sweep: both verbs reject a [system]-only
+        # file with the same code and message
+        path = tmp_path / "run.ini"
+        path.write_text("[system]\nM = 20\nK = 4\n")
+        for argv in (["validate-config", str(path)],
+                     ["sweep", str(path), "--out", str(tmp_path / "out.csv")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: config: missing [sweep] section\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_alpha_alone_fixes_the_regularizer(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -646,6 +667,12 @@ def config_files(draw) -> bytes:
     return data
 
 
+def _main_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
 @given(config_files())
 @settings(max_examples=400, deadline=None)
 def test_generated_config_files_exit_0_2_or_3(data):
@@ -654,11 +681,14 @@ def test_generated_config_files_exit_0_2_or_3(data):
         path, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out.csv")
         with open(path, "wb") as fh:
             fh.write(data)
-        validated = main(["validate-config", path])
-        swept = main(["sweep", path, "--out", out])
+        validated, validate_err = _main_stderr(["validate-config", path])
+        swept, sweep_err = _main_stderr(["sweep", path, "--out", out])
         assert validated in (0, 2, 3) and swept in (0, 2, 3)
-        if validated != 0:
-            assert swept == validated  # sweep rejects what validate-config rejects
+        # a config error fails both verbs alike, and so does any failure
+        # validate-config finds; only a Monte-Carlo cell (validate-config 0,
+        # sweep 3) fails sweep alone
+        if validated != 0 or swept == 2:
+            assert (swept, sweep_err) == (validated, validate_err)
         if swept != 0:
             assert not os.path.exists(out)
             return
