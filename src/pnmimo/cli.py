@@ -6,8 +6,10 @@ worker that died), 3 numerical failure (any ArithmeticError: a closed-form
 or Monte-Carlo cell that is nan or inf, which names its column, the
 zero-forcing rejection cap, a lemma check out of tolerance).  main() maps
 the exception family to the code; the verb handlers only raise.
-validate-config runs sweep's plan (sweep.plan_sweep: every point, closed
-form and draw-set memory gate) and stops before the Monte Carlo.
+A config file is only parsed (config.load_config).  validate-config runs
+sweep's plan (sweep.plan_sweep: the one check of a sweep's axis, values
+and precoders, then every point, closed form and draw-set memory gate) and
+stops before the Monte Carlo.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, load_config
-from .linksim import check_buffer
-from .sweep import (list_presets, plan_sweep, rows_to_csv, rows_to_jsonl,
-                    run_preset, run_sweep)
+from .config import ConfigError, check_buffer, load_config
+from .sweep import PRESETS, plan_sweep, rows_to_csv, rows_to_jsonl, run_preset, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +118,8 @@ def _cmd_sweep(args) -> None:
 def _cmd_preset(args) -> None:
     _check_out(args.out)
     if args.list:
-        _write("".join(f"{name:8s} {note}\n" for name, note in list_presets()), args.out)
+        _write("".join(f"{p.name:8s} {p.note} [rate: {p.rate_kind}]\n"
+                       for p in PRESETS.values()), args.out)
         return
     if not args.name:
         raise ConfigError("preset: name required (or use --list)")

@@ -2,11 +2,15 @@
 
 Config files are flat INI text with a [system] section of key = value pairs
 and a [sweep] section naming the axis and its values; both are required.
+The memory gate (check_buffer) lives here beside ConfigError, its error type.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -14,13 +18,33 @@ import numpy as np
 from .phase_noise import deg_to_var, t_pn_second_moment
 from .rmt import optimal_alpha
 
-__all__ = ["ConfigError", "SystemConfig", "load_config", "SWEEP_AXES"]
-
-SWEEP_AXES = ("snr", "m_osc", "beta", "sigma_phi", "alpha")
+__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer"]
 
 
 class ConfigError(ValueError):
     """Configuration rejected; message names the offending field."""
+
+
+@functools.cache
+def _memory_limit() -> int:
+    """The machine's physical memory in bytes where the OS reports it, and
+    never more than numpy can index (sys.maxsize, the largest np.intp).
+    Read once per process."""
+    limit = sys.maxsize
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return limit
+    return min(limit, pages * size) if pages > 0 and size > 0 else limit
+
+
+def check_buffer(name: str, value, nbytes: int) -> None:
+    """Raise ConfigError naming the field `name` when buffers of nbytes
+    cannot be allocated: more than physical memory or numpy's index range."""
+    limit = _memory_limit()
+    if nbytes > limit:
+        raise ConfigError(f"{name}: the buffers need {nbytes} bytes, more than "
+                          f"the {limit} bytes available, got {name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +59,8 @@ class SystemConfig:
     floats.  Every float field that is set must be finite, and so must tau
     sigma^2 and the noise variance sigma_w2, which must also be > 0.
     n_realizations >= 2, so every Monte-Carlo row has a finite standard
-    error.  An unset alpha's optimum must be finite and > 0: it divides by
+    error.  K is gated on memory (check_buffer) before any per-user data is
+    built.  An unset alpha's optimum must be finite and > 0: it divides by
     q0^2 E|T_PN|^2, so q0 = 0 or an underflowing q0^2 needs an explicit alpha.
 
     The derived values are computed once, here, as plain attributes: beta =
@@ -74,6 +99,11 @@ class SystemConfig:
         if not 1 <= self.M_osc <= self.M or self.M % self.M_osc != 0:
             raise ConfigError(f"M_osc: must divide M with 1 <= M_osc <= M, "
                               f"got M_osc={self.M_osc}, M={self.M}")
+        # per user, this scenario's transient float64 array, float objects
+        # and list and tuple pointers (48 B), and the 32 B of floats and
+        # pointers in the powers tuple of the scenario a sweep point is
+        # replaced from; tests/test_config.py checks it against tracemalloc
+        check_buffer("K", self.K, 80 * self.K + 8192)
         if isinstance(self.powers, str):
             if self.powers != "equal":
                 raise ConfigError(f"powers: unknown keyword {self.powers!r}")
@@ -172,7 +202,12 @@ def _parse_system(items: dict[str, str]) -> SystemConfig:
 
 
 def load_config(path: str) -> tuple[SystemConfig, str, list[float]]:
-    """Parse a config file; returns (config, sweep_axis, sweep_values)."""
+    """Parse a config file; returns (config, sweep_axis, sweep_values).
+
+    Only parse errors are raised here: the encoding, the sections and keys,
+    and every number.  sweep_axis is the raw axis text ("" when absent) and
+    sweep_values the parsed numbers ([] when absent); sweep.plan_sweep
+    checks both, as it does for a sweep the Python API starts."""
     import configparser  # only the sweep and validate-config verbs read files
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
                                        interpolation=None)
@@ -192,13 +227,6 @@ def load_config(path: str) -> tuple[SystemConfig, str, list[float]]:
         if section not in parser:
             raise ConfigError(f"config: missing [{section}] section")
     config = _parse_system(dict(parser["system"]))
-    axis = parser["sweep"].get("axis")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
-    raw = parser["sweep"].get("values")
-    if not raw:
-        raise ConfigError("sweep.values: required")
-    values = [_number("sweep.values", x, float) for x in raw.split()]
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"sweep.values: must be finite, got {raw!r}")
-    return config, axis, values
+    sweep = parser["sweep"]
+    values = [_number("sweep.values", x, float) for x in sweep.get("values", "").split()]
+    return config, sweep.get("axis", ""), values

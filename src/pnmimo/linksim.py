@@ -41,18 +41,16 @@ from __future__ import annotations
 
 import functools
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import synthesize_estimate
-from .config import ConfigError, SystemConfig
+from .config import SystemConfig, check_buffer
 from .phase_noise import theta_vector
 from .precoding import precoders
 
-__all__ = ["PowerEstimate", "empirical_powers", "check_buffer", "check_draw_size",
-           "MAX_REJECTION_RATE"]
+__all__ = ["PowerEstimate", "empirical_powers", "check_draw_size", "MAX_REJECTION_RATE"]
 
 # A ZF run aborts (FloatingPointError, so the CLI exits 3) if more than this
 # fraction of draws fails the condition cap.
@@ -98,28 +96,6 @@ class PowerEstimate:
         grad = np.array([1.0 / den, -self.mean_sig_power / den ** 2])
         var = float(grad @ self.cov @ grad) / self.n_realizations
         return float(np.sqrt(max(var, 0.0)))
-
-
-@functools.cache
-def _memory_limit() -> int:
-    """The machine's physical memory in bytes where the OS reports it, and
-    never more than numpy can index (sys.maxsize, the largest np.intp).
-    Read once per process."""
-    limit = sys.maxsize
-    try:
-        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return limit
-    return min(limit, pages * size) if pages > 0 and size > 0 else limit
-
-
-def check_buffer(name: str, value, nbytes: int) -> None:
-    """Raise ConfigError naming the field `name` when a buffer of nbytes
-    cannot be allocated: more than physical memory or numpy's index range."""
-    limit = _memory_limit()
-    if nbytes > limit:
-        raise ConfigError(f"{name}: the draw buffers need {nbytes} bytes, more "
-                          f"than the {limit} bytes available, got {name} = {value}")
 
 
 def _chunk(K: int, M: int) -> int:

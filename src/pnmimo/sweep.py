@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import analytics, rates
-from .config import SWEEP_AXES, ConfigError, SystemConfig
+from .config import ConfigError, SystemConfig
 from .linksim import check_draw_size, empirical_powers
 
-__all__ = ["COLUMNS", "SCHEMA_VERSION", "plan_sweep", "run_sweep", "run_preset",
-           "rows_to_csv", "rows_to_jsonl", "list_presets", "PRESETS", "Preset"]
+__all__ = ["COLUMNS", "SCHEMA_VERSION", "SWEEP_AXES", "plan_sweep", "run_sweep",
+           "run_preset", "rows_to_csv", "rows_to_jsonl", "PRESETS", "Preset"]
 
 SCHEMA_VERSION = 1
 
@@ -40,11 +40,13 @@ COLUMNS = [
 _SCENARIO_COLUMNS = ("M", "K", "M_osc", "q0", "sigma_deg_bs", "sigma_deg_ue",
                      "tau", "T_c", "snr_db", "sigma_w2", "master_seed")
 
+SWEEP_AXES = ("snr", "m_osc", "beta", "sigma_phi", "alpha")
 PRECODERS = ("rzf", "zf", "mf")
 
 
 def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
-    """The scenario at one sweep point; SystemConfig validates it."""
+    """The scenario at one finite value of a SWEEP_AXES axis (plan_sweep
+    checks both); SystemConfig validates it."""
     if axis == "snr":
         changes = dict(snr_db=float(value), sigma_w2_value=None)
     elif axis == "m_osc":
@@ -67,10 +69,8 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
             raise ConfigError(f"sweep.values: sigma_phi must be >= 0, got {value:g}")
         deg = float(np.rad2deg(np.sqrt(value)))
         changes = dict(sigma_deg_bs=deg, sigma_deg_ue=deg)
-    elif axis == "alpha":
+    else:  # alpha
         changes = dict(alpha=float(value))
-    else:
-        raise ConfigError(f"sweep_axis: must be one of {SWEEP_AXES}, got {axis!r}")
     try:
         return replace(config, **changes)
     except ConfigError as exc:
@@ -116,6 +116,12 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
     """The rows of a sweep with their closed-form cells, and its draw sets,
     gated on memory: everything run_sweep does but the Monte Carlo.
 
+    This is the one check of what a sweep is given, for the CLI verbs and
+    the Python API alike.  Before any point is built it raises ConfigError
+    naming sweep.axis for an axis not in SWEEP_AXES, sweep.values for no
+    values or one that is not finite, and precoder for no precoders or one
+    not in PRECODERS.
+
     One pass over the points builds each row: scenario cells, closed form,
     resolved alpha and rates.  A cell whose computation raises an
     ArithmeticError or gives a negative, nan or inf value raises
@@ -129,11 +135,13 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
     without with_empirical nothing is drawn, so nothing is gated.
     validate-config runs this plan as sweep does and stops here.
     """
-    if len(values) == 0:
-        raise ConfigError("sweep: values must be nonempty")
-    for kind in precoders:
-        if kind not in PRECODERS:
-            raise ConfigError(f"precoder: unknown kind {kind!r}")
+    if sweep_axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {sweep_axis!r}")
+    if len(values) == 0 or not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep.values: need one or more finite numbers, "
+                          f"got {' '.join(map(str, values)) or 'none'}")
+    if not precoders or not set(precoders) <= set(PRECODERS):
+        raise ConfigError(f"precoder: need one or more of {PRECODERS}, got {precoders!r}")
     # draw key -> (first scenario with it, {(kind, alpha): its rows})
     rows, groups = [], {}
     for value in values:
@@ -256,11 +264,6 @@ PRESETS: dict[str, Preset] = {p.name: p for p in [
 ]}
 
 
-def list_presets() -> list[tuple[str, str]]:
-    """(name, note) pairs of the preset registry, in registry order."""
-    return [(p.name, f"{p.note} [rate: {p.rate_kind}]") for p in PRESETS.values()]
-
-
 def run_preset(name: str, **config_overrides) -> list[dict]:
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown name {name!r}; have {sorted(PRESETS)}")
@@ -272,8 +275,6 @@ def run_preset(name: str, **config_overrides) -> list[dict]:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        raise ValueError("emit: result table is empty")
     # str of a float, numpy's included, is its shortest round-trip repr
     lines = [COLUMNS] + [["" if v is None else str(v)
                           for v in map(row.__getitem__, COLUMNS)] for row in rows]
@@ -286,7 +287,5 @@ def _py(value):
 
 def rows_to_jsonl(rows: list[dict]) -> str:
     import json  # loaded by the json-lines format only
-    if not rows:
-        raise ValueError("emit: result table is empty")
     return "".join(json.dumps({c: _py(row[c]) for c in COLUMNS}, allow_nan=True)
                    + "\n" for row in rows)

@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo import analytics, cli, lemmas, linksim, sweep
+from pnmimo import analytics, cli, config, lemmas, linksim, sweep
 from pnmimo.cli import main
-from pnmimo.config import ConfigError, SystemConfig
-from pnmimo.sweep import (COLUMNS, PRESETS, SWEEP_AXES, _draw_key, list_presets,
-                          plan_sweep, rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
+from pnmimo.config import ConfigError, SystemConfig, load_config
+from pnmimo.sweep import (COLUMNS, PRESETS, SWEEP_AXES, _draw_key, plan_sweep,
+                          rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
 
 from conftest import fresh_env
 
@@ -97,6 +99,9 @@ INVALID_INPUTS = [
                  ("M:", "1280000000021336 bytes"), id="M-1e12"),
     pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
                  ("sizes:", "1280000000000 bytes"), id="sizes-200000"),
+    # 80 B per user and 8 KiB, gated before any per-user array is built
+    pytest.param("[system]\nM = 1000000000\nK = 1000000000\n",
+                 ("K:", "80000008192 bytes"), id="K-1e9"),
 ]
 
 # Each scenario passes SystemConfig, but its RZF closed form overflows, turns
@@ -148,7 +153,7 @@ def _die(*args):
 def _machine(monkeypatch, nbytes):
     """Report nbytes of physical memory to the memory gate, which reads it
     once per process (test_linksim.TestMemoryLimit covers that read)."""
-    monkeypatch.setattr(linksim, "_memory_limit", lambda: nbytes)
+    monkeypatch.setattr(config, "_memory_limit", lambda: nbytes)
 
 
 def _ini_file(ini, tmp_path):
@@ -180,6 +185,18 @@ class TestRunSweep:
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         with pytest.raises(ConfigError):
             run_sweep(cfg, "snr", [])
+
+    # the plan checks what run_sweep is given before it builds a point
+    @pytest.mark.parametrize("axis, values, precoders, field", [
+        pytest.param("snr", [0.0], (), "precoder:", id="no-precoders"),
+        pytest.param("snr", [0.0], ("rzf", "bogus"), "precoder:", id="unknown-precoder"),
+        pytest.param("bogus", [0.0], ("rzf",), "sweep.axis:", id="unknown-axis"),
+        pytest.param("m_osc", [math.inf], ("rzf",), "sweep.values:", id="m_osc-inf"),
+        pytest.param("m_osc", [math.nan], ("rzf",), "sweep.values:", id="m_osc-nan")])
+    def test_sweep_inputs_rejected_by_the_plan(self, axis, values, precoders, field):
+        cfg = SystemConfig(M=20, K=4, M_osc=2, n_realizations=4)
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}"):
+            run_sweep(cfg, axis, values, precoders)
 
     def test_monte_carlo_cache_shared_across_snr(self):
         # ZF/MF powers are noise-independent: empirical interference power
@@ -279,12 +296,12 @@ class TestSharedDraws:
 
 class TestPresets:
     def test_registry_contents(self):
-        names = [n for n, _ in list_presets()]
-        assert "fig5" in names and "lte" in names
+        assert "fig5" in PRESETS and "lte" in PRESETS
 
-    def test_rate_kind_recorded(self):
-        notes = dict(list_presets())
-        assert "min" in notes["fig8"]
+    def test_rate_kind_recorded(self, capsys):
+        assert main(["preset", "--list"]) == 0
+        listing = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert listing["fig8"].endswith(" [rate: min]")
         assert PRESETS["fig8"].rate_kind == "min"
 
     def test_unknown_name(self):
@@ -329,11 +346,6 @@ class TestEmission:
         loaded = [json.loads(line) for line in rows_to_jsonl(rows).splitlines()]
         assert list(loaded[0]) == COLUMNS
         assert loaded[0]["analytical_sinr"] == rows[0]["analytical_sinr"]
-
-    def test_empty_table_rejected(self):
-        for serialize in (rows_to_csv, rows_to_jsonl):
-            with pytest.raises(ValueError):
-                serialize([])
 
     def test_rerun_byte_identical(self, cfg_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -417,6 +429,42 @@ class TestCliEntry:
         assert main([verb, str(path), *out]) == 2
         err = capsys.readouterr().err
         assert "config:" in err and "Traceback" not in err
+
+    # the plan's message, alike under both verbs and the Python API
+    @pytest.mark.parametrize("sweep_text", [
+        pytest.param("axis = bogus\nvalues = 0\n", id="unknown-axis"),
+        pytest.param("values = 0\n", id="no-axis"),
+        pytest.param("axis = snr\n", id="no-values"),
+        pytest.param("axis = snr\nvalues = 0 inf\n", id="inf"),
+        pytest.param("axis = m_osc\nvalues = nan\n", id="nan")])
+    def test_sweep_input_errors_read_alike(self, sweep_text, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[system]\nM = 20\nK = 4\n\n[sweep]\n{sweep_text}")
+        parsed = load_config(str(path))  # parses; only the plan checks
+        with pytest.raises(ConfigError, match=r"^sweep\.(axis|values): ") as exc:
+            run_sweep(*parsed)
+        out = tmp_path / "out.csv"
+        for argv in (["sweep", str(path), "--out", str(out)], ["validate-config", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"configuration error: {exc.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
+    def test_missing_config_file_exits_2(self, verb, tmp_path, capsys):
+        path = str(tmp_path / "missing.ini")
+        assert main([verb, path]) == 2
+        assert capsys.readouterr().err == f"configuration error: config: cannot read {path}\n"
+
+    # /dev/full opens, but every write to it fails: only the write after the run sees it
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["preset", "fig6a"], id="preset"),
+        pytest.param(["lemmas", "--sizes", "16,32", "--trials", "2"], id="lemmas")])
+    def test_failed_write_exits_2(self, argv, capsys):
+        assert main([*argv, "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: --out: cannot write /dev/full: "
+                       "No space left on device\n")
 
     @pytest.mark.filterwarnings("error")
     def test_config_without_sweep_exits_2(self, tmp_path, capsys):
@@ -521,16 +569,16 @@ class TestCliEntry:
     # 160 (160000 + 130) + 268 x 2000 and 16 x 204 (160 + 52) + 268 x 200000
     @pytest.mark.parametrize("argv, field", [
         pytest.param(["sweep", "M = 20000\nK = 10\n"],
-                     "M: the draw buffers need 26156800 bytes", id="sweep-M"),
+                     "M: the buffers need 26156800 bytes", id="sweep-M"),
         pytest.param(["validate-config", "M = 20000\nK = 10\n"],
-                     "M: the draw buffers need 26156800 bytes", id="validate-M"),
+                     "M: the buffers need 26156800 bytes", id="validate-M"),
         pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
-                     "n_realizations: the draw buffers need 54291968 bytes",
+                     "n_realizations: the buffers need 54291968 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
-                     "sizes: the draw buffers need 8388608 bytes", id="lemmas-sizes"),
+                     "sizes: the buffers need 8388608 bytes", id="lemmas-sizes"),
         pytest.param(["lemmas", "--sizes", "8,16", "--trials", "20000"],
-                     "trials: the draw buffers need 10240000 bytes", id="lemmas-trials")])
+                     "trials: the buffers need 10240000 bytes", id="lemmas-trials")])
     def test_memory_gate_names_the_field(self, argv, field, tmp_path, monkeypatch,
                                          capsys):
         # a 4 MiB machine rejects what a real one would accept, before any
@@ -559,7 +607,7 @@ class TestCliEntry:
         out = tmp_path / "o.csv"
         assert main([verb, str(path), *(["--out", str(out)] if verb == "sweep" else [])]) == 2
         err = capsys.readouterr().err
-        assert "n_realizations: the draw buffers need" in err
+        assert "n_realizations: the buffers need" in err
         assert "4194304 bytes available" in err and "Traceback" not in err
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnmimo import config
+from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig, load_config
 from pnmimo.phase_noise import deg_to_var, t_pn_second_moment
 from pnmimo.rmt import optimal_alpha
-from pnmimo.sweep import PRECODERS, _draw_key, run_sweep
+from pnmimo.sweep import PRECODERS, SWEEP_AXES, _apply_axis, _draw_key, run_sweep
 
 
 class TestValidation:
@@ -61,6 +64,7 @@ class TestValidation:
         (dict(n_realizations=1), "n_realizations"),
         (dict(M_osc=0), "M_osc"),
         (dict(K=0), "K"),
+        (dict(powers="bogus"), "powers"),
     ])
     def test_field_level_messages(self, kw, field):
         with pytest.raises(ConfigError, match=field):
@@ -95,6 +99,36 @@ class TestValidation:
         assert cfg.powers[0] == 0.1
 
 
+class TestUserCountGate:
+    """SystemConfig gates K on memory before it builds any per-user data."""
+
+    # the fixed part leads at one user, the per-user part at 10,000
+    @pytest.mark.parametrize("K", [1, 10_000])
+    def test_count_bounds_traced_peak(self, monkeypatch, K):
+        counted = []
+        monkeypatch.setattr(config, "check_buffer",
+                            lambda name, value, nbytes: counted.append(nbytes))
+        values = dict(snr=5.0, m_osc=2.0, beta=3.0, sigma_phi=0.1, alpha=0.2)
+        assert set(values) == set(SWEEP_AXES)
+        for axis, value in values.items():
+            _apply_axis(SystemConfig(M=2 * K, K=K), axis, value)  # warm up
+            tracemalloc.start()
+            try:
+                # a base scenario and one sweep point built from it
+                _apply_axis(SystemConfig(M=2 * K, K=K), axis, value)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= counted[-1] == 80 * K + 8192
+
+    def test_gate_runs_before_per_user_data(self, monkeypatch):
+        monkeypatch.setattr(config, "_memory_limit", lambda: 1 << 20)
+        monkeypatch.setattr(config.np, "full", None)
+        monkeypatch.setattr(config.np, "array", None)
+        with pytest.raises(ConfigError, match="^K: the buffers need 80008192 bytes"):
+            SystemConfig(M=10 ** 6, K=10 ** 6)
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -124,11 +158,14 @@ class TestFileFormat:
         with pytest.raises(ConfigError, match="system"):
             load_config(str(path))
 
-    def test_bad_axis(self, tmp_path):
+    def test_bad_axis(self, tmp_path, capsys):
+        # load_config only parses; the sweep's plan rejects the axis
         path = tmp_path / "run.ini"
         path.write_text("[system]\nM = 8\nK = 2\n\n[sweep]\naxis = nope\nvalues = 1\n")
-        with pytest.raises(ConfigError, match="axis"):
-            load_config(str(path))
+        for argv in (["sweep", str(path), "--out", str(tmp_path / "o.csv")],
+                     ["validate-config", str(path)]):
+            assert main(argv) == 2
+            assert "configuration error: sweep.axis: " in capsys.readouterr().err
 
     def test_readme_example_parses(self, tmp_path):
         # the ini block under "Config file format", inline ';' comments included

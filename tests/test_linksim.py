@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pnmimo.channel import synthesize_estimate
-from pnmimo import linksim
+from pnmimo import config, linksim
 from pnmimo.config import SystemConfig
 from pnmimo.linksim import empirical_powers
 from pnmimo.phase_noise import theta_vector
@@ -336,24 +336,24 @@ def _sysconf(values):
 
 class TestMemoryLimit:
     def test_physical_memory_within_numpy_index_range(self):
-        assert 0 < linksim._memory_limit() <= np.iinfo(np.intp).max
+        assert 0 < config._memory_limit() <= np.iinfo(np.intp).max
 
     def test_read_once_per_process(self, monkeypatch):
-        limit = linksim._memory_limit()
-        monkeypatch.setattr(linksim.os, "sysconf", _sysconf({}))
-        assert linksim._memory_limit() == limit
+        limit = config._memory_limit()
+        monkeypatch.setattr(config.os, "sysconf", _sysconf({}))
+        assert config._memory_limit() == limit
 
     def test_reported_memory(self, monkeypatch):
-        monkeypatch.setattr(linksim.os, "sysconf",
+        monkeypatch.setattr(config.os, "sysconf",
                             _sysconf({"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}))
-        assert linksim._memory_limit.__wrapped__() == 4 << 20
+        assert config._memory_limit.__wrapped__() == 4 << 20
 
     @pytest.mark.parametrize("sysconf", [
         pytest.param({"SC_PHYS_PAGES": -1, "SC_PAGE_SIZE": 4096}, id="unknown-pages"),
         pytest.param({}, id="no-such-name")])
     def test_unreported_memory_falls_back_to_index_range(self, monkeypatch, sysconf):
-        monkeypatch.setattr(linksim.os, "sysconf", _sysconf(sysconf))
-        assert linksim._memory_limit.__wrapped__() == np.iinfo(np.intp).max
+        monkeypatch.setattr(config.os, "sysconf", _sysconf(sysconf))
+        assert config._memory_limit.__wrapped__() == np.iinfo(np.intp).max
 
 
 class TestDrawSizeGate:

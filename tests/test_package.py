@@ -1,13 +1,17 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import pnmimo
+from pnmimo import lemmas, linksim
+from pnmimo.config import SystemConfig
 
 from conftest import fresh_env
 
@@ -20,17 +24,38 @@ def test_all_names_resolve(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def _perfbench_constant(filename: str, name: str):
+    """A module-level literal of a perfbench file, read with ast, without
+    importing perfbench."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / filename).read_text())
+    value, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == name]
+    return ast.literal_eval(value)
+
+
 def test_traced_modules_import():
     # perfbench/tracer.py imports each pnmimo module named in its TRACED dict,
-    # so a removed or renamed module would break traced benchmark runs; the
-    # dict is read with ast, without importing perfbench
-    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "tracer.py").read_text())
-    traced, = [node.value for node in tree.body if isinstance(node, ast.Assign)
-               and getattr(node.targets[0], "id", None) == "TRACED"]
-    names = ast.literal_eval(traced)
+    # so a removed or renamed module would break traced benchmark runs
+    names = _perfbench_constant("tracer.py", "TRACED")
     assert "lemmas" in names
     for name in names:
         importlib.import_module(f"pnmimo.{name}")
+
+
+def test_traced_call_arguments_bind():
+    # perfbench/layers.py binds each lemma check of its LEMMA_CHECKS to its
+    # signature and reads n_trials and M_values or M, and it reads a traced
+    # empirical_powers call's first argument as the SystemConfig; a renamed
+    # parameter would crash traced lemma_lab and mc_* runs
+    checks = _perfbench_constant("layers.py", "LEMMA_CHECKS")
+    assert "check_trace_lemma" in checks
+    for check in checks:
+        params = inspect.signature(getattr(lemmas, check)).parameters
+        assert "n_trials" in params
+        assert ("M_values" in params) != ("M" in params), check
+    first = next(iter(inspect.signature(linksim.empirical_powers).parameters.values()))
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert typing.get_type_hints(linksim.empirical_powers)[first.name] is SystemConfig
 
 
 def _fresh(code: str) -> str:
