@@ -2,11 +2,14 @@
 
 Config files are flat INI text with a [system] section of key = value pairs
 and a [sweep] section naming the axis and its values; both are required.
-The memory gate (check_buffer) lives here beside ConfigError, its error type.
+The memory gate (check_buffer) lives here beside ConfigError, its error type,
+and so does the other limit of the machine that pnmimo heeds: the BLAS
+thread budget of its own concurrent work (share_blas, blas_budget).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -18,7 +21,8 @@ import numpy as np
 from .phase_noise import deg_to_var, t_pn_second_moment
 from .rmt import optimal_alpha
 
-__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer"]
+__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "share_blas",
+           "blas_budget"]
 
 
 class ConfigError(ValueError):
@@ -36,6 +40,56 @@ def _memory_limit() -> int:
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return limit
     return min(limit, pages * size) if pages > 0 and size > 0 else limit
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy links,
+    or None where numpy links another BLAS.  A symbol looked up through
+    numpy's core extension module is searched for in the libraries that
+    module links, so the library's file name is never needed.  Found once
+    per process."""
+    import ctypes  # numpy has imported it already
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):  # no such module, or it cannot be opened
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def share_blas(busy: int) -> int | None:
+    """Give each of `busy` threads or processes that call BLAS at once
+    max(1, cores // busy) BLAS threads, never more than this process has
+    now.  Returns the count it had, or None (and does nothing) where no
+    OpenBLAS is found.  A pool worker calls it once, as its initializer."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    get, put = blas
+    before = get()
+    put(min(before, max(1, (os.cpu_count() or 1) // busy)))
+    return before
+
+
+@contextlib.contextmanager
+def blas_budget(busy: int):
+    """share_blas(busy) for the body of a with statement; the thread count
+    is restored afterwards, whether or not the body raises."""
+    before = share_blas(busy)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _openblas()[1](before)
 
 
 def check_buffer(name: str, value, nbytes: int) -> None:

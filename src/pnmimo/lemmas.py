@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import blas_budget
 from .phase_noise import theta_vector
 
 __all__ = ["ConvergenceRecord", "check_matrix_inversion_identity",
@@ -60,11 +61,17 @@ def _gaussian_vec(M, rng, scale):
 
 def _random_spd(M, rng):
     """B B^H / M + I for B = (Zr + j Zi) / sqrt(2), Zr and Zi the two halves
-    of one (2, M, M) standard normal draw, without the complex product: the
-    real part is (Zr Zr^T + Zi Zi^T) / (2M) + I and the imaginary part
-    (Y - Y^T) / (2M), Y = Zi Zr^T.  It uses the stream as
+    of one (2, M, M) standard normal draw.  It uses the stream as
     _gaussian_vec(M * M, rng, 1.0) does."""
-    Zr, Zi = rng.standard_normal((2, M, M))
+    return _spd(rng.standard_normal((2, M, M)))
+
+
+def _spd(Z):
+    """B B^H / M + I from the (2, M, M) normals Z = (Zr, Zi) of B, without
+    the complex product: the real part is (Zr Zr^T + Zi Zi^T) / (2M) + I and
+    the imaginary part (Y - Y^T) / (2M), Y = Zi Zr^T.  Draws nothing."""
+    Zr, Zi = Z
+    M = Zr.shape[0]
     G = Zr @ Zr.T  # X @ X.T takes BLAS's symmetric product
     G += Zi @ Zi.T
     G /= 2.0 * M
@@ -167,27 +174,50 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     arithmetic the test reads q ||y||^2 <= |1 + q h^H y|, and h^H y =
     y^H S y >= ||y||^2 leaves a margin of at least 1, so rounding cannot trip
     it; only a wrong solve or quadratic form can.
+
+    One helper thread builds S from its normals and solves for y while this
+    thread makes every draw, in the order of a serial loop: C, h and q while
+    S is built, and the next trial's S normals during the solve.  Meanwhile
+    BLAS gets half the cores (config.blas_budget), so that the two threads
+    do not oversubscribe them.  Only the draws touch rng, so the errors and
+    rng's final state are those of the serial loop.
     """
+    from concurrent.futures import ThreadPoolExecutor  # this check only
+
     per_size = []
-    for M in M_values:
-        errs = np.empty(n_trials)
-        for t in range(n_trials):
-            S = _random_spd(M, rng)  # U + I
-            C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
-            h = _gaussian_vec(M, rng, 1.0)
-            q = abs(float(rng.normal())) + 0.1
-            y = np.linalg.solve(S, h)
-            Chy = y.conj() @ C  # (C^H y)^*, the same norm as C^H y
-            yy = np.vdot(y, y).real
-            yAy = np.vdot(Chy, Chy).real / M + yy
-            gap = q * yAy / (M * abs(1.0 + q * (h.conj() @ y)))
-            bound = yAy / yy / M
-            if gap > bound * (1 + 1e-10):
-                raise FloatingPointError(
-                    f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
-            errs[t] = gap
-        per_size.append(errs)
+    with blas_budget(2), ThreadPoolExecutor(max_workers=1) as helper:
+        for M in M_values:
+            per_size.append(_rank1_gaps(M, rng, n_trials, helper))
     return _record("rank1_perturbation", M_values, per_size)
+
+
+def _rank1_gaps(M, rng, n_trials, helper) -> np.ndarray:
+    """check_rank1_perturbation's n_trials gaps at size M.  Each M x M array
+    is dropped as soon as it is used, so that no more of them are alive at
+    once than in a serial loop."""
+    errs = np.empty(n_trials)
+    Z = rng.standard_normal((2, M, M))  # the normals of the first trial's S
+    for t in range(n_trials):
+        S = helper.submit(_spd, Z)  # U + I; the helper holds Z until S is built
+        del Z
+        C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+        h = _gaussian_vec(M, rng, 1.0)
+        q = abs(float(rng.normal())) + 0.1
+        y = helper.submit(np.linalg.solve, S.result(), h)
+        if t + 1 < n_trials:
+            Z = rng.standard_normal((2, M, M))
+        y = y.result()
+        Chy = y.conj() @ C  # (C^H y)^*, the same norm as C^H y
+        yy = np.vdot(y, y).real
+        yAy = np.vdot(Chy, Chy).real / M + yy
+        gap = q * yAy / (M * abs(1.0 + q * (h.conj() @ y)))
+        bound = yAy / yy / M
+        if gap > bound * (1 + 1e-10):
+            raise FloatingPointError(
+                f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
+        errs[t] = gap
+        del C
+    return errs
 
 
 def check_free_probability_traces(M_values, rng: np.random.Generator,

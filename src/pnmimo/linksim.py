@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import synthesize_estimate
-from .config import SystemConfig, check_buffer
+from .config import SystemConfig, check_buffer, share_blas
 from .phase_noise import theta_vector
 from .precoding import precoders
 
@@ -289,9 +289,11 @@ def _powers(config: SystemConfig, variants: list) -> tuple[np.ndarray, np.ndarra
     precoder rejected the draw: one block, or one block per index range on
     the process pool, joined in index order.
 
-    A worker that dies (the OOM killer's usual work) breaks the pool; that
-    is raised as a MemoryError, which the CLI reports as a run that does not
-    fit in memory.
+    Each worker starts by taking its share of the cores for BLAS
+    (config.share_blas), so the workers' BLAS threads do not oversubscribe
+    the machine.  A worker that dies (the OOM killer's usual work) breaks
+    the pool; that is raised as a MemoryError, which the CLI reports as a
+    run that does not fit in memory.
     """
     n, workers = config.n_realizations, _pool_size(config)
     if not workers:
@@ -299,7 +301,8 @@ def _powers(config: SystemConfig, variants: list) -> tuple[np.ndarray, np.ndarra
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # pool path only
     bounds = np.linspace(0, n, config.parallelism + 1, dtype=int)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_blas,
+                                 initargs=(workers,)) as pool:
             futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
                        for a, b in zip(bounds[:-1], bounds[1:])]
             pieces = [f.result() for f in futures]

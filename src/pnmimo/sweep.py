@@ -119,7 +119,8 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
     This is the one check of what a sweep is given, for the CLI verbs and
     the Python API alike.  Before any point is built it raises ConfigError
     naming sweep.axis for an axis not in SWEEP_AXES, sweep.values for no
-    values or one that is not finite, and precoder for no precoders or one
+    values or one that is not a finite real number (a str, or an int too
+    large for a float, included), and precoder for no precoders or one
     not in PRECODERS.
 
     One pass over the points builds each row: scenario cells, closed form,
@@ -137,7 +138,11 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
     """
     if sweep_axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {sweep_axis!r}")
-    if len(values) == 0 or not all(map(math.isfinite, values)):
+    try:
+        finite = len(values) > 0 and all(map(math.isfinite, values))
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float
+        finite = False
+    if not finite:
         raise ConfigError(f"sweep.values: need one or more finite numbers, "
                           f"got {' '.join(map(str, values)) or 'none'}")
     if not precoders or not set(precoders) <= set(PRECODERS):

@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from scipy.linalg import blas, lapack
 
@@ -27,6 +28,22 @@ def fresh_env() -> dict:
     src = str(Path(pnmimo.__file__).resolve().parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """A machine that reports 2 cores, with numpy's OpenBLAS at 2 threads
+    until the test ends, so that two concurrent BLAS callers get one thread
+    each.  Yields the thread-count getter; skips where there is no OpenBLAS."""
+    blas = pnmimo.config._openblas()
+    if blas is None:
+        pytest.skip("numpy links no OpenBLAS")
+    get, put = blas
+    before = get()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    put(2)
+    yield get
+    put(before)
 
 
 def sinr_mf_finite_k(config) -> float:

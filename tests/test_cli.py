@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 
@@ -192,7 +193,9 @@ class TestRunSweep:
         pytest.param("snr", [0.0], ("rzf", "bogus"), "precoder:", id="unknown-precoder"),
         pytest.param("bogus", [0.0], ("rzf",), "sweep.axis:", id="unknown-axis"),
         pytest.param("m_osc", [math.inf], ("rzf",), "sweep.values:", id="m_osc-inf"),
-        pytest.param("m_osc", [math.nan], ("rzf",), "sweep.values:", id="m_osc-nan")])
+        pytest.param("m_osc", [math.nan], ("rzf",), "sweep.values:", id="m_osc-nan"),
+        pytest.param("snr", [10 ** 400], ("rzf",), "sweep.values:", id="int-overflow"),
+        pytest.param("snr", ["0"], ("rzf",), "sweep.values:", id="str-value")])
     def test_sweep_inputs_rejected_by_the_plan(self, axis, values, precoders, field):
         cfg = SystemConfig(M=20, K=4, M_osc=2, n_realizations=4)
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}"):
@@ -656,6 +659,30 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "numerical failure: rank-1 trace gap" in err
         assert "Traceback" not in err
+
+    def test_rank1_failure_inside_the_overlap_cleans_up(self, tmp_path, monkeypatch,
+                                                        capsys, two_blas_threads):
+        # the helper thread's third solve returns 1e3 y, so the bound fails
+        # partway through the overlap: exit 3, the helper thread joined and
+        # BLAS back at its thread count
+        solve, seen = np.linalg.solve, []
+
+        def inflate_third_helper_solve(a, b):
+            if threading.current_thread() is threading.main_thread():
+                return solve(a, b)
+            seen.append(two_blas_threads())
+            return (1e3 if len(seen) == 3 else 1.0) * solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", inflate_third_helper_solve)
+        threads = threading.active_count()
+        assert main(["lemmas", "--sizes", "32,64", "--trials", "4",
+                     "--out", str(tmp_path / "lem.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: rank-1 trace gap" in err
+        assert "Traceback" not in err
+        assert seen == [1, 1, 1]  # 2 cores shared by the two threads
+        assert threading.active_count() == threads
+        assert two_blas_threads() == 2
 
     def test_one_parser_serves_repeated_calls(self, capsys):
         # main() parses with one parser per process: a call argparse rejects

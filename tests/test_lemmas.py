@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pnmimo.config import blas_budget
 from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
                            check_free_probability_traces,
                            check_matrix_inversion_identity,
@@ -62,6 +63,26 @@ def rank1_oracle(M_values, rng, n_trials, zeta=1.0):
             errs.append(gap)
         medians.append(np.median(errs))
     return np.array(medians)
+
+
+def rank1_serial(M_values, rng, n_trials):
+    """check_rank1_perturbation's medians from a serial loop on one thread:
+    each trial draws S's normals, C, h and q, then builds S and solves."""
+    medians = []
+    for M in M_values:
+        errs = []
+        for _ in range(n_trials):
+            S = _random_spd(M, rng)
+            C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+            h = _gaussian_vec(M, rng, 1.0)
+            q = abs(float(rng.normal())) + 0.1
+            y = np.linalg.solve(S, h)
+            Chy = y.conj() @ C
+            yy = np.vdot(y, y).real
+            yAy = np.vdot(Chy, Chy).real / M + yy
+            errs.append(q * yAy / (M * abs(1.0 + q * (h.conj() @ y))))
+        medians.append(float(np.median(errs)))
+    return medians
 
 
 def free_probability_oracle(M_values, rng, n_trials):
@@ -135,6 +156,18 @@ class TestOracles:
         _same_draws_same_medians(
             lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,
             lambda rng: rank1_oracle([8, 32, 64], rng, n_trials=5), seed=20)
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_rank1_overlap_keeps_the_serial_stream(self, seed):
+        # the helper thread changes when the products run, not the draws:
+        # the same bits and the same generator state as the serial loop, both
+        # at the overlap's BLAS thread count
+        rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = check_rank1_perturbation([8, 32, 64], rng_lib, n_trials=5).errors
+        with blas_budget(2):
+            ref = rank1_serial([8, 32, 64], rng_ref, n_trials=5)
+        assert got == ref
+        assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
 
     def test_rank1_needs_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):

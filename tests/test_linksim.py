@@ -27,6 +27,13 @@ def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
     return H, phases, H_hat
 
 
+def _blas_threads_block(config_, variants, start, stop):
+    """A _simulate_block stand-in whose powers are the BLAS thread count of
+    the process that runs it; module-level, so a pool worker can unpickle it."""
+    threads = np.full((len(variants), stop - start), float(config._openblas()[0]()))
+    return threads, threads
+
+
 def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
     rng = np.random.default_rng(seed)
     return (rng, *_draw(M, K, M // 4, q0, sigma2, sigma2, tau, rng))
@@ -178,8 +185,10 @@ class TestEmpiricalSinr:
         pools, ranges = [], []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                # a worker's initializer would set this process's BLAS threads
+                assert initializer is config.share_blas
+                pools.append((max_workers, initargs))
 
             def __enter__(self):
                 return self
@@ -197,11 +206,20 @@ class TestEmpiricalSinr:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(linksim.os, "cpu_count", lambda: cores)
         sig, intf = linksim._powers(cfg, [("rzf", 0.1)])
-        assert pools == [cores or 1]
+        assert pools == [(cores or 1, (cores or 1,))]
         assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
         ref_sig, ref_int = linksim._powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
         assert np.array_equal(sig, ref_sig)
         assert np.array_equal(intf, ref_int)
+
+    def test_pool_workers_take_their_blas_share(self, monkeypatch, two_blas_threads):
+        # two workers on 2 cores run BLAS on one thread each; the parent keeps its 2
+        monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block)
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
+                           parallelism=2)
+        sig, intf = linksim._powers(cfg, [("mf", None)])
+        assert sig.shape == (1, 64) and np.all(sig == 1.0) and np.all(intf == 1.0)
+        assert two_blas_threads() == 2
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)

@@ -73,9 +73,10 @@ def test_simulation_runs_without_scipy(tmp_path):
     assert out.split() == ["0", "False"]
 
 
-# Modules that only the process pool, the lemmas verb and config files need
-ON_FIRST_USE = ("concurrent.futures.process", "multiprocessing", "pnmimo.lemmas",
-                "configparser", "numpy.random")
+# Modules that only the process pool, the lemmas verb (and its helper
+# thread) and config files need
+ON_FIRST_USE = ("concurrent.futures.process", "concurrent.futures.thread",
+                "multiprocessing", "pnmimo.lemmas", "configparser", "numpy.random")
 
 
 def test_closed_form_preset_loads_only_what_it_runs(tmp_path):
