@@ -4,7 +4,7 @@ Config files are flat INI text with a [system] section of key = value pairs
 and a [sweep] section naming the axis and its values; both are required.
 The memory gate (check_buffer) lives here beside ConfigError, its error type,
 and so does the other limit of the machine that pnmimo heeds: the BLAS
-thread budget of its own concurrent work (share_blas, blas_budget).
+thread count its own work runs at (cap_blas, blas_threads, blas_budget).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from .phase_noise import deg_to_var, t_pn_second_moment
 from .rmt import optimal_alpha
 
-__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "share_blas",
-           "blas_budget"]
+__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "cap_blas",
+           "blas_threads", "blas_budget"]
 
 
 class ConfigError(ValueError):
@@ -66,30 +66,39 @@ def _openblas():
     return None
 
 
-def share_blas(busy: int) -> int | None:
-    """Give each of `busy` threads or processes that call BLAS at once
-    max(1, cores // busy) BLAS threads, never more than this process has
-    now.  Returns the count it had, or None (and does nothing) where no
-    OpenBLAS is found.  A pool worker calls it once, as its initializer."""
+def cap_blas(threads: int) -> int | None:
+    """Lower numpy's OpenBLAS to at most `threads` threads.  Returns the
+    count it had, or None (and does nothing) where no OpenBLAS is found.
+    It makes no set call where the count is already at most `threads`: a
+    forked pool worker inherits its parent's count, so the worker of a
+    parent that capped it makes none (a set call makes OpenBLAS re-create
+    its threads).  A pool worker calls it once, as its initializer."""
     blas = _openblas()
     if blas is None:
         return None
     get, put = blas
     before = get()
-    put(min(before, max(1, (os.cpu_count() or 1) // busy)))
+    if before > threads:
+        put(threads)
     return before
 
 
 @contextlib.contextmanager
-def blas_budget(busy: int):
-    """share_blas(busy) for the body of a with statement; the thread count
+def blas_threads(threads: int):
+    """cap_blas(threads) for the body of a with statement; the thread count
     is restored afterwards, whether or not the body raises."""
-    before = share_blas(busy)
+    before = cap_blas(threads)
     try:
         yield
     finally:
-        if before is not None:
+        if before is not None and before > threads:
             _openblas()[1](before)
+
+
+def blas_budget(busy: int):
+    """blas_threads at each of `busy` concurrent BLAS callers' share of the
+    cores: max(1, cores // busy) threads, never more than the process has."""
+    return blas_threads(max(1, (os.cpu_count() or 1) // busy))
 
 
 def check_buffer(name: str, value, nbytes: int) -> None:
@@ -99,6 +108,19 @@ def check_buffer(name: str, value, nbytes: int) -> None:
     if nbytes > limit:
         raise ConfigError(f"{name}: the buffers need {nbytes} bytes, more than "
                           f"the {limit} bytes available, got {name} = {value}")
+
+
+def _sum(p: np.ndarray, entries: tuple) -> float:
+    """p.sum() as a float, inf where it overflows: numpy's pairwise sum,
+    whose bits the closed forms read; entries holds p's values as floats.
+    numpy reports an overflow (a RuntimeWarning, or a FloatingPointError
+    under a sweep plan's raise mode), so it is muted where one can happen:
+    entries all below the largest float over 2 len(p) cannot overflow the
+    sum, rounding included, and skip the cost of muting it."""
+    if max(entries) < sys.float_info.max / (2 * len(entries)):
+        return float(p.sum())
+    with np.errstate(over="ignore"):
+        return float(p.sum())
 
 
 @dataclass(frozen=True)
@@ -156,7 +178,7 @@ class SystemConfig:
         # per user, this scenario's transient float64 array, float objects
         # and list and tuple pointers (48 B), and the 32 B of floats and
         # pointers in the powers tuple of the scenario a sweep point is
-        # replaced from; tests/test_config.py checks it against tracemalloc
+        # built from; tests/test_config.py checks it against tracemalloc
         check_buffer("K", self.K, 80 * self.K + 8192)
         if isinstance(self.powers, str):
             if self.powers != "equal":
@@ -175,22 +197,24 @@ class SystemConfig:
             raise ConfigError(f"tau: need 1 <= tau <= T_c = {self.T_c}, got {self.tau}")
         if (self.snr_db is None) == (self.sigma_w2_value is None):
             raise ConfigError("snr_db/sigma_w2: set exactly one noise handle")
-        with np.errstate(over="ignore"):  # an overflow is the inf rejected here
-            sigma2_bs, sigma2_ue = map(deg_to_var, (self.sigma_deg_bs, self.sigma_deg_ue))
-            for name, deg, var in (("sigma_deg_bs", self.sigma_deg_bs, sigma2_bs),
-                                   ("sigma_deg_ue", self.sigma_deg_ue, sigma2_ue)):
-                if deg < 0 or not math.isfinite(self.tau * var):
-                    raise ConfigError(f"{name}: need >= 0 and tau * sigma^2 < inf, got {deg}")
-            if p.shape != (self.K,):
-                raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
-            # a NaN minimum fails >= 0, and an inf entry makes the sum inf
-            if not p.min() >= 0 or not 0 < (p_sum := float(p.sum())) < math.inf:
-                raise ConfigError("powers: need entries >= 0 with a finite positive sum")
+        # a variance whose square overflows is inf, rejected here
+        sigma2_bs, sigma2_ue = deg_to_var(self.sigma_deg_bs), deg_to_var(self.sigma_deg_ue)
+        for name, deg, var in (("sigma_deg_bs", self.sigma_deg_bs, sigma2_bs),
+                               ("sigma_deg_ue", self.sigma_deg_ue, sigma2_ue)):
+            if deg < 0 or not math.isfinite(self.tau * var):
+                raise ConfigError(f"{name}: need >= 0 and tau * sigma^2 < inf, got {deg}")
+        if p.shape != (self.K,):
+            raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
+        powers = tuple(p.tolist())
+        # a NaN entry makes the sum NaN, where min may pass over it, and an
+        # inf entry makes the sum inf
+        if not min(powers) >= 0 or not 0 < (p_sum := _sum(p, powers)) < math.inf:
+            raise ConfigError("powers: need entries >= 0 with a finite positive sum")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha: must be > 0, got {self.alpha}")
         if not 0 <= self.ue_index < self.K:
             raise ConfigError(f"ue_index: out of range for K={self.K}")
-        p_k = float(p[self.ue_index])
+        p_k = powers[self.ue_index]
         try:
             sigma_w2 = (self.sigma_w2_value if self.snr_db is None
                         else p_k / 10.0 ** (self.snr_db / 10.0))
@@ -220,7 +244,7 @@ class SystemConfig:
             raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
         # the powers tuple, then the derived values as plain attributes, not
         # fields, so that equality, replace() and the Monte-Carlo draw key ignore them
-        self.__dict__.update(powers=tuple(p.tolist()), beta=beta, sigma_w2=sigma_w2,
+        self.__dict__.update(powers=powers, beta=beta, sigma_w2=sigma_w2,
                              sigma2_bs=sigma2_bs, sigma2_ue=sigma2_ue, p_k=p_k, p_sum=p_sum,
                              e_tpn2=e_tpn2, q_eff=self.q0 * e_tpn2, rzf_alpha=alpha)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import synthesize_estimate
-from .config import SystemConfig, check_buffer, share_blas
+from .config import SystemConfig, blas_threads, cap_blas, check_buffer
 from .phase_noise import theta_vector
 from .precoding import precoders
 
@@ -289,25 +289,29 @@ def _powers(config: SystemConfig, variants: list) -> tuple[np.ndarray, np.ndarra
     precoder rejected the draw: one block, or one block per index range on
     the process pool, joined in index order.
 
-    Each worker starts by taking its share of the cores for BLAS
-    (config.share_blas), so the workers' BLAS threads do not oversubscribe
-    the machine.  A worker that dies (the OOM killer's usual work) breaks
-    the pool; that is raised as a MemoryError, which the CLI reports as a
-    run that does not fit in memory.
+    The kernel runs at one BLAS thread on both paths (config.blas_threads),
+    so its bits depend neither on the parallelism nor on the core count;
+    its chunks are small by design, so BLAS threads inside it mostly burn
+    CPU.  The count is set here, before the pool starts, so forked workers
+    inherit it and make no OpenBLAS call; the initializer caps a worker
+    started another way (forkserver, spawn).  A worker that dies (the OOM
+    killer's usual work) breaks the pool; that is raised as a MemoryError,
+    which the CLI reports as a run that does not fit in memory.
     """
     n, workers = config.n_realizations, _pool_size(config)
-    if not workers:
-        return _simulate_block(config, variants, 0, n)
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # pool path only
-    bounds = np.linspace(0, n, config.parallelism + 1, dtype=int)
-    try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=share_blas,
-                                 initargs=(workers,)) as pool:
-            futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
-                       for a, b in zip(bounds[:-1], bounds[1:])]
-            pieces = [f.result() for f in futures]
-    except BrokenExecutor:
-        raise MemoryError("a worker process died, most likely for lack of memory") from None
+    with blas_threads(1):
+        if not workers:
+            return _simulate_block(config, variants, 0, n)
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # pool path only
+        bounds = np.linspace(0, n, config.parallelism + 1, dtype=int)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=cap_blas,
+                                     initargs=(1,)) as pool:
+                futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
+                           for a, b in zip(bounds[:-1], bounds[1:])]
+                pieces = [f.result() for f in futures]
+        except BrokenExecutor:
+            raise MemoryError("a worker process died, most likely for lack of memory") from None
     return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*pieces))
 
 

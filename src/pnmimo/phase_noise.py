@@ -12,6 +12,8 @@ once, by SystemConfig.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -22,8 +24,15 @@ __all__ = [
 
 
 def deg_to_var(sigma_deg: float) -> float:
-    """Per-symbol increment variance (rad^2) from a std dev given in degrees."""
-    return float(np.deg2rad(sigma_deg) ** 2)
+    """Per-symbol increment variance (rad^2) from a std dev given in degrees,
+    inf where the square overflows.  The same bits as
+    float(np.deg2rad(sigma_deg) ** 2): both scale by pi/180 and square with
+    the C library's pow, but on a Python float, without numpy's scalar
+    dispatch or its overflow report."""
+    try:
+        return math.radians(sigma_deg) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def theta_vector(ue_phases, bs_phases: np.ndarray, M: int) -> np.ndarray:
@@ -48,5 +57,5 @@ def t_pn_second_moment(M_osc: int, tau: int, sigma2_bs: float) -> float:
     E|T_PN|^2 = (1 - e^{-tau*sigma2}) / M_osc + e^{-tau*sigma2}; equals 1 for a common
     oscillator and decreases to e^{-tau*sigma2} as M_osc grows.
     """
-    e = np.exp(-tau * sigma2_bs)
-    return float((1.0 - e) / M_osc + e)
+    e = float(np.exp(-tau * sigma2_bs))  # np.exp: math.exp's bits differ
+    return (1.0 - e) / M_osc + e

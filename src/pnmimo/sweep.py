@@ -14,7 +14,8 @@ with the same master seed reproduces the file exactly at any parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,14 +40,19 @@ COLUMNS = [
 # fields too, but their cells hold the resolved alpha and the kept-draw count.
 _SCENARIO_COLUMNS = ("M", "K", "M_osc", "q0", "sigma_deg_bs", "sigma_deg_ue",
                      "tau", "T_c", "snr_db", "sigma_w2", "master_seed")
+_scenario_cells = attrgetter(*_SCENARIO_COLUMNS)
+
+# SystemConfig's fields, in order: the keyword arguments that build a scenario
+_FIELDS = tuple(f.name for f in fields(SystemConfig))
 
 SWEEP_AXES = ("snr", "m_osc", "beta", "sigma_phi", "alpha")
 PRECODERS = ("rzf", "zf", "mf")
 
 
-def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
+def _apply_axis(base: dict, axis: str, value: float) -> SystemConfig:
     """The scenario at one finite value of a SWEEP_AXES axis (plan_sweep
-    checks both); SystemConfig validates it."""
+    checks both), built from base, a scenario's fields by name, with the
+    axis's fields changed; SystemConfig validates it."""
     if axis == "snr":
         changes = dict(snr_db=float(value), sigma_w2_value=None)
     elif axis == "m_osc":
@@ -54,7 +60,7 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
             raise ConfigError(f"sweep.values: m_osc must be an integer, got {value:g}")
         changes = dict(M_osc=int(value))
     elif axis == "beta":
-        M = value * config.K
+        M = value * base["K"]
         if not math.isfinite(M):
             raise ConfigError(f"sweep.values: beta = {value:g} makes M = beta K overflow")
         if not math.isclose(M, round(M), rel_tol=1e-9):  # 2.2 * 25 is 55.00000000000001
@@ -62,17 +68,17 @@ def _apply_axis(config: SystemConfig, axis: str, value: float) -> SystemConfig:
                               "not an integer")
         M = round(M)
         # a fully distributed BS stays fully distributed
-        changes = dict(M=M, M_osc=M) if config.M_osc == config.M else dict(M=M)
+        changes = dict(M=M, M_osc=M) if base["M_osc"] == base["M"] else dict(M=M)
     elif axis == "sigma_phi":
         # value is an increment variance in rad^2, applied at both ends
         if value < 0:
             raise ConfigError(f"sweep.values: sigma_phi must be >= 0, got {value:g}")
-        deg = float(np.rad2deg(np.sqrt(value)))
+        deg = math.degrees(math.sqrt(value))
         changes = dict(sigma_deg_bs=deg, sigma_deg_ue=deg)
     else:  # alpha
         changes = dict(alpha=float(value))
     try:
-        return replace(config, **changes)
+        return SystemConfig(**{**base, **changes})
     except ConfigError as exc:
         raise ConfigError(f"sweep.values: {axis} = {value:g} gives an invalid "
                           f"scenario: {exc}") from None
@@ -103,11 +109,9 @@ def _cell(compute, *args) -> float:
 # the worker count.
 _NOT_DRAWN = frozenset(("snr_db", "sigma_w2_value", "alpha", "parallelism"))
 
-
-def _draw_key(config: SystemConfig) -> tuple:
-    """Scenarios with equal keys share one Monte-Carlo draw set."""
-    return tuple(getattr(config, f.name) for f in fields(config)
-                 if f.name not in _NOT_DRAWN)
+# _draw_key(config): the tuple of its other fields; scenarios with equal keys
+# share one Monte-Carlo draw set
+_draw_key = attrgetter(*(name for name in _FIELDS if name not in _NOT_DRAWN))
 
 
 def plan_sweep(config: SystemConfig, sweep_axis: str, values,
@@ -124,7 +128,11 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
     not in PRECODERS.
 
     One pass over the points builds each row: scenario cells, closed form,
-    resolved alpha and rates.  A cell whose computation raises an
+    resolved alpha and rates.  The base scenario's fields are read once per
+    plan, and each point is SystemConfig(**{**base, **changes}) with only
+    the axis's fields changed, validated by SystemConfig as any scenario is.
+    numpy's raise mode for the closed forms is entered once per plan, so it
+    holds while the points are built too.  A cell whose computation raises an
     ArithmeticError or gives a negative, nan or inf value raises
     FloatingPointError naming the column, the precoder and the sweep point.
     With with_empirical, each row joins its draw set as it is built: the
@@ -147,17 +155,19 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
                           f"got {' '.join(map(str, values)) or 'none'}")
     if not precoders or not set(precoders) <= set(PRECODERS):
         raise ConfigError(f"precoder: need one or more of {PRECODERS}, got {precoders!r}")
+    base = {name: getattr(config, name) for name in _FIELDS}
     # draw key -> (first scenario with it, {(kind, alpha): its rows})
     rows, groups = [], {}
-    for value in values:
-        point = _apply_axis(config, sweep_axis, value)
-        if with_empirical:
-            variants = groups.setdefault(_draw_key(point), (point, {}))[1]
-        # the cells every precoder's row at this point shares, in column order
-        head = dict.fromkeys(COLUMNS)
-        head.update({c: getattr(point, c) for c in _SCENARIO_COLUMNS}, preset=preset,
-                    schema_version=SCHEMA_VERSION, sweep_axis=sweep_axis, sweep_value=float(value))
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for value in values:
+            point = _apply_axis(base, sweep_axis, value)
+            if with_empirical:
+                variants = groups.setdefault(_draw_key(point), (point, {}))[1]
+            # the cells every precoder's row at this point shares, in column order
+            head = dict.fromkeys(COLUMNS)
+            head.update(zip(_SCENARIO_COLUMNS, _scenario_cells(point)), preset=preset,
+                        schema_version=SCHEMA_VERSION, sweep_axis=sweep_axis,
+                        sweep_value=float(value))
             for kind in precoders:
                 row = dict(head, precoder=kind)
                 alpha = point.rzf_alpha if kind == "rzf" else None

@@ -82,6 +82,9 @@ INVALID_INPUTS = [
     pytest.param("[system]\nK = 0\n", ("K:",), id="K-0"),
     pytest.param("[system]\nsigma_deg_bs = 1e200\n", ("sigma_deg_bs:",),
                  id="sigma_deg_bs-1e200"),
+    # a sweep point's tau sigma^2 overflows while the plan holds numpy's raise mode
+    pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = sigma_phi\nvalues = 1e308\n",
+                 ("sweep.values:", "sigma_deg_bs:"), id="sigma_phi-values-1e308"),
     pytest.param("[system]\nq0 = 1e-300\n", ("q0:",), id="q0-1e-300"),
     pytest.param("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = beta\nvalues = 1e308\n",
                  ("sweep.values:", "beta"), id="beta-values-1e308"),
@@ -793,3 +796,19 @@ def test_tables_byte_identical_at_parallelism_1_and_2(cfg):
     tables = [rows_to_csv(run_sweep(replace(cfg, parallelism=workers), "snr", [0.0, 10.0]))
               for workers in (1, 2)]
     assert tables[0] == tables[1]
+
+
+def test_tables_byte_identical_at_parallelism_1_and_2_where_blas_threads(
+        tmp_path, two_blas_threads):
+    # at M=1000, K=200 OpenBLAS threads the kernel's products and eigh, so
+    # the two tables agree only if both paths run the kernel at one thread
+    path = tmp_path / "run.ini"
+    path.write_text("[system]\nM = 1000\nK = 200\nM_osc = 5\nn_realizations = 16\n"
+                    "master_seed = 7\n\n[sweep]\naxis = snr\nvalues = 0 20\n")
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"parallelism{workers}.csv"
+        assert main(["sweep", str(path), "--parallelism", workers, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert two_blas_threads() == 2

@@ -5,17 +5,19 @@ import tracemalloc
 import warnings
 from dataclasses import astuple, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo import config
+from pnmimo import analytics, config
 from pnmimo.cli import main
 from pnmimo.config import ConfigError, SystemConfig, load_config
 from pnmimo.phase_noise import deg_to_var, t_pn_second_moment
 from pnmimo.rmt import optimal_alpha
-from pnmimo.sweep import PRECODERS, SWEEP_AXES, _apply_axis, _draw_key, run_sweep
+from pnmimo.sweep import (PRECODERS, SWEEP_AXES, _apply_axis, _draw_key, plan_sweep,
+                          run_sweep)
 
 
 class TestValidation:
@@ -111,11 +113,11 @@ class TestUserCountGate:
         values = dict(snr=5.0, m_osc=2.0, beta=3.0, sigma_phi=0.1, alpha=0.2)
         assert set(values) == set(SWEEP_AXES)
         for axis, value in values.items():
-            _apply_axis(SystemConfig(M=2 * K, K=K), axis, value)  # warm up
+            _apply_axis(_fields(SystemConfig(M=2 * K, K=K)), axis, value)  # warm up
             tracemalloc.start()
             try:
-                # a base scenario and one sweep point built from it
-                _apply_axis(SystemConfig(M=2 * K, K=K), axis, value)
+                # a base scenario and one sweep point built from its fields
+                _apply_axis(_fields(SystemConfig(M=2 * K, K=K)), axis, value)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -211,6 +213,11 @@ class TestFileFormat:
             load_config(str(path))
 
 
+def _fields(cfg) -> dict:
+    """A scenario's fields by name, as a sweep plan reads its base scenario."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+
+
 # The domain the closed forms and the simulator rely on, built from inputs at
 # and beyond the edges of float range.  SystemConfig is the one place it is
 # checked, so every mix must either build inside it or name a field.
@@ -236,11 +243,11 @@ _EDGES = {
 
 
 @st.composite
-def config_kwargs(draw):
-    """A valid scenario with one to four fields set to edge values."""
+def config_kwargs(draw, min_edges=1, max_edges=4):
+    """A valid scenario with min_edges to max_edges fields set to edge values."""
     kw = dict(M=20, K=4, M_osc=2, n_realizations=4)
-    for name in draw(st.lists(st.sampled_from(sorted(_EDGES)), min_size=1, max_size=4,
-                              unique=True)):
+    for name in draw(st.lists(st.sampled_from(sorted(_EDGES)), min_size=min_edges,
+                              max_size=max_edges, unique=True)):
         kw[name] = draw(_EDGES[name])
     if isinstance(kw.get("powers"), list):
         kw["powers"] = np.array(kw["powers"])
@@ -321,3 +328,80 @@ class TestDomain:
         assert nudged != cfg
         assert replace(cfg, master_seed=cfg.master_seed + 1) != cfg
         assert cfg != astuple(cfg)
+
+
+# The finite sweep values of the generated config files in tests/test_cli.py,
+# and small integers, which the m_osc and beta axes need.
+_SWEEP_VALUES = [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 10.0, -10.0, 30.0, 1e300,
+                 -1e300, 1e308, 1e-300, -1e-300, 1e-320, 5e-324, 3000.0, -1560.0]
+_DERIVED = ("beta", "sigma_w2", "sigma2_bs", "sigma2_ue", "p_k", "p_sum", "e_tpn2",
+            "q_eff", "rzf_alpha")
+
+
+def _axis_changes(cfg, axis: str, value: float) -> dict | None:
+    """The fields one value of a sweep axis sets, written out on their own
+    (sigma_phi through numpy), or None where the axis rejects the value."""
+    if axis == "snr":
+        return dict(snr_db=value, sigma_w2_value=None)
+    if axis == "alpha":
+        return dict(alpha=value)
+    if axis == "m_osc":
+        return dict(M_osc=int(value)) if value == int(value) else None
+    if axis == "sigma_phi":
+        deg = float(np.rad2deg(np.sqrt(value))) if value >= 0 else None
+        return None if deg is None else dict(sigma_deg_bs=deg, sigma_deg_ue=deg)
+    M = value * cfg.K  # beta
+    if not math.isfinite(M) or not math.isclose(M, round(M), rel_tol=1e-9):
+        return None
+    return dict(M=round(M), M_osc=round(M)) if cfg.M_osc == cfg.M else dict(M=round(M))
+
+
+def _bits(cfg) -> dict:
+    """Every field and derived attribute as (type, value), floats as hex."""
+    def exact(v):
+        if isinstance(v, tuple):
+            return tuple(map(exact, v))
+        return (type(v), v.hex() if isinstance(v, float) else v)
+    return {name: exact(getattr(cfg, name))
+            for name in [f.name for f in fields(cfg)] + list(_DERIVED)}
+
+
+class TestSweepPoints:
+    """A sweep point is the base scenario with the axis's fields replaced."""
+
+    # a base scenario as the generated config files in tests/test_cli.py
+    # make them: up to two fields at edge values
+    @given(config_kwargs(0, 2), st.sampled_from(SWEEP_AXES), st.sampled_from(_SWEEP_VALUES))
+    @settings(max_examples=1500, deadline=None)
+    def test_plan_builds_the_replaced_scenario(self, kw, axis, value):
+        try:
+            cfg = SystemConfig(**kw)
+        except ConfigError:
+            return
+        built, error = [], None
+
+        def closed_form(point):  # the plan's one MF cell records its point
+            built.append(point)
+            return 1.0
+
+        with mock.patch.object(analytics, "sinr_mf", closed_form), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                plan_sweep(cfg, axis, [value], ("mf",), with_empirical=False)
+            except ConfigError as exc:
+                error = str(exc)
+        changes = _axis_changes(cfg, axis, value)
+        if changes is None:  # rejected by the axis before any point is built
+            assert error.startswith("sweep.values: ") and not built
+            assert "gives an invalid scenario" not in error
+            return
+        try:
+            want = replace(cfg, **changes)
+        except ConfigError as exc:
+            assert error == (f"sweep.values: {axis} = {value:g} gives an invalid "
+                             f"scenario: {exc}")
+            assert not built
+            return
+        assert error is None
+        assert _bits(built[0]) == _bits(want)

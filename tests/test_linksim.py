@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
@@ -32,6 +33,20 @@ def _blas_threads_block(config_, variants, start, stop):
     the process that runs it; module-level, so a pool worker can unpickle it."""
     threads = np.full((len(variants), stop - start), float(config._openblas()[0]()))
     return threads, threads
+
+
+# (process id, thread count) of each OpenBLAS set call made through a
+# patched config._openblas, in this process and in the pool workers it forks
+_SET_CALLS: list = []
+
+
+def _set_calls_block(config_, variants, start, stop):
+    """A _simulate_block stand-in whose powers count the OpenBLAS set calls
+    made by the process that runs it; module-level, so a pool worker can
+    unpickle it."""
+    made = sum(pid == os.getpid() for pid, _ in _SET_CALLS)
+    calls = np.full((len(variants), stop - start), float(made))
+    return calls, calls
 
 
 def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
@@ -186,8 +201,8 @@ class TestEmpiricalSinr:
 
         class InlinePool:
             def __init__(self, max_workers, initializer=None, initargs=()):
-                # a worker's initializer would set this process's BLAS threads
-                assert initializer is config.share_blas
+                # a worker's initializer would cap this process's BLAS threads
+                assert initializer is config.cap_blas
                 pools.append((max_workers, initargs))
 
             def __enter__(self):
@@ -206,7 +221,7 @@ class TestEmpiricalSinr:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(linksim.os, "cpu_count", lambda: cores)
         sig, intf = linksim._powers(cfg, [("rzf", 0.1)])
-        assert pools == [(cores or 1, (cores or 1,))]
+        assert pools == [(cores or 1, (1,))]
         assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
         ref_sig, ref_int = linksim._powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
         assert np.array_equal(sig, ref_sig)
@@ -220,6 +235,32 @@ class TestEmpiricalSinr:
         sig, intf = linksim._powers(cfg, [("mf", None)])
         assert sig.shape == (1, 64) and np.all(sig == 1.0) and np.all(intf == 1.0)
         assert two_blas_threads() == 2
+
+    def test_serial_kernel_runs_at_one_blas_thread(self, monkeypatch, two_blas_threads):
+        monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block)
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
+        sig, intf = linksim._powers(cfg, [("mf", None)])
+        assert np.all(sig == 1.0) and np.all(intf == 1.0)
+        assert two_blas_threads() == 2
+
+    def test_forked_workers_make_no_blas_set_call(self, monkeypatch, two_blas_threads):
+        # the parent caps BLAS at one thread before the pool forks, so each
+        # worker inherits the count; a set call would make OpenBLAS
+        # re-create its threads in every worker
+        get, put = config._openblas()
+
+        def counted_put(threads):
+            _SET_CALLS.append((os.getpid(), threads))
+            put(threads)
+
+        monkeypatch.setattr(config, "_openblas", lambda: (get, counted_put))
+        monkeypatch.setattr(linksim, "_simulate_block", _set_calls_block)
+        _SET_CALLS.clear()
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
+                           parallelism=2)
+        sig, intf = linksim._powers(cfg, [("mf", None)])
+        assert sig.shape == (1, 64) and np.all(sig == 0.0) and np.all(intf == 0.0)
+        assert _SET_CALLS == [(os.getpid(), 1), (os.getpid(), 2)]  # pin, restore
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)

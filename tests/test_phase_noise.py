@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pnmimo.phase_noise import deg_to_var, t_pn_second_moment, theta_vector
@@ -174,3 +177,37 @@ class TestSecondMoment:
         variances = [np.var(np.angle(mc_t_pn(100_000, m, tau, s2, rng)))
                      for m in (1, 2, 5, 10, 25, 50)]
         assert all(a >= b for a, b in zip(variances, variances[1:]))
+
+
+class TestDegToVar:
+    """deg_to_var squares on Python floats; its bits are numpy's."""
+
+    @staticmethod
+    def _numpy(deg) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.deg2rad(deg) ** 2)
+
+    @pytest.mark.parametrize("deg,var", [
+        (-0.0, 0.0), (5e-324, 0.0), (-5e-324, 0.0), (1e-320, 0.0),
+        (2.2250738585072014e-308, 0.0), (1e-160, 5e-324),
+        (1e155, 3.0461741978670856e306), (1.5e156, math.inf), (-1e200, math.inf),
+        (1.7976931348623157e308, math.inf), (math.inf, math.inf)])
+    def test_edges(self, deg, var):
+        got = deg_to_var(deg)
+        assert type(got) is float and got.hex() == var.hex() == self._numpy(deg).hex()
+
+    def test_bits_equal_numpy_on_samples(self):
+        # numpy's scalar ** 2 calls the C library's pow, as Python's does; x * x
+        # rounds differently on about one sample in a thousand
+        rng = np.random.default_rng(5)
+        samples = np.concatenate([rng.uniform(-360.0, 360.0, 20_000),
+                                  np.exp(rng.uniform(-700.0, 360.0, 20_000))]).tolist()
+        assert [deg_to_var(d).hex() for d in samples] == [self._numpy(d).hex()
+                                                         for d in samples]
+
+    @given(st.floats())
+    @settings(max_examples=2000, deadline=None)
+    def test_bits_equal_numpy(self, deg):
+        got, want = deg_to_var(deg), self._numpy(deg)
+        assert type(got) is float
+        assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
