@@ -167,7 +167,7 @@ def _cmd_lemmas(args) -> None:
           f"resolvent {exact_res:.2e}", file=sys.stderr)
     print("quadratic-form deviations at M="
           f"{top}: {', '.join(f'{d:.3g}' for d in devs)}", file=sys.stderr)
-    if exact_mi > 1e-10 or exact_res > 1e-10:
+    if not (exact_mi <= 1e-10 and exact_res <= 1e-10):  # a NaN deviation fails too
         raise FloatingPointError(f"exact identity tolerance 1e-10 exceeded: matrix-inversion "
                                  f"{exact_mi:.2e}, resolvent {exact_res:.2e}")
 

@@ -4,7 +4,7 @@ Config files are flat INI text with a [system] section of key = value pairs
 and a [sweep] section naming the axis and its values; both are required.
 The memory gate (check_buffer) lives here beside ConfigError, its error type,
 and so does the other limit of the machine that pnmimo heeds: the BLAS
-thread count its own work runs at (cap_blas, blas_threads, blas_budget).
+thread count its own work runs at (cap_blas, blas_threads).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .phase_noise import deg_to_var, t_pn_second_moment
 from .rmt import optimal_alpha
 
 __all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "cap_blas",
-           "blas_threads", "blas_budget"]
+           "blas_threads"]
 
 
 class ConfigError(ValueError):
@@ -93,12 +93,6 @@ def blas_threads(threads: int):
     finally:
         if before is not None and before > threads:
             _openblas()[1](before)
-
-
-def blas_budget(busy: int):
-    """blas_threads at each of `busy` concurrent BLAS callers' share of the
-    cores: max(1, cores // busy) threads, never more than the process has."""
-    return blas_threads(max(1, (os.cpu_count() or 1) // busy))
 
 
 def check_buffer(name: str, value, nbytes: int) -> None:

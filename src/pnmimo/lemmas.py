@@ -11,15 +11,26 @@ decay with matrix size at the predicted log-log slope.
 matrix, independent block-constant diagonal phase matrix) — the only pairing
 the SINR derivation needs — rather than via general free-probability
 machinery.  The sizes and oscillator counts are checked once, by the CLI.
+
+Every check's BLAS work runs at one OpenBLAS thread (config.blas_threads),
+so its results do not depend on the machine's core count.  The checks with
+independent trials run them on two worker threads (_workers, _trials): the
+calling thread makes every draw in the order of a serial loop and the
+workers compute, so every value and the generator's final state are those
+of the serial loop at one BLAS thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import blas_budget
+from .config import blas_threads
 from .phase_noise import theta_vector
 
 __all__ = ["ConvergenceRecord", "check_matrix_inversion_identity",
@@ -49,6 +60,37 @@ def _fit_slope(M_values, errors) -> float:
 def _record(name, M_values, per_size_errors) -> ConvergenceRecord:
     med = [float(np.median(e)) for e in per_size_errors]
     return ConvergenceRecord(name, list(M_values), med, _fit_slope(M_values, med))
+
+
+# Trials submitted and not yet collected in _trials: enough to keep both
+# workers busy while the calling thread draws, few enough to bound memory.
+_IN_FLIGHT = 4
+
+
+@contextlib.contextmanager
+def _workers():
+    """The lemma checks' two worker threads, at one BLAS thread each; they
+    are joined, and the thread count restored, when the block exits."""
+    with blas_threads(1), ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+def _trials(pool, compute, draws, out: np.ndarray) -> np.ndarray:
+    """out[t] = compute(*args) for the t-th args the generator draws yields.
+
+    This thread runs draws, so every draw is made here in the serial order;
+    compute, which must draw nothing, runs on the pool, with at most
+    _IN_FLIGHT trials submitted and not yet collected.  Each result is
+    written at its own trial index.  A compute that raises is raised here."""
+    pending = deque()
+    for t, args in enumerate(draws):
+        if len(pending) == _IN_FLIGHT:
+            i, result = pending.popleft()
+            out[i] = result.result()
+        pending.append((t, pool.submit(compute, *args)))
+    for i, result in pending:
+        out[i] = result.result()
+    return out
 
 
 def _gaussian_vec(M, rng, scale):
@@ -102,30 +144,39 @@ def check_matrix_inversion_identity(M: int, rng: np.random.Generator,
     Returns the maximum absolute deviation over all trials.
     """
     worst = 0.0
-    for _ in range(n_trials):
-        while True:
-            U = _random_spd(M, rng)
-            h = _gaussian_vec(M, rng, 1.0)
-            q = float(rng.normal())
-            denom = 1.0 + q * np.real(h.conj() @ np.linalg.solve(U, h))
-            if abs(denom) > 1e-6:
-                break
-        lhs = h.conj() @ np.linalg.inv(U + q * np.outer(h, h.conj()))
-        rhs = (h.conj() @ np.linalg.inv(U)) / denom
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    with blas_threads(1):
+        for _ in range(n_trials):
+            while True:
+                U = _random_spd(M, rng)
+                h = _gaussian_vec(M, rng, 1.0)
+                q = float(rng.normal())
+                denom = 1.0 + q * np.real(h.conj() @ np.linalg.solve(U, h))
+                if abs(denom) > 1e-6:
+                    break
+            lhs = h.conj() @ np.linalg.inv(U + q * np.outer(h, h.conj()))
+            rhs = (h.conj() @ np.linalg.inv(U)) / denom
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
 def check_resolvent_identity(M: int, rng: np.random.Generator,
                              n_trials: int = 20) -> float:
-    """U^{-1} - V^{-1} = -U^{-1}(U - V)V^{-1} for invertible pairs."""
-    worst = 0.0
-    for _ in range(n_trials):
-        U = _random_spd(M, rng)
-        V = _random_spd(M, rng)
-        Ui, Vi = np.linalg.inv(U), np.linalg.inv(V)
-        worst = max(worst, float(np.max(np.abs((Ui - Vi) + Ui @ (U - V) @ Vi))))
-    return worst
+    """U^{-1} - V^{-1} = -U^{-1}(U - V)V^{-1} for invertible pairs.
+
+    Returns the maximum absolute deviation over all trials; a NaN deviation
+    makes it NaN.  Each trial draws the normals of U, then those of V, as
+    two _random_spd calls do; the workers build and invert both.
+    """
+    draws = ((rng.standard_normal((2, M, M)), rng.standard_normal((2, M, M)))
+             for _ in range(n_trials))
+    with _workers() as pool:
+        return float(np.max(_trials(pool, _resolvent_gap, draws, np.empty(n_trials))))
+
+
+def _resolvent_gap(Zu, Zv) -> float:
+    U, V = _spd(Zu), _spd(Zv)
+    Ui, Vi = np.linalg.inv(U), np.linalg.inv(V)
+    return np.max(np.abs((Ui - Vi) + Ui @ (U - V) @ Vi))
 
 
 def check_trace_lemma(M_values, rng: np.random.Generator,
@@ -138,23 +189,24 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
     + x^H w and tr(A)/M = ||B||_F^2 / M^2 + 1.
     """
     per_size = []
-    for M in M_values:
-        B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
-        tr = np.vdot(B, B).real / M ** 2 + 1.0
-        # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary) rows,
-        # the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
-        z = rng.standard_normal((n_trials, 2, 2, M))
-        z *= np.sqrt(1.0 / M / 2.0)
-        xw = np.empty((n_trials, 2, M), dtype=complex)
-        xw.real, xw.imag = z[:, :, 0], z[:, :, 1]
-        x, w = xw[:, 0], xw[:, 1]
-        # rows (B^H x)^* and (B^H w)^*, from one (2 n_trials) x M product
-        r = (xw.conj().reshape(-1, M) @ B).reshape(n_trials, 2, M)
-        xAx = (np.sum(np.abs(r[:, 0]) ** 2, axis=1) / M
-               + np.sum(np.abs(x) ** 2, axis=1))
-        xAw = (np.sum(r[:, 0] * r[:, 1].conj(), axis=1) / M
-               + np.sum(x.conj() * w, axis=1))
-        per_size.append(np.maximum(np.abs(xAx - tr), np.abs(xAw)))
+    with blas_threads(1):
+        for M in M_values:
+            B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+            tr = np.vdot(B, B).real / M ** 2 + 1.0
+            # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary)
+            # rows, the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
+            z = rng.standard_normal((n_trials, 2, 2, M))
+            z *= np.sqrt(1.0 / M / 2.0)
+            xw = np.empty((n_trials, 2, M), dtype=complex)
+            xw.real, xw.imag = z[:, :, 0], z[:, :, 1]
+            x, w = xw[:, 0], xw[:, 1]
+            # rows (B^H x)^* and (B^H w)^*, from one (2 n_trials) x M product
+            r = (xw.conj().reshape(-1, M) @ B).reshape(n_trials, 2, M)
+            xAx = (np.sum(np.abs(r[:, 0]) ** 2, axis=1) / M
+                   + np.sum(np.abs(x) ** 2, axis=1))
+            xAw = (np.sum(r[:, 0] * r[:, 1].conj(), axis=1) / M
+                   + np.sum(x.conj() * w, axis=1))
+            per_size.append(np.maximum(np.abs(xAx - tr), np.abs(xAw)))
     return _record("trace_lemma", M_values, per_size)
 
 
@@ -175,35 +227,32 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     y^H S y >= ||y||^2 leaves a margin of at least 1, so rounding cannot trip
     it; only a wrong solve or quadratic form can.
 
-    One helper thread builds S from its normals and solves for y while this
-    thread makes every draw, in the order of a serial loop: C, h and q while
-    S is built, and the next trial's S normals during the solve.  Meanwhile
-    BLAS gets half the cores (config.blas_budget), so that the two threads
-    do not oversubscribe them.  Only the draws touch rng, so the errors and
-    rng's final state are those of the serial loop.
+    One worker builds S from its normals and solves for y while this thread
+    makes every draw, in the order of a serial loop: C, h and q while S is
+    built, and the next trial's S normals during the solve.  Only the draws
+    touch rng, so the errors and rng's final state are those of the serial
+    loop.
     """
-    from concurrent.futures import ThreadPoolExecutor  # this check only
-
     per_size = []
-    with blas_budget(2), ThreadPoolExecutor(max_workers=1) as helper:
+    with _workers() as pool:
         for M in M_values:
-            per_size.append(_rank1_gaps(M, rng, n_trials, helper))
+            per_size.append(_rank1_gaps(M, rng, n_trials, pool))
     return _record("rank1_perturbation", M_values, per_size)
 
 
-def _rank1_gaps(M, rng, n_trials, helper) -> np.ndarray:
+def _rank1_gaps(M, rng, n_trials, pool) -> np.ndarray:
     """check_rank1_perturbation's n_trials gaps at size M.  Each M x M array
     is dropped as soon as it is used, so that no more of them are alive at
     once than in a serial loop."""
     errs = np.empty(n_trials)
     Z = rng.standard_normal((2, M, M))  # the normals of the first trial's S
     for t in range(n_trials):
-        S = helper.submit(_spd, Z)  # U + I; the helper holds Z until S is built
+        S = pool.submit(_spd, Z)  # U + I; the worker holds Z until S is built
         del Z
         C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
         h = _gaussian_vec(M, rng, 1.0)
         q = abs(float(rng.normal())) + 0.1
-        y = helper.submit(np.linalg.solve, S.result(), h)
+        y = pool.submit(np.linalg.solve, S.result(), h)
         if t + 1 < n_trials:
             Z = rng.standard_normal((2, M, M))
         y = y.result()
@@ -229,17 +278,28 @@ def check_free_probability_traces(M_values, rng: np.random.Generator,
     with the K x K matrix S = H H^H + (M/2) I.
     """
     per_size = []
-    for M in M_values:
-        K = max(M // 4, 1)
-        errs = np.empty(n_trials)
-        for t in range(n_trials):
-            H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
-            S = H @ H.conj().T + 0.5 * M * np.eye(K)
-            u = 2.0 - 2.0 * np.sum(H.conj() * np.linalg.solve(S, H), axis=0)
-            v = theta_vector(0.0, rng.uniform(0.0, 2.0 * np.pi, M), M)
-            errs[t] = abs(u @ v / M - u.mean() * v.mean())
-        per_size.append(errs)
+    with _workers() as pool:
+        for M in M_values:
+            per_size.append(_trials(pool, _free_probability_gap,
+                                    _free_probability_draws(M, rng, n_trials),
+                                    np.empty(n_trials)))
     return _record("free_probability_traces", M_values, per_size)
+
+
+def _free_probability_draws(M, rng, n_trials):
+    """Each trial's H and its M oscillator phases, in stream order."""
+    K = max(M // 4, 1)
+    for _ in range(n_trials):
+        H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
+        yield H, rng.uniform(0.0, 2.0 * np.pi, M)
+
+
+def _free_probability_gap(H, phases) -> float:
+    K, M = H.shape
+    S = H @ H.conj().T + 0.5 * M * np.eye(K)
+    u = 2.0 - 2.0 * np.sum(H.conj() * np.linalg.solve(S, H), axis=0)
+    v = theta_vector(0.0, phases, M)
+    return abs(u @ v / M - u.mean() * v.mean())
 
 
 def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
@@ -257,35 +317,47 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
     the K x K Gram H H^H / M gives t1, t2 and every product with A^{-1} or U.
     Returns the median absolute deviation of each identity.
     """
+    with _workers() as pool:
+        devs = _trials(pool, functools.partial(_quadratic_form_devs, q0),
+                       _quadratic_form_draws(M, rng, n_trials, M_osc),
+                       np.empty((n_trials, 3)))
+    return np.median(devs, axis=0)
+
+
+def _quadratic_form_draws(M, rng, n_trials, M_osc):
+    """Each trial's H, x, w and M_osc oscillator phases, in stream order."""
     K = M // 4
-    alpha = 0.5
-    q1 = 1.0 - q0
-    q2 = np.sqrt(q0 * q1)
-    devs = np.empty((n_trials, 3))
-    for t in range(n_trials):
+    for _ in range(n_trials):
         H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
         x = _gaussian_vec(M, rng, 1.0 / M)
         w = _gaussian_vec(M, rng, 1.0 / M)
-        n = theta_vector(0.0, rng.uniform(0.0, 2.0 * np.pi, M_osc), M)
-        lam, W = np.linalg.eigh(H @ H.conj().T / M)
-        t1 = ((M - K) / alpha + np.sum(1.0 / (lam + alpha))) / M
-        t2 = ((M - K) / (2.0 * alpha ** 2)
-              + np.sum(1.0 / ((lam + alpha) * (lam + 2.0 * alpha)))) / M
-        trn = n.mean()
-        # the update is v v^H with v = sqrt(q0) x + sqrt(q1) w, as q2^2 = q0 q1,
-        # so V N^H x is one Sherman-Morrison step from A^{-1}
-        v = np.sqrt(q0) * x + np.sqrt(q1) * w
-        nhx = np.conj(n) * x
-        Ai_nhx, Ai_v = _wishart_resolvent(lam, W, H, alpha, np.stack([nhx, v], 1)).T
-        VNhx = Ai_nhx - Ai_v * (v.conj() @ Ai_nhx) / (1.0 + v.conj() @ Ai_v)
-        # U is Hermitian: z^H U V N^H x = (U z)^H V N^H x
-        forms = _wishart_resolvent(lam, W, H, 2.0 * alpha,
-                                   np.stack([nhx, x, w], 1)).conj().T @ VNhx
-        targets = np.array([t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1),
-                            t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn),
-                            (-q2 * t1 * t2) / (1.0 + t1) * np.conj(trn)])
-        devs[t] = np.abs(forms - targets)
-    return np.median(devs, axis=0)
+        yield H, x, w, rng.uniform(0.0, 2.0 * np.pi, M_osc)
+
+
+def _quadratic_form_devs(q0, H, x, w, phases) -> np.ndarray:
+    K, M = H.shape
+    alpha = 0.5
+    q1 = 1.0 - q0
+    q2 = np.sqrt(q0 * q1)
+    n = theta_vector(0.0, phases, M)
+    lam, W = np.linalg.eigh(H @ H.conj().T / M)
+    t1 = ((M - K) / alpha + np.sum(1.0 / (lam + alpha))) / M
+    t2 = ((M - K) / (2.0 * alpha ** 2)
+          + np.sum(1.0 / ((lam + alpha) * (lam + 2.0 * alpha)))) / M
+    trn = n.mean()
+    # the update is v v^H with v = sqrt(q0) x + sqrt(q1) w, as q2^2 = q0 q1,
+    # so V N^H x is one Sherman-Morrison step from A^{-1}
+    v = np.sqrt(q0) * x + np.sqrt(q1) * w
+    nhx = np.conj(n) * x
+    Ai_nhx, Ai_v = _wishart_resolvent(lam, W, H, alpha, np.stack([nhx, v], 1)).T
+    VNhx = Ai_nhx - Ai_v * (v.conj() @ Ai_nhx) / (1.0 + v.conj() @ Ai_v)
+    # U is Hermitian: z^H U V N^H x = (U z)^H V N^H x
+    forms = _wishart_resolvent(lam, W, H, 2.0 * alpha,
+                               np.stack([nhx, x, w], 1)).conj().T @ VNhx
+    targets = np.array([t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1),
+                        t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn),
+                        (-q2 * t1 * t2) / (1.0 + t1) * np.conj(trn)])
+    return np.abs(forms - targets)
 
 
 def convergence_to_csv(records: list[ConvergenceRecord]) -> str:

@@ -30,8 +30,9 @@ coefficients, which turns that realization's ZF powers into NaN.
 Realization `i` always uses the RNG stream of
 np.random.default_rng((master_seed, i)), and results are assembled by index,
 so output is bit-identical for any chunk size, parallelism degree, execution
-order or set of precoders built on the draw.  A block hashes all of its
-(master_seed, i) entropies in one pass of array arithmetic (_seed_words),
+order or set of precoders built on the draw.  A block hashes the
+(master_seed, i) entropies of SEED_BLOCK realizations (rounded up to whole
+chunks) in one pass of array arithmetic (_seed_words),
 which equals np.random.SeedSequence((master_seed, i)).generate_state(4,
 np.uint64) word for word, and each realization's PCG64 seeds itself from
 its row of that hash: the same generator default_rng builds.
@@ -60,6 +61,12 @@ MAX_REJECTION_RATE = 1e-3
 # stack stays near 64 KiB: 8 realizations at M=50, K=10, one at M=200, K=40.
 # Larger chunks save little more interpreter time and raise peak memory.
 CHUNK_ELEMENTS = 4096
+
+# A block hashes the seed words of at least SEED_BLOCK realizations at a
+# time (a whole number of chunks), so the hash's working arrays stay the
+# same size whatever the realization count; the presets' 2000 realizations
+# take one pass.
+SEED_BLOCK = 2048
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
 # with its pool of 4 words.
@@ -102,29 +109,37 @@ def _chunk(K: int, M: int) -> int:
     return max(1, CHUNK_ELEMENTS // (K * M))
 
 
+def _seed_block(chunk: int) -> int:
+    return chunk * -(-SEED_BLOCK // chunk)
+
+
 def check_draw_size(config: SystemConfig, n_variants: int) -> None:
     """Raise ConfigError when an empirical_powers call over n_variants
     (kind, alpha) pairs would hold more than fits in memory at once.
 
-    Each worker (the parent on the serial path) holds one chunk: its draws,
+    Each worker (the parent on the serial path) holds one chunk (its draws,
     their complex working copies, and the K x K Gram factors and every
-    pair's coefficient matrices.  Each realization holds its seed words and
-    the seed hash's working arrays, one pair's reduction to a PowerEstimate,
-    and 16 B in every pair's two power arrays, counted twice on the pool
-    path (the workers' pieces and the joined arrays).  The byte counts bound
-    tracemalloc's peak of a serial run (tests/test_linksim.py).  The error
-    names M when the chunks are the larger part, else n_realizations.
+    pair's coefficient matrices) and one seed block's words with the seed
+    hash's working arrays.  Each realization holds one pair's reduction to
+    a PowerEstimate and 16 B in every pair's two power arrays, counted
+    twice on the pool path (the workers' pieces and the joined arrays).
+    The byte counts bound tracemalloc's peak of a serial run
+    (tests/test_linksim.py).  The error names M when the chunks are the
+    larger part, else n_realizations.
     """
     K, M, n = config.K, config.M, config.n_realizations
     workers = _pool_size(config)
+    chunk = _chunk(K, M)
     # a chunk of b realizations: (2, 2, b K, M) float64 draws, six complex
-    # (b K, M) working copies, 3 complex b (K, K) arrays per pair and 4 more
-    chunks = max(workers, 1) * 16 * _chunk(K, M) * K * (8 * M + (3 * n_variants + 4) * K)
-    # 32 B of seed words, the hash's entropy (4 B per 32-bit word of the
-    # master seed, two for the index) and its other arrays (128 B), then
+    # (b K, M) working copies, 3 complex b (K, K) arrays per pair and 4 more;
+    # per realization of a seed block, 32 B of seed words, the hash's
+    # entropy (4 B per 32-bit word of the master seed, two for the index)
+    # and its other arrays (128 B)
+    chunks = max(workers, 1) * (
+        16 * chunk * K * (8 * M + (3 * n_variants + 4) * K)
+        + min(n, _seed_block(chunk)) * (4 * len(_uint32_words(config.master_seed)) + 168))
     # 48 B of one pair's reduction
-    per_realization = (4 * len(_uint32_words(config.master_seed)) + 216
-                       + 16 * n_variants * (2 if workers else 1))
+    per_realization = 48 + 16 * n_variants * (2 if workers else 1)
     name, value = ("M", M) if chunks >= n * per_realization else ("n_realizations", n)
     check_buffer(name, value, chunks + n * per_realization)
 
@@ -221,20 +236,23 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
     """
     M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
     chunk = _chunk(K, M)
-    words = _seed_words(config.master_seed, start, stop)
+    block = _seed_block(chunk)
     SeedWords = _seed_words_type()
     step_bs = np.sqrt(config.tau * config.sigma2_bs)  # std dev of the drift over tau
     step_ue = np.sqrt(config.tau * config.sigma2_ue)
     sig = np.empty((len(variants), stop - start))
     intf = np.empty_like(sig)
     for lo in range(start, stop, chunk):
+        if (lo - start) % block == 0:  # the next seed block's words
+            first = lo
+            words = _seed_words(config.master_seed, lo, min(stop, lo + block))
         b = min(chunk, stop - lo)
         # z[0] is H and z[1] W_e as (real, imaginary) normals; bs/ue row 0
         # is the phase at symbol 0, row 1 at symbol tau
         z = np.empty((2, b, 2, K, M))
         bs, ue = np.empty((2, b, M_osc)), np.empty((2, b, K))
         for j in range(b):
-            rng = np.random.Generator(np.random.PCG64(SeedWords(words[lo - start + j])))
+            rng = np.random.Generator(np.random.PCG64(SeedWords(words[lo - first + j])))
             rng.standard_normal(out=z[0, j])
             rng.random(out=bs[0, j])
             rng.standard_normal(out=bs[1, j])

@@ -26,12 +26,22 @@ def rate_lapidoth(sinr: float, tau: int, sigma2_ue: float, sigma2_bs: float,
     v is the accumulated phase variance tau*(sigma2_ue + delta*sigma2_bs),
     where delta = 1 only for a single common oscillator: with several
     oscillators the BS drift averages across antennas and only the UE's own
-    phase survives as a common rotation.  None at v = 0 or sinr = 0.
+    phase survives as a common rotation.  None at v = 0 or sinr = 0.  Where
+    v or a product under a log overflows, the same bound is summed from the
+    logs of the factors: 0.5*(log2(sinr) - log2(e) - log2(tau) - log2(v/tau)).
     """
-    v = tau * (sigma2_ue + (sigma2_bs if M_osc == 1 else 0.0))
+    s = sigma2_ue + (sigma2_bs if M_osc == 1 else 0.0)
+    v = tau * s
     if v <= 0 or sinr <= 0:
         return None
-    return 0.5 * math.log2(2.0 * math.pi * sinr) - 0.5 * math.log2(2.0 * math.pi * math.e * v)
+    rate = 0.5 * math.log2(2.0 * math.pi * sinr) - 0.5 * math.log2(2.0 * math.pi * math.e * v)
+    if abs(rate) < math.inf:
+        return rate
+    # a product overflowed; s overflows only as the sum of the two
+    # variances, so halve both first
+    log2_s = (math.log2(s) if s < math.inf
+              else 1.0 + math.log2(0.5 * sigma2_ue + 0.5 * sigma2_bs))
+    return 0.5 * (math.log2(sinr) - math.log2(math.e) - math.log2(tau) - log2_s)
 
 
 def rate_min(awgn: float, lapidoth: float | None) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -365,6 +366,21 @@ class TestCliEntry:
         assert main(["validate-config", cfg_file]) == 0
         assert "ok:" in capsys.readouterr().out
 
+    def test_validate_huge_phase_variance_falls_back_to_awgn(self, tmp_path, capsys):
+        # at sigma_phi = 1e307 rad^2, v = tau (s2_ue + s2_bs) overflows: the
+        # high-SNR bound is a large negative number, not -inf, so rate_min
+        # takes the AWGN bound and the plan passes
+        path = tmp_path / "phase.ini"
+        path.write_text("[system]\nM = 20\nK = 4\n\n[sweep]\naxis = sigma_phi\n"
+                        "values = 1e307\n")
+        assert main(["validate-config", str(path)]) == 0
+        assert "ok:" in capsys.readouterr().out
+        rows, _ = plan_sweep(*load_config(str(path)))
+        assert len(rows) == 3
+        for row in rows:
+            assert -math.inf < row["rate_lapidoth"] < 0
+            assert row["rate_min"] == row["rate_awgn"]
+
     def test_validate_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[system]\nM = 10\nK = 20\n\n[sweep]\naxis = snr\nvalues = 0\n")
@@ -571,15 +587,17 @@ class TestCliEntry:
         assert "Traceback" not in err
 
     # three (kind, alpha) pairs; one chunk of b realizations holds
-    # 16 b K (8 M + 13 K) bytes, and each realization 268 bytes:
-    # 160 (160000 + 130) + 268 x 2000 and 16 x 204 (160 + 52) + 268 x 200000
+    # 16 b K (8 M + 13 K) bytes, each realization of a seed block (b times
+    # the fewest chunks that reach 2048 realizations, at most n) 172 bytes,
+    # and each realization 96 bytes: 160 (160000 + 130) + 268 x 2000 and
+    # 16 x 204 (160 + 52) + 172 x 2091 + 96 x 200000
     @pytest.mark.parametrize("argv, field", [
         pytest.param(["sweep", "M = 20000\nK = 10\n"],
                      "M: the buffers need 26156800 bytes", id="sweep-M"),
         pytest.param(["validate-config", "M = 20000\nK = 10\n"],
                      "M: the buffers need 26156800 bytes", id="validate-M"),
         pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
-                     "n_realizations: the buffers need 54291968 bytes",
+                     "n_realizations: the buffers need 20251620 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
                      "sizes: the buffers need 8388608 bytes", id="lemmas-sizes"),
@@ -665,9 +683,9 @@ class TestCliEntry:
 
     def test_rank1_failure_inside_the_overlap_cleans_up(self, tmp_path, monkeypatch,
                                                         capsys, two_blas_threads):
-        # the helper thread's third solve returns 1e3 y, so the bound fails
-        # partway through the overlap: exit 3, the helper thread joined and
-        # BLAS back at its thread count
+        # the worker's third solve returns 1e3 y, so the bound fails partway
+        # through the overlap: exit 3, the workers joined and BLAS back at
+        # its thread count
         solve, seen = np.linalg.solve, []
 
         def inflate_third_helper_solve(a, b):
@@ -683,7 +701,33 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "numerical failure: rank-1 trace gap" in err
         assert "Traceback" not in err
-        assert seen == [1, 1, 1]  # 2 cores shared by the two threads
+        assert seen == [1, 1, 1]  # one BLAS thread per worker
+        assert threading.active_count() == threads
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("compute", ["_resolvent_gap", "_free_probability_gap",
+                                         "_quadratic_form_devs"])
+    def test_worker_trial_failure_exits_3_and_cleans_up(self, compute, tmp_path,
+                                                        monkeypatch, capsys,
+                                                        two_blas_threads):
+        # the third trial of a check that runs its trials on the workers
+        # raises there: exit 3, the workers joined and BLAS back at its count
+        trial, calls, on_main = getattr(lemmas, compute), itertools.count(), []
+
+        def fail_third_trial(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if next(calls) == 2:
+                raise FloatingPointError(f"trial 3 of {compute}")
+            return trial(*args)
+
+        monkeypatch.setattr(lemmas, compute, fail_third_trial)
+        threads = threading.active_count()
+        assert main(["lemmas", "--sizes", "32,64", "--trials", "8",
+                     "--out", str(tmp_path / "lem.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: trial 3 of {compute}" in err
+        assert "Traceback" not in err
+        assert len(on_main) >= 3 and not any(on_main)
         assert threading.active_count() == threads
         assert two_blas_threads() == 2
 
@@ -796,6 +840,22 @@ def test_tables_byte_identical_at_parallelism_1_and_2(cfg):
     tables = [rows_to_csv(run_sweep(replace(cfg, parallelism=workers), "snr", [0.0, 10.0]))
               for workers in (1, 2)]
     assert tables[0] == tables[1]
+
+
+def test_lemma_report_independent_of_the_blas_thread_count(tmp_path, capsys,
+                                                          two_blas_threads):
+    # at these sizes OpenBLAS threads the trace lemma's product: run at the
+    # process's two threads, trace_lemma at M=256 read ...955 against
+    # ...977 at one thread
+    argv = ["lemmas", "--seed", "0", "--sizes", "64,128,256,512", "--trials", "8"]
+    reports = []
+    for threads in (2, 1):
+        out = tmp_path / f"threads{threads}.csv"
+        with config.blas_threads(threads):
+            assert main(argv + ["--out", str(out)]) == 0
+        reports.append((out.read_bytes(), capsys.readouterr().err))
+    assert reports[0] == reports[1]
+    assert two_blas_threads() == 2
 
 
 def test_tables_byte_identical_at_parallelism_1_and_2_where_blas_threads(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pnmimo.config import blas_budget
+from pnmimo.config import blas_threads
 from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
-                           check_free_probability_traces,
+                           _wishart_resolvent, check_free_probability_traces,
                            check_matrix_inversion_identity,
                            check_quadratic_form_identities,
                            check_rank1_perturbation, check_resolvent_identity,
@@ -85,6 +85,63 @@ def rank1_serial(M_values, rng, n_trials):
     return medians
 
 
+# Serial references: the checks that run their trials on worker threads,
+# as one loop on one thread that draws and computes each trial in turn.
+
+def free_probability_serial(M_values, rng, n_trials):
+    medians = []
+    for M in M_values:
+        K = max(M // 4, 1)
+        errs = []
+        for _ in range(n_trials):
+            H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
+            S = H @ H.conj().T + 0.5 * M * np.eye(K)
+            u = 2.0 - 2.0 * np.sum(H.conj() * np.linalg.solve(S, H), axis=0)
+            v = theta_vector(0.0, rng.uniform(0.0, 2.0 * np.pi, M), M)
+            errs.append(abs(u @ v / M - u.mean() * v.mean()))
+        medians.append(float(np.median(errs)))
+    return medians
+
+
+def quadratic_form_serial(M, q0, rng, n_trials, M_osc):
+    K = M // 4
+    alpha = 0.5
+    q1 = 1.0 - q0
+    q2 = np.sqrt(q0 * q1)
+    devs = []
+    for _ in range(n_trials):
+        H = _gaussian_vec(K * M, rng, 1.0).reshape(K, M)
+        x = _gaussian_vec(M, rng, 1.0 / M)
+        w = _gaussian_vec(M, rng, 1.0 / M)
+        n = theta_vector(0.0, rng.uniform(0.0, 2.0 * np.pi, M_osc), M)
+        lam, W = np.linalg.eigh(H @ H.conj().T / M)
+        t1 = ((M - K) / alpha + np.sum(1.0 / (lam + alpha))) / M
+        t2 = ((M - K) / (2.0 * alpha ** 2)
+              + np.sum(1.0 / ((lam + alpha) * (lam + 2.0 * alpha)))) / M
+        trn = n.mean()
+        v = np.sqrt(q0) * x + np.sqrt(q1) * w
+        nhx = np.conj(n) * x
+        Ai_nhx, Ai_v = _wishart_resolvent(lam, W, H, alpha, np.stack([nhx, v], 1)).T
+        VNhx = Ai_nhx - Ai_v * (v.conj() @ Ai_nhx) / (1.0 + v.conj() @ Ai_v)
+        forms = _wishart_resolvent(lam, W, H, 2.0 * alpha,
+                                   np.stack([nhx, x, w], 1)).conj().T @ VNhx
+        targets = np.array([t2 - q0 * t1 * t2 * abs(trn) ** 2 / (1.0 + t1),
+                            t2 * (1.0 + q1 * t1) / (1.0 + t1) * np.conj(trn),
+                            (-q2 * t1 * t2) / (1.0 + t1) * np.conj(trn)])
+        devs.append(np.abs(forms - targets))
+    return np.median(devs, axis=0)
+
+
+def resolvent_serial(M, rng, n_trials):
+    worst = 0.0
+    for _ in range(n_trials):
+        U = _random_spd(M, rng)
+        V = _random_spd(M, rng)
+        Ui, Vi = np.linalg.inv(U), np.linalg.inv(V)
+        worst = max(worst, float(np.max(np.abs((Ui - Vi) + Ui @ (U - V) @ Vi))))
+    return worst
+
+
 def free_probability_oracle(M_values, rng, n_trials):
     medians = []
     for M in M_values:
@@ -138,6 +195,17 @@ def _same_draws_same_medians(check, oracle, seed):
     assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _same_bits_as_serial(check, serial, seed):
+    """check(rng) equals serial(rng), run at one BLAS thread, bit for bit,
+    and leaves its generator in the same state."""
+    rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = check(rng_lib)
+    with blas_threads(1):
+        ref = serial(rng_ref)
+    assert np.array_equal(got, ref)
+    assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestOracles:
     def test_trace_lemma_matches_dense_quadratic_forms(self):
         _same_draws_same_medians(
@@ -159,15 +227,31 @@ class TestOracles:
 
     @pytest.mark.parametrize("seed", [20, 21])
     def test_rank1_overlap_keeps_the_serial_stream(self, seed):
-        # the helper thread changes when the products run, not the draws:
-        # the same bits and the same generator state as the serial loop, both
-        # at the overlap's BLAS thread count
-        rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = check_rank1_perturbation([8, 32, 64], rng_lib, n_trials=5).errors
-        with blas_budget(2):
-            ref = rank1_serial([8, 32, 64], rng_ref, n_trials=5)
-        assert got == ref
-        assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+        # the worker changes when the products run, not the draws: the same
+        # bits and the same generator state as the serial loop
+        _same_bits_as_serial(
+            lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,
+            lambda rng: rank1_serial([8, 32, 64], rng, n_trials=5), seed)
+
+    # more trials than lemmas._IN_FLIGHT, so that trials are collected while
+    # later ones are drawn
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_free_probability_workers_keep_the_serial_stream(self, seed):
+        _same_bits_as_serial(
+            lambda rng: check_free_probability_traces([8, 32, 64], rng, n_trials=9).errors,
+            lambda rng: free_probability_serial([8, 32, 64], rng, n_trials=9), seed)
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    @pytest.mark.parametrize("q0", [0.9, 1.0])
+    def test_quadratic_form_workers_keep_the_serial_stream(self, seed, q0):
+        _same_bits_as_serial(
+            lambda rng: check_quadratic_form_identities(64, q0, rng, n_trials=9, M_osc=8),
+            lambda rng: quadratic_form_serial(64, q0, rng, n_trials=9, M_osc=8), seed)
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_resolvent_workers_keep_the_serial_stream(self, seed):
+        _same_bits_as_serial(lambda rng: check_resolvent_identity(32, rng, n_trials=9),
+                             lambda rng: resolvent_serial(32, rng, n_trials=9), seed)
 
     def test_rank1_needs_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):

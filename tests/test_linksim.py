@@ -384,6 +384,36 @@ class TestSeedWords:
         assert words.dtype == np.uint64
         assert np.array_equal(words, expected)
 
+    @pytest.mark.parametrize("start, stop", [(5, 45), (2 ** 32 - 21, 2 ** 32 + 19)])
+    def test_kernel_hashes_seed_blocks(self, monkeypatch, start, stop):
+        # 4-realization chunks and a seed block of 16: the kernel hashes
+        # [start, start + 16), [start + 16, start + 32), ..., across 2^32 in
+        # the second case, and every generator still seeds from
+        # SeedSequence's words, with the powers of a one-block pass
+        cfg = SystemConfig(M=64, K=16, M_osc=2, snr_db=10.0, master_seed=2 ** 32 + 7)
+        assert linksim._chunk(cfg.K, cfg.M) == 4
+        variants = [("rzf", cfg.rzf_alpha), ("mf", None)]
+        one_pass = linksim._simulate_block(cfg, variants, start, stop)
+        SeedWords, seen = linksim._seed_words_type(), []
+
+        class Recorded(SeedWords):
+            def __init__(self, words):
+                seen.append(words.copy())
+                super().__init__(words)
+
+        monkeypatch.setattr(linksim, "_seed_words_type", lambda: Recorded)
+        monkeypatch.setattr(linksim, "SEED_BLOCK", 16)
+        blocks = []
+        hash_block = linksim._seed_words
+        monkeypatch.setattr(linksim, "_seed_words", lambda seed, lo, hi: (
+            blocks.append((lo, hi)) or hash_block(seed, lo, hi)))
+        blocked = linksim._simulate_block(cfg, variants, start, stop)
+        assert blocks == [(lo, min(stop, lo + 16)) for lo in range(start, stop, 16)]
+        assert np.array_equal(seen, [
+            np.random.SeedSequence((cfg.master_seed, i)).generate_state(4, np.uint64)
+            for i in range(start, stop)])
+        assert all(np.array_equal(a, b) for a, b in zip(one_pass, blocked))
+
 
 def _sysconf(values):
     def fake(name):
@@ -446,6 +476,24 @@ class TestDrawSizeGate:
         finally:
             tracemalloc.stop()
         assert peak <= counted[0]
+
+    def test_seed_hash_peak_is_constant_in_n(self):
+        # beyond the kernel's own output (16 B per realization for one pair),
+        # its traced peak does not grow with n: the seed hash holds one
+        # block's words and working arrays at a time, never n realizations'
+        cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
+        variants = [("rzf", cfg.rzf_alpha)]
+        block = linksim._seed_block(linksim._chunk(cfg.K, cfg.M))
+        linksim._simulate_block(cfg, variants, 0, 2)  # first use loads numpy.random
+        excess = []
+        for n in (2 * block, 5 * block):
+            tracemalloc.start()
+            try:
+                linksim._simulate_block(cfg, variants, 0, n)
+                excess.append(tracemalloc.get_traced_memory()[1] - 16 * n)
+            finally:
+                tracemalloc.stop()
+        assert excess[1] <= excess[0] + 8192
 
 
 class TestSharedDraws:

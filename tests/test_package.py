@@ -73,8 +73,8 @@ def test_simulation_runs_without_scipy(tmp_path):
     assert out.split() == ["0", "False"]
 
 
-# Modules that only the process pool, the lemmas verb (and its helper
-# thread) and config files need
+# Modules that only the process pool, the lemmas verb (and its worker
+# threads) and config files need
 ON_FIRST_USE = ("concurrent.futures.process", "concurrent.futures.thread",
                 "multiprocessing", "pnmimo.lemmas", "configparser", "numpy.random")
 

@@ -40,6 +40,28 @@ class TestLapidothBound:
             pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(3.695, abs=0.02)
 
+    @pytest.mark.parametrize("sinr, tau, s2_ue, s2_bs", [
+        pytest.param(36.0, 10, 1e307, 1e307, id="v-overflows"),
+        pytest.param(36.0, 1, 1.7e308, 1.7e308, id="variance-sum-overflows"),
+        pytest.param(1e308, 10, 1e-3, 1e-3, id="2-pi-sinr-overflows")])
+    def test_finite_where_a_product_overflows(self, sinr, tau, s2_ue, s2_bs):
+        # 0.5 log2(sinr / (e v)) from the logs of the factors, as
+        # log2(sinr) - log2(e) - log2(tau) - log2(s2_ue + s2_bs) in halves
+        expected = 0.5 * (math.log2(sinr) - math.log2(math.e) - math.log2(tau)
+                          - math.log2(s2_ue / 2 + s2_bs / 2) - 1.0)
+        assert rate_lapidoth(sinr, tau, s2_ue, s2_bs, M_osc=1) == \
+            pytest.approx(expected, rel=1e-15)
+
+    @given(st.floats(1e-3, 1e6), st.integers(1, 1000), st.floats(1e-6, 10.0),
+           st.floats(1e-6, 10.0), st.integers(1, 4))
+    @settings(max_examples=200)
+    def test_unchanged_where_every_product_is_finite(self, sinr, tau, s2_ue, s2_bs, m_osc):
+        # the bits of the direct form: the split form runs only past overflow
+        v = tau * (s2_ue + (s2_bs if m_osc == 1 else 0.0))
+        assert rate_lapidoth(sinr, tau, s2_ue, s2_bs, m_osc) == (
+            0.5 * math.log2(2.0 * math.pi * sinr)
+            - 0.5 * math.log2(2.0 * math.pi * math.e * v))
+
     def test_undefined_at_zero_variance(self):
         assert rate_lapidoth(10.0, 5, 0.0, 0.1, M_osc=2) is None
 
