@@ -145,9 +145,11 @@ def _cmd_lemmas(args) -> None:
                           f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
-    # (2, 2, rows, M) float64 draws at the largest size M: an M x M factor
-    # with its normals (rows = M) and the trace lemma's (x, w) pairs (rows = trials)
-    check_buffer("sizes", args.sizes, 32 * top * top)
+    # at the largest size M: the rank-1 check's workspaces (two (2, M, M)
+    # float64 normals, complex C and S, real G and Y: 80 M^2 bytes) with
+    # numpy's complex copy of S in each solve, and the trace lemma's
+    # (2, 2, trials, M) float64 (x, w) pairs
+    check_buffer("sizes", args.sizes, 96 * top * top)
     check_buffer("trials", args.trials, 32 * args.trials * top)
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,12 +94,22 @@ def _trials(pool, compute, draws, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian_vec(M, rng, scale):
-    z = rng.standard_normal((2, M))  # the real parts, then the imaginary parts
+def _gaussian_vec(M, rng, scale, out=None, z=None):
+    """M complex normals of variance scale, drawn as the (2, M) real normals
+    z (the real parts, then the imaginary parts).  Given the workspaces out
+    (M complex) and z, they are filled in place; the stream use is the same."""
+    z = rng.standard_normal((2, M), out=z)
     z *= np.sqrt(scale / 2.0)
-    out = np.empty(M, dtype=complex)
+    if out is None:
+        out = np.empty(M, dtype=complex)
     out.real, out.imag = z
     return out
+
+
+def _view(buf, *shape):
+    """The leading elements of the flat workspace buf as a C-ordered array of
+    the given shape: each size's arrays share the buffer of the largest."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def _random_spd(M, rng):
@@ -108,19 +119,23 @@ def _random_spd(M, rng):
     return _spd(rng.standard_normal((2, M, M)))
 
 
-def _spd(Z):
+def _spd(Z, work=None):
     """B B^H / M + I from the (2, M, M) normals Z = (Zr, Zi) of B, without
     the complex product: the real part is (Zr Zr^T + Zi Zi^T) / (2M) + I and
-    the imaginary part (Y - Y^T) / (2M), Y = Zi Zr^T.  Draws nothing."""
+    the imaginary part (Y - Y^T) / (2M), Y = Zi Zr^T.  Draws nothing.
+
+    work holds the M x M workspaces (G, Y, S), G and Y real and S complex;
+    S is built in place and returned.  Without it all three are new."""
     Zr, Zi = Z
     M = Zr.shape[0]
-    G = Zr @ Zr.T  # X @ X.T takes BLAS's symmetric product
-    G += Zi @ Zi.T
+    G, Y, S = work or (np.empty((M, M)), np.empty((M, M)),
+                       np.empty((M, M), dtype=complex))
+    np.matmul(Zr, Zr.T, out=G)  # X @ X.T takes BLAS's symmetric product
+    G += np.matmul(Zi, Zi.T, out=Y)
     G /= 2.0 * M
     G.flat[::M + 1] += 1.0
-    S = np.empty((M, M), dtype=complex)
     S.real = G
-    Y = Zi @ Zr.T
+    np.matmul(Zi, Zr.T, out=Y)
     np.subtract(Y, Y.T, out=S.imag)
     S.imag /= 2.0 * M
     return S
@@ -188,10 +203,13 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
     gives x^H A x = ||B^H x||^2 / M + ||x||^2, x^H A w = (B^H x)^H (B^H w) / M
     + x^H w and tr(A)/M = ||B||_F^2 / M^2 + 1.
     """
+    top = max(M_values)
+    b, zb = np.empty(top * top, dtype=complex), np.empty(2 * top * top)  # B, normals
     per_size = []
     with blas_threads(1):
         for M in M_values:
-            B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+            B = _gaussian_vec(M * M, rng, 1.0, _view(b, M * M),
+                              _view(zb, 2, M * M)).reshape(M, M)
             tr = np.vdot(B, B).real / M ** 2 + 1.0
             # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary)
             # rows, the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
@@ -231,31 +249,40 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     makes every draw, in the order of a serial loop: C, h and q while S is
     built, and the next trial's S normals during the solve.  Only the draws
     touch rng, so the errors and rng's final state are those of the serial
-    loop.
+    loop.  The M x M arrays live in workspaces allocated once per call,
+    sized for the largest M (_rank1_gaps).
     """
+    n = max(M_values) ** 2
+    # S's normals, C's normals, C, and _spd's G, Y and S
+    work = (np.empty(2 * n), np.empty(2 * n), np.empty(n, dtype=complex),
+            np.empty(n), np.empty(n), np.empty(n, dtype=complex))
     per_size = []
     with _workers() as pool:
         for M in M_values:
-            per_size.append(_rank1_gaps(M, rng, n_trials, pool))
+            per_size.append(_rank1_gaps(M, rng, n_trials, pool, work))
     return _record("rank1_perturbation", M_values, per_size)
 
 
-def _rank1_gaps(M, rng, n_trials, pool) -> np.ndarray:
-    """check_rank1_perturbation's n_trials gaps at size M.  Each M x M array
-    is dropped as soon as it is used, so that no more of them are alive at
-    once than in a serial loop."""
+def _rank1_gaps(M, rng, n_trials, pool, work) -> np.ndarray:
+    """check_rank1_perturbation's n_trials gaps at size M, every M x M array
+    a view of a workspace in work.  Each workspace is refilled only after
+    its last reader has returned: Z once S is built, the S workspace once
+    the solve has returned, and C once this thread has read it."""
+    z_s, z_c, c, *spd_work = work
+    Z, zc, c = _view(z_s, 2, M, M), _view(z_c, 2, M * M), _view(c, M * M)
+    C = c.reshape(M, M)
+    spd_work = [_view(w, M, M) for w in spd_work]
     errs = np.empty(n_trials)
-    Z = rng.standard_normal((2, M, M))  # the normals of the first trial's S
+    rng.standard_normal(out=Z)  # the normals of the first trial's S
     for t in range(n_trials):
-        S = pool.submit(_spd, Z)  # U + I; the worker holds Z until S is built
-        del Z
-        C = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
+        S = pool.submit(_spd, Z, spd_work)  # U + I
+        _gaussian_vec(M * M, rng, 1.0, c, zc)  # C
         h = _gaussian_vec(M, rng, 1.0)
         q = abs(float(rng.normal())) + 0.1
         y = pool.submit(np.linalg.solve, S.result(), h)
         if t + 1 < n_trials:
-            Z = rng.standard_normal((2, M, M))
-        y = y.result()
+            rng.standard_normal(out=Z)  # S is built, so Z is free
+        y = y.result()  # and after the solve, the S workspace
         Chy = y.conj() @ C  # (C^H y)^*, the same norm as C^H y
         yy = np.vdot(y, y).real
         yAy = np.vdot(Chy, Chy).real / M + yy
@@ -265,7 +292,6 @@ def _rank1_gaps(M, rng, n_trials, pool) -> np.ndarray:
             raise FloatingPointError(
                 f"rank-1 trace gap {gap} exceeds bound {bound} at M={M}")
         errs[t] = gap
-        del C
     return errs
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -103,7 +104,7 @@ INVALID_INPUTS = [
     pytest.param("[system]\nM = 1000000000000\nK = 10\nn_realizations = 2\n",
                  ("M:", "1280000000021336 bytes"), id="M-1e12"),
     pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
-                 ("sizes:", "1280000000000 bytes"), id="sizes-200000"),
+                 ("sizes:", "3840000000000 bytes"), id="sizes-200000"),
     # 80 B per user and 8 KiB, gated before any per-user array is built
     pytest.param("[system]\nM = 1000000000\nK = 1000000000\n",
                  ("K:", "80000008192 bytes"), id="K-1e9"),
@@ -600,7 +601,7 @@ class TestCliEntry:
                      "n_realizations: the buffers need 20251620 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
-                     "sizes: the buffers need 8388608 bytes", id="lemmas-sizes"),
+                     "sizes: the buffers need 25165824 bytes", id="lemmas-sizes"),
         pytest.param(["lemmas", "--sizes", "8,16", "--trials", "20000"],
                      "trials: the buffers need 10240000 bytes", id="lemmas-trials")])
     def test_memory_gate_names_the_field(self, argv, field, tmp_path, monkeypatch,
@@ -618,6 +619,28 @@ class TestCliEntry:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert field in err and "4194304 bytes available" in err
+
+    @pytest.mark.parametrize("check", ["check_rank1_perturbation", "check_trace_lemma"])
+    def test_sizes_count_bounds_the_traced_peak(self, check, monkeypatch):
+        # the count for --sizes 32,64 bounds what a check holds at once at
+        # those sizes; the rank-1 check holds the most
+        counted = {}
+
+        def count_and_stop(name, value, nbytes):
+            counted[name] = nbytes
+            raise ConfigError("counted")
+
+        monkeypatch.setattr(cli, "check_buffer", count_and_stop)
+        assert main(["lemmas", "--sizes", "32,64", "--trials", "3"]) == 2
+        rng = np.random.default_rng(5)
+        getattr(lemmas, check)([32, 64], rng, n_trials=3)  # warm up
+        tracemalloc.start()
+        try:
+            getattr(lemmas, check)([32, 64], rng, n_trials=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted["sizes"] == 96 * 64 * 64
 
     @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
     def test_gate_counts_every_pair_of_a_draw_set(self, verb, tmp_path, monkeypatch,

@@ -1,6 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from pnmimo import lemmas
 from pnmimo.config import blas_threads
 from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
                            _wishart_resolvent, check_free_probability_traces,
@@ -229,6 +233,25 @@ class TestOracles:
     def test_rank1_overlap_keeps_the_serial_stream(self, seed):
         # the worker changes when the products run, not the draws: the same
         # bits and the same generator state as the serial loop
+        _same_bits_as_serial(
+            lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,
+            lambda rng: rank1_serial([8, 32, 64], rng, n_trials=5), seed)
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_rank1_workspaces_outlast_slow_workers(self, seed, monkeypatch):
+        # each S build and solve on a worker sleeps before it reads its
+        # inputs, so every overlap with this thread's draws runs at its
+        # longest, and the solve longer than a build: a workspace refilled
+        # before its last reader returned would change the bits
+        def slow(compute, seconds):
+            def on_worker(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(seconds)
+                return compute(*args)
+            return on_worker
+
+        monkeypatch.setattr(np.linalg, "solve", slow(np.linalg.solve, 0.01))
+        monkeypatch.setattr(lemmas, "_spd", slow(lemmas._spd, 0.002))
         _same_bits_as_serial(
             lambda rng: check_rank1_perturbation([8, 32, 64], rng, n_trials=5).errors,
             lambda rng: rank1_serial([8, 32, 64], rng, n_trials=5), seed)
