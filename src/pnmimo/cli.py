@@ -147,10 +147,14 @@ def _cmd_lemmas(args) -> None:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
     # at the largest size M: the rank-1 check's workspaces (two (2, M, M)
     # float64 normals, complex C and S, real G and Y: 80 M^2 bytes) with
-    # numpy's complex copy of S in each solve, and the trace lemma's
-    # (2, 2, trials, M) float64 (x, w) pairs
+    # numpy's complex copy of S in each solve; the trace lemma's B with its
+    # normals (32 M^2 bytes) and, per trial, four times 32 M bytes (the
+    # float64 normals of (x, w), the complex pair, the product r, and the
+    # pair's conjugate or two (M,) complex temporaries of a reduction), 8
+    # bytes per size of results, and numpy's reduction buffer (8192 complex)
     check_buffer("sizes", args.sizes, 96 * top * top)
-    check_buffer("trials", args.trials, 32 * args.trials * top)
+    check_buffer("trials", args.trials,
+                 32 * top * top + args.trials * (128 * top + 8 * len(sizes)) + 131072)
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

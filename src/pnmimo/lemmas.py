@@ -210,22 +210,29 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
         for M in M_values:
             B = _gaussian_vec(M * M, rng, 1.0, _view(b, M * M),
                               _view(zb, 2, M * M)).reshape(M, M)
-            tr = np.vdot(B, B).real / M ** 2 + 1.0
             # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary)
             # rows, the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
-            z = rng.standard_normal((n_trials, 2, 2, M))
-            z *= np.sqrt(1.0 / M / 2.0)
-            xw = np.empty((n_trials, 2, M), dtype=complex)
-            xw.real, xw.imag = z[:, :, 0], z[:, :, 1]
-            x, w = xw[:, 0], xw[:, 1]
-            # rows (B^H x)^* and (B^H w)^*, from one (2 n_trials) x M product
-            r = (xw.conj().reshape(-1, M) @ B).reshape(n_trials, 2, M)
-            xAx = (np.sum(np.abs(r[:, 0]) ** 2, axis=1) / M
-                   + np.sum(np.abs(x) ** 2, axis=1))
-            xAw = (np.sum(r[:, 0] * r[:, 1].conj(), axis=1) / M
-                   + np.sum(x.conj() * w, axis=1))
-            per_size.append(np.maximum(np.abs(xAx - tr), np.abs(xAw)))
+            per_size.append(_trace_gaps(B, rng.standard_normal((n_trials, 2, 2, M))))
     return _record("trace_lemma", M_values, per_size)
+
+
+def _trace_gaps(B: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max(|x^H A x - tr(A)/M|, |x^H A w|) per trial, for A = B B^H / M + I
+    and trial t's (x, w) from the (real, imaginary) normals z[t].  Its
+    arrays live until it returns, so one size's never meet the next's."""
+    M = len(B)
+    tr = np.vdot(B, B).real / M ** 2 + 1.0
+    z *= np.sqrt(1.0 / M / 2.0)
+    xw = np.empty(z.shape[:2] + (M,), dtype=complex)
+    xw.real, xw.imag = z[:, :, 0], z[:, :, 1]
+    x, w = xw[:, 0], xw[:, 1]
+    # rows (B^H x)^* and (B^H w)^*, from one (2 n_trials) x M product
+    r = (xw.conj().reshape(-1, M) @ B).reshape(xw.shape)
+    xAx = (np.sum(np.abs(r[:, 0]) ** 2, axis=1) / M
+           + np.sum(np.abs(x) ** 2, axis=1))
+    xAw = (np.sum(r[:, 0] * r[:, 1].conj(), axis=1) / M
+           + np.sum(x.conj() * w, axis=1))
+    return np.maximum(np.abs(xAx - tr), np.abs(xAw))
 
 
 def check_rank1_perturbation(M_values, rng: np.random.Generator,

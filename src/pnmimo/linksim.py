@@ -14,15 +14,16 @@ every precoder, alpha and SNR point of a scenario.  The scenario is
 validated once, by SystemConfig; the stages below it take plain arrays and
 floats.
 
-Realizations run in small chunks (see CHUNK_ELEMENTS).  Each realization of
-a chunk draws from its own stream straight into the chunk's buffers, in this
-order: 2KM standard normals for H (real parts, then imaginary parts); M_osc
-uniforms on [0, 1) and M_osc standard normals for the BS oscillators; K of
-each for the UEs; 2KM standard normals for W_e.  The scaling runs once per
-chunk: a start phase is 2 pi times its uniform, the phase at tau adds
-sqrt(tau sigma2) times its normal (one Gaussian of variance tau sigma2
-stands for the tau Wiener steps), and H and W_e are sqrt(1/2) times their
-normals.  Everything after the draws (the phase rotations, the estimate,
+Realizations run in chunks of a few, sized so that each chunk amortizes its
+fixed interpreter cost within a cache-sized budget (see CHUNK_ELEMENTS).
+Each realization of a chunk draws from its own stream straight into the
+chunk's buffers, in this order: 2KM standard normals for H (real parts, then
+imaginary parts); M_osc uniforms on [0, 1) and M_osc standard normals for the
+BS oscillators; K of each for the UEs; 2KM standard normals for W_e.  The
+scaling runs once per chunk: a start phase is 2 pi times its uniform, the
+phase at tau adds sqrt(tau sigma2) times its normal (one Gaussian of variance
+tau sigma2 stands for the tau Wiener steps), and H and W_e are sqrt(1/2)
+times their normals.  Everything after the draws (the phase rotations, the estimate,
 the data-time row, the Gram decomposition and every precoder) runs once on
 the chunk's stacked arrays.  A draw ZF rejects is a NaN slice of the ZF
 coefficients, which turns that realization's ZF powers into NaN.
@@ -57,10 +58,17 @@ __all__ = ["PowerEstimate", "empirical_powers", "check_draw_size", "MAX_REJECTIO
 # fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
 
-# A chunk stacks max(1, CHUNK_ELEMENTS // (K*M)) realizations, so each K x M
-# stack stays near 64 KiB: 8 realizations at M=50, K=10, one at M=200, K=40.
-# Larger chunks save little more interpreter time and raise peak memory.
+# A chunk stacks CHUNK_ELEMENTS // (K*M) realizations, but never fewer than
+# min(CHUNK_MIN, CHUNK_BUDGET // (K*M)), nor fewer than one.  Each chunk pays
+# a fixed cost of some 80-100 numpy calls (about 150 us on a 2-core x86
+# machine), so a mid-size shape needs several realizations to amortize it,
+# while its K x M stacks stay within a cache-sized budget of elements: 8
+# realizations at M=50, K=10 and at M=100, K=20, 7 at M=150, K=30, 4 at
+# M=200, K=40, and one from K*M = 32768 up.  Larger chunks save no more time
+# and raise peak memory.
 CHUNK_ELEMENTS = 4096
+CHUNK_MIN = 8
+CHUNK_BUDGET = 32768
 
 # A block hashes the seed words of at least SEED_BLOCK realizations at a
 # time (a whole number of chunks), so the hash's working arrays stay the
@@ -106,7 +114,7 @@ class PowerEstimate:
 
 
 def _chunk(K: int, M: int) -> int:
-    return max(1, CHUNK_ELEMENTS // (K * M))
+    return max(CHUNK_ELEMENTS // (K * M), min(CHUNK_MIN, CHUNK_BUDGET // (K * M)), 1)
 
 
 def _seed_block(chunk: int) -> int:
@@ -295,10 +303,18 @@ def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
                          n_rejected=rejected, cov=np.cov(sig, intf))
 
 
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one
+    (a container's cpuset), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(config: SystemConfig) -> int:
     """Worker processes an empirical_powers call starts: 0 runs it serially."""
     p = config.parallelism
-    return min(p, os.cpu_count() or 1) if p > 1 and config.n_realizations >= 4 * p else 0
+    return min(p, _cores()) if p > 1 and config.n_realizations >= 4 * p else 0
 
 
 def _powers(config: SystemConfig, variants: list) -> tuple[np.ndarray, np.ndarray]:

@@ -41,6 +41,7 @@ def two_blas_threads(monkeypatch):
     get, put = blas
     before = get()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     put(2)
     yield get
     put(before)

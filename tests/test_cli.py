@@ -603,7 +603,7 @@ class TestCliEntry:
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
                      "sizes: the buffers need 25165824 bytes", id="lemmas-sizes"),
         pytest.param(["lemmas", "--sizes", "8,16", "--trials", "20000"],
-                     "trials: the buffers need 10240000 bytes", id="lemmas-trials")])
+                     "trials: the buffers need 41419264 bytes", id="lemmas-trials")])
     def test_memory_gate_names_the_field(self, argv, field, tmp_path, monkeypatch,
                                          capsys):
         # a 4 MiB machine rejects what a real one would accept, before any
@@ -641,6 +641,32 @@ class TestCliEntry:
         finally:
             tracemalloc.stop()
         assert peak <= counted["sizes"] == 96 * 64 * 64
+
+    # many trials at small sizes, where the trials count leads; few trials at
+    # larger sizes, where B and numpy's reduction buffer do
+    @pytest.mark.parametrize("sizes, trials", [("8,16", 20000), ("2,4", 50000),
+                                               ("4,8,16,32", 5000), ("64,128,256", 8)])
+    def test_trials_count_bounds_the_trace_lemmas_traced_peak(self, sizes, trials,
+                                                              monkeypatch):
+        counted = {}
+
+        def count_and_stop(name, value, nbytes):
+            counted[name] = nbytes
+            if name == "trials":  # the last gate
+                raise ConfigError("counted")
+
+        monkeypatch.setattr(cli, "check_buffer", count_and_stop)
+        assert main(["lemmas", "--sizes", sizes, "--trials", str(trials)]) == 2
+        M_values = [int(s) for s in sizes.split(",")]
+        rng = np.random.default_rng(5)
+        lemmas.check_trace_lemma(M_values, rng, n_trials=trials)  # warm up
+        tracemalloc.start()
+        try:
+            lemmas.check_trace_lemma(M_values, rng, n_trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted["trials"]
 
     @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
     def test_gate_counts_every_pair_of_a_draw_set(self, verb, tmp_path, monkeypatch,

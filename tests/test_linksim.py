@@ -180,20 +180,46 @@ class TestEmpiricalSinr:
     @pytest.mark.parametrize("chunk", [1, 3, 50])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_chunk_size_does_not_change_bits(self, monkeypatch, chunk, workers):
-        # CHUNK_ELEMENTS // (K*M) realizations share one stacked pass; 3 does
-        # not divide n, 50 is the whole block
+        # _chunk(K, M) realizations share one stacked pass; 3 does not divide
+        # n, 50 is the whole block
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=50,
                            parallelism=workers)
         variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
         ref = linksim._powers(replace(cfg, parallelism=1), variants)
-        monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
+        monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
         for powers, r in zip(linksim._powers(cfg, variants), ref):
             assert np.array_equal(powers, r)
 
-    @pytest.mark.parametrize("cores", [2, None])
-    def test_pool_size_clamped_to_cores(self, monkeypatch, cores):
-        # 16 workers on 2 cores (or an unknown count) start at most 2 (1)
-        # processes; the block still splits into 16 index ranges, so the
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_mid_size_chunks_do_not_change_bits(self, monkeypatch, chunk):
+        # at M=100, K=20 the rule stacks 8 realizations, which does not divide
+        # n; one and three per chunk give the same bits
+        cfg = SystemConfig(M=100, K=20, M_osc=5, snr_db=10.0, n_realizations=19)
+        assert linksim._chunk(cfg.K, cfg.M) == 8
+        variants = [("rzf", cfg.rzf_alpha), ("zf", None), ("mf", None)]
+        ref = linksim._powers(cfg, variants)
+        monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
+        for powers, r in zip(linksim._powers(cfg, variants), ref):
+            assert np.array_equal(powers, r)
+
+    # M=50, K=10 (the fig2-fig4 presets) keeps its 8; mid-size shapes stack
+    # enough realizations to amortize a chunk's fixed cost; from K*M = 32768
+    # each realization is its own chunk
+    @pytest.mark.parametrize("M, K, chunk", [(4, 2, 512), (50, 10, 8), (64, 16, 8),
+                                             (100, 20, 8), (150, 30, 7), (200, 40, 4),
+                                             (300, 60, 1), (256, 128, 1), (1000, 200, 1)])
+    def test_chunk_rule(self, M, K, chunk):
+        assert linksim._chunk(K, M) == chunk
+
+    # 2 cores: an affinity mask of two CPUs on a 64-core host, or 2 CPUs where
+    # the OS has no affinity mask; None: no mask and an unknown count
+    @pytest.mark.parametrize("affinity, cpu_count, cores", [
+        pytest.param({0, 1}, 64, 2, id="2"),
+        pytest.param(None, 2, 2, id="2-without-affinity"),
+        pytest.param(None, None, 1, id="None")])
+    def test_pool_size_clamped_to_cores(self, monkeypatch, affinity, cpu_count, cores):
+        # 16 workers start at most as many processes as the CPUs the process
+        # may run on; the block still splits into 16 index ranges, so the
         # bits are the serial run's
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
                            parallelism=16)
@@ -219,9 +245,14 @@ class TestEmpiricalSinr:
 
         # the pool path imports ProcessPoolExecutor from concurrent.futures on use
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(linksim.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(linksim.os, "cpu_count", lambda: cpu_count)
+        if affinity is None:
+            monkeypatch.delattr(linksim.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
         sig, intf = linksim._powers(cfg, [("rzf", 0.1)])
-        assert pools == [(cores or 1, (1,))]
+        assert pools == [(cores, (1,))]
         assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
         ref_sig, ref_int = linksim._powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
         assert np.array_equal(sig, ref_sig)
@@ -346,7 +377,7 @@ class TestChunkDraws:
         cfg = SystemConfig(M=20, K=4, M_osc=m_osc, sigma_deg_bs=sigma_deg,
                            sigma_deg_ue=sigma_deg, snr_db=10.0, ue_index=1,
                            n_realizations=10)
-        monkeypatch.setattr(linksim, "CHUNK_ELEMENTS", chunk * cfg.K * cfg.M)
+        monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
         M, k = cfg.M, cfg.ue_index
         # the default seed is one 32-bit word; 2^70 is three, so the seed hash
         # takes its entropy-longer-than-the-pool branch
@@ -391,7 +422,7 @@ class TestSeedWords:
         # the second case, and every generator still seeds from
         # SeedSequence's words, with the powers of a one-block pass
         cfg = SystemConfig(M=64, K=16, M_osc=2, snr_db=10.0, master_seed=2 ** 32 + 7)
-        assert linksim._chunk(cfg.K, cfg.M) == 4
+        monkeypatch.setattr(linksim, "_chunk", lambda K, M: 4)
         variants = [("rzf", cfg.rzf_alpha), ("mf", None)]
         one_pass = linksim._simulate_block(cfg, variants, start, stop)
         SeedWords, seen = linksim._seed_words_type(), []
@@ -452,11 +483,13 @@ class TestDrawSizeGate:
 
     # one RZF pair at one SNR; the draw set of a 9-point snr sweep over all
     # three precoders (nine optimal RZF alphas, ZF, MF); a one-realization
-    # chunk that dominates the count
+    # chunk that dominates the count; the same sweep at a mid-size shape,
+    # whose 8-realization chunks dominate it
     @pytest.mark.parametrize("M, K, n, precoders, snrs, n_variants", [
         pytest.param(20, 4, 20_000, ("rzf",), (10.0,), 1, id="one-pair"),
         pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, 11, id="snr-sweep"),
-        pytest.param(2000, 40, 4, ("rzf",), (10.0,), 1, id="M-2000")])
+        pytest.param(2000, 40, 4, ("rzf",), (10.0,), 1, id="M-2000"),
+        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, 11, id="M-100-chunk-8")])
     def test_count_bounds_traced_peak(self, monkeypatch, M, K, n, precoders, snrs,
                                       n_variants):
         cfg = SystemConfig(M=M, K=K, M_osc=2, snr_db=10.0, n_realizations=n)
