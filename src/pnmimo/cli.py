@@ -1,11 +1,12 @@
 """Command-line interface: sweeps, scenario presets, lemma checks, validation.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, or a
-MemoryError from a run that does not fit in memory, among them a pool
-worker that died), 3 numerical failure (any ArithmeticError: a closed-form
-or Monte-Carlo cell that is nan or inf, which names its column, the
-zero-forcing rejection cap, a lemma check out of tolerance).  main() maps
-the exception family to the code; the verb handlers only raise.
+MemoryError from a run that does not fit in memory, raised on the
+caller's thread or a worker thread), 3 numerical failure (any
+ArithmeticError: a closed-form or Monte-Carlo cell that is nan or inf,
+which names its column, the zero-forcing rejection cap, a lemma check out
+of tolerance).  main() maps the exception family to the code; the verb
+handlers only raise.
 A config file is only parsed (config.load_config).  validate-config runs
 sweep's plan (sweep.plan_sweep: the one check of a sweep's axis, values
 and precoders, then every point, closed form and draw-set memory gate) and
@@ -35,7 +36,7 @@ EXIT_NUMERICAL = 3
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--realizations", type=int, help="Monte-Carlo realization count")
-    parser.add_argument("--parallelism", type=int, help="worker process count")
+    parser.add_argument("--parallelism", type=int, help="Monte-Carlo worker thread count")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--format", default="csv", choices=("csv", "json-lines"))
 

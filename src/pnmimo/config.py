@@ -4,7 +4,8 @@ Config files are flat INI text with a [system] section of key = value pairs
 and a [sweep] section naming the axis and its values; both are required.
 The memory gate (check_buffer) lives here beside ConfigError, its error type,
 and so does the other limit of the machine that pnmimo heeds: the BLAS
-thread count its own work runs at (cap_blas, blas_threads).
+thread count its own work runs at (blas_threads), with the worker threads
+that run it (workers).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from .phase_noise import deg_to_var, t_pn_second_moment
 from .rmt import optimal_alpha
 
-__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "cap_blas",
-           "blas_threads"]
+__all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "blas_threads",
+           "workers"]
 
 
 class ConfigError(ValueError):
@@ -66,33 +67,34 @@ def _openblas():
     return None
 
 
-def cap_blas(threads: int) -> int | None:
-    """Lower numpy's OpenBLAS to at most `threads` threads.  Returns the
-    count it had, or None (and does nothing) where no OpenBLAS is found.
-    It makes no set call where the count is already at most `threads`: a
-    forked pool worker inherits its parent's count, so the worker of a
-    parent that capped it makes none (a set call makes OpenBLAS re-create
-    its threads).  A pool worker calls it once, as its initializer."""
-    blas = _openblas()
-    if blas is None:
-        return None
-    get, put = blas
-    before = get()
-    if before > threads:
-        put(threads)
-    return before
-
-
 @contextlib.contextmanager
 def blas_threads(threads: int):
-    """cap_blas(threads) for the body of a with statement; the thread count
-    is restored afterwards, whether or not the body raises."""
-    before = cap_blas(threads)
+    """numpy's OpenBLAS at most `threads` threads for the body of a with
+    statement; the count it had is restored afterwards, whether or not the
+    body raises.  It does nothing where no OpenBLAS is found, and makes no
+    set call where the count is already at most `threads` (a set call makes
+    OpenBLAS re-create its threads)."""
+    blas = _openblas()
+    before = blas[0]() if blas is not None else threads
+    if before > threads:
+        blas[1](threads)
     try:
         yield
     finally:
-        if before is not None and before > threads:
-            _openblas()[1](before)
+        if before > threads:
+            blas[1](before)
+
+
+@contextlib.contextmanager
+def workers(n: int):
+    """A pool of n worker threads for the body of a with statement, with
+    numpy's OpenBLAS at one thread (blas_threads), so that every thread's
+    BLAS work gives the bits of a serial run at one thread.  The threads are
+    joined, and the count restored, when the block exits.  The thread pool's
+    module loads on first use."""
+    from concurrent.futures.thread import ThreadPoolExecutor
+    with blas_threads(1), ThreadPoolExecutor(max_workers=n) as pool:
+        yield pool
 
 
 def check_buffer(name: str, value, nbytes: int) -> None:

@@ -14,24 +14,22 @@ machinery.  The sizes and oscillator counts are checked once, by the CLI.
 
 Every check's BLAS work runs at one OpenBLAS thread (config.blas_threads),
 so its results do not depend on the machine's core count.  The checks with
-independent trials run them on two worker threads (_workers, _trials): the
-calling thread makes every draw in the order of a serial loop and the
-workers compute, so every value and the generator's final state are those
-of the serial loop at one BLAS thread.
+independent trials run them on two worker threads (config.workers,
+_trials): the calling thread makes every draw in the order of a serial
+loop and the workers compute, so every value and the generator's final
+state are those of the serial loop at one BLAS thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import blas_threads
+from .config import blas_threads, workers
 from .phase_noise import theta_vector
 
 __all__ = ["ConvergenceRecord", "check_matrix_inversion_identity",
@@ -66,14 +64,6 @@ def _record(name, M_values, per_size_errors) -> ConvergenceRecord:
 # Trials submitted and not yet collected in _trials: enough to keep both
 # workers busy while the calling thread draws, few enough to bound memory.
 _IN_FLIGHT = 4
-
-
-@contextlib.contextmanager
-def _workers():
-    """The lemma checks' two worker threads, at one BLAS thread each; they
-    are joined, and the thread count restored, when the block exits."""
-    with blas_threads(1), ThreadPoolExecutor(max_workers=2) as pool:
-        yield pool
 
 
 def _trials(pool, compute, draws, out: np.ndarray) -> np.ndarray:
@@ -184,7 +174,7 @@ def check_resolvent_identity(M: int, rng: np.random.Generator,
     """
     draws = ((rng.standard_normal((2, M, M)), rng.standard_normal((2, M, M)))
              for _ in range(n_trials))
-    with _workers() as pool:
+    with workers(2) as pool:
         return float(np.max(_trials(pool, _resolvent_gap, draws, np.empty(n_trials))))
 
 
@@ -264,7 +254,7 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     work = (np.empty(2 * n), np.empty(2 * n), np.empty(n, dtype=complex),
             np.empty(n), np.empty(n), np.empty(n, dtype=complex))
     per_size = []
-    with _workers() as pool:
+    with workers(2) as pool:
         for M in M_values:
             per_size.append(_rank1_gaps(M, rng, n_trials, pool, work))
     return _record("rank1_perturbation", M_values, per_size)
@@ -311,7 +301,7 @@ def check_free_probability_traces(M_values, rng: np.random.Generator,
     with the K x K matrix S = H H^H + (M/2) I.
     """
     per_size = []
-    with _workers() as pool:
+    with workers(2) as pool:
         for M in M_values:
             per_size.append(_trials(pool, _free_probability_gap,
                                     _free_probability_draws(M, rng, n_trials),
@@ -350,7 +340,7 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
     the K x K Gram H H^H / M gives t1, t2 and every product with A^{-1} or U.
     Returns the median absolute deviation of each identity.
     """
-    with _workers() as pool:
+    with workers(2) as pool:
         devs = _trials(pool, functools.partial(_quadratic_form_devs, q0),
                        _quadratic_form_draws(M, rng, n_trials, M_osc),
                        np.empty((n_trials, 3)))

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import synthesize_estimate
-from .config import SystemConfig, blas_threads, cap_blas, check_buffer
+from .config import SystemConfig, blas_threads, check_buffer, workers
 from .phase_noise import theta_vector
 from .precoding import precoders
 
@@ -65,7 +65,11 @@ MAX_REJECTION_RATE = 1e-3
 # while its K x M stacks stay within a cache-sized budget of elements: 8
 # realizations at M=50, K=10 and at M=100, K=20, 7 at M=150, K=30, 4 at
 # M=200, K=40, and one from K*M = 32768 up.  Larger chunks save no more time
-# and raise peak memory.
+# and raise peak memory.  On worker threads a chunk stacks
+# max(1, CHUNK_BUDGET // (K*M)) (_pooled_chunk): 65 at M=50, K=10 and 4 at
+# M=200, K=40.  A thread holds the interpreter lock for each chunk's fixed
+# cost, so at 8 realizations per chunk two threads mostly wait on each
+# other; larger chunks leave more of the time in numpy calls that release it.
 CHUNK_ELEMENTS = 4096
 CHUNK_MIN = 8
 CHUNK_BUDGET = 32768
@@ -117,6 +121,10 @@ def _chunk(K: int, M: int) -> int:
     return max(CHUNK_ELEMENTS // (K * M), min(CHUNK_MIN, CHUNK_BUDGET // (K * M)), 1)
 
 
+def _pooled_chunk(K: int, M: int) -> int:
+    return max(1, CHUNK_BUDGET // (K * M))
+
+
 def _seed_block(chunk: int) -> int:
     return chunk * -(-SEED_BLOCK // chunk)
 
@@ -125,29 +133,29 @@ def check_draw_size(config: SystemConfig, n_variants: int) -> None:
     """Raise ConfigError when an empirical_powers call over n_variants
     (kind, alpha) pairs would hold more than fits in memory at once.
 
-    Each worker (the parent on the serial path) holds one chunk (its draws,
-    their complex working copies, and the K x K Gram factors and every
-    pair's coefficient matrices) and one seed block's words with the seed
-    hash's working arrays.  Each realization holds one pair's reduction to
-    a PowerEstimate and 16 B in every pair's two power arrays, counted
-    twice on the pool path (the workers' pieces and the joined arrays).
-    The byte counts bound tracemalloc's peak of a serial run
+    Each worker thread (the caller on the serial path) holds one chunk (its
+    draws, their complex working copies, and the K x K Gram factors and
+    every pair's coefficient matrices; a pooled chunk on worker threads) and
+    one seed block's words with the seed hash's working arrays.  Each
+    realization holds one pair's reduction to a PowerEstimate and 16 B in
+    every pair's two power arrays, which the worker threads fill in place.
+    The byte counts bound tracemalloc's peak of a serial and of a pooled run
     (tests/test_linksim.py).  The error names M when the chunks are the
     larger part, else n_realizations.
     """
     K, M, n = config.K, config.M, config.n_realizations
-    workers = _pool_size(config)
-    chunk = _chunk(K, M)
+    threads = _pool_size(config)
+    chunk = _pooled_chunk(K, M) if threads else _chunk(K, M)
     # a chunk of b realizations: (2, 2, b K, M) float64 draws, six complex
     # (b K, M) working copies, 3 complex b (K, K) arrays per pair and 4 more;
     # per realization of a seed block, 32 B of seed words, the hash's
     # entropy (4 B per 32-bit word of the master seed, two for the index)
     # and its other arrays (128 B)
-    chunks = max(workers, 1) * (
+    chunks = max(threads, 1) * (
         16 * chunk * K * (8 * M + (3 * n_variants + 4) * K)
         + min(n, _seed_block(chunk)) * (4 * len(_uint32_words(config.master_seed)) + 168))
     # 48 B of one pair's reduction
-    per_realization = 48 + 16 * n_variants * (2 if workers else 1)
+    per_realization = 48 + 16 * n_variants
     name, value = ("M", M) if chunks >= n * per_realization else ("n_realizations", n)
     check_buffer(name, value, chunks + n * per_realization)
 
@@ -236,20 +244,24 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
-    """Per-variant, per-realization powers for indices [start, stop).
+def _simulate_block(config: SystemConfig, variants, start: int, stop: int,
+                    chunk: int | None = None, out: np.ndarray | None = None):
+    """Per-variant, per-realization powers for indices [start, stop), in
+    chunks of `chunk` realizations (default: _chunk's serial rule).
 
-    Returns two (len(variants), stop - start) arrays; NaN marks a draw that
-    the variant's precoder rejected.
+    Writes them into out, a (2, len(variants), stop - start) array of
+    signal, then interference powers (a new one by default), and returns
+    it; NaN marks a draw that the variant's precoder rejected.
     """
     M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
-    chunk = _chunk(K, M)
+    chunk = chunk or _chunk(K, M)
     block = _seed_block(chunk)
     SeedWords = _seed_words_type()
     step_bs = np.sqrt(config.tau * config.sigma2_bs)  # std dev of the drift over tau
     step_ue = np.sqrt(config.tau * config.sigma2_ue)
-    sig = np.empty((len(variants), stop - start))
-    intf = np.empty_like(sig)
+    if out is None:
+        out = np.empty((2, len(variants), stop - start))
+    sig, intf = out
     for lo in range(start, stop, chunk):
         if (lo - start) % block == 0:  # the next seed block's words
             first = lo
@@ -286,7 +298,7 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int):
         cols = slice(lo - start, lo - start + b)
         sig[:, cols] = p[..., k]
         intf[:, cols] = p.sum(axis=-1) - p[..., k]
-    return sig, intf
+    return out
 
 
 def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
@@ -312,41 +324,39 @@ def _cores() -> int:
 
 
 def _pool_size(config: SystemConfig) -> int:
-    """Worker processes an empirical_powers call starts: 0 runs it serially."""
+    """Worker threads an empirical_powers call starts: 0 runs it serially."""
     p = config.parallelism
     return min(p, _cores()) if p > 1 and config.n_realizations >= 4 * p else 0
 
 
-def _powers(config: SystemConfig, variants: list) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and interference powers of every (kind, alpha) pair, as two
-    (len(variants), n_realizations) arrays with NaN where the pair's
-    precoder rejected the draw: one block, or one block per index range on
-    the process pool, joined in index order.
+def _powers(config: SystemConfig, variants: list) -> np.ndarray:
+    """Signal and interference powers of every (kind, alpha) pair, as one
+    (2, len(variants), n_realizations) array with NaN where the pair's
+    precoder rejected the draw.  Serially it is one block.  On the pool it
+    is config.parallelism index ranges of whole pooled chunks (the last
+    may end short, and at few chunks some are empty), each a block that a
+    worker thread writes into its own columns.
 
-    The kernel runs at one BLAS thread on both paths (config.blas_threads),
-    so its bits depend neither on the parallelism nor on the core count;
-    its chunks are small by design, so BLAS threads inside it mostly burn
-    CPU.  The count is set here, before the pool starts, so forked workers
-    inherit it and make no OpenBLAS call; the initializer caps a worker
-    started another way (forkserver, spawn).  A worker that dies (the OOM
-    killer's usual work) breaks the pool; that is raised as a MemoryError,
-    which the CLI reports as a run that does not fit in memory.
+    The kernel runs at one BLAS thread on both paths (config.blas_threads,
+    config.workers), so its bits depend neither on the parallelism nor on
+    the core count; its chunks are small by design, so BLAS threads inside
+    it mostly burn CPU.
     """
-    n, workers = config.n_realizations, _pool_size(config)
-    with blas_threads(1):
-        if not workers:
+    n, threads = config.n_realizations, _pool_size(config)
+    if not threads:
+        with blas_threads(1):
             return _simulate_block(config, variants, 0, n)
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # pool path only
-        bounds = np.linspace(0, n, config.parallelism + 1, dtype=int)
-        try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=cap_blas,
-                                     initargs=(1,)) as pool:
-                futures = [pool.submit(_simulate_block, config, variants, int(a), int(b))
-                           for a, b in zip(bounds[:-1], bounds[1:])]
-                pieces = [f.result() for f in futures]
-        except BrokenExecutor:
-            raise MemoryError("a worker process died, most likely for lack of memory") from None
-    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*pieces))
+    chunk = _pooled_chunk(config.K, config.M)
+    n_chunks, parts = -(-n // chunk), config.parallelism
+    bounds = [min(n, chunk * (n_chunks * i // parts)) for i in range(parts + 1)]
+    powers = np.empty((2, len(variants), n))
+    with workers(threads) as pool:
+        futures = [pool.submit(_simulate_block, config, variants, a, b, chunk=chunk,
+                               out=powers[..., a:b])
+                   for a, b in zip(bounds[:-1], bounds[1:])]
+        for future in futures:
+            future.result()
+    return powers
 
 
 def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnmimo import analytics, cli, config, lemmas, linksim, sweep
 from pnmimo.cli import main
@@ -144,17 +144,6 @@ INVALID_INI = [case for case in INVALID_INPUTS
 # their chunk.
 SNR_SWEEP_INI = ("[system]\nM = 20\nK = 4\nn_realizations = 100000\n\n[sweep]\n"
                  "axis = snr\nvalues = -10 -5 0 5 10 15 20 25 30\n")
-
-_PARENT = os.getpid()
-
-
-def _die(*args):
-    """A pool worker that dies, as one the OOM killer ends: it exits its own
-    forked process, never the test's."""
-    if os.getpid() == _PARENT:
-        raise AssertionError("the serial path ran")
-    os._exit(1)
-
 
 def _machine(monkeypatch, nbytes):
     """Report nbytes of physical memory to the memory gate, which reads it
@@ -698,26 +687,46 @@ class TestCliEntry:
         assert main(["validate-config", cfg_file]) == 0
         assert capsys.readouterr().out.startswith("ok: M=20 K=4 ")
 
-    def test_dead_worker_exits_2(self, cfg_file, tmp_path, monkeypatch, capsys):
-        # a forked worker that exits breaks the pool: exit 2 naming the
-        # cause, no table and no traceback
-        monkeypatch.setattr(linksim, "_simulate_block", _die)
-        out = tmp_path / "o.csv"
-        assert main(["sweep", cfg_file, "--parallelism", "2", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error: out of memory: a worker process died" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
     def test_escaped_memory_error_exits_2(self, cfg_file, tmp_path, monkeypatch, capsys):
-        def out_of_memory(*args):
+        # raised on the serial path, then in a worker thread: exit 2 naming
+        # the cause, no table and no traceback
+        on_main = []
+
+        def out_of_memory(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
             raise MemoryError("Unable to allocate 1.00 TiB for an array")
 
         monkeypatch.setattr(linksim, "_simulate_block", out_of_memory)
-        assert main(["sweep", cfg_file, "--out", str(tmp_path / "o.csv")]) == 2
+        for parallelism in ("1", "2"):
+            out = tmp_path / f"o{parallelism}.csv"
+            assert main(["sweep", cfg_file, "--parallelism", parallelism,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "out of memory: Unable to allocate 1.00 TiB" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+        assert on_main[0] and len(on_main) > 1 and not any(on_main[1:])
+
+    def test_worker_thread_failure_exits_3(self, cfg_file, tmp_path, monkeypatch, capsys):
+        # a numerical failure raised in a worker thread reaches cli.main as
+        # one on the serial path does: exit 3, no table, no traceback, and
+        # the workers joined
+        on_main = []
+
+        def overflow(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            raise FloatingPointError("overflow in a worker thread")
+
+        monkeypatch.setattr(linksim, "_simulate_block", overflow)
+        threads = threading.active_count()
+        out = tmp_path / "o.csv"
+        assert main(["sweep", cfg_file, "--parallelism", "2", "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "out of memory: Unable to allocate 1.00 TiB" in err
+        assert "numerical failure: overflow in a worker thread" in err
         assert "Traceback" not in err
+        assert not out.exists()
+        assert on_main and not any(on_main)
+        assert threading.active_count() == threads
 
     def test_rank1_bound_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         # a solve that returns 1e3 y inflates the rank-1 gap 1e3-fold against a
@@ -870,7 +879,7 @@ def test_generated_config_files_exit_0_2_or_3(data):
 
 # Toy scenarios whose tables must not depend on the worker count.
 # n_realizations >= 8 = 4 * 2, so parallelism 2 splits the draws over two
-# worker processes; parallelism 1 and 2 are the only values run.
+# worker threads; parallelism 1 and 2 are the only values run.
 @st.composite
 def toy_scenarios(draw) -> SystemConfig:
     M = draw(st.integers(2, 24))
@@ -882,7 +891,10 @@ def toy_scenarios(draw) -> SystemConfig:
                         master_seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
+# the fig2 shape: 8-realization chunks serially, 65 on the workers, whose
+# second range ends in a partial chunk
 @given(toy_scenarios())
+@example(SystemConfig(M=50, K=10, M_osc=5, n_realizations=150))
 @settings(max_examples=6, deadline=None)
 def test_tables_byte_identical_at_parallelism_1_and_2(cfg):
     assert cfg.n_realizations >= 4 * 2

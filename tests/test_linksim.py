@@ -1,5 +1,6 @@
-import concurrent.futures
+import concurrent.futures.thread
 import os
+import threading
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
@@ -28,25 +29,13 @@ def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
     return H, phases, H_hat
 
 
-def _blas_threads_block(config_, variants, start, stop):
-    """A _simulate_block stand-in whose powers are the BLAS thread count of
-    the process that runs it; module-level, so a pool worker can unpickle it."""
-    threads = np.full((len(variants), stop - start), float(config._openblas()[0]()))
-    return threads, threads
-
-
-# (process id, thread count) of each OpenBLAS set call made through a
-# patched config._openblas, in this process and in the pool workers it forks
-_SET_CALLS: list = []
-
-
-def _set_calls_block(config_, variants, start, stop):
-    """A _simulate_block stand-in whose powers count the OpenBLAS set calls
-    made by the process that runs it; module-level, so a pool worker can
-    unpickle it."""
-    made = sum(pid == os.getpid() for pid, _ in _SET_CALLS)
-    calls = np.full((len(variants), stop - start), float(made))
-    return calls, calls
+def _blas_threads_block(config_, variants, start, stop, chunk=None, out=None):
+    """A _simulate_block stand-in whose powers are the BLAS thread count that
+    the thread running it sees."""
+    if out is None:
+        out = np.empty((2, len(variants), stop - start))
+    out[...] = config._openblas()[0]()
+    return out
 
 
 def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
@@ -218,7 +207,7 @@ class TestEmpiricalSinr:
         pytest.param(None, 2, 2, id="2-without-affinity"),
         pytest.param(None, None, 1, id="None")])
     def test_pool_size_clamped_to_cores(self, monkeypatch, affinity, cpu_count, cores):
-        # 16 workers start at most as many processes as the CPUs the process
+        # 16 workers start at most as many threads as the CPUs the process
         # may run on; the block still splits into 16 index ranges, so the
         # bits are the serial run's
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
@@ -226,10 +215,8 @@ class TestEmpiricalSinr:
         pools, ranges = [], []
 
         class InlinePool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                # a worker's initializer would cap this process's BLAS threads
-                assert initializer is config.cap_blas
-                pools.append((max_workers, initargs))
+            def __init__(self, max_workers):
+                pools.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -237,14 +224,14 @@ class TestEmpiricalSinr:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
+            def submit(self, fn, *args, **kwargs):
                 ranges.append(args[-2:])
                 future = Future()
-                future.set_result(fn(*args))
+                future.set_result(fn(*args, **kwargs))
                 return future
 
-        # the pool path imports ProcessPoolExecutor from concurrent.futures on use
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        # config.workers imports the thread pool from its module on use
+        monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(linksim.os, "cpu_count", lambda: cpu_count)
         if affinity is None:
             monkeypatch.delattr(linksim.os, "sched_getaffinity", raising=False)
@@ -252,14 +239,15 @@ class TestEmpiricalSinr:
             monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: affinity,
                                 raising=False)
         sig, intf = linksim._powers(cfg, [("rzf", 0.1)])
-        assert pools == [(cores, (1,))]
+        assert pools == [cores]
         assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
         ref_sig, ref_int = linksim._powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
         assert np.array_equal(sig, ref_sig)
         assert np.array_equal(intf, ref_int)
 
     def test_pool_workers_take_their_blas_share(self, monkeypatch, two_blas_threads):
-        # two workers on 2 cores run BLAS on one thread each; the parent keeps its 2
+        # two worker threads on 2 cores run BLAS at one thread; the caller's
+        # count is back at 2 afterwards
         monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block)
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
                            parallelism=2)
@@ -274,24 +262,30 @@ class TestEmpiricalSinr:
         assert np.all(sig == 1.0) and np.all(intf == 1.0)
         assert two_blas_threads() == 2
 
-    def test_forked_workers_make_no_blas_set_call(self, monkeypatch, two_blas_threads):
-        # the parent caps BLAS at one thread before the pool forks, so each
-        # worker inherits the count; a set call would make OpenBLAS
-        # re-create its threads in every worker
+    def test_worker_threads_make_no_blas_set_call(self, monkeypatch, two_blas_threads):
+        # the caller caps BLAS at one thread around the pool, and the count
+        # is the process's; a set call would make OpenBLAS re-create its
+        # threads
         get, put = config._openblas()
+        calls, callers = [], []
 
         def counted_put(threads):
-            _SET_CALLS.append((os.getpid(), threads))
+            calls.append((os.getpid(), threads))
+            callers.append(threading.get_ident())
             put(threads)
 
+        def set_calls_block(config_, variants, start, stop, chunk=None, out=None):
+            # its powers: the set calls made by the thread that runs it
+            out[...] = callers.count(threading.get_ident())
+            return out
+
         monkeypatch.setattr(config, "_openblas", lambda: (get, counted_put))
-        monkeypatch.setattr(linksim, "_simulate_block", _set_calls_block)
-        _SET_CALLS.clear()
+        monkeypatch.setattr(linksim, "_simulate_block", set_calls_block)
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
                            parallelism=2)
         sig, intf = linksim._powers(cfg, [("mf", None)])
         assert sig.shape == (1, 64) and np.all(sig == 0.0) and np.all(intf == 0.0)
-        assert _SET_CALLS == [(os.getpid(), 1), (os.getpid(), 2)]  # pin, restore
+        assert calls == [(os.getpid(), 1), (os.getpid(), 2)]  # pin, restore
 
     def test_parallel_matches_serial(self):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
@@ -477,22 +471,28 @@ class TestMemoryLimit:
 
 
 class TestDrawSizeGate:
-    """check_draw_size counts no less than a serial run holds at once."""
+    """check_draw_size counts no less than a serial or pooled run holds at once."""
 
     SNRS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
     # one RZF pair at one SNR; the draw set of a 9-point snr sweep over all
     # three precoders (nine optimal RZF alphas, ZF, MF); a one-realization
     # chunk that dominates the count; the same sweep at a mid-size shape,
-    # whose 8-realization chunks dominate it
-    @pytest.mark.parametrize("M, K, n, precoders, snrs, n_variants", [
-        pytest.param(20, 4, 20_000, ("rzf",), (10.0,), 1, id="one-pair"),
-        pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, 11, id="snr-sweep"),
-        pytest.param(2000, 40, 4, ("rzf",), (10.0,), 1, id="M-2000"),
-        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, 11, id="M-100-chunk-8")])
+    # whose 8-realization chunks dominate it; that sweep at the fig2 shape on
+    # two worker threads, each with its own 65-realization chunk, which
+    # tracemalloc traces as it does the caller's
+    @pytest.mark.parametrize("M, K, n, precoders, snrs, n_variants, parallelism", [
+        pytest.param(20, 4, 20_000, ("rzf",), (10.0,), 1, 1, id="one-pair"),
+        pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, 11, 1, id="snr-sweep"),
+        pytest.param(2000, 40, 4, ("rzf",), (10.0,), 1, 1, id="M-2000"),
+        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, 11, 1, id="M-100-chunk-8"),
+        pytest.param(50, 10, 400, ("rzf", "zf", "mf"), SNRS, 11, 2, id="M-50-pooled")])
     def test_count_bounds_traced_peak(self, monkeypatch, M, K, n, precoders, snrs,
-                                      n_variants):
-        cfg = SystemConfig(M=M, K=K, M_osc=2, snr_db=10.0, n_realizations=n)
+                                      n_variants, parallelism):
+        monkeypatch.setattr(linksim, "_cores", lambda: 2)
+        cfg = SystemConfig(M=M, K=K, M_osc=2, snr_db=10.0, n_realizations=n,
+                           parallelism=parallelism)
+        assert linksim._pool_size(cfg) == (parallelism if parallelism > 1 else 0)
         counted = []
         monkeypatch.setattr(linksim, "check_buffer",
                             lambda name, value, nbytes: counted.append(nbytes))

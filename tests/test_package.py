@@ -73,8 +73,8 @@ def test_simulation_runs_without_scipy(tmp_path):
     assert out.split() == ["0", "False"]
 
 
-# Modules that only the process pool, the lemmas verb (and its worker
-# threads) and config files need
+# Modules that only worker threads, the lemmas verb and config files need,
+# and the process pool's modules, which nothing needs
 ON_FIRST_USE = ("concurrent.futures.process", "concurrent.futures.thread",
                 "multiprocessing", "pnmimo.lemmas", "configparser", "numpy.random")
 
@@ -86,3 +86,17 @@ def test_closed_form_preset_loads_only_what_it_runs(tmp_path):
                  f"code = pnmimo.cli.main(['preset', 'fig6a', '--out', {out_csv!r}]); "
                  "print(code, [m for m in lazy if m in sys.modules])")
     assert out.splitlines() == ["[]", "0 []"]
+
+
+def test_parallel_sweep_loads_the_thread_pool_only(tmp_path):
+    # --parallelism 2 runs the kernel on worker threads: their pool loads,
+    # the process pool's modules never do
+    ini, out_csv = tmp_path / "run.ini", str(tmp_path / "x.csv")
+    ini.write_text("[system]\nM = 20\nK = 4\nM_osc = 2\nn_realizations = 40\n\n"
+                   "[sweep]\naxis = snr\nvalues = 0 10\n")
+    pools = ("concurrent.futures.thread", "concurrent.futures.process", "multiprocessing")
+    out = _fresh(f"import sys; import pnmimo.cli; "
+                 f"code = pnmimo.cli.main(['sweep', {str(ini)!r}, '--parallelism', '2', "
+                 f"'--out', {out_csv!r}]); "
+                 f"print(code, [m for m in {pools!r} if m in sys.modules])")
+    assert out == "0 ['concurrent.futures.thread']\n"
