@@ -5,8 +5,10 @@ MemoryError from a run that does not fit in memory, raised on the
 caller's thread or a worker thread), 3 numerical failure (any
 ArithmeticError: a closed-form or Monte-Carlo cell that is nan or inf,
 which names its column, the zero-forcing rejection cap, a lemma check out
-of tolerance).  main() maps the exception family to the code; the verb
-handlers only raise.
+of tolerance), 130 interrupted (Ctrl-C, a KeyboardInterrupt: the worker
+threads stop before their next chunk).  main() maps the exception family
+to the code, writes no table for a nonzero one, and prints one line on
+stderr, never a traceback; the verb handlers only raise.
 A config file is only parsed (config.load_config).  validate-config runs
 sweep's plan (sweep.plan_sweep: the one check of a sweep's axis, values
 and precoders, then every point, closed form and draw-set memory gate) and
@@ -31,12 +33,14 @@ from .sweep import PRESETS, plan_sweep, rows_to_csv, rows_to_jsonl, run_preset, 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--realizations", type=int, help="Monte-Carlo realization count")
-    parser.add_argument("--parallelism", type=int, help="Monte-Carlo worker thread count")
+    parser.add_argument("--parallelism", type=int,
+                        help="at most this many Monte-Carlo worker threads")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--format", default="csv", choices=("csv", "json-lines"))
 
@@ -202,6 +206,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # a nan cell, the rejection cap, a lemma bound
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ MAX_REJECTION_RATE = 1e-3
 # realizations at M=50, K=10 and at M=100, K=20, 7 at M=150, K=30, 4 at
 # M=200, K=40, and one from K*M = 32768 up.  Larger chunks save no more time
 # and raise peak memory.  On worker threads a chunk stacks
-# max(1, CHUNK_BUDGET // (K*M)) (_pooled_chunk): 65 at M=50, K=10 and 4 at
+# max(1, CHUNK_BUDGET // (K*M)) (_plan): 65 at M=50, K=10 and 4 at
 # M=200, K=40.  A thread holds the interpreter lock for each chunk's fixed
 # cost, so at 8 realizations per chunk two threads mostly wait on each
 # other; larger chunks leave more of the time in numpy calls that release it.
@@ -121,10 +122,6 @@ def _chunk(K: int, M: int) -> int:
     return max(CHUNK_ELEMENTS // (K * M), min(CHUNK_MIN, CHUNK_BUDGET // (K * M)), 1)
 
 
-def _pooled_chunk(K: int, M: int) -> int:
-    return max(1, CHUNK_BUDGET // (K * M))
-
-
 def _seed_block(chunk: int) -> int:
     return chunk * -(-SEED_BLOCK // chunk)
 
@@ -133,10 +130,10 @@ def check_draw_size(config: SystemConfig, n_variants: int) -> None:
     """Raise ConfigError when an empirical_powers call over n_variants
     (kind, alpha) pairs would hold more than fits in memory at once.
 
-    Each worker thread (the caller on the serial path) holds one chunk (its
-    draws, their complex working copies, and the K x K Gram factors and
-    every pair's coefficient matrices; a pooled chunk on worker threads) and
-    one seed block's words with the seed hash's working arrays.  Each
+    Each of _plan's threads (the caller on the serial path) holds one chunk
+    of _plan's size (its draws, their complex working copies, and the K x K
+    Gram factors and every pair's coefficient matrices) and one seed
+    block's words with the seed hash's working arrays.  Each
     realization holds one pair's reduction to a PowerEstimate and 16 B in
     every pair's two power arrays, which the worker threads fill in place.
     The byte counts bound tracemalloc's peak of a serial and of a pooled run
@@ -144,8 +141,7 @@ def check_draw_size(config: SystemConfig, n_variants: int) -> None:
     larger part, else n_realizations.
     """
     K, M, n = config.K, config.M, config.n_realizations
-    threads = _pool_size(config)
-    chunk = _pooled_chunk(K, M) if threads else _chunk(K, M)
+    threads, chunk = _plan(config)
     # a chunk of b realizations: (2, 2, b K, M) float64 draws, six complex
     # (b K, M) working copies, 3 complex b (K, K) arrays per pair and 4 more;
     # per realization of a seed block, 32 B of seed words, the hash's
@@ -245,24 +241,22 @@ def _seed_words_type() -> type:
 
 
 def _simulate_block(config: SystemConfig, variants, start: int, stop: int,
-                    chunk: int | None = None, out: np.ndarray | None = None):
+                    chunk: int, out: np.ndarray, halt: threading.Event) -> None:
     """Per-variant, per-realization powers for indices [start, stop), in
-    chunks of `chunk` realizations (default: _chunk's serial rule).
-
-    Writes them into out, a (2, len(variants), stop - start) array of
-    signal, then interference powers (a new one by default), and returns
-    it; NaN marks a draw that the variant's precoder rejected.
+    chunks of `chunk` realizations, written into out, a
+    (2, len(variants), stop - start) array of signal, then interference
+    powers; NaN marks a draw that the variant's precoder rejected.  Returns
+    early, before its next chunk, once halt is set.
     """
     M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
-    chunk = chunk or _chunk(K, M)
     block = _seed_block(chunk)
     SeedWords = _seed_words_type()
     step_bs = np.sqrt(config.tau * config.sigma2_bs)  # std dev of the drift over tau
     step_ue = np.sqrt(config.tau * config.sigma2_ue)
-    if out is None:
-        out = np.empty((2, len(variants), stop - start))
     sig, intf = out
     for lo in range(start, stop, chunk):
+        if halt.is_set():
+            return
         if (lo - start) % block == 0:  # the next seed block's words
             first = lo
             words = _seed_words(config.master_seed, lo, min(stop, lo + block))
@@ -298,7 +292,6 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int,
         cols = slice(lo - start, lo - start + b)
         sig[:, cols] = p[..., k]
         intf[:, cols] = p.sum(axis=-1) - p[..., k]
-    return out
 
 
 def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
@@ -323,39 +316,51 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(config: SystemConfig) -> int:
-    """Worker threads an empirical_powers call starts: 0 runs it serially."""
-    p = config.parallelism
-    return min(p, _cores()) if p > 1 and config.n_realizations >= 4 * p else 0
+def _plan(config: SystemConfig) -> tuple[int, int]:
+    """(threads, chunk) of an empirical_powers call: at most
+    config.parallelism worker threads, never more than the process's cores
+    or its pooled chunks of max(1, CHUNK_BUDGET // (K*M)) realizations, so
+    no thread gets an empty range.  Fewer than two threads is (0, _chunk's
+    serial rule): the caller runs the kernel itself."""
+    K, M = config.K, config.M
+    chunk = max(1, CHUNK_BUDGET // (K * M))
+    threads = min(config.parallelism, _cores(), -(-config.n_realizations // chunk))
+    return (threads, chunk) if threads > 1 else (0, _chunk(K, M))
 
 
 def _powers(config: SystemConfig, variants: list) -> np.ndarray:
     """Signal and interference powers of every (kind, alpha) pair, as one
     (2, len(variants), n_realizations) array with NaN where the pair's
     precoder rejected the draw.  Serially it is one block.  On the pool it
-    is config.parallelism index ranges of whole pooled chunks (the last
-    may end short, and at few chunks some are empty), each a block that a
-    worker thread writes into its own columns.
+    is one index range of whole chunks per thread (the last may end short),
+    each a block that a worker thread writes into its own columns.  The
+    first failure in a thread, or a KeyboardInterrupt in the caller, sets
+    the halt flag: every thread stops before its next chunk, and the error
+    is raised once all of them are joined.
 
     The kernel runs at one BLAS thread on both paths (config.blas_threads,
     config.workers), so its bits depend neither on the parallelism nor on
     the core count; its chunks are small by design, so BLAS threads inside
     it mostly burn CPU.
     """
-    n, threads = config.n_realizations, _pool_size(config)
+    n, (threads, chunk) = config.n_realizations, _plan(config)
+    powers, halt = np.empty((2, len(variants), n)), threading.Event()
     if not threads:
         with blas_threads(1):
-            return _simulate_block(config, variants, 0, n)
-    chunk = _pooled_chunk(config.K, config.M)
-    n_chunks, parts = -(-n // chunk), config.parallelism
-    bounds = [min(n, chunk * (n_chunks * i // parts)) for i in range(parts + 1)]
-    powers = np.empty((2, len(variants), n))
+            _simulate_block(config, variants, 0, n, chunk, powers, halt)
+        return powers
+    from concurrent.futures import FIRST_EXCEPTION, wait
+    n_chunks = -(-n // chunk)
+    bounds = [min(n, chunk * (n_chunks * i // threads)) for i in range(threads + 1)]
     with workers(threads) as pool:
-        futures = [pool.submit(_simulate_block, config, variants, a, b, chunk=chunk,
-                               out=powers[..., a:b])
-                   for a, b in zip(bounds[:-1], bounds[1:])]
-        for future in futures:
-            future.result()
+        try:
+            futures = [pool.submit(_simulate_block, config, variants, a, b, chunk,
+                                   powers[..., a:b], halt)
+                       for a, b in zip(bounds[:-1], bounds[1:])]
+            for future in wait(futures, return_when=FIRST_EXCEPTION).done:
+                future.result()
+        finally:
+            halt.set()
     return powers
 
 

@@ -1,4 +1,6 @@
+import collections
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,42 @@ def fresh_env() -> dict:
     src = str(Path(pnmimo.__file__).resolve().parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def pool_on_two_cores(monkeypatch, chunk: int, K: int, M: int) -> None:
+    """Pooled chunks of `chunk` realizations at K x M (linksim.CHUNK_BUDGET
+    // (K M)) on a process with 2 cores, so that a run of two or more such
+    chunks at a parallelism above 1 runs on two worker threads."""
+    from pnmimo import linksim
+    monkeypatch.setattr(linksim, "CHUNK_BUDGET", chunk * K * M)
+    monkeypatch.setattr(linksim, "_cores", lambda: 2)
+
+
+def chunks_per_thread(monkeypatch) -> collections.Counter:
+    """The Monte-Carlo kernel's chunks per thread ident, counted through a
+    wrapped linksim.precoders (one call per chunk) until the test ends.  The
+    first two worker threads to run a chunk wait for each other there, so a
+    pool cannot run two short ranges one after the other on one thread."""
+    from pnmimo import linksim
+    chunks, real = collections.Counter(), linksim.precoders
+    meet, met = threading.Barrier(2, timeout=10), set()
+
+    def counted(*args):
+        me = threading.get_ident()
+        chunks[me] += 1
+        if me != threading.main_thread().ident and me not in met and len(met) < 2:
+            met.add(me)
+            meet.wait()
+        return real(*args)
+
+    monkeypatch.setattr(linksim, "precoders", counted)
+    return chunks
+
+
+def two_worker_threads(threads) -> bool:
+    """threads (idents, or chunks counted per ident) are two worker threads,
+    neither of them the main thread."""
+    return len(threads) == 2 and threading.main_thread().ident not in threads
 
 
 @pytest.fixture

@@ -6,10 +6,12 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -24,7 +26,7 @@ from pnmimo.config import ConfigError, SystemConfig, load_config
 from pnmimo.sweep import (COLUMNS, PRESETS, SWEEP_AXES, _draw_key, plan_sweep,
                           rows_to_csv, rows_to_jsonl, run_preset, run_sweep)
 
-from conftest import fresh_env
+from conftest import chunks_per_thread, fresh_env, pool_on_two_cores, two_worker_threads
 
 CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
@@ -697,6 +699,7 @@ class TestCliEntry:
             raise MemoryError("Unable to allocate 1.00 TiB for an array")
 
         monkeypatch.setattr(linksim, "_simulate_block", out_of_memory)
+        pool_on_two_cores(monkeypatch, 20, 4, 20)  # CFG_TEXT: 2 chunks
         for parallelism in ("1", "2"):
             out = tmp_path / f"o{parallelism}.csv"
             assert main(["sweep", cfg_file, "--parallelism", parallelism,
@@ -718,6 +721,7 @@ class TestCliEntry:
             raise FloatingPointError("overflow in a worker thread")
 
         monkeypatch.setattr(linksim, "_simulate_block", overflow)
+        pool_on_two_cores(monkeypatch, 20, 4, 20)  # CFG_TEXT: 2 chunks
         threads = threading.active_count()
         out = tmp_path / "o.csv"
         assert main(["sweep", cfg_file, "--parallelism", "2", "--out", str(out)]) == 3
@@ -808,9 +812,10 @@ class TestCliEntry:
 
 # Generated config files: a small valid scenario with up to two keys, and
 # the sweep, set to values from the edges of float range or to malformed
-# text.  M <= 24 (at most 30 K on the beta axis) and n_realizations <= 4 keep
-# a run to milliseconds, and n_realizations < 4 * parallelism never starts a
-# worker process.
+# text.  M <= 24 and n_realizations <= 4 keep a run short; a beta value sets
+# M = beta K, up to 3000 K.  A run fits in one pooled chunk and runs
+# serially, except where such an M makes the pooled chunk smaller than
+# n_realizations and `parallelism` is above 1: worker threads run those.
 _TEXT_FLOATS = st.sampled_from(["0", "-0", "0.5", "1", "2", "6", "10", "-10", "30",
                                 "1e300", "-1e300", "1e308", "1e-300", "-1e-300",
                                 "1e-320", "5e-324", "nan", "inf", "-inf", "3000",
@@ -878,8 +883,8 @@ def test_generated_config_files_exit_0_2_or_3(data):
 
 
 # Toy scenarios whose tables must not depend on the worker count.
-# n_realizations >= 8 = 4 * 2, so parallelism 2 splits the draws over two
-# worker threads; parallelism 1 and 2 are the only values run.
+# n_realizations >= 8, so pooled chunks of n_realizations // 2 split the
+# draws over two worker threads; parallelism 1 and 2 are the only values run.
 @st.composite
 def toy_scenarios(draw) -> SystemConfig:
     M = draw(st.integers(2, 24))
@@ -898,9 +903,49 @@ def toy_scenarios(draw) -> SystemConfig:
 @settings(max_examples=6, deadline=None)
 def test_tables_byte_identical_at_parallelism_1_and_2(cfg):
     assert cfg.n_realizations >= 4 * 2
-    tables = [rows_to_csv(run_sweep(replace(cfg, parallelism=workers), "snr", [0.0, 10.0]))
-              for workers in (1, 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        # pooled chunks of at most half the realizations
+        pool_on_two_cores(mp, min(linksim.CHUNK_BUDGET // (cfg.K * cfg.M),
+                                  cfg.n_realizations // 2), cfg.K, cfg.M)
+        chunks, tables = chunks_per_thread(mp), []
+        for workers in (1, 2):
+            chunks.clear()
+            tables.append(rows_to_csv(run_sweep(replace(cfg, parallelism=workers), "snr",
+                                                [0.0, 10.0])))
+    assert two_worker_threads(chunks)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_ctrl_c_exits_130_within_a_chunk(parallelism, tmp_path):
+    # SIGINT once the Monte-Carlo kernel runs, in a run of some ten seconds
+    # (chunks of 4 realizations take a few ms): exit 130 within a second,
+    # one stderr line and no table
+    ini, out = tmp_path / "run.ini", tmp_path / "o.csv"
+    ini.write_text("[system]\nM = 200\nK = 40\nM_osc = 5\nn_realizations = 20000\n\n"
+                   "[sweep]\naxis = snr\nvalues = 0 20\n")
+    code = ("import sys, pnmimo.cli, pnmimo.linksim as linksim\n"
+            "block = linksim._simulate_block\n"
+            "def announced(*args):\n"
+            "    print('kernel', flush=True)\n"
+            "    block(*args)\n"
+            "linksim._simulate_block = announced\n"
+            f"sys.exit(pnmimo.cli.main(['sweep', {str(ini)!r}, '--parallelism', "
+            f"{parallelism!r}, '--out', {str(out)!r}]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=fresh_env())
+    try:
+        assert proc.stdout.readline() == "kernel\n"
+        proc.send_signal(signal.SIGINT)
+        sent = time.perf_counter()
+        err = proc.communicate(timeout=60)[1]
+        elapsed = time.perf_counter() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130 and elapsed < 1.0, (proc.returncode, elapsed, err)
+    assert err == "interrupted\n"
+    assert not out.exists()
 
 
 def test_lemma_report_independent_of_the_blas_thread_count(tmp_path, capsys,

@@ -1,6 +1,7 @@
 import concurrent.futures.thread
 import os
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
@@ -16,7 +17,8 @@ from pnmimo.phase_noise import theta_vector
 from pnmimo.precoding import precoders
 from pnmimo.sweep import plan_sweep
 
-from conftest import draw_channel, simulate_wiener, sinr_mf_finite_k
+from conftest import (chunks_per_thread, draw_channel, pool_on_two_cores, simulate_wiener,
+                      sinr_mf_finite_k, two_worker_threads)
 
 
 def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
@@ -29,13 +31,18 @@ def _draw(M, K, M_osc, q0, sigma2_bs, sigma2_ue, tau, rng):
     return H, phases, H_hat
 
 
-def _blas_threads_block(config_, variants, start, stop, chunk=None, out=None):
+def _blas_threads_block(threads, parties=1):
     """A _simulate_block stand-in whose powers are the BLAS thread count that
-    the thread running it sees."""
-    if out is None:
-        out = np.empty((2, len(variants), stop - start))
-    out[...] = config._openblas()[0]()
-    return out
+    the thread running it sees.  It adds that thread to the set threads and
+    waits until `parties` stand-ins run at once, so that a pool cannot run
+    two ranges on one thread."""
+    meet = threading.Barrier(parties, timeout=10)
+
+    def block(config_, variants, start, stop, chunk, out, halt):
+        threads.add(threading.get_ident())
+        meet.wait()
+        out[...] = config._openblas()[0]()
+    return block
 
 
 def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
@@ -169,15 +176,20 @@ class TestEmpiricalSinr:
     @pytest.mark.parametrize("chunk", [1, 3, 50])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_chunk_size_does_not_change_bits(self, monkeypatch, chunk, workers):
-        # _chunk(K, M) realizations share one stacked pass; 3 does not divide
-        # n, 50 is the whole block
+        # `chunk` realizations share one stacked pass, serially (_chunk) and
+        # on two worker threads (CHUNK_BUDGET // (K M)); 3 does not divide
+        # n, 50 is the whole block, which one thread runs
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=50,
                            parallelism=workers)
         variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
         ref = linksim._powers(replace(cfg, parallelism=1), variants)
         monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
+        pool_on_two_cores(monkeypatch, chunk, cfg.K, cfg.M)
+        chunks = chunks_per_thread(monkeypatch)
         for powers, r in zip(linksim._powers(cfg, variants), ref):
             assert np.array_equal(powers, r)
+        assert sum(chunks.values()) == -(-50 // chunk)
+        assert two_worker_threads(chunks) if workers > 1 and chunk < 50 else len(chunks) == 1
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_mid_size_chunks_do_not_change_bits(self, monkeypatch, chunk):
@@ -207,11 +219,11 @@ class TestEmpiricalSinr:
         pytest.param(None, 2, 2, id="2-without-affinity"),
         pytest.param(None, None, 1, id="None")])
     def test_pool_size_clamped_to_cores(self, monkeypatch, affinity, cpu_count, cores):
-        # 16 workers start at most as many threads as the CPUs the process
-        # may run on; the block still splits into 16 index ranges, so the
-        # bits are the serial run's
-        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
-                           parallelism=16)
+        # 16 or 100000 workers start at most as many threads as the CPUs the
+        # process may run on, and submit one index range per thread; one
+        # core runs serially.  The bits are the serial run's
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
+        monkeypatch.setattr(linksim, "CHUNK_BUDGET", 8 * cfg.K * cfg.M)  # 8 chunks
         pools, ranges = [], []
 
         class InlinePool:
@@ -225,7 +237,7 @@ class TestEmpiricalSinr:
                 return False
 
             def submit(self, fn, *args, **kwargs):
-                ranges.append(args[-2:])
+                ranges.append(args[2:4])
                 future = Future()
                 future.set_result(fn(*args, **kwargs))
                 return future
@@ -238,25 +250,33 @@ class TestEmpiricalSinr:
         else:
             monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: affinity,
                                 raising=False)
-        sig, intf = linksim._powers(cfg, [("rzf", 0.1)])
-        assert pools == [cores]
-        assert len(ranges) == 16 and ranges[0][0] == 0 and ranges[-1][1] == 64
-        ref_sig, ref_int = linksim._powers(replace(cfg, parallelism=1), [("rzf", 0.1)])
-        assert np.array_equal(sig, ref_sig)
-        assert np.array_equal(intf, ref_int)
+        ref_sig, ref_int = linksim._powers(cfg, [("rzf", 0.1)])
+        threads = cores if cores > 1 else 0
+        for parallelism in (16, 100000):
+            pools.clear()
+            ranges.clear()
+            sig, intf = linksim._powers(replace(cfg, parallelism=parallelism), [("rzf", 0.1)])
+            assert pools == ([threads] if threads else [])
+            assert len(ranges) == threads
+            assert not ranges or (ranges[0][0] == 0 and ranges[-1][1] == 64)
+            assert np.array_equal(sig, ref_sig)
+            assert np.array_equal(intf, ref_int)
 
     def test_pool_workers_take_their_blas_share(self, monkeypatch, two_blas_threads):
         # two worker threads on 2 cores run BLAS at one thread; the caller's
         # count is back at 2 afterwards
-        monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block)
+        threads = set()
+        monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block(threads, 2))
+        pool_on_two_cores(monkeypatch, 8, 4, 16)  # 64 realizations: 8 chunks
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
                            parallelism=2)
         sig, intf = linksim._powers(cfg, [("mf", None)])
         assert sig.shape == (1, 64) and np.all(sig == 1.0) and np.all(intf == 1.0)
+        assert two_worker_threads(threads)
         assert two_blas_threads() == 2
 
     def test_serial_kernel_runs_at_one_blas_thread(self, monkeypatch, two_blas_threads):
-        monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block)
+        monkeypatch.setattr(linksim, "_simulate_block", _blas_threads_block(set()))
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
         sig, intf = linksim._powers(cfg, [("mf", None)])
         assert np.all(sig == 1.0) and np.all(intf == 1.0)
@@ -274,25 +294,64 @@ class TestEmpiricalSinr:
             callers.append(threading.get_ident())
             put(threads)
 
-        def set_calls_block(config_, variants, start, stop, chunk=None, out=None):
-            # its powers: the set calls made by the thread that runs it
+        threads, meet = set(), threading.Barrier(2, timeout=10)
+
+        def set_calls_block(config_, variants, start, stop, chunk, out, halt):
+            # its powers: the set calls made by the thread that runs it, once
+            # both ranges run
+            threads.add(threading.get_ident())
+            meet.wait()
             out[...] = callers.count(threading.get_ident())
-            return out
 
         monkeypatch.setattr(config, "_openblas", lambda: (get, counted_put))
         monkeypatch.setattr(linksim, "_simulate_block", set_calls_block)
+        pool_on_two_cores(monkeypatch, 8, 4, 16)  # 64 realizations: 8 chunks
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
                            parallelism=2)
         sig, intf = linksim._powers(cfg, [("mf", None)])
         assert sig.shape == (1, 64) and np.all(sig == 0.0) and np.all(intf == 0.0)
+        assert two_worker_threads(threads)
         assert calls == [(os.getpid(), 1), (os.getpid(), 2)]  # pin, restore
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
         serial = linksim._powers(cfg, [("mf", None)])
+        pool_on_two_cores(monkeypatch, 8, 4, 16)  # 64 realizations: 8 chunks
+        chunks = chunks_per_thread(monkeypatch)
         parallel = linksim._powers(replace(cfg, parallelism=4), [("mf", None)])
+        assert two_worker_threads(chunks)
         assert np.array_equal(serial[0], parallel[0])
         assert np.array_equal(serial[1], parallel[1])
+
+    def test_first_failure_stops_the_other_thread(self, monkeypatch):
+        # range 0 fails at its first chunk; range 1 (32 chunks of 2 ms or
+        # more) stops before its next chunk, range 0's error is raised, and
+        # the worker threads are joined
+        cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
+                           parallelism=2)
+        pool_on_two_cores(monkeypatch, 1, cfg.K, cfg.M)
+        in_range, block = threading.local(), linksim._simulate_block
+
+        def recorded(config_, variants, start, *rest):
+            in_range.start = start
+            block(config_, variants, start, *rest)
+
+        real, range_1_chunks = linksim.precoders, []
+
+        def fail_in_range_0(H_hat, powers, variants):
+            if in_range.start == 0:
+                raise FloatingPointError("range 0")
+            range_1_chunks.append(1)
+            time.sleep(0.002)
+            return real(H_hat, powers, variants)
+
+        monkeypatch.setattr(linksim, "_simulate_block", recorded)
+        monkeypatch.setattr(linksim, "precoders", fail_in_range_0)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="range 0"):
+            linksim._powers(cfg, [("mf", None)])
+        assert len(range_1_chunks) < 32
+        assert threading.active_count() == threads
 
     def test_agreement_improves_with_M(self):
         # single-seed gaps are dominated by MC noise, so compare RMS relative
@@ -418,7 +477,14 @@ class TestSeedWords:
         cfg = SystemConfig(M=64, K=16, M_osc=2, snr_db=10.0, master_seed=2 ** 32 + 7)
         monkeypatch.setattr(linksim, "_chunk", lambda K, M: 4)
         variants = [("rzf", cfg.rzf_alpha), ("mf", None)]
-        one_pass = linksim._simulate_block(cfg, variants, start, stop)
+
+        def block():
+            out = np.empty((2, len(variants), stop - start))
+            linksim._simulate_block(cfg, variants, start, stop, linksim._plan(cfg)[1], out,
+                                    threading.Event())
+            return out
+
+        one_pass = block()
         SeedWords, seen = linksim._seed_words_type(), []
 
         class Recorded(SeedWords):
@@ -432,7 +498,7 @@ class TestSeedWords:
         hash_block = linksim._seed_words
         monkeypatch.setattr(linksim, "_seed_words", lambda seed, lo, hi: (
             blocks.append((lo, hi)) or hash_block(seed, lo, hi)))
-        blocked = linksim._simulate_block(cfg, variants, start, stop)
+        blocked = block()
         assert blocks == [(lo, min(stop, lo + 16)) for lo in range(start, stop, 16)]
         assert np.array_equal(seen, [
             np.random.SeedSequence((cfg.master_seed, i)).generate_state(4, np.uint64)
@@ -492,7 +558,7 @@ class TestDrawSizeGate:
         monkeypatch.setattr(linksim, "_cores", lambda: 2)
         cfg = SystemConfig(M=M, K=K, M_osc=2, snr_db=10.0, n_realizations=n,
                            parallelism=parallelism)
-        assert linksim._pool_size(cfg) == (parallelism if parallelism > 1 else 0)
+        assert linksim._plan(cfg)[0] == (parallelism if parallelism > 1 else 0)
         counted = []
         monkeypatch.setattr(linksim, "check_buffer",
                             lambda name, value, nbytes: counted.append(nbytes))
@@ -516,13 +582,19 @@ class TestDrawSizeGate:
         # block's words and working arrays at a time, never n realizations'
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
         variants = [("rzf", cfg.rzf_alpha)]
-        block = linksim._seed_block(linksim._chunk(cfg.K, cfg.M))
-        linksim._simulate_block(cfg, variants, 0, 2)  # first use loads numpy.random
+        chunk = linksim._plan(cfg)[1]
+        block = linksim._seed_block(chunk)
+
+        def run(n):
+            linksim._simulate_block(cfg, variants, 0, n, chunk, np.empty((2, 1, n)),
+                                    threading.Event())
+
+        run(2)  # first use loads numpy.random
         excess = []
         for n in (2 * block, 5 * block):
             tracemalloc.start()
             try:
-                linksim._simulate_block(cfg, variants, 0, n)
+                run(n)
                 excess.append(tracemalloc.get_traced_memory()[1] - 16 * n)
             finally:
                 tracemalloc.stop()
@@ -535,10 +607,13 @@ class TestSharedDraws:
     VARIANTS = [("rzf", 0.05), ("rzf", 0.3), ("zf", None), ("mf", None)]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_matches_one_pair_calls(self, workers):
+    def test_matches_one_pair_calls(self, monkeypatch, workers):
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64,
                            parallelism=workers)
+        pool_on_two_cores(monkeypatch, 8, 4, 16)  # 64 realizations: 8 chunks
+        chunks = chunks_per_thread(monkeypatch)
         joint = empirical_powers(cfg, self.VARIANTS)
+        assert two_worker_threads(chunks) if workers > 1 else len(chunks) == 1
         assert len(joint) == len(self.VARIANTS)
         sig, intf = linksim._powers(cfg, self.VARIANTS)
         for variant, est, sig_powers, int_powers in zip(self.VARIANTS, joint, sig, intf):
