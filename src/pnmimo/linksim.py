@@ -3,11 +3,12 @@
 One realization draws a channel H, a joint phase trajectory and the
 estimation noise W_e.  From them come the estimate
 H_hat = sqrt(q0) Theta(0) H + sqrt(1-q0) W_e and the observed UE k's
-channel row h_k^T Theta_k(tau) at data time.  One `precoding.precoders`
-call gives every requested precoder (a kind and, for RZF, a regularizer
-alpha) as G = H_hat^H C, so the row is projected onto H_hat^H once and each
-C turns it into the scalar coefficients the UE sees on its own symbol
-(c_sig) and on every interferer's symbol (c_int).  Averaging |c_sig|^2 and
+channel row h_k^T Theta_k(tau) at data time.  Every requested precoder (a
+kind and, for RZF, a regularizer alpha) is G = H_hat^H C, so the row is
+projected onto H_hat^H once, as row_hat, and one `precoding.precoders` call
+reads every C through it: row_hat C holds the scalar coefficients the UE
+sees on its own symbol (c_sig) and on every interferer's symbol (c_int),
+and no K x K coefficient matrix is formed.  Averaging |c_sig|^2 and
 ||c_int||^2 over realizations yields the empirical effective SINR.  The
 averages do not depend on the receiver noise level, so one draw set serves
 every precoder, alpha and SNR point of a scenario.  The scenario is
@@ -75,6 +76,15 @@ CHUNK_ELEMENTS = 4096
 CHUNK_MIN = 8
 CHUNK_BUDGET = 32768
 
+# Worker threads run only where two of them measured faster than the serial
+# kernel on a 2-core x86 machine: from K*M = POOL_MIN_ELEMENTS up (at
+# K*M <= 144 two threads took 2-37% longer, from 160 up they tied or won),
+# and with at least POOL_MIN_CHUNKS pooled chunks per thread (at one chunk
+# each, fig2-fig4 at 100 realizations ran slower and held each thread's
+# whole chunk on top of the serial run's memory; BENCH_row_precoders.json).
+POOL_MIN_ELEMENTS = 160
+POOL_MIN_CHUNKS = 2
+
 # A block hashes the seed words of at least SEED_BLOCK realizations at a
 # time (a whole number of chunks), so the hash's working arrays stay the
 # same size whatever the realization count; the presets' 2000 realizations
@@ -131,8 +141,8 @@ def check_draw_size(config: SystemConfig, n_variants: int) -> None:
     (kind, alpha) pairs would hold more than fits in memory at once.
 
     Each of _plan's threads (the caller on the serial path) holds one chunk
-    of _plan's size (its draws, their complex working copies, and the K x K
-    Gram factors and every pair's coefficient matrices) and one seed
+    of _plan's size (its draws, their complex working copies, the Gram's
+    K x K factors, and every pair's rows seen through them) and one seed
     block's words with the seed hash's working arrays.  Each
     realization holds one pair's reduction to a PowerEstimate and 16 B in
     every pair's two power arrays, which the worker threads fill in place.
@@ -142,13 +152,17 @@ def check_draw_size(config: SystemConfig, n_variants: int) -> None:
     """
     K, M, n = config.K, config.M, config.n_realizations
     threads, chunk = _plan(config)
-    # a chunk of b realizations: (2, 2, b K, M) float64 draws, six complex
-    # (b K, M) working copies, 3 complex b (K, K) arrays per pair and 4 more;
-    # per realization of a seed block, 32 B of seed words, the hash's
-    # entropy (4 B per 32-bit word of the master seed, two for the index)
-    # and its other arrays (128 B)
+    # a chunk of b realizations: (2, 2, b K, M) float64 draws, their complex
+    # copy, and five complex (b K, M) arrays (the phase rotation, three
+    # terms of the estimate, and the previous chunk's estimate, alive until
+    # the new one replaces it); two complex (b, M) data-time phase rows; 4
+    # complex b (K, K) arrays (the Gram, U, U^H P^1/2 and a temporary); per
+    # pair, 6 complex b K rows (its filter and its temporaries, L C, the
+    # stacked copy and the powers); per realization of a seed block, 32 B of
+    # seed words, the hash's entropy (4 B per 32-bit word of the master
+    # seed, two for the index) and its other arrays (128 B)
     chunks = max(threads, 1) * (
-        16 * chunk * K * (8 * M + (3 * n_variants + 4) * K)
+        16 * chunk * (K * (9 * M + 4 * K + 6 * n_variants) + 2 * M)
         + min(n, _seed_block(chunk)) * (4 * len(_uint32_words(config.master_seed)) + 168))
     # 48 B of one pair's reduction
     per_realization = 48 + 16 * n_variants
@@ -287,8 +301,8 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int,
         # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
         row = H[:, k] * theta_vector(ue[1, :, k], bs[1], M)
         row_hat = row[:, None] @ H_hat.conj().swapaxes(-1, -2)
-        C = np.stack(precoders(H_hat, config.powers, variants))
-        p = np.abs(row_hat @ C)[..., 0, :] ** 2
+        seen = np.stack(precoders(H_hat, config.powers, variants, row_hat))
+        p = np.abs(seen)[..., 0, :] ** 2
         cols = slice(lo - start, lo - start + b)
         sig[:, cols] = p[..., k]
         intf[:, cols] = p.sum(axis=-1) - p[..., k]
@@ -318,14 +332,18 @@ def _cores() -> int:
 
 def _plan(config: SystemConfig) -> tuple[int, int]:
     """(threads, chunk) of an empirical_powers call: at most
-    config.parallelism worker threads, never more than the process's cores
-    or its pooled chunks of max(1, CHUNK_BUDGET // (K*M)) realizations, so
-    no thread gets an empty range.  Fewer than two threads is (0, _chunk's
-    serial rule): the caller runs the kernel itself."""
+    config.parallelism worker threads, never more than the process's cores,
+    each with at least POOL_MIN_CHUNKS pooled chunks of
+    max(1, CHUNK_BUDGET // (K*M)) realizations.  Fewer than two threads, or
+    K*M below POOL_MIN_ELEMENTS, is (0, _chunk's serial rule): the caller
+    runs the kernel itself."""
     K, M = config.K, config.M
     chunk = max(1, CHUNK_BUDGET // (K * M))
-    threads = min(config.parallelism, _cores(), -(-config.n_realizations // chunk))
-    return (threads, chunk) if threads > 1 else (0, _chunk(K, M))
+    threads = min(config.parallelism, _cores(),
+                  -(-config.n_realizations // chunk) // POOL_MIN_CHUNKS)
+    if threads > 1 and K * M >= POOL_MIN_ELEMENTS:
+        return threads, chunk
+    return 0, _chunk(K, M)
 
 
 def _powers(config: SystemConfig, variants: list) -> np.ndarray:

@@ -13,6 +13,11 @@ alpha -> 0 limit).  MF is the unfiltered conjugate, C = P^1/2 scaled by the
 Gram diagonal, and needs no decomposition.  SystemConfig enforces once
 that RZF's alpha > 0 and ZF's K <= M.
 
+A caller that only reads C through a few rows L (the Monte-Carlo kernel
+reads one: the observed UE's row seen through H_hat^H) passes them as
+`left` and gets L C, computed as ((L U) diag(d)) (U^H P^1/2) for RZF and ZF
+and as L times MF's diagonal, so no K x K coefficient matrix is formed.
+
 Estimates may come stacked, (..., K, M); every step then runs once on the
 whole stack.  The RZF alphas of one call form a leading axis of their own:
 d for all of them comes from one broadcast, followed by one normalization
@@ -31,16 +36,18 @@ __all__ = ["precoders", "CONDITION_CAP"]
 CONDITION_CAP = 1e12
 
 
-def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
-    """Coefficient matrices C (G = H_hat^H C) of every (kind, alpha) pair.
+def precoders(H_hat: np.ndarray, powers: np.ndarray, variants, left=None) -> list:
+    """L C of every (kind, alpha) pair, for the coefficient matrices C
+    (G = H_hat^H C) and rows L = left; C itself where left is None.
 
     H_hat is one K x M estimate or a (..., K, M) stack of them; each slice
     is treated on its own, with the same bits as a call on that slice
-    alone.  variants is a sequence of pairs; alpha is the RZF regularizer
-    and is ignored for ZF and MF.  Returns one (..., K, K) array per pair,
-    in order.  A slice that ZF rejects, because its Gram's smallest
-    eigenvalue is <= 0 or its condition number exceeds CONDITION_CAP, is
-    NaN in the ZF array only.
+    alone.  left is None or an (..., R, K) array that broadcasts against
+    the stack.  variants is a sequence of pairs; alpha is the RZF
+    regularizer and is ignored for ZF and MF.  Returns one (..., K, K)
+    array, or (..., R, K) with left, per pair, in order.  A slice that ZF
+    rejects, because its Gram's smallest eigenvalue is <= 0 or its
+    condition number exceeds CONDITION_CAP, is NaN in the ZF array only.
     """
     K, M = H_hat.shape[-2:]
     p = np.asarray(powers, dtype=float)
@@ -49,10 +56,11 @@ def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
         lam, U = np.linalg.eigh(H_hat @ H_hat.conj().swapaxes(-1, -2))
         UhP = U.conj().swapaxes(-1, -2) * sqrt_p
         energy = np.sum(np.abs(UhP) ** 2, axis=-1)
+        LU = U if left is None else left @ U
 
     def filtered(d):
         d /= np.sqrt(np.sum(lam * d ** 2 * energy, axis=-1, keepdims=True))
-        return (U * d[..., None, :]) @ UhP
+        return (LU * d[..., None, :]) @ UhP
 
     alphas = np.array([alpha for kind, alpha in variants if kind == "rzf"], dtype=float)
     rzf = iter(filtered(1.0 / np.add.outer(M * alphas, lam)) if alphas.size else ())
@@ -61,7 +69,7 @@ def precoders(H_hat: np.ndarray, powers: np.ndarray, variants) -> list:
         if kind == "mf":
             gram_diag = np.sum(np.abs(H_hat) ** 2, axis=-1)
             scale = sqrt_p / np.sqrt(np.sum(p * gram_diag, axis=-1, keepdims=True))
-            out.append(scale[..., None] * np.eye(K))
+            out.append((np.eye(K) if left is None else left) * scale[..., None, :])
         elif kind == "rzf":
             out.append(next(rzf))
         else:

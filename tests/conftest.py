@@ -34,11 +34,14 @@ def fresh_env() -> dict:
 
 def pool_on_two_cores(monkeypatch, chunk: int, K: int, M: int) -> None:
     """Pooled chunks of `chunk` realizations at K x M (linksim.CHUNK_BUDGET
-    // (K M)) on a process with 2 cores, so that a run of two or more such
+    // (K M)) on a process with 2 cores, with the pool's shape and
+    chunks-per-thread floors lifted, so that a run of two or more such
     chunks at a parallelism above 1 runs on two worker threads."""
     from pnmimo import linksim
     monkeypatch.setattr(linksim, "CHUNK_BUDGET", chunk * K * M)
     monkeypatch.setattr(linksim, "_cores", lambda: 2)
+    monkeypatch.setattr(linksim, "POOL_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(linksim, "POOL_MIN_CHUNKS", 1)
 
 
 def chunks_per_thread(monkeypatch) -> collections.Counter:

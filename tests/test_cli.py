@@ -104,7 +104,7 @@ INVALID_INPUTS = [
                  ("trials:",), id="trials-1e18"),
     # indexable, but more than the 16 GiB machine the tests pin (_machine)
     pytest.param("[system]\nM = 1000000000000\nK = 10\nn_realizations = 2\n",
-                 ("M:", "1280000000021336 bytes"), id="M-1e12"),
+                 ("M:", "1472000000009816 bytes"), id="M-1e12"),
     pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
                  ("sizes:", "3840000000000 bytes"), id="sizes-200000"),
     # 80 B per user and 8 KiB, gated before any per-user array is built
@@ -579,17 +579,18 @@ class TestCliEntry:
         assert "Traceback" not in err
 
     # three (kind, alpha) pairs; one chunk of b realizations holds
-    # 16 b K (8 M + 13 K) bytes, each realization of a seed block (b times
-    # the fewest chunks that reach 2048 realizations, at most n) 172 bytes,
-    # and each realization 96 bytes: 160 (160000 + 130) + 268 x 2000 and
-    # 16 x 204 (160 + 52) + 172 x 2091 + 96 x 200000
+    # 16 b (K (9 M + 4 K + 18) + 2 M) bytes, each realization of a seed
+    # block (b times the fewest chunks that reach 2048 realizations, at most
+    # n) 172 bytes, and each realization 96 bytes:
+    # 16 (10 x 180058 + 40000) + 268 x 2000 and
+    # 816 (4 x 214 + 40) + 172 x 2091 + 96 x 200000
     @pytest.mark.parametrize("argv, field", [
         pytest.param(["sweep", "M = 20000\nK = 10\n"],
-                     "M: the buffers need 26156800 bytes", id="sweep-M"),
+                     "M: the buffers need 29985280 bytes", id="sweep-M"),
         pytest.param(["validate-config", "M = 20000\nK = 10\n"],
-                     "M: the buffers need 26156800 bytes", id="validate-M"),
+                     "M: the buffers need 29985280 bytes", id="validate-M"),
         pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
-                     "n_realizations: the buffers need 20251620 bytes",
+                     "n_realizations: the buffers need 20290788 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
                      "sizes: the buffers need 25165824 bytes", id="lemmas-sizes"),
@@ -814,8 +815,8 @@ class TestCliEntry:
 # the sweep, set to values from the edges of float range or to malformed
 # text.  M <= 24 and n_realizations <= 4 keep a run short; a beta value sets
 # M = beta K, up to 3000 K.  A run fits in one pooled chunk and runs
-# serially, except where such an M makes the pooled chunk smaller than
-# n_realizations and `parallelism` is above 1: worker threads run those.
+# serially, except where such an M gives each of two threads two pooled
+# chunks and `parallelism` is above 1: worker threads run those.
 _TEXT_FLOATS = st.sampled_from(["0", "-0", "0.5", "1", "2", "6", "10", "-10", "30",
                                 "1e300", "-1e300", "1e308", "1e-300", "-1e-300",
                                 "1e-320", "5e-324", "nan", "inf", "-inf", "3000",

@@ -212,6 +212,23 @@ class TestEmpiricalSinr:
     def test_chunk_rule(self, M, K, chunk):
         assert linksim._chunk(K, M) == chunk
 
+    # the benchmarked runs keep their plans on 2 cores: fig2-fig4 at 100
+    # realizations serially, also at parallelism 2 (one pooled chunk of 65
+    # per thread), and the generated M=200, K=40 sweep (500 realizations) on
+    # two threads with chunks of 4
+    @pytest.mark.parametrize("M, K, M_osc, n, parallelism, plan", [
+        pytest.param(50, 10, 5, 100, 1, (0, 8), id="mc_verify"),
+        pytest.param(50, 10, 5, 100, 2, (0, 8), id="mc_verify-parallelism-2"),
+        pytest.param(200, 40, 5, 500, 2, (2, 4), id="mc_large"),
+        pytest.param(50, 10, 5, 260, 2, (2, 65), id="two-chunks-per-thread"),
+        pytest.param(36, 4, 2, 4000, 2, (0, 28), id="K*M-144"),
+        pytest.param(40, 4, 2, 4000, 2, (2, 204), id="K*M-160")])
+    def test_plan(self, monkeypatch, M, K, M_osc, n, parallelism, plan):
+        monkeypatch.setattr(linksim, "_cores", lambda: 2)
+        cfg = SystemConfig(M=M, K=K, M_osc=M_osc, n_realizations=n,
+                           parallelism=parallelism)
+        assert linksim._plan(cfg) == plan
+
     # 2 cores: an affinity mask of two CPUs on a 64-core host, or 2 CPUs where
     # the OS has no affinity mask; None: no mask and an unknown count
     @pytest.mark.parametrize("affinity, cpu_count, cores", [
@@ -224,6 +241,7 @@ class TestEmpiricalSinr:
         # core runs serially.  The bits are the serial run's
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=64)
         monkeypatch.setattr(linksim, "CHUNK_BUDGET", 8 * cfg.K * cfg.M)  # 8 chunks
+        monkeypatch.setattr(linksim, "POOL_MIN_ELEMENTS", 0)  # K*M = 64
         pools, ranges = [], []
 
         class InlinePool:
@@ -338,12 +356,12 @@ class TestEmpiricalSinr:
 
         real, range_1_chunks = linksim.precoders, []
 
-        def fail_in_range_0(H_hat, powers, variants):
+        def fail_in_range_0(H_hat, powers, variants, left=None):
             if in_range.start == 0:
                 raise FloatingPointError("range 0")
             range_1_chunks.append(1)
             time.sleep(0.002)
-            return real(H_hat, powers, variants)
+            return real(H_hat, powers, variants, left)
 
         monkeypatch.setattr(linksim, "_simulate_block", recorded)
         monkeypatch.setattr(linksim, "precoders", fail_in_range_0)
@@ -418,7 +436,8 @@ class TestEmpiricalSinr:
 
 
 class TestChunkDraws:
-    """The chunk kernel's draws and precoders equal a per-realization replay."""
+    """The chunk kernel's draws and precoders, read through the observed row,
+    equal a per-realization replay."""
 
     VARIANTS = [("rzf", 0.05), ("zf", None), ("rzf", 0.3), ("mf", None), ("rzf", 2.0)]
 
@@ -442,8 +461,8 @@ class TestChunkDraws:
                                            cfg.sigma2_ue, cfg.tau, rng)
                 row_hat = (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T
                 for variant, sig_powers, int_powers in zip(self.VARIANTS, sig, intf):
-                    C, = precoders(H_hat, cfg.powers, [variant])
-                    p = np.abs(row_hat @ C) ** 2
+                    seen, = precoders(H_hat, cfg.powers, [variant], row_hat)
+                    p = np.abs(seen[0]) ** 2
                     assert sig_powers[i] == p[k]
                     assert int_powers[i] == p.sum() - p[k]
 
@@ -632,14 +651,14 @@ class TestSharedDraws:
         clean = zip(*linksim._powers(cfg, self.VARIANTS))
         real = linksim.precoders
 
-        def reject_chosen(H_hat, powers, variants):
-            Cs = real(H_hat, powers, variants)
+        def reject_chosen(H_hat, powers, variants, left=None):
+            outs = real(H_hat, powers, variants, left)
             for j, slice_ in enumerate(H_hat):
                 if np.array_equal(slice_, target):
-                    for (kind, _), C in zip(variants, Cs):
+                    for (kind, _), LC in zip(variants, outs):
                         if kind == "zf":
-                            C[j] = np.nan
-            return Cs
+                            LC[j] = np.nan
+            return outs
 
         monkeypatch.setattr(linksim, "precoders", reject_chosen)
         ests = empirical_powers(cfg, self.VARIANTS)

@@ -90,14 +90,16 @@ def test_closed_form_preset_loads_only_what_it_runs(tmp_path):
 
 def test_parallel_sweep_loads_the_thread_pool_only(tmp_path):
     # --parallelism 2 runs the kernel on worker threads (1000 realizations
-    # are three pooled chunks of 409 at M=20, K=4; 2 cores): their pool
-    # loads, the process pool's modules never do
+    # are three pooled chunks of 409 at M=20, K=4; 2 cores, and the pool's
+    # shape and chunks-per-thread floors lifted): their pool loads, the
+    # process pool's modules never do
     ini, out_csv = tmp_path / "run.ini", str(tmp_path / "x.csv")
     ini.write_text("[system]\nM = 20\nK = 4\nM_osc = 2\nn_realizations = 1000\n\n"
                    "[sweep]\naxis = snr\nvalues = 0 10\n")
     pools = ("concurrent.futures.thread", "concurrent.futures.process", "multiprocessing")
     out = _fresh(f"import sys; import pnmimo.cli, pnmimo.linksim; "
                  "pnmimo.linksim._cores = lambda: 2; "
+                 "pnmimo.linksim.POOL_MIN_ELEMENTS = 0; pnmimo.linksim.POOL_MIN_CHUNKS = 1; "
                  f"code = pnmimo.cli.main(['sweep', {str(ini)!r}, '--parallelism', '2', "
                  f"'--out', {out_csv!r}]); "
                  f"print(code, [m for m in {pools!r} if m in sys.modules])")

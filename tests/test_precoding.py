@@ -219,3 +219,62 @@ class TestMf:
         total = _xi(H, p, "mf") ** 2 * sum(
             p[k] * np.linalg.norm(H[k]) ** 2 for k in range(8))
         assert total == pytest.approx(1.0, rel=1e-12)
+
+
+class TestLeftRows:
+    """precoders(..., left) is left @ C without forming C."""
+
+    VARIANTS = [("rzf", a) for a in np.geomspace(1e-3, 1e2, 9)] + [("zf", None),
+                                                                   ("mf", None)]
+
+    @pytest.mark.parametrize("b", [None, 3])
+    def test_identity_left_gives_the_coefficient_matrices(self, b):
+        # left=None is C; an identity broadcast over the stack gives C bit
+        # for bit (its products add exact zeros).  MF's C keeps the bits of
+        # its scaled identity, scale_k on the diagonal
+        rng = np.random.default_rng(11)
+        K, M = 6, 20
+        H = draw_channel(M, K, rng) if b is None else np.stack(
+            [draw_channel(M, K, rng) for _ in range(b)])
+        p = rng.uniform(0.1, 1.0, K)
+        eye = np.eye(K) if b is None else np.broadcast_to(np.eye(K), (b, K, K))
+        for C, C_eye, (kind, alpha) in zip(precoders(H, p, self.VARIANTS),
+                                            precoders(H, p, self.VARIANTS, eye),
+                                            self.VARIANTS):
+            assert C.shape == H.shape[:-1] + (K,)
+            assert np.array_equal(C, C_eye), kind
+        gram_diag = np.sum(np.abs(H) ** 2, axis=-1)
+        scale = np.sqrt(p) / np.sqrt(np.sum(p * gram_diag, axis=-1, keepdims=True))
+        assert np.array_equal(precoders(H, p, [("mf", None)])[0], scale[..., None] * np.eye(K))
+
+    @pytest.mark.parametrize("b, rows", [(None, 1), (None, 3), (4, 1), (4, 2)])
+    def test_matches_left_times_coefficients(self, b, rows):
+        rng = np.random.default_rng(12)
+        K, M = 8, 30
+        H = draw_channel(M, K, rng) if b is None else np.stack(
+            [draw_channel(M, K, rng) for _ in range(b)])
+        p = rng.uniform(0.1, 1.0, K)
+        L = (rng.standard_normal(H.shape[:-2] + (rows, K))
+             + 1j * rng.standard_normal(H.shape[:-2] + (rows, K)))
+        for C, LC, (kind, _) in zip(precoders(H, p, self.VARIANTS),
+                                    precoders(H, p, self.VARIANTS, L), self.VARIANTS):
+            ref = L @ C
+            assert LC.shape == ref.shape
+            assert np.linalg.norm(LC - ref) <= 1e-13 * np.linalg.norm(ref), kind
+
+    def test_stack_slices_keep_their_bits_and_zf_rejects_one(self):
+        # each slice of a stacked call with rows equals a call on that slice
+        # alone; a singular slice is NaN in the ZF output only
+        rng = np.random.default_rng(13)
+        K, M, b = 5, 12, 4
+        H = np.stack([draw_channel(M, K, rng) for _ in range(b)])
+        H[2, 1] = H[2, 0]
+        p = rng.uniform(0.1, 1.0, K)
+        L = rng.standard_normal((b, 1, K)) + 1j * rng.standard_normal((b, 1, K))
+        stacked = precoders(H, p, self.VARIANTS, L)
+        for j in range(b):
+            for (kind, _), LC, LC_j in zip(self.VARIANTS, stacked,
+                                           precoders(H[j], p, self.VARIANTS, L[j])):
+                assert np.array_equal(LC[j], LC_j, equal_nan=True)
+                rejected = kind == "zf" and j == 2
+                assert np.isnan(LC_j).all() if rejected else np.isfinite(LC_j).all()

@@ -9,16 +9,23 @@ Any change to what realization i draws from its stream (master_seed, i), or
 in which order, changes the empirical columns; any change to how a row is
 assembled from its scenario, closed form and rates changes the analytic
 ones; any change to a lemma check's draws or arithmetic changes its report.
+The Monte-Carlo part is also run under another OpenBLAS kernel set, whose
+products and eigendecompositions round differently: the 1e-12 guard is what
+the tables promise across machines.
 """
 
 import csv
 import gzip
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from pnmimo.cli import main
+
+from conftest import fresh_env
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 RTOL = 1e-12
@@ -91,3 +98,43 @@ def test_analytic_presets_match_stored_reference(tmp_path):
 def test_stored_invocations_match_reference(reference, tmp_path):
     mismatches = _signature_mismatches(reference, tmp_path)
     assert not mismatches, mismatches[:5]
+
+
+# numpy's OpenBLAS kernel set and build string, printed by a fresh
+# interpreter: (None, None) where numpy links no OpenBLAS that reports them
+_KERNELS = """\
+import ctypes, json, sys, numpy
+core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+    "numpy.core._multiarray_umath")
+lib, found = ctypes.CDLL(core.__file__), [None, None]
+for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+    fns = [getattr(lib, f"{prefix}_get_{name}{suffix}", None) for name in ("corename", "config")]
+    if None not in fns:
+        for fn in fns:
+            fn.restype = ctypes.c_char_p
+        found = [fn().decode() for fn in fns]
+        break
+print(json.dumps(found))
+"""
+
+
+def _kernels(env: dict) -> list:
+    return json.loads(subprocess.run([sys.executable, "-c", _KERNELS], env=env, check=True,
+                                     capture_output=True, text=True).stdout)
+
+
+def test_mc_tables_match_stored_reference_under_haswell_kernels():
+    # the fig2-fig4 presets and the generated M=200, K=40 sweep, rerun in a
+    # fresh interpreter whose OpenBLAS runs its Haswell kernels, stay within
+    # the 1e-12 guard of the stored tables
+    env = {**fresh_env(), "OPENBLAS_CORETYPE": "Haswell"}
+    corename, build = _kernels(env)
+    if build is None or "DYNAMIC_ARCH" not in build.split():
+        pytest.skip("numpy's OpenBLAS reports no kernel set or is not a DYNAMIC_ARCH build")
+    if corename.lower() != "haswell":
+        pytest.skip(f"OpenBLAS runs {corename} kernels here, not Haswell")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k",
+         "mc_presets_match or mc_large"], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-2000:]
+    assert "2 passed" in run.stdout
