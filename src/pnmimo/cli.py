@@ -7,8 +7,10 @@ ArithmeticError: a closed-form or Monte-Carlo cell that is nan or inf,
 which names its column, the zero-forcing rejection cap, a lemma check out
 of tolerance), 130 interrupted (Ctrl-C, a KeyboardInterrupt: the worker
 threads stop before their next chunk).  main() maps the exception family
-to the code, writes no table for a nonzero one, and prints one line on
-stderr, never a traceback; the verb handlers only raise.
+to the code and prints one line on stderr for it, never a traceback; the
+verb handlers only raise.  A failed run writes no table, except a lemmas
+run whose exact identity fails: it writes its CSV and both report lines
+first, then exits 3.
 A config file is only parsed (config.load_config).  validate-config runs
 sweep's plan (sweep.plan_sweep: the one check of a sweep's axis, values
 and precoders, then every point, closed form and draw-set memory gate) and
@@ -27,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, check_buffer, load_config
+from .config import ConfigError, load_config
 from .sweep import PRESETS, plan_sweep, rows_to_csv, rows_to_jsonl, run_preset, run_sweep
 
 EXIT_OK = 0
@@ -150,16 +152,7 @@ def _cmd_lemmas(args) -> None:
                           f"(largest // 8), got {args.sizes!r}")
     if args.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {args.trials}")
-    # at the largest size M: the rank-1 check's workspaces (two (2, M, M)
-    # float64 normals, complex C and S, real G and Y: 80 M^2 bytes) with
-    # numpy's complex copy of S in each solve; the trace lemma's B with its
-    # normals (32 M^2 bytes) and, per trial, four times 32 M bytes (the
-    # float64 normals of (x, w), the complex pair, the product r, and the
-    # pair's conjugate or two (M,) complex temporaries of a reduction), 8
-    # bytes per size of results, and numpy's reduction buffer (8192 complex)
-    check_buffer("sizes", args.sizes, 96 * top * top)
-    check_buffer("trials", args.trials,
-                 32 * top * top + args.trials * (128 * top + 8 * len(sizes)) + 131072)
+    lemmas.check_lab_size(sizes, args.trials, args.sizes)
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

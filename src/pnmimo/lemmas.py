@@ -10,7 +10,9 @@ decay with matrix size at the predicted log-log slope.
 "Freely independent" pairs are realized concretely as (Wishart-derived
 matrix, independent block-constant diagonal phase matrix) — the only pairing
 the SINR derivation needs — rather than via general free-probability
-machinery.  The sizes and oscillator counts are checked once, by the CLI.
+machinery.  The sizes and oscillator counts are checked once, by the CLI,
+which also calls check_lab_size, the memory gate, before any check runs.
+Each check holds one matrix size at a time.
 
 Every check's BLAS work runs at one OpenBLAS thread (config.blas_threads),
 so its results do not depend on the machine's core count.  The checks with
@@ -23,19 +25,19 @@ state are those of the serial loop at one BLAS thread.
 from __future__ import annotations
 
 import functools
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import blas_threads, workers
+from .config import blas_threads, check_buffer, workers
 from .phase_noise import theta_vector
 
 __all__ = ["ConvergenceRecord", "check_matrix_inversion_identity",
            "check_resolvent_identity", "check_trace_lemma",
            "check_rank1_perturbation", "check_free_probability_traces",
-           "check_quadratic_form_identities", "convergence_to_csv"]
+           "check_quadratic_form_identities", "convergence_to_csv",
+           "check_lab_size"]
 
 
 @dataclass
@@ -59,6 +61,26 @@ def _fit_slope(M_values, errors) -> float:
 def _record(name, M_values, per_size_errors) -> ConvergenceRecord:
     med = [float(np.median(e)) for e in per_size_errors]
     return ConvergenceRecord(name, list(M_values), med, _fit_slope(M_values, med))
+
+
+def check_lab_size(M_values, n_trials: int, sizes: str) -> None:
+    """Raise ConfigError naming sizes (the text that gave M_values) or
+    trials when the checks at M_values with n_trials trials would hold more
+    than fits in memory at once (config.check_buffer).  The byte counts
+    bound tracemalloc's peak of the rank-1 check and the trace lemma
+    (tests/test_cli.py)."""
+    top = max(M_values)
+    # at the largest size M: the rank-1 check's workspaces (two (2, M, M)
+    # float64 normals, complex C and S, real G and Y: 80 M^2 bytes) with
+    # numpy's complex copy of S in each solve; the trace lemma's B with its
+    # normals (32 M^2 bytes, while _gaussian_vec draws B) and, per trial,
+    # four times 32 M bytes (the float64 normals of (x, w), the complex
+    # pair, the product r, and the pair's conjugate or two (M,) complex
+    # temporaries of a reduction), 8 bytes per size of results, and numpy's
+    # reduction buffer (8192 complex)
+    check_buffer("sizes", sizes, 96 * top * top)
+    check_buffer("trials", n_trials,
+                 32 * top * top + n_trials * (128 * top + 8 * len(M_values)) + 131072)
 
 
 # Trials submitted and not yet collected in _trials: enough to keep both
@@ -96,23 +118,12 @@ def _gaussian_vec(M, rng, scale, out=None, z=None):
     return out
 
 
-def _view(buf, *shape):
-    """The leading elements of the flat workspace buf as a C-ordered array of
-    the given shape: each size's arrays share the buffer of the largest."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
-def _random_spd(M, rng):
-    """B B^H / M + I for B = (Zr + j Zi) / sqrt(2), Zr and Zi the two halves
-    of one (2, M, M) standard normal draw.  It uses the stream as
-    _gaussian_vec(M * M, rng, 1.0) does."""
-    return _spd(rng.standard_normal((2, M, M)))
-
-
 def _spd(Z, work=None):
-    """B B^H / M + I from the (2, M, M) normals Z = (Zr, Zi) of B, without
-    the complex product: the real part is (Zr Zr^T + Zi Zi^T) / (2M) + I and
-    the imaginary part (Y - Y^T) / (2M), Y = Zi Zr^T.  Draws nothing.
+    """B B^H / M + I for B = (Zr + j Zi) / sqrt(2), from the (2, M, M)
+    normals Z = (Zr, Zi), without the complex product: the real part is
+    (Zr Zr^T + Zi Zi^T) / (2M) + I and the imaginary part (Y - Y^T) / (2M),
+    Y = Zi Zr^T.  Draws nothing; Z drawn as rng.standard_normal((2, M, M))
+    uses the stream as _gaussian_vec(M * M, rng, 1.0) does.
 
     work holds the M x M workspaces (G, Y, S), G and Y real and S complex;
     S is built in place and returned.  Without it all three are new."""
@@ -152,7 +163,7 @@ def check_matrix_inversion_identity(M: int, rng: np.random.Generator,
     with blas_threads(1):
         for _ in range(n_trials):
             while True:
-                U = _random_spd(M, rng)
+                U = _spd(rng.standard_normal((2, M, M)))
                 h = _gaussian_vec(M, rng, 1.0)
                 q = float(rng.normal())
                 denom = 1.0 + q * np.real(h.conj() @ np.linalg.solve(U, h))
@@ -169,8 +180,8 @@ def check_resolvent_identity(M: int, rng: np.random.Generator,
     """U^{-1} - V^{-1} = -U^{-1}(U - V)V^{-1} for invertible pairs.
 
     Returns the maximum absolute deviation over all trials; a NaN deviation
-    makes it NaN.  Each trial draws the normals of U, then those of V, as
-    two _random_spd calls do; the workers build and invert both.
+    makes it NaN.  Each trial draws the (2, M, M) normals of U, then those
+    of V; the workers build (_spd) and invert both.
     """
     draws = ((rng.standard_normal((2, M, M)), rng.standard_normal((2, M, M)))
              for _ in range(n_trials))
@@ -188,28 +199,25 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
                       n_trials: int = 200) -> ConvergenceRecord:
     """|x^H A x - tr(A)/M| and |x^H A w| vanish at the 1/sqrt(M) rate.
 
-    A = B B^H / M + I is never formed.  B is drawn as _random_spd draws it,
-    then every trial's (x, w) in one call, and one product B^H [x w ...]
-    gives x^H A x = ||B^H x||^2 / M + ||x||^2, x^H A w = (B^H x)^H (B^H w) / M
-    + x^H w and tr(A)/M = ||B||_F^2 / M^2 + 1.
+    A = B B^H / M + I is never formed.  Each size draws B as
+    _gaussian_vec(M * M, rng, 1.0), then every trial's (x, w) in one call,
+    and one product B^H [x w ...] gives x^H A x = ||B^H x||^2 / M + ||x||^2,
+    x^H A w = (B^H x)^H (B^H w) / M + x^H w and tr(A)/M = ||B||_F^2 / M^2 + 1.
+    B and the trials' arrays are drawn inside the _trace_gaps call that reads
+    them, so no size's arrays outlive that size.
     """
-    top = max(M_values)
-    b, zb = np.empty(top * top, dtype=complex), np.empty(2 * top * top)  # B, normals
-    per_size = []
     with blas_threads(1):
-        for M in M_values:
-            B = _gaussian_vec(M * M, rng, 1.0, _view(b, M * M),
-                              _view(zb, 2, M * M)).reshape(M, M)
-            # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary)
-            # rows, the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
-            per_size.append(_trace_gaps(B, rng.standard_normal((n_trials, 2, 2, M))))
+        # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary)
+        # rows, the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
+        per_size = [_trace_gaps(_gaussian_vec(M * M, rng, 1.0).reshape(M, M),
+                                rng.standard_normal((n_trials, 2, 2, M)))
+                    for M in M_values]
     return _record("trace_lemma", M_values, per_size)
 
 
 def _trace_gaps(B: np.ndarray, z: np.ndarray) -> np.ndarray:
     """max(|x^H A x - tr(A)/M|, |x^H A w|) per trial, for A = B B^H / M + I
-    and trial t's (x, w) from the (real, imaginary) normals z[t].  Its
-    arrays live until it returns, so one size's never meet the next's."""
+    and trial t's (x, w) from the (real, imaginary) normals z[t]."""
     M = len(B)
     tr = np.vdot(B, B).real / M ** 2 + 1.0
     z *= np.sqrt(1.0 / M / 2.0)
@@ -231,9 +239,9 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
 
     The gap (1/M)|tr A[(U + I + q h h^H)^{-1} - (U + I)^{-1}]| decays like
     1/M.  By Sherman-Morrison, with S = U + I and y = S^{-1} h, the gap is
-    q y^H A y / (M |1 + q h^H y|), S from _random_spd.  A = C C^H / M + I is
-    never formed: its factor C is drawn as _random_spd draws it, and
-    y^H A y = ||C^H y||^2 / M + ||y||^2.
+    q y^H A y / (M |1 + q h^H y|), S built by _spd from one (2, M, M)
+    normal draw.  A = C C^H / M + I is never formed: its factor C is drawn
+    as _gaussian_vec(M * M, rng, 1.0), and y^H A y = ||C^H y||^2 / M + ||y||^2.
 
     A gap above the Rayleigh quotient of y over M, (y^H A y / ||y||^2) / M,
     raises FloatingPointError.  That bound is at most ||A||_2 / M, so every
@@ -246,31 +254,25 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
     makes every draw, in the order of a serial loop: C, h and q while S is
     built, and the next trial's S normals during the solve.  Only the draws
     touch rng, so the errors and rng's final state are those of the serial
-    loop.  The M x M arrays live in workspaces allocated once per call,
-    sized for the largest M (_rank1_gaps).
+    loop.  Each size's M x M arrays live in workspaces of that size, reused
+    by all its trials (_rank1_gaps).
     """
-    n = max(M_values) ** 2
-    # S's normals, C's normals, C, and _spd's G, Y and S
-    work = (np.empty(2 * n), np.empty(2 * n), np.empty(n, dtype=complex),
-            np.empty(n), np.empty(n), np.empty(n, dtype=complex))
-    per_size = []
     with workers(2) as pool:
-        for M in M_values:
-            per_size.append(_rank1_gaps(M, rng, n_trials, pool, work))
+        per_size = [_rank1_gaps(M, rng, n_trials, pool) for M in M_values]
     return _record("rank1_perturbation", M_values, per_size)
 
 
-def _rank1_gaps(M, rng, n_trials, pool, work) -> np.ndarray:
-    """check_rank1_perturbation's n_trials gaps at size M, every M x M array
-    a view of a workspace in work.  Each workspace is refilled only after
-    its last reader has returned: Z once S is built, the S workspace once
-    the solve has returned, and C once this thread has read it."""
-    z_s, z_c, c, *spd_work = work
-    Z, zc, c = _view(z_s, 2, M, M), _view(z_c, 2, M * M), _view(c, M * M)
+def _rank1_gaps(M, rng, n_trials, pool) -> np.ndarray:
+    """check_rank1_perturbation's n_trials gaps at size M.  Its M x M
+    workspaces are allocated once and refilled at every trial, each only
+    after its last reader has returned: Z once S is built, _spd's
+    workspaces once the solve has returned, and C once this thread has read
+    it."""
+    Z = rng.standard_normal((2, M, M))  # the normals of the first trial's S
+    zc, c = np.empty((2, M * M)), np.empty(M * M, dtype=complex)  # C's normals, C
     C = c.reshape(M, M)
-    spd_work = [_view(w, M, M) for w in spd_work]
+    spd_work = (np.empty((M, M)), np.empty((M, M)), np.empty((M, M), dtype=complex))
     errs = np.empty(n_trials)
-    rng.standard_normal(out=Z)  # the normals of the first trial's S
     for t in range(n_trials):
         S = pool.submit(_spd, Z, spd_work)  # U + I
         _gaussian_vec(M * M, rng, 1.0, c, zc)  # C

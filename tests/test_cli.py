@@ -622,7 +622,7 @@ class TestCliEntry:
             counted[name] = nbytes
             raise ConfigError("counted")
 
-        monkeypatch.setattr(cli, "check_buffer", count_and_stop)
+        monkeypatch.setattr(lemmas, "check_buffer", count_and_stop)
         assert main(["lemmas", "--sizes", "32,64", "--trials", "3"]) == 2
         rng = np.random.default_rng(5)
         getattr(lemmas, check)([32, 64], rng, n_trials=3)  # warm up
@@ -637,7 +637,8 @@ class TestCliEntry:
     # many trials at small sizes, where the trials count leads; few trials at
     # larger sizes, where B and numpy's reduction buffer do
     @pytest.mark.parametrize("sizes, trials", [("8,16", 20000), ("2,4", 50000),
-                                               ("4,8,16,32", 5000), ("64,128,256", 8)])
+                                               ("4,8,16,32", 5000), ("64,128,256", 8),
+                                               ("128,256", 1)])
     def test_trials_count_bounds_the_trace_lemmas_traced_peak(self, sizes, trials,
                                                               monkeypatch):
         counted = {}
@@ -647,7 +648,7 @@ class TestCliEntry:
             if name == "trials":  # the last gate
                 raise ConfigError("counted")
 
-        monkeypatch.setattr(cli, "check_buffer", count_and_stop)
+        monkeypatch.setattr(lemmas, "check_buffer", count_and_stop)
         assert main(["lemmas", "--sizes", sizes, "--trials", str(trials)]) == 2
         M_values = [int(s) for s in sizes.split(",")]
         rng = np.random.default_rng(5)

@@ -6,7 +6,7 @@ import pytest
 
 from pnmimo import lemmas
 from pnmimo.config import blas_threads
-from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _random_spd,
+from pnmimo.lemmas import (ConvergenceRecord, _gaussian_vec, _spd,
                            _wishart_resolvent, check_free_probability_traces,
                            check_matrix_inversion_identity,
                            check_quadratic_form_identities,
@@ -20,9 +20,15 @@ from pnmimo.phase_noise import theta_vector
 # same draws in the same order as its check and returns the per-size (or
 # per-identity) medians.
 
+def _random_spd(M, rng):
+    """B B^H / M + I as the library draws and builds it: _spd of one
+    (2, M, M) standard normal draw."""
+    return _spd(rng.standard_normal((2, M, M)))
+
+
 def complex_gram_spd(M, rng):
-    """B B^H / M + I from the complex factor B, which _random_spd builds from
-    B's real and imaginary parts."""
+    """B B^H / M + I from the complex factor B, which _spd builds from B's
+    real and imaginary parts."""
     B = _gaussian_vec(M * M, rng, 1.0).reshape(M, M)
     S = B @ B.conj().T
     S /= M
