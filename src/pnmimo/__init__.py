@@ -2,9 +2,12 @@
 oscillator phase noise.
 
 Modules:
-    config       the SystemConfig scenario record and its INI file format
-    rmt          closed-form random-matrix quantities
-    phase_noise  per-antenna phase rotations and the E|T_PN|^2 statistic
+    config       the SystemConfig scenario record, the formulas of its derived
+                 values (phase increment variances, E|T_PN|^2, the optimal
+                 RZF regularizer) and its INI file format; it imports no
+                 other pnmimo module
+    rmt          the Marchenko-Pastur Stieltjes transform m and m' at -alpha
+    phase_noise  per-antenna phase rotations
     channel      Gauss-Markov channel-estimate synthesis
     precoding    RZF / ZF / MF precoders from one Gram eigendecomposition
     linksim      Monte-Carlo effective-SINR estimation; draws the Rayleigh

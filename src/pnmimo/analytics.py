@@ -5,8 +5,9 @@ precoder obeys its phase-noise-free large-system SINR with q0 replaced by
 the effective quality q_eff = q0 * E|T_PN|^2.  SystemConfig.q_eff is the
 one place q_eff is computed, and it is the single input through which phase
 noise enters the three SINR expressions below.  They combine it with the
-Marchenko-Pastur quantities from :mod:`pnmimo.rmt` and the scenario's
-derived values (beta, sigma_w2, p_k, p_sum) and return plain floats.
+scenario's other derived values (beta, sigma_w2, p_k, p_sum) and, for RZF,
+with the Marchenko-Pastur pair (m, m') from :mod:`pnmimo.rmt`, and return
+plain floats.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ def sinr_rzf(config: SystemConfig, alpha: float) -> float:
     denominator  (t2/M)(1 - t*q_eff - t*q_eff/(1+m)) + sigma_w^2/xi^2
     """
     q, p_k, psum = config.q_eff, config.p_k, config.p_sum
-    m = rmt.stieltjes_mp(alpha, config.beta)
-    mp = rmt.stieltjes_mp_derivative(alpha, config.beta)
+    m, mp = rmt.stieltjes_mp(alpha, config.beta)
     t = m / (m + 1.0)
     t2 = (psum - p_k) * mp / (1.0 + m) ** 2
     xi2 = config.M * (1.0 + m) ** 2 / (mp * psum)

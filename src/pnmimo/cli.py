@@ -27,9 +27,7 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, numpy_random
 from .sweep import PRESETS, plan_sweep, rows_to_csv, rows_to_jsonl, run_preset, run_sweep
 
 EXIT_OK = 0
@@ -155,7 +153,7 @@ def _cmd_lemmas(args) -> None:
     lemmas.check_lab_size(sizes, args.trials, args.sizes)
     if args.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    rng = numpy_random().default_rng(args.seed)
     exact_mi = lemmas.check_matrix_inversion_identity(64, rng)
     exact_res = lemmas.check_resolvent_identity(64, rng)
     records = [

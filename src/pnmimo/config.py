@@ -1,29 +1,37 @@
-"""Scenario configuration: the SystemConfig record and its file format.
+"""Scenario configuration: the SystemConfig record, its derived values and
+its file format.
 
 Config files are flat INI text with a [system] section of key = value pairs
 and a [sweep] section naming the axis and its values; both are required.
+SystemConfig derives its scenario scalars once, from the formulas here:
+the phase increment variances (deg_to_var), E|T_PN|^2
+(t_pn_second_moment), through which phase noise reaches every closed form
+as q_eff = q0 E|T_PN|^2, and the SINR-maximizing RZF regularizer
+(optimal_alpha).  Every other pnmimo module reads this one, and it imports
+none of them.
+
 The memory gate (check_buffer) lives here beside ConfigError, its error type,
 and so does the other limit of the machine that pnmimo heeds: the BLAS
 thread count its own work runs at (blas_threads), with the worker threads
-that run it (workers).
+that run it (workers).  numpy.random, which the Monte-Carlo kernel and the
+lemmas verb need, loads on first use through numpy_random.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .phase_noise import deg_to_var, t_pn_second_moment
-from .rmt import optimal_alpha
-
 __all__ = ["ConfigError", "SystemConfig", "load_config", "check_buffer", "blas_threads",
-           "workers"]
+           "workers", "numpy_random", "deg_to_var", "t_pn_second_moment", "optimal_alpha"]
 
 
 class ConfigError(ValueError):
@@ -97,6 +105,20 @@ def workers(n: int):
         yield pool
 
 
+@functools.cache
+def numpy_random():
+    """The numpy.random module, imported on first use by a helper thread
+    while the caller waits in join().  A SIGINT that lands during the
+    import then raises KeyboardInterrupt in the caller, at or just after
+    the join; on the main thread the import itself can swallow it, and the
+    run would go on to the end.  Loaded lazily, so that importing pnmimo
+    does not load numpy.random."""
+    loader = threading.Thread(target=importlib.import_module, args=("numpy.random",))
+    loader.start()
+    loader.join()
+    return importlib.import_module("numpy.random")  # the loader's error, if it failed
+
+
 def check_buffer(name: str, value, nbytes: int) -> None:
     """Raise ConfigError naming the field `name` when buffers of nbytes
     cannot be allocated: more than physical memory or numpy's index range."""
@@ -117,6 +139,38 @@ def _sum(p: np.ndarray, entries: tuple) -> float:
         return float(p.sum())
     with np.errstate(over="ignore"):
         return float(p.sum())
+
+
+def deg_to_var(sigma_deg: float) -> float:
+    """Per-symbol increment variance (rad^2) from a std dev given in degrees,
+    inf where the square overflows.  The same bits as
+    float(np.deg2rad(sigma_deg) ** 2): both scale by pi/180 and square with
+    the C library's pow, but on a Python float, without numpy's scalar
+    dispatch or its overflow report."""
+    try:
+        return math.radians(sigma_deg) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def t_pn_second_moment(M_osc: int, tau: int, sigma2_bs: float) -> float:
+    """Second moment of T_PN over phase draws.
+
+    T_PN = (1/M) sum_m exp(j * BS phase drift over tau symbols at antenna m).
+    E|T_PN|^2 = (1 - e^{-tau*sigma2}) / M_osc + e^{-tau*sigma2}; equals 1 for a common
+    oscillator and decreases to e^{-tau*sigma2} as M_osc grows.
+    """
+    e = float(np.exp(-tau * sigma2_bs))  # np.exp: math.exp's bits differ
+    return (1.0 - e) / M_osc + e
+
+
+def optimal_alpha(q0: float, e_tpn2: float, sigma_w2: float, beta: float) -> float:
+    """SINR-maximizing regularization for the RZF precoder.
+
+    alpha = (sigma_w^2 + 1 - E|T|^2 q0^2) / (E|T|^2 q0^2 beta).
+    """
+    q = e_tpn2 * q0 * q0
+    return (sigma_w2 + 1.0 - q) / (q * beta)
 
 
 @dataclass(frozen=True)

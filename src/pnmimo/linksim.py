@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import synthesize_estimate
-from .config import SystemConfig, blas_threads, check_buffer, workers
+from .config import SystemConfig, blas_threads, check_buffer, numpy_random, workers
 from .phase_noise import theta_vector
 from .precoding import precoders
 
@@ -241,10 +241,10 @@ def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
 @functools.cache
 def _seed_words_type() -> type:
     """The seed PCG64 takes from one realization's row of _seed_words.  Built
-    on first use, so that importing pnmimo does not load numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
+    on first use, so that importing pnmimo does not load numpy.random
+    (config.numpy_random)."""
 
-    class SeedWords(ISeedSequence):
+    class SeedWords(numpy_random().bit_generator.ISeedSequence):
         def __init__(self, words: np.ndarray):
             self.words = words
 

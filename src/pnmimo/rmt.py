@@ -1,43 +1,31 @@
-"""Closed-form random-matrix quantities for the large-system SINR analysis.
+"""The Marchenko-Pastur Stieltjes transform for the large-system SINR analysis.
 
-Everything here is a deterministic function of the load ratio beta = M/K and
-the regularization parameter alpha: the Marchenko-Pastur Stieltjes transform
-m, its derivative m', and the SINR-maximizing RZF regularization.  The SINR
-expressions that combine them with q_eff live in :mod:`pnmimo.analytics`.
-The Monte-Carlo counterparts (empirical traces, empirical precoder
-normalization) live in the test suite and in :mod:`pnmimo.lemmas`.
-Their domain (alpha > 0, beta >= 1) is enforced once, by SystemConfig.
+m and its derivative m' at -alpha are deterministic functions of the load
+ratio beta = M/K and the regularization parameter alpha, evaluated together
+from one square root.  The RZF SINR that combines them with q_eff lives in
+:mod:`pnmimo.analytics`, and the SINR-maximizing regularizer in
+:mod:`pnmimo.config`.  The Monte-Carlo counterparts (empirical traces,
+empirical precoder normalization) live in the test suite and in
+:mod:`pnmimo.lemmas`.  Their domain (alpha > 0, beta >= 1) is enforced once,
+by SystemConfig.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stieltjes_mp", "stieltjes_mp_derivative", "optimal_alpha"]
+__all__ = ["stieltjes_mp"]
 
 
-def stieltjes_mp(alpha: float, beta: float) -> float:
-    """Stieltjes transform of the Marchenko-Pastur law evaluated at -alpha."""
-    s = np.sqrt(beta * beta * alpha * alpha + 2 * (beta + 1) * alpha * beta + (1 - beta) ** 2)
-    return (beta - 1 - alpha * beta + s) / (2 * alpha * beta)
-
-
-def stieltjes_mp_derivative(alpha: float, beta: float) -> float:
-    """d m(z)/dz evaluated at z = -alpha, by analytic differentiation.
+def stieltjes_mp(alpha: float, beta: float) -> tuple[float, float]:
+    """(m, m'): the Stieltjes transform m(z) of the Marchenko-Pastur law and
+    its derivative dm/dz, both at z = -alpha, m' by analytic differentiation.
 
     Finite differences are used only as an oracle in the tests.
     """
     s = np.sqrt(beta * beta * alpha * alpha + 2 * (beta + 1) * alpha * beta + (1 - beta) ** 2)
+    f = beta - 1 - alpha * beta + s
+    m = f / (2 * alpha * beta)
+    # m(-alpha) = f(alpha) / (2 alpha beta); dm/dz|_{z=-alpha} = -d/dalpha of it
     ds = beta * (beta * alpha + beta + 1) / s
-    # m(-alpha) = f(alpha); dm/dz|_{z=-alpha} = -df/dalpha
-    num = (-beta + ds) * alpha - (beta - 1 - alpha * beta + s)
-    return -num / (2 * alpha * alpha * beta)
-
-
-def optimal_alpha(q0: float, e_tpn2: float, sigma_w2: float, beta: float) -> float:
-    """SINR-maximizing regularization for the RZF precoder.
-
-    alpha = (sigma_w^2 + 1 - E|T|^2 q0^2) / (E|T|^2 q0^2 beta).
-    """
-    q = e_tpn2 * q0 * q0
-    return (sigma_w2 + 1.0 - q) / (q * beta)
+    return m, -((-beta + ds) * alpha - f) / (2 * alpha * alpha * beta)

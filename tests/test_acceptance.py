@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pnmimo import analytics
-from pnmimo.config import SystemConfig
+from pnmimo.config import SystemConfig, deg_to_var, t_pn_second_moment
 from pnmimo.lemmas import (check_free_probability_traces,
                            check_matrix_inversion_identity,
                            check_quadratic_form_identities,
@@ -20,7 +20,7 @@ from pnmimo.lemmas import (check_free_probability_traces,
                            check_trace_lemma)
 from pnmimo.linksim import empirical_powers
 from pnmimo.channel import synthesize_estimate
-from pnmimo.phase_noise import deg_to_var, t_pn_second_moment, theta_vector
+from pnmimo.phase_noise import theta_vector
 from pnmimo.precoding import precoders
 from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import rows_to_csv, run_preset, run_sweep
@@ -278,7 +278,7 @@ class TestCriterion7StieltjesConcentration:
         for M in (512, 1024):
             errs = []
             for alpha, beta in _STIELTJES_PAIRS:
-                m = stieltjes_mp(alpha, beta)
+                m, _ = stieltjes_mp(alpha, beta)
                 tr = np.mean([empirical_resolvent_trace(M, int(M / beta),
                                                         alpha, rng)
                               for _ in range(n_trials)])
@@ -342,7 +342,8 @@ class TestCriterion9PrecoderConstraints:
                 bs, ue = simulate_wiener(m_osc, K, s2, s2, 10, rng)
                 H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0], M), 0.9,
                                             draw_channel(M, K, rng))
-                Cs = precoders(H_hat, powers, [("rzf", 0.05), ("zf", None), ("mf", None)])
+                Cs = precoders(H_hat, powers, [("rzf", 0.05), ("zf", None), ("mf", None)],
+                               np.eye(K))
                 for i, C in enumerate(Cs):
                     G = H_hat.conj().T @ C
                     g2 = float(np.trace(G.conj().T @ G).real)

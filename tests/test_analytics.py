@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnmimo.analytics import sinr_mf, sinr_rzf, sinr_zf
-from pnmimo.config import SystemConfig
-from pnmimo.phase_noise import t_pn_second_moment
+from pnmimo.config import SystemConfig, t_pn_second_moment
 
 from conftest import sinr_mf_finite_k
 

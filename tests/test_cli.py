@@ -950,6 +950,43 @@ def test_ctrl_c_exits_130_within_a_chunk(parallelism, tmp_path):
     assert not out.exists()
 
 
+# Where each verb's run first loads numpy.random (about 10 ms on a 2-core
+# x86 machine), a hook that starts the SIGINT timer just before the load:
+# the kernel's seed type on the first chunk, and the lemmas verb's size gate,
+# after which only the seed check runs before its generator is built
+_LOAD_HOOKS = {
+    "preset": ("linksim", "_seed_words_type", ["preset", "fig4", "--realizations", "4000"]),
+    "lemmas": ("lemmas", "check_lab_size",
+               ["lemmas", "--sizes", "64,128,256", "--trials", "20"]),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_LOAD_HOOKS))
+def test_ctrl_c_during_the_numpy_random_load_exits_130(verb, tmp_path):
+    # SIGINT sent 0-15 ms after the hook, across the load: an interrupt
+    # that lands inside the import must still end the run with exit 130,
+    # one stderr line and no table, never a finished run that exits 0
+    module, name, argv = _LOAD_HOOKS[verb]
+    out, outcomes = tmp_path / "o.csv", []
+    for delay_ms in range(16):
+        code = ("import os, signal, sys, threading, pnmimo.cli\n"
+                f"from pnmimo import {module} as hooked\n"
+                f"real, armed = hooked.{name}, [True]\n"
+                "def hook(*args):\n"
+                "    if armed:\n"
+                "        armed.clear()\n"
+                f"        threading.Timer({delay_ms / 1000!r}, os.kill,\n"
+                "                        (os.getpid(), signal.SIGINT)).start()\n"
+                "    return real(*args)\n"
+                f"hooked.{name} = hook\n"
+                f"sys.exit(pnmimo.cli.main({argv + ['--out', str(out)]!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=fresh_env(), timeout=120)
+        outcomes.append((delay_ms, proc.returncode, proc.stderr, out.exists()))
+        out.unlink(missing_ok=True)
+    assert [o for o in outcomes if o[1:] != (130, "interrupted\n", False)] == []
+
+
 def test_lemma_report_independent_of_the_blas_thread_count(tmp_path, capsys,
                                                           two_blas_threads):
     # at these sizes OpenBLAS threads the trace lemma's product: run at the

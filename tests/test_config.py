@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from pnmimo import analytics, config
 from pnmimo.cli import main
-from pnmimo.config import ConfigError, SystemConfig, load_config
-from pnmimo.phase_noise import deg_to_var, t_pn_second_moment
-from pnmimo.rmt import optimal_alpha
+from pnmimo.config import (ConfigError, SystemConfig, deg_to_var, load_config, optimal_alpha,
+                           t_pn_second_moment)
 from pnmimo.sweep import (PRECODERS, SWEEP_AXES, _apply_axis, _draw_key, plan_sweep,
                           run_sweep)
 

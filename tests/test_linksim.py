@@ -52,7 +52,7 @@ def _scene(M=32, K=8, q0=0.9, sigma2=0.05, tau=5, seed=0):
 
 def precoder(H_hat, powers, kind, alpha=None):
     """The library's precoder G = H_hat^H C."""
-    C, = precoders(H_hat, powers, [(kind, alpha)])
+    C, = precoders(H_hat, powers, [(kind, alpha)], np.eye(len(H_hat)))
     return H_hat.conj().T @ C
 
 
@@ -356,7 +356,7 @@ class TestEmpiricalSinr:
 
         real, range_1_chunks = linksim.precoders, []
 
-        def fail_in_range_0(H_hat, powers, variants, left=None):
+        def fail_in_range_0(H_hat, powers, variants, left):
             if in_range.start == 0:
                 raise FloatingPointError("range 0")
             range_1_chunks.append(1)
@@ -651,7 +651,7 @@ class TestSharedDraws:
         clean = zip(*linksim._powers(cfg, self.VARIANTS))
         real = linksim.precoders
 
-        def reject_chosen(H_hat, powers, variants, left=None):
+        def reject_chosen(H_hat, powers, variants, left):
             outs = real(H_hat, powers, variants, left)
             for j, slice_ in enumerate(H_hat):
                 if np.array_equal(slice_, target):

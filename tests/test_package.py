@@ -65,6 +65,13 @@ def _fresh(code: str) -> str:
                           env=fresh_env(), check=True).stdout
 
 
+def test_config_loads_no_other_pnmimo_module():
+    # every other module reads config, so config reads none of them
+    out = _fresh("import sys, pnmimo.config; "
+                 "print(sorted(m for m in sys.modules if m.startswith('pnmimo.')))")
+    assert out == "['pnmimo.config']\n"
+
+
 def test_simulation_runs_without_scipy(tmp_path):
     out_csv = str(tmp_path / "x.csv")
     out = _fresh("import sys; from pnmimo.cli import main; "

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from pnmimo.phase_noise import deg_to_var, t_pn_second_moment, theta_vector
+from pnmimo.config import deg_to_var, t_pn_second_moment
+from pnmimo.phase_noise import theta_vector
 
 from conftest import simulate_wiener
 

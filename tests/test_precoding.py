@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from pnmimo.precoding import precoders
-from pnmimo.rmt import stieltjes_mp, stieltjes_mp_derivative
+from pnmimo.rmt import stieltjes_mp
 
 from conftest import draw_channel
 
@@ -19,7 +19,7 @@ def _equal(K):
 
 def _G(H, powers, kind, alpha=None):
     """The library's precoder G = H^H C, or None where it rejects the draw."""
-    C, = precoders(H, powers, [(kind, alpha)])
+    C, = precoders(H, powers, [(kind, alpha)], np.eye(len(H)))
     return None if np.isnan(C).any() else H.conj().T @ C
 
 
@@ -28,7 +28,7 @@ def _xi(H, powers, kind, alpha=None):
     with F the inverse of the regularized Gram (RZF), of the Gram (ZF), or
     the identity (MF)."""
     K, M = H.shape
-    C, = precoders(H, powers, [(kind, alpha)])
+    C, = precoders(H, powers, [(kind, alpha)], np.eye(K))
     if kind != "mf":
         C = (H @ H.conj().T + (M * alpha if kind == "rzf" else 0.0) * np.eye(K)) @ C
     return float(np.mean(np.diag(C).real / np.sqrt(powers)))
@@ -69,10 +69,10 @@ class TestStacked:
             H[degenerate, 1] = H[degenerate, 0]  # a singular Gram ZF rejects
         powers = rng.uniform(0.1, 1.0, K)
         variants = [("rzf", 0.2), ("zf", None), ("mf", None), ("rzf", 3.0)]
-        stacked = precoders(H, powers, variants)
+        stacked = precoders(H, powers, variants, np.eye(K))
         for j in range(b):
             for (kind, _), C, C_j in zip(variants, stacked,
-                                         precoders(H[j], powers, variants)):
+                                         precoders(H[j], powers, variants, np.eye(K))):
                 assert np.array_equal(C[j], C_j, equal_nan=True)
                 rejected = kind == "zf" and K > 1 and j == degenerate
                 assert np.isnan(C_j).all() if rejected else np.isfinite(C_j).all()
@@ -94,8 +94,8 @@ class TestStacked:
         H = np.stack([draw_channel(M, K, rng) for _ in range(b)])
         powers = rng.uniform(0.1, 1.0, K)
         variants = data.draw(st.permutations([("rzf", a) for a in alphas] + others))
-        for variant, C in zip(variants, precoders(H, powers, variants)):
-            C_alone, = precoders(H, powers, [variant])
+        for variant, C in zip(variants, precoders(H, powers, variants, np.eye(K))):
+            C_alone, = precoders(H, powers, [variant], np.eye(K))
             assert np.array_equal(C, C_alone, equal_nan=True)
 
 
@@ -104,7 +104,7 @@ class TestPowerConstraint:
     def test_all_builders_unit_trace(self, seed):
         H = _hhat(64, 16, seed)
         p = _equal(16)
-        for C in precoders(H, p, [("rzf", 0.1), ("zf", None), ("mf", None)]):
+        for C in precoders(H, p, [("rzf", 0.1), ("zf", None), ("mf", None)], np.eye(16)):
             G = H.conj().T @ C
             assert np.trace(G.conj().T @ G).real == pytest.approx(1.0, rel=1e-10)
 
@@ -124,7 +124,8 @@ class TestOracles:
         variants = [("rzf", alpha), ("zf", None), ("mf", None)]
         oracles = [rzf_oracle(H, alpha, powers), zf_oracle(H, powers),
                    mf_oracle(H, powers)]
-        for (kind, _), C, ref in zip(variants, precoders(H, powers, variants), oracles):
+        for (kind, _), C, ref in zip(variants, precoders(H, powers, variants, np.eye(K)),
+                                     oracles):
             G = H.conj().T @ C
             assert np.linalg.norm(G - ref) <= 1e-10 * np.linalg.norm(ref), kind
             assert np.linalg.norm(G) == pytest.approx(1.0, rel=1e-12)
@@ -149,8 +150,7 @@ class TestRzf:
         M, K, alpha = 256, 64, 0.5
         p = _equal(K)
         xis = [_xi(_hhat(M, K, s), p, "rzf", alpha) for s in range(200)]
-        m = stieltjes_mp(alpha, M / K)
-        mp = stieltjes_mp_derivative(alpha, M / K)
+        m, mp = stieltjes_mp(alpha, M / K)
         predicted = np.sqrt(M * (1 + m) ** 2 / (mp * p.sum()))
         assert np.mean(xis) == pytest.approx(predicted, rel=0.03)
 
@@ -194,7 +194,7 @@ class TestZf:
         H = _hhat(16, 16, 7)
         # force near-singularity by duplicating a row
         H[1] = H[0] * (1 + 1e-14)
-        C, = precoders(H, _equal(16), [("zf", None)])
+        C, = precoders(H, _equal(16), [("zf", None)], np.eye(16))
         assert np.isnan(C).all()
 
     def test_empirical_xi2_matches_closed_form_limit(self):
@@ -229,23 +229,31 @@ class TestLeftRows:
 
     @pytest.mark.parametrize("b", [None, 3])
     def test_identity_left_gives_the_coefficient_matrices(self, b):
-        # left=None is C; an identity broadcast over the stack gives C bit
-        # for bit (its products add exact zeros).  MF's C keeps the bits of
-        # its scaled identity, scale_k on the diagonal
+        # an identity, also broadcast over a stack, gives C bit for bit (its
+        # products add exact zeros): RZF's and ZF's normalized spectral
+        # filters U diag(d) U^H P^1/2, and MF's scaled identity, scale_k on
+        # the diagonal
         rng = np.random.default_rng(11)
         K, M = 6, 20
         H = draw_channel(M, K, rng) if b is None else np.stack(
             [draw_channel(M, K, rng) for _ in range(b)])
         p = rng.uniform(0.1, 1.0, K)
         eye = np.eye(K) if b is None else np.broadcast_to(np.eye(K), (b, K, K))
-        for C, C_eye, (kind, alpha) in zip(precoders(H, p, self.VARIANTS),
-                                            precoders(H, p, self.VARIANTS, eye),
-                                            self.VARIANTS):
-            assert C.shape == H.shape[:-1] + (K,)
-            assert np.array_equal(C, C_eye), kind
+        lam, U = np.linalg.eigh(H @ H.conj().swapaxes(-1, -2))
+        UhP = U.conj().swapaxes(-1, -2) * np.sqrt(p)
+        energy = np.sum(np.abs(UhP) ** 2, axis=-1)
+
+        def spectral(d):
+            d = d / np.sqrt(np.sum(lam * d ** 2 * energy, axis=-1, keepdims=True))
+            return (U * d[..., None, :]) @ UhP
+
         gram_diag = np.sum(np.abs(H) ** 2, axis=-1)
         scale = np.sqrt(p) / np.sqrt(np.sum(p * gram_diag, axis=-1, keepdims=True))
-        assert np.array_equal(precoders(H, p, [("mf", None)])[0], scale[..., None] * np.eye(K))
+        for C, (kind, alpha) in zip(precoders(H, p, self.VARIANTS, eye), self.VARIANTS):
+            ref = (scale[..., None] * np.eye(K) if kind == "mf"
+                   else spectral(1.0 / (M * alpha + lam) if kind == "rzf" else 1.0 / lam))
+            assert C.shape == H.shape[:-1] + (K,)
+            assert np.array_equal(C, ref), kind
 
     @pytest.mark.parametrize("b, rows", [(None, 1), (None, 3), (4, 1), (4, 2)])
     def test_matches_left_times_coefficients(self, b, rows):
@@ -256,7 +264,7 @@ class TestLeftRows:
         p = rng.uniform(0.1, 1.0, K)
         L = (rng.standard_normal(H.shape[:-2] + (rows, K))
              + 1j * rng.standard_normal(H.shape[:-2] + (rows, K)))
-        for C, LC, (kind, _) in zip(precoders(H, p, self.VARIANTS),
+        for C, LC, (kind, _) in zip(precoders(H, p, self.VARIANTS, np.eye(K)),
                                     precoders(H, p, self.VARIANTS, L), self.VARIANTS):
             ref = L @ C
             assert LC.shape == ref.shape

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnmimo.phase_noise import deg_to_var
+from pnmimo.config import deg_to_var
 from pnmimo.rates import rate_awgn_bound, rate_lapidoth, rate_min, rate_report
 
 S2_6DEG = deg_to_var(6.0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnmimo.analytics import sinr_rzf, sinr_zf
-from pnmimo.config import SystemConfig
-from pnmimo.rmt import optimal_alpha, stieltjes_mp, stieltjes_mp_derivative
+from pnmimo.config import SystemConfig, deg_to_var, optimal_alpha, t_pn_second_moment
+from pnmimo.rmt import stieltjes_mp
 from pnmimo.sweep import PRESETS
 
 from conftest import empirical_resolvent_trace
@@ -15,8 +15,7 @@ from conftest import empirical_resolvent_trace
 def rzf_equivalents(alpha, beta, M, powers, k):
     """Hardening t, interference t2 of UE k, and normalization xi^2 of the RZF
     large-system SINR, each from its defining expression in m and m'."""
-    m = stieltjes_mp(alpha, beta)
-    mp = stieltjes_mp_derivative(alpha, beta)
+    m, mp = stieltjes_mp(alpha, beta)
     powers = np.asarray(powers, dtype=float)
     t = m / (m + 1.0)
     t2 = (powers.sum() - powers[k]) * mp / (1.0 + m) ** 2
@@ -49,43 +48,43 @@ def zf_configurations():
 
 class TestStieltjes:
     def test_beta1_alpha1_golden_ratio(self):
-        assert stieltjes_mp(1.0, 1.0) == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
+        assert stieltjes_mp(1.0, 1.0)[0] == pytest.approx((np.sqrt(5) - 1) / 2, abs=1e-12)
 
     def test_alpha10_beta2(self):
-        assert stieltjes_mp(10.0, 2.0) == pytest.approx((1 - 20 + np.sqrt(521)) / 40, abs=1e-12)
+        assert stieltjes_mp(10.0, 2.0)[0] == pytest.approx((1 - 20 + np.sqrt(521)) / 40, abs=1e-12)
 
     def test_large_alpha_limit(self):
         for beta in (1.0, 2.0, 5.0):
-            assert 1e8 * stieltjes_mp(1e8, beta) == pytest.approx(1.0, rel=1e-6)
+            assert 1e8 * stieltjes_mp(1e8, beta)[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_empirical_trace(self):
         rng = np.random.default_rng(0)
         vals = [empirical_resolvent_trace(1024, 1024, 1.0, rng) for _ in range(3)]
-        assert np.mean(vals) == pytest.approx(stieltjes_mp(1.0, 1.0), rel=0.02)
+        assert np.mean(vals) == pytest.approx(stieltjes_mp(1.0, 1.0)[0], rel=0.02)
 
     def test_quadratic_fixed_point(self):
         # alpha*beta*m^2 + (1 + alpha*beta - beta)*m - beta = 0
         for alpha, beta in [(0.3, 1.5), (2.0, 4.0), (0.01, 10.0)]:
-            m = stieltjes_mp(alpha, beta)
+            m, _ = stieltjes_mp(alpha, beta)
             assert alpha * beta * m * m + (1 + alpha * beta - beta) * m - beta == \
                 pytest.approx(0.0, abs=1e-10)
 
     @given(st.floats(0.01, 100), st.floats(1.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_positive(self, alpha, beta):
-        assert stieltjes_mp(alpha, beta) > 0
+        assert stieltjes_mp(alpha, beta)[0] > 0
 
     @given(st.floats(0.01, 50), st.floats(1.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_decreasing_in_alpha(self, alpha, beta):
-        assert stieltjes_mp(alpha, beta) > stieltjes_mp(alpha * 1.01, beta)
+        assert stieltjes_mp(alpha, beta)[0] > stieltjes_mp(alpha * 1.01, beta)[0]
 
     def test_trace_error_halves_as_M_doubles(self):
         rng = np.random.default_rng(3)
         errs = []
         for M in (512, 1024, 2048):
-            devs = [abs(empirical_resolvent_trace(M, M // 2, 0.5, rng) - stieltjes_mp(0.5, 2.0))
-                    for _ in range(32)]
+            devs = [abs(empirical_resolvent_trace(M, M // 2, 0.5, rng)
+                        - stieltjes_mp(0.5, 2.0)[0]) for _ in range(32)]
             errs.append(np.median(devs))
         for a, b in zip(errs, errs[1:]):
             assert 1.5 <= a / b <= 3.0  # roughly halves per doubling, within MC noise
@@ -97,25 +96,25 @@ class TestDerivative:
                                             (3.0, 5.0), (10.0, 2.0)])
     def test_matches_finite_difference(self, alpha, beta):
         h = 1e-6 * alpha
-        fd = (stieltjes_mp(alpha - h, beta) - stieltjes_mp(alpha + h, beta)) / (2 * h)
-        assert stieltjes_mp_derivative(alpha, beta) == pytest.approx(fd, rel=1e-6)
+        fd = (stieltjes_mp(alpha - h, beta)[0] - stieltjes_mp(alpha + h, beta)[0]) / (2 * h)
+        assert stieltjes_mp(alpha, beta)[1] == pytest.approx(fd, rel=1e-6)
 
     def test_large_alpha_expansion(self):
         for alpha in (1e3, 1e4):
             for beta in (1.0, 3.0):
-                m = stieltjes_mp(alpha, beta)
+                m, mp = stieltjes_mp(alpha, beta)
                 approx = 2 * m / alpha - 1 / alpha ** 2
-                assert stieltjes_mp_derivative(alpha, beta) == pytest.approx(approx, rel=1e-3)
+                assert mp == pytest.approx(approx, rel=1e-3)
 
     def test_matches_empirical_squared_trace(self):
         rng = np.random.default_rng(1)
         vals = [empirical_resolvent_trace(1024, 1024, 1.0, rng, power=2) for _ in range(3)]
-        assert np.mean(vals) == pytest.approx(stieltjes_mp_derivative(1.0, 1.0), rel=0.03)
+        assert np.mean(vals) == pytest.approx(stieltjes_mp(1.0, 1.0)[1], rel=0.03)
 
     @given(st.floats(0.01, 100), st.floats(1.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_positive(self, alpha, beta):
-        assert stieltjes_mp_derivative(alpha, beta) > 0
+        assert stieltjes_mp(alpha, beta)[1] > 0
 
 
 class TestHardening:
@@ -132,8 +131,7 @@ class TestHardening:
 
 class TestNormalizationAndInterference:
     def test_equal_power_xi(self):
-        m = stieltjes_mp(0.5, 4.0)
-        mp = stieltjes_mp_derivative(0.5, 4.0)
+        m, mp = stieltjes_mp(0.5, 4.0)
         xi2 = rzf_equivalents(0.5, 4.0, 128, np.full(32, 1 / 32), 0)[2]
         assert xi2 == pytest.approx(128 * (1 + m) ** 2 / mp)
 
@@ -152,8 +150,7 @@ class TestNormalizationAndInterference:
 
     def test_equal_power_t2(self):
         K = 16
-        m = stieltjes_mp(1.0, 2.0)
-        mp = stieltjes_mp_derivative(1.0, 2.0)
+        m, mp = stieltjes_mp(1.0, 2.0)
         assert rzf_equivalents(1.0, 2.0, 32, np.full(K, 1 / K), 3)[1] == pytest.approx(
             (K - 1) / K * mp / (1 + m) ** 2)
 
@@ -194,7 +191,7 @@ class TestZfLimit:
                 assert sinr_zf(point) == pytest.approx(
                     p_k * q / (zf_t2 / M * (1 - q) + s2 / zf_xi2), rel=1e-12)
                 for alpha in (1e-3, 0.1, 10.0):
-                    m = stieltjes_mp(alpha, point.beta)
+                    m, _ = stieltjes_mp(alpha, point.beta)
                     t, t2, xi2 = rzf_equivalents(alpha, point.beta, M, point.powers,
                                                  point.ue_index)
                     den = t2 / M * (1 - t * q - t * q / (1 + m)) + s2 / xi2
@@ -214,7 +211,6 @@ class TestOptimalAlpha:
                        "RZF SINR expression; grid search finds a better alpha "
                        "by more than the stated tolerance")
     def test_is_argmax_on_grid(self):
-        from pnmimo.phase_noise import t_pn_second_moment, deg_to_var
         rng = np.random.default_rng(42)
         grid = np.logspace(-4, 2, 1000)
         for _ in range(200):
