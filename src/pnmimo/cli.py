@@ -13,8 +13,8 @@ run whose exact identity fails: it writes its CSV and both report lines
 first, then exits 3.
 A config file is only parsed (config.load_config).  validate-config runs
 sweep's plan (sweep.plan_sweep: the one check of a sweep's axis, values
-and precoders, then every point, closed form and draw-set memory gate) and
-stops before the Monte Carlo.
+and precoders, then every point, closed form and channel-set memory gate)
+and stops before the Monte Carlo.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _cmd_lemmas(args) -> None:
 
 def _cmd_validate(args) -> None:
     config, axis, values = load_config(args.config)
-    # sweep's own plan: every point, closed form and draw-set memory gate
+    # sweep's own plan: every point, closed form and channel-set memory gate
     plan_sweep(config, axis, values)
     print(f"ok: M={config.M} K={config.K} M_osc={config.M_osc} "
           f"q0={config.q0} tau={config.tau} sweep={axis}[{len(values)}]")

@@ -11,30 +11,37 @@ sees on its own symbol (c_sig) and on every interferer's symbol (c_int),
 and no K x K coefficient matrix is formed.  Averaging |c_sig|^2 and
 ||c_int||^2 over realizations yields the empirical effective SINR.  The
 averages do not depend on the receiver noise level, so one draw set serves
-every precoder, alpha and SNR point of a scenario.  The scenario is
-validated once, by SystemConfig; the stages below it take plain arrays and
-floats.
+every precoder, alpha and SNR point of a scenario.  Draw sets whose
+scenarios share master_seed, K, M and n_realizations (channel_key) share
+their channel draws too: one kernel pass runs them as one channel set.  The
+scenario is validated once, by SystemConfig; the stages below it take plain
+arrays and floats.
 
 Realizations run in chunks of a few, sized so that each chunk amortizes its
 fixed interpreter cost within a cache-sized budget (see CHUNK_ELEMENTS).
 Each realization of a chunk draws from its own stream straight into the
 chunk's buffers, in this order: 2KM standard normals for H (real parts, then
 imaginary parts); M_osc uniforms on [0, 1) and M_osc standard normals for the
-BS oscillators; K of each for the UEs; 2KM standard normals for W_e.  The
-scaling runs once per chunk: a start phase is 2 pi times its uniform, the
-phase at tau adds sqrt(tau sigma2) times its normal (one Gaussian of variance
-tau sigma2 stands for the tau Wiener steps), and H and W_e are sqrt(1/2)
-times their normals.  Everything after the draws (the phase rotations, the estimate,
-the data-time row, the Gram decomposition and every precoder) runs once on
-the chunk's stacked arrays.  A draw ZF rejects is a NaN slice of the ZF
-coefficients, which turns that realization's ZF powers into NaN.
+BS oscillators; K of each for the UEs; 2KM standard normals for W_e.  H
+comes first whatever the scenario's phase noise, so a channel set draws and
+fills it once per chunk.  With more than one draw set, each generator's
+state is saved after H and restored before every further set draws its
+phases and W_e, so every set reads the stream that it would alone.  The
+scaling runs once per chunk and set: a start phase is 2 pi times its
+uniform, the phase at tau adds sqrt(tau sigma2) times its normal (one
+Gaussian of variance tau sigma2 stands for the tau Wiener steps), and H and
+W_e are sqrt(1/2) times their normals.  Everything after the draws (the
+phase rotations, the estimate, the data-time row, the Gram decomposition and
+every precoder) runs once per set on the chunk's stacked arrays.  A draw ZF
+rejects is a NaN slice of the ZF coefficients, which turns that
+realization's ZF powers into NaN.
 
 Realization `i` always uses the RNG stream of
 np.random.default_rng((master_seed, i)), and results are assembled by index,
 so output is bit-identical for any chunk size, parallelism degree, execution
-order or set of precoders built on the draw.  A block hashes the
-(master_seed, i) entropies of SEED_BLOCK realizations (rounded up to whole
-chunks) in one pass of array arithmetic (_seed_words),
+order, set of precoders built on the draw, or channel set the draw runs in.
+A block hashes the (master_seed, i) entropies of SEED_BLOCK realizations
+(rounded up to whole chunks) in one pass of array arithmetic (_seed_words),
 which equals np.random.SeedSequence((master_seed, i)).generate_state(4,
 np.uint64) word for word, and each realization's PCG64 seeds itself from
 its row of that hash: the same generator default_rng builds.
@@ -46,6 +53,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -54,7 +62,8 @@ from .config import SystemConfig, blas_threads, check_buffer, numpy_random, work
 from .phase_noise import theta_vector
 from .precoding import precoders
 
-__all__ = ["PowerEstimate", "empirical_powers", "check_draw_size", "MAX_REJECTION_RATE"]
+__all__ = ["PowerEstimate", "empirical_powers", "check_draw_size", "channel_key",
+           "MAX_REJECTION_RATE"]
 
 # A ZF run aborts (FloatingPointError, so the CLI exits 3) if more than this
 # fraction of draws fails the condition cap.
@@ -90,6 +99,15 @@ POOL_MIN_CHUNKS = 2
 # same size whatever the realization count; the presets' 2000 realizations
 # take one pass.
 SEED_BLOCK = 2048
+
+# Bytes counted for one realization's generator state, saved after its H
+# where a channel set holds more than one draw set (tracemalloc reads about
+# 510 B)
+STATE_BYTES = 1024
+
+# channel_key(config): the fields that realization i's channel H depends
+# on; draw sets with equal keys share their channel draws
+channel_key = attrgetter("master_seed", "K", "M", "n_realizations")
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
 # with its pool of 4 words.
@@ -136,36 +154,41 @@ def _seed_block(chunk: int) -> int:
     return chunk * -(-SEED_BLOCK // chunk)
 
 
-def check_draw_size(config: SystemConfig, n_variants: int) -> None:
-    """Raise ConfigError when an empirical_powers call over n_variants
-    (kind, alpha) pairs would hold more than fits in memory at once.
+def check_draw_size(config: SystemConfig, variants, more=()) -> None:
+    """Raise ConfigError when empirical_powers(config, variants, more) would
+    hold more than fits in memory at once; variants and more's are counted
+    by their pair counts.
 
     Each of _plan's threads (the caller on the serial path) holds one chunk
-    of _plan's size (its draws, their complex working copies, the Gram's
-    K x K factors, and every pair's rows seen through them) and one seed
-    block's words with the seed hash's working arrays.  Each
+    of _plan's size and one seed block's words with the seed hash's working
+    arrays.  A chunk holds the channel set's H and, with more than one draw
+    set, every realization's saved generator state; then one draw set at a
+    time holds its working arrays (its draws, their complex copies, the
+    Gram's K x K factors, and every pair's rows seen through them).  Each
     realization holds one pair's reduction to a PowerEstimate and 16 B in
-    every pair's two power arrays, which the worker threads fill in place.
-    The byte counts bound tracemalloc's peak of a serial and of a pooled run
-    (tests/test_linksim.py).  The error names M when the chunks are the
-    larger part, else n_realizations.
+    every pair's two power arrays, for every draw set, which the worker
+    threads fill in place.  The byte counts bound tracemalloc's peak of a
+    serial and of a pooled run (tests/test_linksim.py).  The error names M
+    when the chunks are the larger part, else n_realizations.
     """
     K, M, n = config.K, config.M, config.n_realizations
     threads, chunk = _plan(config)
-    # a chunk of b realizations: (2, 2, b K, M) float64 draws, their complex
-    # copy, and five complex (b K, M) arrays (the phase rotation, three
-    # terms of the estimate, and the previous chunk's estimate, alive until
-    # the new one replaces it); two complex (b, M) data-time phase rows; 4
-    # complex b (K, K) arrays (the Gram, U, U^H P^1/2 and a temporary); per
+    pairs = [len(variants), *(len(v) for _, v in more)]
+    # a chunk of b realizations: H's (2, b K, M) float64 draws and complex
+    # copy; per draw set, W_e's draws and complex copy, five complex
+    # (b K, M) arrays (the phase rotation, three terms of the estimate and
+    # the estimate), two complex (b, M) data-time phase rows, 4 complex
+    # b (K, K) arrays (the Gram, U, U^H P^1/2 and a temporary) and, per
     # pair, 6 complex b K rows (its filter and its temporaries, L C, the
-    # stacked copy and the powers); per realization of a seed block, 32 B of
-    # seed words, the hash's entropy (4 B per 32-bit word of the master
+    # stacked copy and the powers); per realization of a seed block, 32 B
+    # of seed words, the hash's entropy (4 B per 32-bit word of the master
     # seed, two for the index) and its other arrays (128 B)
     chunks = max(threads, 1) * (
-        16 * chunk * (K * (9 * M + 4 * K + 6 * n_variants) + 2 * M)
+        16 * chunk * (K * (9 * M + 4 * K + 6 * max(pairs)) + 2 * M)
+        + (chunk * STATE_BYTES if len(pairs) > 1 else 0)
         + min(n, _seed_block(chunk)) * (4 * len(_uint32_words(config.master_seed)) + 168))
     # 48 B of one pair's reduction
-    per_realization = 48 + 16 * n_variants
+    per_realization = 48 + 16 * sum(pairs)
     name, value = ("M", M) if chunks >= n * per_realization else ("n_realizations", n)
     check_buffer(name, value, chunks + n * per_realization)
 
@@ -254,19 +277,61 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _simulate_block(config: SystemConfig, variants, start: int, stop: int,
-                    chunk: int, out: np.ndarray, halt: threading.Event) -> None:
-    """Per-variant, per-realization powers for indices [start, stop), in
-    chunks of `chunk` realizations, written into out, a
-    (2, len(variants), stop - start) array of signal, then interference
-    powers; NaN marks a draw that the variant's precoder rejected.  Returns
-    early, before its next chunk, once halt is set.
+def _gaussians(z: np.ndarray) -> np.ndarray:
+    """sqrt(1/2) (z[..., 0, :, :] + j z[..., 1, :, :]): unit-variance
+    complex Gaussians from (real, imaginary) standard normals, scaled in
+    place."""
+    z *= np.sqrt(0.5)
+    c = np.empty(z.shape[:-3] + z.shape[-2:], dtype=complex)
+    c.real, c.imag = z[..., 0, :, :], z[..., 1, :, :]
+    return c
+
+
+def _set_powers(config: SystemConfig, variants, rngs: list, H: np.ndarray) -> np.ndarray:
+    """|row_hat C|^2 of one draw set on a chunk: a (len(variants), b, K)
+    array from the chunk's channels H, (b, K, M), and its generators, each
+    positioned just after its H, which draw the set's phases and W_e."""
+    b, K, M = H.shape
+    # bs/ue row 0 is the phase at symbol 0, row 1 at symbol tau; w is W_e
+    # as (real, imaginary) normals
+    bs, ue = np.empty((2, b, config.M_osc)), np.empty((2, b, K))
+    w = np.empty((b, 2, K, M))
+    for j, rng in enumerate(rngs):
+        rng.random(out=bs[0, j])
+        rng.standard_normal(out=bs[1, j])
+        rng.random(out=ue[0, j])
+        rng.standard_normal(out=ue[1, j])
+        rng.standard_normal(out=w[j])
+    for phases, sigma2 in ((bs, config.sigma2_bs), (ue, config.sigma2_ue)):
+        phases[0] *= 2.0 * np.pi
+        phases[1] *= np.sqrt(config.tau * sigma2)  # std dev of the drift over tau
+        phases[1] += phases[0]
+    W_e = _gaussians(w)
+    del w
+    H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0][:, None], M), config.q0, W_e)
+    # the observed UE's channel row, rotated by its data-time phases, seen
+    # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
+    k = config.ue_index
+    row = H[:, k] * theta_vector(ue[1, :, k], bs[1], M)
+    row_hat = row[:, None] @ H_hat.conj().swapaxes(-1, -2)
+    seen = np.stack(precoders(H_hat, config.powers, variants, row_hat))
+    return np.abs(seen)[..., 0, :] ** 2
+
+
+def _simulate_block(sets: list, start: int, stop: int, chunk: int, out: np.ndarray,
+                    halt: threading.Event) -> None:
+    """Per-pair, per-realization powers of a channel set for indices
+    [start, stop), in chunks of `chunk` realizations, written into out, a
+    (2, n_pairs, stop - start) array of signal, then interference powers,
+    whose pairs are each draw set's in order; NaN marks a draw that the
+    pair's precoder rejected.  sets is the channel set: (config, variants)
+    draw sets whose scenarios share channel_key.  Returns early, before its
+    next chunk, once halt is set.
     """
-    M, K, k, M_osc = config.M, config.K, config.ue_index, config.M_osc
+    config = sets[0][0]
+    M, K = config.M, config.K
     block = _seed_block(chunk)
     SeedWords = _seed_words_type()
-    step_bs = np.sqrt(config.tau * config.sigma2_bs)  # std dev of the drift over tau
-    step_ue = np.sqrt(config.tau * config.sigma2_ue)
     sig, intf = out
     for lo in range(start, stop, chunk):
         if halt.is_set():
@@ -275,37 +340,24 @@ def _simulate_block(config: SystemConfig, variants, start: int, stop: int,
             first = lo
             words = _seed_words(config.master_seed, lo, min(stop, lo + block))
         b = min(chunk, stop - lo)
-        # z[0] is H and z[1] W_e as (real, imaginary) normals; bs/ue row 0
-        # is the phase at symbol 0, row 1 at symbol tau
-        z = np.empty((2, b, 2, K, M))
-        bs, ue = np.empty((2, b, M_osc)), np.empty((2, b, K))
-        for j in range(b):
-            rng = np.random.Generator(np.random.PCG64(SeedWords(words[lo - first + j])))
-            rng.standard_normal(out=z[0, j])
-            rng.random(out=bs[0, j])
-            rng.standard_normal(out=bs[1, j])
-            rng.random(out=ue[0, j])
-            rng.standard_normal(out=ue[1, j])
-            rng.standard_normal(out=z[1, j])
-        for phases, step in ((bs, step_bs), (ue, step_ue)):
-            phases[0] *= 2.0 * np.pi
-            phases[1] *= step
-            phases[1] += phases[0]
-        z *= np.sqrt(0.5)
-        HW = np.empty((2, b, K, M), dtype=complex)
-        HW.real, HW.imag = z[:, :, 0], z[:, :, 1]
-        H, W_e = HW
-        H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0][:, None], M),
-                                    config.q0, W_e)
-        # the observed UE's channel row, rotated by its data-time phases, seen
-        # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
-        row = H[:, k] * theta_vector(ue[1, :, k], bs[1], M)
-        row_hat = row[:, None] @ H_hat.conj().swapaxes(-1, -2)
-        seen = np.stack(precoders(H_hat, config.powers, variants, row_hat))
-        p = np.abs(seen)[..., 0, :] ** 2
-        cols = slice(lo - start, lo - start + b)
-        sig[:, cols] = p[..., k]
-        intf[:, cols] = p.sum(axis=-1) - p[..., k]
+        rngs = [np.random.Generator(np.random.PCG64(SeedWords(w)))
+                for w in words[lo - first:lo - first + b]]
+        z = np.empty((b, 2, K, M))  # H as (real, imaginary) normals
+        for rng, z_j in zip(rngs, z):
+            rng.standard_normal(out=z_j)
+        saved = [rng.bit_generator.state for rng in rngs] if len(sets) > 1 else ()
+        H = _gaussians(z)
+        del z
+        cols, v = slice(lo - start, lo - start + b), 0
+        for s, (cfg, variants) in enumerate(sets):
+            if s:  # back to just after H
+                for rng, state in zip(rngs, saved):
+                    rng.bit_generator.state = state
+            p = _set_powers(cfg, variants, rngs, H)
+            pairs, k = slice(v, v + len(variants)), cfg.ue_index
+            sig[pairs, cols] = p[..., k]
+            intf[pairs, cols] = p.sum(axis=-1) - p[..., k]
+            v += len(variants)
 
 
 def _estimate(sig: np.ndarray, intf: np.ndarray) -> PowerEstimate:
@@ -346,34 +398,40 @@ def _plan(config: SystemConfig) -> tuple[int, int]:
     return 0, _chunk(K, M)
 
 
-def _powers(config: SystemConfig, variants: list) -> np.ndarray:
-    """Signal and interference powers of every (kind, alpha) pair, as one
-    (2, len(variants), n_realizations) array with NaN where the pair's
-    precoder rejected the draw.  Serially it is one block.  On the pool it
-    is one index range of whole chunks per thread (the last may end short),
-    each a block that a worker thread writes into its own columns.  The
-    first failure in a thread, or a KeyboardInterrupt in the caller, sets
-    the halt flag: every thread stops before its next chunk, and the error
-    is raised once all of them are joined.
+def _powers(config: SystemConfig, variants, more=()) -> np.ndarray:
+    """Signal and interference powers of every (kind, alpha) pair of the
+    channel set (config, variants) + more, as one (2, n_pairs,
+    n_realizations) array with NaN where the pair's precoder rejected the
+    draw; the pairs are variants', then each of more's in order.  Serially
+    it is one block.  On the pool it is one index range of whole chunks per
+    thread (the last may end short), each a block that a worker thread
+    writes into its own columns.  The first failure in a thread, or a
+    KeyboardInterrupt in the caller, sets the halt flag: every thread stops
+    before its next chunk, and the error is raised once all of them are
+    joined.
 
     The kernel runs at one BLAS thread on both paths (config.blas_threads,
     config.workers), so its bits depend neither on the parallelism nor on
     the core count; its chunks are small by design, so BLAS threads inside
     it mostly burn CPU.
     """
+    sets = [(config, list(variants)), *((c, list(v)) for c, v in more)]
+    if any(channel_key(c) != channel_key(config) for c, _ in more):
+        raise ValueError("a channel set's scenarios must share master_seed, K, M "
+                         "and n_realizations")
     n, (threads, chunk) = config.n_realizations, _plan(config)
-    powers, halt = np.empty((2, len(variants), n)), threading.Event()
+    powers = np.empty((2, sum(len(v) for _, v in sets), n))
+    halt = threading.Event()
     if not threads:
         with blas_threads(1):
-            _simulate_block(config, variants, 0, n, chunk, powers, halt)
+            _simulate_block(sets, 0, n, chunk, powers, halt)
         return powers
     from concurrent.futures import FIRST_EXCEPTION, wait
     n_chunks = -(-n // chunk)
     bounds = [min(n, chunk * (n_chunks * i // threads)) for i in range(threads + 1)]
     with workers(threads) as pool:
         try:
-            futures = [pool.submit(_simulate_block, config, variants, a, b, chunk,
-                                   powers[..., a:b], halt)
+            futures = [pool.submit(_simulate_block, sets, a, b, chunk, powers[..., a:b], halt)
                        for a, b in zip(bounds[:-1], bounds[1:])]
             for future in wait(futures, return_when=FIRST_EXCEPTION).done:
                 future.result()
@@ -382,16 +440,21 @@ def _powers(config: SystemConfig, variants: list) -> np.ndarray:
     return powers
 
 
-def empirical_powers(config: SystemConfig, variants) -> list[PowerEstimate]:
-    """Monte-Carlo power averages of every (kind, alpha) pair on one draw set.
+def empirical_powers(config: SystemConfig, variants, more=()) -> list[PowerEstimate]:
+    """Monte-Carlo power averages of every (kind, alpha) pair of one
+    channel set: the draw set (config, variants), then the (config,
+    variants) draw sets of more, whose scenarios share config's channel_key.
 
-    Realization i is drawn once and every pair's precoder is built from it;
-    alpha is None for ZF and MF.  Returns one PowerEstimate per pair, in
-    order; it keeps the means, counts and covariance the table reads, not
-    the per-realization powers.  The averages do not depend on the receiver
-    noise level, so one call serves every SNR point of the scenario.  Draws
-    a pair's precoder rejects are dropped for that pair only, and the
-    rejection cap applies per pair.
+    Realization i is drawn once, its channel H for the whole channel set
+    and its phases and W_e per draw set, and every pair's precoder is built
+    from its set's draw; alpha is None for ZF and MF.  Returns one
+    PowerEstimate per pair, in order: variants', then each of more's.  It
+    keeps the means, counts and covariance the table reads, not the
+    per-realization powers.  The averages do not depend on the receiver
+    noise level, so one call serves every SNR point of the scenarios.
+    Draws a pair's precoder rejects are dropped for that pair only, and the
+    rejection cap applies per pair.  Every pair's powers are the bits of a
+    call on its draw set alone.
     """
-    sig, intf = _powers(config, list(variants))
+    sig, intf = _powers(config, variants, more)
     return [_estimate(s, q) for s, q in zip(sig, intf)]

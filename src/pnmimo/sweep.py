@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytics, rates
 from .config import ConfigError, SystemConfig
-from .linksim import check_draw_size, empirical_powers
+from .linksim import channel_key, check_draw_size, empirical_powers
 
 __all__ = ["COLUMNS", "SCHEMA_VERSION", "SWEEP_AXES", "plan_sweep", "run_sweep",
            "run_preset", "rows_to_csv", "rows_to_jsonl", "PRESETS", "Preset"]
@@ -120,8 +120,8 @@ _draw_key = attrgetter(*(name for name in _FIELDS if name not in _NOT_DRAWN))
 def plan_sweep(config: SystemConfig, sweep_axis: str, values,
                precoders=PRECODERS, with_empirical: bool = True,
                preset: str = "") -> tuple[list[dict], list]:
-    """The rows of a sweep with their closed-form cells, and its draw sets,
-    gated on memory: everything run_sweep does but the Monte Carlo.
+    """The rows of a sweep with their closed-form cells, and its channel
+    sets, gated on memory: everything run_sweep does but the Monte Carlo.
 
     This is the one check of what a sweep is given, for the CLI verbs and
     the Python API alike.  Before any point is built it raises ConfigError
@@ -142,11 +142,23 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
     draw key is the scenario minus snr_db, sigma_w2, alpha and parallelism,
     which the Monte-Carlo power averages do not depend on.  A draw set is
     its first scenario and a {(precoder, alpha): rows} dict in first-seen
-    order.  After the pass each draw set is gated once on what its
-    Monte-Carlo run will hold (linksim.check_draw_size, a ConfigError);
-    without with_empirical nothing is drawn, so nothing is gated.
-    validate-config runs this plan as sweep does and stops here.
+    order.  After the pass, the draw sets whose scenarios share
+    linksim.channel_key (master_seed, K, M and n_realizations: the points
+    of an m_osc or sigma_phi sweep, say) form one channel set, a list of
+    draw sets in first-seen order, and each channel set is gated once on
+    what its Monte-Carlo run will hold (linksim.check_draw_size, a
+    ConfigError); without with_empirical nothing is drawn, so nothing is
+    gated.  validate-config runs this plan as sweep does and stops here.
     """
+    return _plan([config], sweep_axis, values, precoders, with_empirical, preset)
+
+
+def _plan(scenarios, sweep_axis: str, values, precoders, with_empirical: bool,
+          preset: str) -> tuple[list[dict], list]:
+    """plan_sweep from each base scenario in turn, with the same axis,
+    values and precoders: their rows in that order, and the channel sets
+    of them all, so draw sets of different base scenarios (a preset's
+    variants) share a channel set where their channel_key is equal."""
     if sweep_axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {sweep_axis!r}")
     try:
@@ -158,34 +170,62 @@ def plan_sweep(config: SystemConfig, sweep_axis: str, values,
                           f"got {' '.join(map(str, values)) or 'none'}")
     if not precoders or not set(precoders) <= set(PRECODERS):
         raise ConfigError(f"precoder: need one or more of {PRECODERS}, got {precoders!r}")
-    base = {name: getattr(config, name) for name in _FIELDS}
     # draw key -> (first scenario with it, {(kind, alpha): its rows})
     rows, groups = [], {}
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for value in values:
-            point = _apply_axis(base, sweep_axis, value)
-            if with_empirical:
-                variants = groups.setdefault(_draw_key(point), (point, {}))[1]
-            # the cells every precoder's row at this point shares, in column order
-            head = dict.fromkeys(COLUMNS)
-            head.update(zip(_SCENARIO_COLUMNS, _scenario_cells(point)), preset=preset,
-                        schema_version=SCHEMA_VERSION, sweep_axis=sweep_axis,
-                        sweep_value=float(value))
-            for kind in precoders:
-                row = dict(head, precoder=kind)
-                alpha = point.rzf_alpha if kind == "rzf" else None
-                # analytics.sinr_<kind>, looked up per call so that a
-                # patched or wrapped closed form is the one that runs
-                args = (point,) if alpha is None else (point, alpha)
-                sinr_a = _cell(getattr(analytics, f"sinr_{kind}"), *args)
-                _set_finite(row, alpha=alpha, analytical_sinr=sinr_a, **rates.rate_report(
-                    sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
-                rows.append(row)
+        for config in scenarios:
+            base = {name: getattr(config, name) for name in _FIELDS}
+            for value in values:
+                point = _apply_axis(base, sweep_axis, value)
                 if with_empirical:
-                    variants.setdefault((kind, alpha), []).append(row)
-    for point, variants in groups.values():
-        check_draw_size(point, len(variants))
-    return rows, list(groups.values())
+                    variants = groups.setdefault(_draw_key(point), (point, {}))[1]
+                # the cells every precoder's row at this point shares, in column order
+                head = dict.fromkeys(COLUMNS)
+                head.update(zip(_SCENARIO_COLUMNS, _scenario_cells(point)), preset=preset,
+                            schema_version=SCHEMA_VERSION, sweep_axis=sweep_axis,
+                            sweep_value=float(value))
+                for kind in precoders:
+                    row = dict(head, precoder=kind)
+                    alpha = point.rzf_alpha if kind == "rzf" else None
+                    # analytics.sinr_<kind>, looked up per call so that a
+                    # patched or wrapped closed form is the one that runs
+                    args = (point,) if alpha is None else (point, alpha)
+                    sinr_a = _cell(getattr(analytics, f"sinr_{kind}"), *args)
+                    _set_finite(row, alpha=alpha, analytical_sinr=sinr_a, **rates.rate_report(
+                        sinr_a, point.tau, point.sigma2_ue, point.sigma2_bs, point.M_osc))
+                    rows.append(row)
+                    if with_empirical:
+                        variants.setdefault((kind, alpha), []).append(row)
+    channel_sets = {}
+    for draw_set in groups.values():
+        channel_sets.setdefault(channel_key(draw_set[0]), []).append(draw_set)
+    for (point, variants), *more in channel_sets.values():
+        check_draw_size(point, variants, more)
+    return rows, list(channel_sets.values())
+
+
+def _run(plan: tuple[list[dict], list]) -> list[dict]:
+    """The rows of a plan, their Monte-Carlo cells filled: one
+    empirical_powers call per channel set, for the (precoder, alpha) pairs
+    of all its draw sets, after which each row reads its SINR off its
+    pair's estimate at its own sigma_w2.  A Monte-Carlo cell
+    (empirical_sinr, std_error) fails as a closed-form cell does, once its
+    channel set ran."""
+    rows, channel_sets = plan
+    for channel_set in channel_sets:
+        (point, variants), *more = channel_set
+        # a draw set's dict iterates its (precoder, alpha) pairs, in the
+        # order empirical_powers returns their estimates
+        members = [pair_rows for _, v in channel_set for pair_rows in v.values()]
+        ests = empirical_powers(point, variants, more)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for est, pair_rows in zip(ests, members):
+                for row in pair_rows:
+                    _set_finite(row, empirical_sinr=_cell(est.sinr_at, row["sigma_w2"]),
+                                std_error=_cell(est.std_error_at, row["sigma_w2"]),
+                                n_realizations=est.n_realizations,
+                                n_rejected=est.n_rejected)
+    return rows
 
 
 def run_sweep(config: SystemConfig, sweep_axis: str, values,
@@ -193,24 +233,13 @@ def run_sweep(config: SystemConfig, sweep_axis: str, values,
               preset: str = "") -> list[dict]:
     """One row per (sweep point, precoder), deterministic given the seed.
 
-    The plan (plan_sweep) builds the rows and their draw sets and raises
-    before any Monte-Carlo work.  Each draw set then makes one
-    empirical_powers call for its (precoder, alpha) pairs, and each row
-    reads its SINR off it at its own sigma_w2; a Monte-Carlo cell
-    (empirical_sinr, std_error) fails as a closed-form cell does, once its
-    draw set ran.
+    The plan (plan_sweep) builds the rows and their channel sets and
+    raises before any Monte-Carlo work.  Each channel set then makes one
+    empirical_powers call, which draws each realization's channel once for
+    all its draw sets, and each row reads its SINR off its (precoder,
+    alpha) pair at its own sigma_w2 (_run).
     """
-    rows, draw_sets = plan_sweep(config, sweep_axis, values, precoders,
-                                 with_empirical, preset)
-    for point, variants in draw_sets:
-        for est, members in zip(empirical_powers(point, list(variants)), variants.values()):
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for row in members:
-                    _set_finite(row, empirical_sinr=_cell(est.sinr_at, row["sigma_w2"]),
-                                std_error=_cell(est.std_error_at, row["sigma_w2"]),
-                                n_realizations=est.n_realizations,
-                                n_rejected=est.n_rejected)
-    return rows
+    return _run(plan_sweep(config, sweep_axis, values, precoders, with_empirical, preset))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +312,21 @@ PRESETS: dict[str, Preset] = {p.name: p for p in [
 
 
 def run_preset(name: str, **config_overrides) -> list[dict]:
+    """The rows of preset `name`: one sweep per variant, in order, with
+    config_overrides applied to the preset's base scenario.
+
+    All variants are planned in one plan (_plan) before any Monte-Carlo
+    work, so a variant that fails its closed forms or the memory gate
+    stops the run before the first draw, and the variants' draw sets that
+    share a channel_key (fig2-fig4's four oscillator counts) run as one
+    channel set, drawing each realization's channel once.
+    """
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown name {name!r}; have {sorted(PRESETS)}")
     p = PRESETS[name]
     base = {**p.config, **config_overrides}
-    return [row for extra in p.variants or ({},)
-            for row in run_sweep(SystemConfig(**{**base, **extra}), p.axis, p.values,
-                                 p.precoders, p.with_empirical, preset=name)]
+    scenarios = [SystemConfig(**{**base, **extra}) for extra in p.variants or ({},)]
+    return _run(_plan(scenarios, p.axis, p.values, p.precoders, p.with_empirical, name))
 
 
 def rows_to_csv(rows: list[dict]) -> str:

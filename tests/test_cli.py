@@ -246,15 +246,20 @@ class TestRunSweep:
         assert calls == ["zf", "mf", "zf", "mf"]
         assert [r["analytical_sinr"] for r in rows if r["precoder"] != "rzf"] == [1.0] * 4
 
-    def test_gate_runs_once_per_draw_set(self, monkeypatch):
+    def test_gate_runs_once_per_channel_set(self, monkeypatch):
+        # gated: (M_osc, pairs) of each draw set of a gated channel set
         gated = []
-        monkeypatch.setattr(sweep, "check_draw_size",
-                            lambda point, n_variants: gated.append((point.M_osc, n_variants)))
+        monkeypatch.setattr(sweep, "check_draw_size", lambda point, variants, more: gated.append(
+            [(point.M_osc, len(variants))] + [(p.M_osc, len(v)) for p, v in more]))
         cfg = SystemConfig(M=20, K=4, M_osc=2, snr_db=10.0)
-        rows, draw_sets = plan_sweep(cfg, "snr", [0.0, 10.0, 20.0])
-        assert gated == [(2, 5)] and len(draw_sets) == 1 and len(rows) == 9
-        plan_sweep(cfg, "m_osc", [1, 2, 4], precoders=("zf",))
-        assert gated[1:] == [(1, 1), (2, 1), (4, 1)]
+        rows, channel_sets = plan_sweep(cfg, "snr", [0.0, 10.0, 20.0])
+        assert gated == [[(2, 5)]] and len(channel_sets) == 1 and len(rows) == 9
+        # three oscillator counts are three draw sets of one channel set; M
+        # (the beta axis) splits the channel set
+        _, channel_sets = plan_sweep(cfg, "m_osc", [1, 2, 4], precoders=("zf",))
+        assert gated[1:] == [[(1, 1), (2, 1), (4, 1)]] and len(channel_sets) == 1
+        _, channel_sets = plan_sweep(cfg, "beta", [5, 10], precoders=("zf",))
+        assert gated[2:] == [[(2, 1)], [(2, 1)]] and len(channel_sets) == 2
         # a closed-form-only sweep draws nothing, so nothing is gated
         del gated[:]
         assert plan_sweep(cfg, "snr", [0.0], with_empirical=False)[1] == []
@@ -265,18 +270,27 @@ class TestRunSweep:
 class TestSharedDraws:
     def test_one_draw_set_per_oscillator_variant(self, monkeypatch):
         # fig2: 4 M_osc variants x 9 SNR points, each with its own optimal
-        # RZF alpha; each realization of a variant builds its own stream once
-        streams = []
-        real = np.random.PCG64
+        # RZF alpha; the variants are four draw sets of one channel set, so
+        # each realization builds its stream once for all four, and one
+        # kernel pass runs them
+        streams, planned, passes = [], [], []
+        real, plan, powers = np.random.PCG64, sweep._plan, linksim._powers
 
         def counted(seed):
             streams.append(seed)
             return real(seed)
 
         monkeypatch.setattr(linksim.np.random, "PCG64", counted)
+        monkeypatch.setattr(sweep, "_plan", lambda *args: planned.append(plan(*args))
+                            or planned[-1])
+        monkeypatch.setattr(linksim, "_powers", lambda *args: passes.append(1)
+                            or powers(*args))
         rows = run_preset("fig2", n_realizations=10)
         assert len(rows) == 4 * 9
-        assert len(streams) == 4 * 10
+        (_, channel_sets), = planned
+        assert [[point.M_osc for point, _ in sets] for sets in channel_sets] == [[1, 2, 5, 50]]
+        assert len(passes) == 1
+        assert len(streams) == 10
 
     @pytest.mark.parametrize("change", [
         dict(snr_db=0.0), dict(snr_db=None, sigma_w2_value=0.3),
@@ -676,6 +690,24 @@ class TestCliEntry:
         assert "n_realizations: the buffers need" in err
         assert "4194304 bytes available" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_gate_counts_every_draw_set_of_a_preset(self, tmp_path, monkeypatch, capsys):
+        # at 10000 realizations one fig2 variant (9 RZF pairs) fits a 4 MiB
+        # machine, but its channel set of four variants (36 pairs) does not:
+        # the preset exits 2 before any precoder is built
+        _machine(monkeypatch, 4 << 20)
+        p, n = PRESETS["fig2"], 10_000
+        for extra in p.variants:
+            plan_sweep(SystemConfig(**{**p.config, **extra}, n_realizations=n), p.axis,
+                       p.values, p.precoders)
+        built = []
+        real = linksim.precoders
+        monkeypatch.setattr(linksim, "precoders", lambda *args: built.append(1) or real(*args))
+        out = tmp_path / "o.csv"
+        assert main(["preset", "fig2", "--realizations", str(n), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_realizations: the buffers need" in err and "4194304 bytes available" in err
+        assert built == [] and not out.exists()
 
     def test_closed_form_preset_is_not_gated(self, monkeypatch, capsys):
         # fig6a draws nothing, so no realization count makes it too large

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from pnmimo.channel import synthesize_estimate
-from pnmimo import config, linksim
+from pnmimo import config, linksim, sweep
 from pnmimo.config import SystemConfig
 from pnmimo.linksim import empirical_powers
 from pnmimo.phase_noise import theta_vector
 from pnmimo.precoding import precoders
-from pnmimo.sweep import plan_sweep
 
 from conftest import (chunks_per_thread, draw_channel, pool_on_two_cores, simulate_wiener,
                       sinr_mf_finite_k, two_worker_threads)
@@ -38,7 +37,7 @@ def _blas_threads_block(threads, parties=1):
     two ranges on one thread."""
     meet = threading.Barrier(parties, timeout=10)
 
-    def block(config_, variants, start, stop, chunk, out, halt):
+    def block(sets, start, stop, chunk, out, halt):
         threads.add(threading.get_ident())
         meet.wait()
         out[...] = config._openblas()[0]()
@@ -255,7 +254,7 @@ class TestEmpiricalSinr:
                 return False
 
             def submit(self, fn, *args, **kwargs):
-                ranges.append(args[2:4])
+                ranges.append(args[1:3])
                 future = Future()
                 future.set_result(fn(*args, **kwargs))
                 return future
@@ -314,7 +313,7 @@ class TestEmpiricalSinr:
 
         threads, meet = set(), threading.Barrier(2, timeout=10)
 
-        def set_calls_block(config_, variants, start, stop, chunk, out, halt):
+        def set_calls_block(sets, start, stop, chunk, out, halt):
             # its powers: the set calls made by the thread that runs it, once
             # both ranges run
             threads.add(threading.get_ident())
@@ -350,9 +349,9 @@ class TestEmpiricalSinr:
         pool_on_two_cores(monkeypatch, 1, cfg.K, cfg.M)
         in_range, block = threading.local(), linksim._simulate_block
 
-        def recorded(config_, variants, start, *rest):
+        def recorded(sets, start, *rest):
             in_range.start = start
-            block(config_, variants, start, *rest)
+            block(sets, start, *rest)
 
         real, range_1_chunks = linksim.precoders, []
 
@@ -450,21 +449,32 @@ class TestChunkDraws:
                            sigma_deg_ue=sigma_deg, snr_db=10.0, ue_index=1,
                            n_realizations=10)
         monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
-        M, k = cfg.M, cfg.ue_index
+        # a second scenario of the same channel set: its last pairs replay as
+        # its own draw set
+        other = replace(cfg, M_osc=5, q0=0.6, ue_index=3)
+        pairs = [(c, variant) for c in (cfg, other) for variant in self.VARIANTS]
         # the default seed is one 32-bit word; 2^70 is three, so the seed hash
         # takes its entropy-longer-than-the-pool branch
         for seed in (cfg.master_seed, 2 ** 70):
-            sig, intf = linksim._powers(replace(cfg, master_seed=seed), self.VARIANTS)
+            sig, intf = linksim._powers(replace(cfg, master_seed=seed), self.VARIANTS,
+                                        [(replace(other, master_seed=seed), self.VARIANTS)])
+            assert sig.shape == (len(pairs), cfg.n_realizations)
             for i in range(cfg.n_realizations):
-                rng = np.random.default_rng((seed, i))
-                H, (bs, ue), H_hat = _draw(M, cfg.K, m_osc, cfg.q0, cfg.sigma2_bs,
-                                           cfg.sigma2_ue, cfg.tau, rng)
-                row_hat = (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T
-                for variant, sig_powers, int_powers in zip(self.VARIANTS, sig, intf):
-                    seen, = precoders(H_hat, cfg.powers, [variant], row_hat)
+                replays = []  # (H_hat, row_hat) of cfg, then of other
+                for c in (cfg, other):
+                    rng = np.random.default_rng((seed, i))
+                    M, k = c.M, c.ue_index
+                    H, (bs, ue), H_hat = _draw(M, c.K, c.M_osc, c.q0, c.sigma2_bs,
+                                               c.sigma2_ue, c.tau, rng)
+                    replays.append(
+                        (H_hat, (H[k] * theta_vector(ue[1, k], bs[1], M)) @ H_hat.conj().T))
+                for j, ((c, variant), sig_powers, int_powers) in enumerate(
+                        zip(pairs, sig, intf)):
+                    H_hat, row_hat = replays[j // len(self.VARIANTS)]
+                    seen, = precoders(H_hat, c.powers, [variant], row_hat)
                     p = np.abs(seen[0]) ** 2
-                    assert sig_powers[i] == p[k]
-                    assert int_powers[i] == p.sum() - p[k]
+                    assert sig_powers[i] == p[c.ue_index]
+                    assert int_powers[i] == p.sum() - p[c.ue_index]
 
 
 class TestSeedWords:
@@ -499,8 +509,8 @@ class TestSeedWords:
 
         def block():
             out = np.empty((2, len(variants), stop - start))
-            linksim._simulate_block(cfg, variants, start, stop, linksim._plan(cfg)[1], out,
-                                    threading.Event())
+            linksim._simulate_block([(cfg, variants)], start, stop, linksim._plan(cfg)[1],
+                                    out, threading.Event())
             return out
 
         one_pass = block()
@@ -565,31 +575,38 @@ class TestDrawSizeGate:
     # chunk that dominates the count; the same sweep at a mid-size shape,
     # whose 8-realization chunks dominate it; that sweep at the fig2 shape on
     # two worker threads, each with its own 65-realization chunk, which
-    # tracemalloc traces as it does the caller's
-    @pytest.mark.parametrize("M, K, n, precoders, snrs, n_variants, parallelism", [
-        pytest.param(20, 4, 20_000, ("rzf",), (10.0,), 1, 1, id="one-pair"),
-        pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, 11, 1, id="snr-sweep"),
-        pytest.param(2000, 40, 4, ("rzf",), (10.0,), 1, 1, id="M-2000"),
-        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, 11, 1, id="M-100-chunk-8"),
-        pytest.param(50, 10, 400, ("rzf", "zf", "mf"), SNRS, 11, 2, id="M-50-pooled")])
-    def test_count_bounds_traced_peak(self, monkeypatch, M, K, n, precoders, snrs,
+    # tracemalloc traces as it does the caller's; fig2's channel set (four
+    # oscillator counts, nine RZF alphas each), serially and on two threads
+    @pytest.mark.parametrize("M, K, n, precoders, snrs, m_oscs, n_variants, parallelism", [
+        pytest.param(20, 4, 20_000, ("rzf",), (10.0,), (2,), 1, 1, id="one-pair"),
+        pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, (2,), 11, 1, id="snr-sweep"),
+        pytest.param(2000, 40, 4, ("rzf",), (10.0,), (2,), 1, 1, id="M-2000"),
+        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, (2,), 11, 1, id="M-100-chunk-8"),
+        pytest.param(50, 10, 400, ("rzf", "zf", "mf"), SNRS, (2,), 11, 2, id="M-50-pooled"),
+        pytest.param(50, 10, 400, ("rzf",), SNRS, (1, 2, 5, 50), 9, 1,
+                     id="fig2-channel-set"),
+        pytest.param(50, 10, 400, ("rzf",), SNRS, (1, 2, 5, 50), 9, 2,
+                     id="fig2-channel-set-pooled")])
+    def test_count_bounds_traced_peak(self, monkeypatch, M, K, n, precoders, snrs, m_oscs,
                                       n_variants, parallelism):
         monkeypatch.setattr(linksim, "_cores", lambda: 2)
-        cfg = SystemConfig(M=M, K=K, M_osc=2, snr_db=10.0, n_realizations=n,
-                           parallelism=parallelism)
-        assert linksim._plan(cfg)[0] == (parallelism if parallelism > 1 else 0)
+        scenarios = [SystemConfig(M=M, K=K, M_osc=m, snr_db=10.0, n_realizations=n,
+                                  parallelism=parallelism) for m in m_oscs]
+        assert linksim._plan(scenarios[0])[0] == (parallelism if parallelism > 1 else 0)
         counted = []
         monkeypatch.setattr(linksim, "check_buffer",
                             lambda name, value, nbytes: counted.append(nbytes))
-        _, draw_sets = plan_sweep(cfg, "snr", snrs, precoders)
-        (point, variants), = draw_sets
-        variants = list(variants)
-        assert len(counted) == 1 and len(variants) == n_variants
+        _, channel_sets = sweep._plan(scenarios, "snr", snrs, precoders, True, "")
+        ((point, variants), *more), = channel_sets
+        variants, more = list(variants), [(p, list(v)) for p, v in more]
+        assert len(counted) == 1 and len(more) == len(m_oscs) - 1
+        assert {len(v) for v in [variants, *(v for _, v in more)]} == {n_variants}
         # first use loads numpy.random and builds the seed type: not the run's
-        empirical_powers(replace(point, n_realizations=2), variants)
+        empirical_powers(replace(point, n_realizations=2), variants,
+                         [(replace(p, n_realizations=2), v) for p, v in more])
         tracemalloc.start()
         try:
-            empirical_powers(point, variants)
+            empirical_powers(point, variants, more)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -605,7 +622,7 @@ class TestDrawSizeGate:
         block = linksim._seed_block(chunk)
 
         def run(n):
-            linksim._simulate_block(cfg, variants, 0, n, chunk, np.empty((2, 1, n)),
+            linksim._simulate_block([(cfg, variants)], 0, n, chunk, np.empty((2, 1, n)),
                                     threading.Event())
 
         run(2)  # first use loads numpy.random
@@ -678,3 +695,94 @@ class TestSharedDraws:
         # one rejection in 64 draws is over the 1e-3 cap for the ZF pair
         with pytest.raises(FloatingPointError, match="rejected"):
             empirical_powers(replace(cfg, n_realizations=64), self.VARIANTS)
+
+
+class TestChannelSets:
+    """One call over draw sets that share their channel draws equals one call
+    per draw set."""
+
+    VARIANTS = [("rzf", 0.05), ("zf", None), ("mf", None)]
+    BASE = dict(M=50, K=10, snr_db=10.0)
+
+    def _sets(self, **fields):
+        return [(SystemConfig(M_osc=m, **self.BASE, **fields), self.VARIANTS)
+                for m in (1, 2, 5, 50)]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_one_call_per_set(self, monkeypatch, chunk, workers):
+        # chunk 3 does not divide n, 20 is the whole block (one thread); ZF
+        # rejects one draw of the M_osc = 5 set, which is NaN for that pair
+        # and set only
+        sets = self._sets(n_realizations=20, parallelism=workers)
+        chosen, (cfg, _) = 7, sets[2]
+        target = _draw(cfg.M, cfg.K, cfg.M_osc, cfg.q0, cfg.sigma2_bs, cfg.sigma2_ue,
+                       cfg.tau, np.random.default_rng((cfg.master_seed, chosen)))[2]
+        real = linksim.precoders
+
+        def reject_chosen(H_hat, powers, variants, left):
+            outs = real(H_hat, powers, variants, left)
+            for j, slice_ in enumerate(H_hat):
+                if np.array_equal(slice_, target):
+                    outs[1][j] = np.nan  # ZF, the second pair
+            return outs
+
+        monkeypatch.setattr(linksim, "precoders", reject_chosen)
+        alone = np.concatenate([linksim._powers(replace(c, parallelism=1), v)
+                                for c, v in sets], axis=1)
+        assert np.isnan(alone[:, 3 * 2 + 1, chosen]).all()
+        assert np.isnan(alone).sum() == 2
+        monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
+        pool_on_two_cores(monkeypatch, chunk, cfg.K, cfg.M)
+        chunks = chunks_per_thread(monkeypatch)
+        (config_, variants), *more = sets
+        joint = linksim._powers(config_, variants, more)
+        assert np.array_equal(joint, alone, equal_nan=True)
+        # one precoders call per draw set and chunk
+        assert sum(chunks.values()) == len(sets) * -(-20 // chunk)
+        assert two_worker_threads(chunks) if workers > 1 and chunk < 20 else len(chunks) == 1
+
+    def test_estimates_match_one_call_per_set(self):
+        sets = self._sets(n_realizations=40)
+        (config_, variants), *more = sets
+        joint = empirical_powers(config_, variants, more)
+        alone = [est for c, v in sets for est in empirical_powers(c, v)]
+        assert len(joint) == len(alone) == 4 * len(self.VARIANTS)
+        for a, b in zip(joint, alone):
+            assert (a.mean_sig_power, a.mean_int_power, a.n_realizations, a.n_rejected) == (
+                b.mean_sig_power, b.mean_int_power, b.n_realizations, b.n_rejected)
+            assert np.array_equal(a.cov, b.cov)
+
+    def test_one_set_saves_no_state(self, monkeypatch):
+        # a single draw set reads its stream straight through: no generator
+        # state is saved or restored
+        reads = []
+        real = np.random.PCG64
+
+        class Watched(real):
+            @property
+            def state(self):
+                reads.append(1)
+                return real.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                reads.append(2)
+                real.state.__set__(self, value)
+
+        monkeypatch.setattr(linksim.np.random, "PCG64", Watched)
+        cfg, variants = self._sets(n_realizations=10)[0]
+        empirical_powers(cfg, variants)
+        assert reads == []
+        (config_, variants), *more = self._sets(n_realizations=10)
+        empirical_powers(config_, variants, more)
+        # one save and three restores per realization
+        assert sorted(reads) == [1] * 10 + [2] * 30
+
+    @pytest.mark.parametrize("change", [dict(master_seed=1), dict(n_realizations=30),
+                                        dict(M=40), dict(K=5)])
+    def test_sets_must_share_the_channel_key(self, change):
+        base = dict(M=20, K=4, M_osc=2, snr_db=10.0, n_realizations=20)
+        cfg, other = SystemConfig(**base), SystemConfig(**{**base, **change})
+        with pytest.raises(ValueError, match="channel set"):
+            empirical_powers(cfg, self.VARIANTS, [(other, self.VARIANTS)])
