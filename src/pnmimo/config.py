@@ -13,8 +13,11 @@ none of them.
 The memory gate (check_buffer) lives here beside ConfigError, its error type,
 and so does the other limit of the machine that pnmimo heeds: the BLAS
 thread count its own work runs at (blas_threads), with the worker threads
-that run it (workers).  numpy.random, which the Monte-Carlo kernel and the
-lemmas verb need, loads on first use through numpy_random.
+that run it (workers).  The count is the process's, so blas_threads holds
+it at one for all its callers together: threads that call pnmimo at once
+(two run_sweep calls, a sweep beside a lemma check) get the bits of serial
+calls.  numpy.random, which the Monte-Carlo kernel and the lemmas verb
+need, loads on first use through numpy_random.
 """
 
 from __future__ import annotations
@@ -75,22 +78,40 @@ def _openblas():
     return None
 
 
+# blas_threads' budget: the callers inside it, and the thread count that
+# the first of them found
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
 @contextlib.contextmanager
-def blas_threads(threads: int):
-    """numpy's OpenBLAS at most `threads` threads for the body of a with
-    statement; the count it had is restored afterwards, whether or not the
-    body raises.  It does nothing where no OpenBLAS is found, and makes no
-    set call where the count is already at most `threads` (a set call makes
-    OpenBLAS re-create its threads)."""
+def blas_threads():
+    """numpy's OpenBLAS at one thread for the body of a with statement.
+
+    The count is process-wide, so one module lock and depth count hold it
+    for every caller at once, nested or on other threads: the first entry
+    saves the count and sets 1, later entries only count, and the last
+    exit restores the saved count, whether or not a body raises.  So a
+    table never depends on how concurrent callers interleave.  It does
+    nothing where no OpenBLAS is found, and makes no set call where the
+    count is already 1 (a set call makes OpenBLAS re-create its threads).
+    """
+    global _blas_depth, _blas_saved
     blas = _openblas()
-    before = blas[0]() if blas is not None else threads
-    if before > threads:
-        blas[1](threads)
+    with _blas_lock:
+        if not _blas_depth and blas is not None:
+            _blas_saved = blas[0]()
+            if _blas_saved > 1:
+                blas[1](1)
+        _blas_depth += 1
     try:
         yield
     finally:
-        if before > threads:
-            blas[1](before)
+        with _blas_lock:
+            _blas_depth -= 1
+            if not _blas_depth and blas is not None and _blas_saved > 1:
+                blas[1](_blas_saved)
 
 
 @contextlib.contextmanager
@@ -98,10 +119,11 @@ def workers(n: int):
     """A pool of n worker threads for the body of a with statement, with
     numpy's OpenBLAS at one thread (blas_threads), so that every thread's
     BLAS work gives the bits of a serial run at one thread.  The threads are
-    joined, and the count restored, when the block exits.  The thread pool's
-    module loads on first use."""
+    joined when the block exits, and the count is restored once no other
+    caller is inside blas_threads.  The thread pool's module loads on first
+    use."""
     from concurrent.futures.thread import ThreadPoolExecutor
-    with blas_threads(1), ThreadPoolExecutor(max_workers=n) as pool:
+    with blas_threads(), ThreadPoolExecutor(max_workers=n) as pool:
         yield pool
 
 

@@ -160,7 +160,7 @@ def check_matrix_inversion_identity(M: int, rng: np.random.Generator,
     Returns the maximum absolute deviation over all trials.
     """
     worst = 0.0
-    with blas_threads(1):
+    with blas_threads():
         for _ in range(n_trials):
             while True:
                 U = _spd(rng.standard_normal((2, M, M)))
@@ -206,7 +206,7 @@ def check_trace_lemma(M_values, rng: np.random.Generator,
     B and the trials' arrays are drawn inside the _trace_gaps call that reads
     them, so no size's arrays outlive that size.
     """
-    with blas_threads(1):
+    with blas_threads():
         # z[t, 0] and z[t, 1] are trial t's x and w as (real, imaginary)
         # rows, the stream use of 2 n_trials _gaussian_vec(M, rng, 1 / M) calls
         per_size = [_trace_gaps(_gaussian_vec(M * M, rng, 1.0).reshape(M, M),

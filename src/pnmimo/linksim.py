@@ -18,23 +18,28 @@ scenario is validated once, by SystemConfig; the stages below it take plain
 arrays and floats.
 
 Realizations run in chunks of a few, sized so that each chunk amortizes its
-fixed interpreter cost within a cache-sized budget (see CHUNK_ELEMENTS).
-Each realization of a chunk draws from its own stream straight into the
-chunk's buffers, in this order: 2KM standard normals for H (real parts, then
-imaginary parts); M_osc uniforms on [0, 1) and M_osc standard normals for the
-BS oscillators; K of each for the UEs; 2KM standard normals for W_e.  H
-comes first whatever the scenario's phase noise, so a channel set draws and
-fills it once per chunk.  With more than one draw set, each generator's
-state is saved after H and restored before every further set draws its
-phases and W_e, so every set reads the stream that it would alone.  The
-scaling runs once per chunk and set: a start phase is 2 pi times its
-uniform, the phase at tau adds sqrt(tau sigma2) times its normal (one
-Gaussian of variance tau sigma2 stands for the tau Wiener steps), and H and
-W_e are sqrt(1/2) times their normals.  Everything after the draws (the
-phase rotations, the estimate, the data-time row, the Gram decomposition and
-every precoder) runs once per set on the chunk's stacked arrays.  A draw ZF
-rejects is a NaN slice of the ZF coefficients, which turns that
-realization's ZF powers into NaN.
+fixed interpreter cost within a cache-sized budget (see CHUNK_ELEMENTS): 32
+at M=50, K=10, where the workspaces below and the larger chunk took 9% off
+the mc_verify benchmark's wall time.  A block (the serial run, or one worker
+thread's index range) allocates its K x M workspaces once, at its chunk
+size, and every chunk fills them in place: the normals, H, W_e and the phase
+rotation that becomes H_hat, which theta_vector and synthesize_estimate
+write through their out arguments.  Each realization of a chunk draws from
+its own stream straight into the chunk's buffers, in this order: 2KM
+standard normals for H (real parts, then imaginary parts); M_osc uniforms on
+[0, 1) and M_osc standard normals for the BS oscillators; K of each for the
+UEs; 2KM standard normals for W_e.  H comes first whatever the scenario's
+phase noise, so a channel set draws and fills it once per chunk.  With more
+than one draw set, each generator's state is saved after H and restored
+before every further set draws its phases and W_e, so every set reads the
+stream that it would alone.  The scaling runs once per chunk and set: a
+start phase is 2 pi times its uniform, the phase at tau adds sqrt(tau
+sigma2) times its normal (one Gaussian of variance tau sigma2 stands for the
+tau Wiener steps), and H and W_e are sqrt(1/2) times their normals.
+Everything after the draws (the phase rotations, the estimate, the data-time
+row, the Gram decomposition and every precoder) runs once per set on the
+chunk's stacked arrays.  A draw ZF rejects is a NaN slice of the ZF
+coefficients, which turns that realization's ZF powers into NaN.
 
 Realization `i` always uses the RNG stream of
 np.random.default_rng((master_seed, i)), and results are assembled by index,
@@ -70,18 +75,24 @@ __all__ = ["PowerEstimate", "empirical_powers", "check_draw_size", "channel_key"
 MAX_REJECTION_RATE = 1e-3
 
 # A chunk stacks CHUNK_ELEMENTS // (K*M) realizations, but never fewer than
-# min(CHUNK_MIN, CHUNK_BUDGET // (K*M)), nor fewer than one.  Each chunk pays
-# a fixed cost of some 80-100 numpy calls (about 150 us on a 2-core x86
-# machine), so a mid-size shape needs several realizations to amortize it,
-# while its K x M stacks stay within a cache-sized budget of elements: 8
-# realizations at M=50, K=10 and at M=100, K=20, 7 at M=150, K=30, 4 at
-# M=200, K=40, and one from K*M = 32768 up.  Larger chunks save no more time
-# and raise peak memory.  On worker threads a chunk stacks
+# min(CHUNK_MIN, CHUNK_BUDGET // (K*M)), nor fewer than one: 32 at M=50,
+# K=10, 8 at M=100, K=20, 7 at M=150, K=30, 4 at M=200, K=40, and one from
+# K*M = 32768 up.  Each chunk pays a fixed cost of some 80-100 numpy calls
+# (about 150 us on a 2-core x86 machine), so a mid-size shape needs several
+# realizations to amortize it.  A block fills its workspaces in place
+# (_simulate_block), so a larger chunk no longer costs page faults: with
+# arrays allocated per chunk, 32 realizations at M=50, K=10 pass glibc's
+# 128 KB mmap threshold, and every chunk faulted back the pages that the
+# last one had freed (9,153 minor faults per pass of the mc_verify
+# benchmark, against 0 at 8).  With the workspaces, mc_verify's wall time
+# fell from 0.111 to 0.103 s at 32 per chunk for 1.0 MB more peak RSS, and
+# to 0.099 s at 64 (CHUNK_ELEMENTS = 32768) for 2.8 MB more
+# (BENCH_chunk_workspaces.json).  On worker threads a chunk stacks
 # max(1, CHUNK_BUDGET // (K*M)) (_plan): 65 at M=50, K=10 and 4 at
 # M=200, K=40.  A thread holds the interpreter lock for each chunk's fixed
 # cost, so at 8 realizations per chunk two threads mostly wait on each
 # other; larger chunks leave more of the time in numpy calls that release it.
-CHUNK_ELEMENTS = 4096
+CHUNK_ELEMENTS = 16384
 CHUNK_MIN = 8
 CHUNK_BUDGET = 32768
 
@@ -159,32 +170,37 @@ def check_draw_size(config: SystemConfig, variants, more=()) -> None:
     hold more than fits in memory at once; variants and more's are counted
     by their pair counts.
 
-    Each of _plan's threads (the caller on the serial path) holds one chunk
-    of _plan's size and one seed block's words with the seed hash's working
-    arrays.  A chunk holds the channel set's H and, with more than one draw
-    set, every realization's saved generator state; then one draw set at a
-    time holds its working arrays (its draws, their complex copies, the
-    Gram's K x K factors, and every pair's rows seen through them).  Each
-    realization holds one pair's reduction to a PowerEstimate and 16 B in
-    every pair's two power arrays, for every draw set, which the worker
-    threads fill in place.  The byte counts bound tracemalloc's peak of a
-    serial and of a pooled run (tests/test_linksim.py).  The error names M
-    when the chunks are the larger part, else n_realizations.
+    Each of _plan's threads (the caller on the serial path) holds one
+    block's workspaces at _plan's chunk size and one seed block's words
+    with the seed hash's working arrays.  The workspaces are the normals
+    buffer, the channel set's H, one draw set's W_e and the phase rotation
+    that becomes H_hat; with more than one draw set, every realization of a
+    chunk also saves its generator state.  Each draw set then allocates its
+    temporaries, counted as if all were held at once: the conjugates of
+    H_hat that the row and the Gram read, MF's magnitudes, the phase
+    exponentials, the Gram's K x K factors and every pair's rows seen
+    through them.  Each realization holds one pair's reduction to a
+    PowerEstimate and 16 B in every pair's two power arrays, for every draw
+    set, which the worker threads fill in place.  The byte counts bound
+    tracemalloc's peak of a serial and of a pooled run
+    (tests/test_linksim.py).  The error names M when the chunks are the
+    larger part, else n_realizations.
     """
     K, M, n = config.K, config.M, config.n_realizations
     threads, chunk = _plan(config)
     pairs = [len(variants), *(len(v) for _, v in more)]
-    # a chunk of b realizations: H's (2, b K, M) float64 draws and complex
-    # copy; per draw set, W_e's draws and complex copy, five complex
-    # (b K, M) arrays (the phase rotation, three terms of the estimate and
-    # the estimate), two complex (b, M) data-time phase rows, 4 complex
-    # b (K, K) arrays (the Gram, U, U^H P^1/2 and a temporary) and, per
-    # pair, 6 complex b K rows (its filter and its temporaries, L C, the
-    # stacked copy and the powers); per realization of a seed block, 32 B
-    # of seed words, the hash's entropy (4 B per 32-bit word of the master
-    # seed, two for the index) and its other arrays (128 B)
+    # a chunk of b realizations: four (b K, M) workspaces (the (2, b K, M)
+    # float64 normals, H, W_e and H_hat, 16 B an entry each); per draw set,
+    # four more complex (b K, M) arrays (the conjugates for the row and the
+    # Gram, MF's two float magnitude arrays, the phase exponentials with
+    # numpy's iteration buffer), two complex (b, M) data-time phase rows,
+    # 4 complex b (K, K) arrays (the Gram, U, U^H P^1/2 and a temporary)
+    # and, per pair, 6 complex b K rows (its filter and its temporaries,
+    # L C, the stacked copy and the powers); per realization of a seed
+    # block, 32 B of seed words, the hash's entropy (4 B per 32-bit word of
+    # the master seed, two for the index) and its other arrays (128 B)
     chunks = max(threads, 1) * (
-        16 * chunk * (K * (9 * M + 4 * K + 6 * max(pairs)) + 2 * M)
+        16 * chunk * (K * (8 * M + 4 * K + 6 * max(pairs)) + 2 * M)
         + (chunk * STATE_BYTES if len(pairs) > 1 else 0)
         + min(n, _seed_block(chunk)) * (4 * len(_uint32_words(config.master_seed)) + 168))
     # 48 B of one pair's reduction
@@ -277,25 +293,28 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _gaussians(z: np.ndarray) -> np.ndarray:
-    """sqrt(1/2) (z[..., 0, :, :] + j z[..., 1, :, :]): unit-variance
-    complex Gaussians from (real, imaginary) standard normals, scaled in
-    place."""
-    z *= np.sqrt(0.5)
-    c = np.empty(z.shape[:-3] + z.shape[-2:], dtype=complex)
-    c.real, c.imag = z[..., 0, :, :], z[..., 1, :, :]
-    return c
+def _gaussians(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sqrt(1/2) (z[..., 0, :, :] + j z[..., 1, :, :]): unit-variance
+    complex Gaussians from (real, imaginary) standard normals, each part
+    scaled straight into its view of out, with the bits of scaling z in
+    place and copying it."""
+    np.multiply(z[..., 0, :, :], np.sqrt(0.5), out=out.real)
+    np.multiply(z[..., 1, :, :], np.sqrt(0.5), out=out.imag)
+    return out
 
 
-def _set_powers(config: SystemConfig, variants, rngs: list, H: np.ndarray) -> np.ndarray:
+def _set_powers(config: SystemConfig, variants, rngs: list, H: np.ndarray,
+                work: tuple) -> np.ndarray:
     """|row_hat C|^2 of one draw set on a chunk: a (len(variants), b, K)
     array from the chunk's channels H, (b, K, M), and its generators, each
-    positioned just after its H, which draw the set's phases and W_e."""
+    positioned just after its H, which draw the set's phases and W_e.  work
+    holds the block's workspaces cut to the chunk, which every stage fills
+    in place: the (b, 2, K, M) normals, free once H is formed, which take
+    W_e's, then W_e and H_hat as (b, K, M) complex."""
     b, K, M = H.shape
-    # bs/ue row 0 is the phase at symbol 0, row 1 at symbol tau; w is W_e
-    # as (real, imaginary) normals
+    w, W_e, H_hat = work
+    # bs/ue row 0 is the phase at symbol 0, row 1 at symbol tau
     bs, ue = np.empty((2, b, config.M_osc)), np.empty((2, b, K))
-    w = np.empty((b, 2, K, M))
     for j, rng in enumerate(rngs):
         rng.random(out=bs[0, j])
         rng.standard_normal(out=bs[1, j])
@@ -306,9 +325,9 @@ def _set_powers(config: SystemConfig, variants, rngs: list, H: np.ndarray) -> np
         phases[0] *= 2.0 * np.pi
         phases[1] *= np.sqrt(config.tau * sigma2)  # std dev of the drift over tau
         phases[1] += phases[0]
-    W_e = _gaussians(w)
-    del w
-    H_hat = synthesize_estimate(H, theta_vector(ue[0], bs[0][:, None], M), config.q0, W_e)
+    # the training-time phase rotation, which becomes H_hat
+    theta_vector(ue[0], bs[0][:, None], M, out=H_hat)
+    synthesize_estimate(H, H_hat, config.q0, _gaussians(w, W_e), out=H_hat)
     # the observed UE's channel row, rotated by its data-time phases, seen
     # through H_hat^H: row @ G = row_hat @ C for every precoder G = H_hat^H C
     k = config.ue_index
@@ -327,12 +346,25 @@ def _simulate_block(sets: list, start: int, stop: int, chunk: int, out: np.ndarr
     pair's precoder rejected.  sets is the channel set: (config, variants)
     draw sets whose scenarios share channel_key.  Returns early, before its
     next chunk, once halt is set.
+
+    The block allocates its K x M workspaces once, at the chunk size: the
+    normals (H's, then each draw set's W_e's), H, W_e and the phase
+    rotation that becomes H_hat.  Every chunk fills them in place (the last
+    one, if short, their leading part); of the stack-sized arrays, only each
+    draw set's temporaries (the conjugates that the row and the Gram read,
+    MF's magnitudes) are still allocated per chunk.
     """
     config = sets[0][0]
     M, K = config.M, config.K
     block = _seed_block(chunk)
     SeedWords = _seed_words_type()
     sig, intf = out
+    # (real, imaginary) normals, then H, W_e and H_hat, each its own array
+    # of one stack's size: glibc raises its mmap threshold, process-wide,
+    # to the largest block freed, and the temporaries free blocks of this
+    # size anyway
+    z = np.empty((min(chunk, stop - start), 2, K, M))
+    H, W_e, H_hat = (np.empty_like(z[:, 0], dtype=complex) for _ in range(3))
     for lo in range(start, stop, chunk):
         if halt.is_set():
             return
@@ -340,20 +372,19 @@ def _simulate_block(sets: list, start: int, stop: int, chunk: int, out: np.ndarr
             first = lo
             words = _seed_words(config.master_seed, lo, min(stop, lo + block))
         b = min(chunk, stop - lo)
-        rngs = [np.random.Generator(np.random.PCG64(SeedWords(w)))
-                for w in words[lo - first:lo - first + b]]
-        z = np.empty((b, 2, K, M))  # H as (real, imaginary) normals
+        rngs = [np.random.Generator(np.random.PCG64(SeedWords(row)))
+                for row in words[lo - first:lo - first + b]]
         for rng, z_j in zip(rngs, z):
             rng.standard_normal(out=z_j)
         saved = [rng.bit_generator.state for rng in rngs] if len(sets) > 1 else ()
-        H = _gaussians(z)
-        del z
+        _gaussians(z[:b], H[:b])
+        work = (z[:b], W_e[:b], H_hat[:b])
         cols, v = slice(lo - start, lo - start + b), 0
         for s, (cfg, variants) in enumerate(sets):
             if s:  # back to just after H
                 for rng, state in zip(rngs, saved):
                     rng.bit_generator.state = state
-            p = _set_powers(cfg, variants, rngs, H)
+            p = _set_powers(cfg, variants, rngs, H[:b], work)
             pairs, k = slice(v, v + len(variants)), cfg.ue_index
             sig[pairs, cols] = p[..., k]
             intf[pairs, cols] = p.sum(axis=-1) - p[..., k]
@@ -423,7 +454,7 @@ def _powers(config: SystemConfig, variants, more=()) -> np.ndarray:
     powers = np.empty((2, sum(len(v) for _, v in sets), n))
     halt = threading.Event()
     if not threads:
-        with blas_threads(1):
+        with blas_threads():
             _simulate_block(sets, 0, n, chunk, powers, halt)
         return powers
     from concurrent.futures import FIRST_EXCEPTION, wait

@@ -18,7 +18,7 @@ import numpy as np
 __all__ = ["theta_vector"]
 
 
-def theta_vector(ue_phases, bs_phases: np.ndarray, M: int) -> np.ndarray:
+def theta_vector(ue_phases, bs_phases: np.ndarray, M: int, out=None) -> np.ndarray:
     """Diagonal of the phase matrix Theta_k at one symbol.
 
     Entry m is exp(j(ue phase + phase of the oscillator feeding antenna m)).
@@ -26,8 +26,20 @@ def theta_vector(ue_phases, bs_phases: np.ndarray, M: int) -> np.ndarray:
     Stacks broadcast as ue_phases[..., None] against bs_phases' (..., M_osc):
     UE phases (b, K) with BS phases (b, 1, M_osc) give (b, K, M).  Each
     oscillator's block shares one exponential, copied to its M/M_osc
-    antennas.
+    antennas.  The result is written into out where given (a complex array
+    of its shape) and returned.  The exponentials are formed in place, as
+    exp(j (phase + 0j)), in out itself when M_osc = M, else in one
+    (..., M_osc) array, so nothing else of the result's size is allocated.
     """
     bs_phases = np.asarray(bs_phases)
-    block = np.exp(1j * (np.asarray(ue_phases)[..., None] + bs_phases))
-    return np.repeat(block, M // bs_phases.shape[-1], axis=-1)
+    ue = np.asarray(ue_phases)[..., None]
+    shape = np.broadcast_shapes(ue.shape, bs_phases.shape)
+    if out is None:
+        out = np.empty(shape[:-1] + (M,), dtype=complex)
+    block = out if shape[-1] == M else np.empty(shape, dtype=complex)
+    np.add(ue, bs_phases, out=block.real)
+    block.imag = 0.0
+    np.exp(np.multiply(1j, block, out=block), out=block)
+    if block is not out:
+        out.reshape(shape + (-1,))[...] = block[..., None]
+    return out

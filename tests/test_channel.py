@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnmimo.channel import synthesize_estimate
 from pnmimo.phase_noise import theta_vector
@@ -80,3 +81,31 @@ class TestSynthesizeEstimate:
         cross = np.mean(W_e * H.conj())
         # each product has unit variance, so the mean's std error is 1/sqrt(n)
         assert abs(cross) <= 3 / np.sqrt(n)
+
+
+class TestSynthesizeEstimateInPlace:
+    """synthesize_estimate writes the bits of the Gauss-Markov formula, into
+    out or into a new array."""
+
+    # out is theta0 itself (the kernel's use), a separate array or None; the
+    # product keeps its operand order, theta0 times H, because under FMA
+    # H times theta0 rounds differently in the last bit
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.37, 1.0]),
+           st.sampled_from([1, 3, 12]), st.integers(1, 3),
+           st.sampled_from(["theta0", "separate", None]))
+    @settings(max_examples=60, deadline=None)
+    def test_out_matches_the_formula(self, seed, q0, M_osc, b, into):
+        rng = np.random.default_rng(seed)
+        K, M = 4, 12
+        H, W_e = (draw_channel(M, b * K, rng).reshape(b, K, M) for _ in range(2))
+        bs, ue = rng.uniform(-7.0, 7.0, (b, 1, M_osc)), rng.uniform(-7.0, 7.0, (b, K))
+        theta0 = theta_vector(ue, bs, M)
+        want = np.sqrt(q0) * (theta0 * H) + np.sqrt(1.0 - q0) * W_e
+        W_work, theta_work = W_e.copy(), theta0.copy()
+        out = {"theta0": theta_work, "separate": np.empty_like(H), None: None}[into]
+        got = synthesize_estimate(H, theta_work, q0, W_work, out=out)
+        assert out is None or got is out
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # W_e is the workspace of its scaled copy
+        scaled = np.sqrt(1.0 - q0) * W_e
+        assert np.array_equal(W_work.view(np.uint64), scaled.view(np.uint64))

@@ -104,7 +104,7 @@ INVALID_INPUTS = [
                  ("trials:",), id="trials-1e18"),
     # indexable, but more than the 16 GiB machine the tests pin (_machine)
     pytest.param("[system]\nM = 1000000000000\nK = 10\nn_realizations = 2\n",
-                 ("M:", "1472000000009816 bytes"), id="M-1e12"),
+                 ("M:", "1312000000009816 bytes"), id="M-1e12"),
     pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
                  ("sizes:", "3840000000000 bytes"), id="sizes-200000"),
     # 80 B per user and 8 KiB, gated before any per-user array is built
@@ -593,18 +593,18 @@ class TestCliEntry:
         assert "Traceback" not in err
 
     # three (kind, alpha) pairs; one chunk of b realizations holds
-    # 16 b (K (9 M + 4 K + 18) + 2 M) bytes, each realization of a seed
+    # 16 b (K (8 M + 4 K + 18) + 2 M) bytes, each realization of a seed
     # block (b times the fewest chunks that reach 2048 realizations, at most
     # n) 172 bytes, and each realization 96 bytes:
-    # 16 (10 x 180058 + 40000) + 268 x 2000 and
-    # 816 (4 x 214 + 40) + 172 x 2091 + 96 x 200000
+    # 16 (10 x 160058 + 40000) + 268 x 2000 and
+    # 3264 (4 x 194 + 40) + 172 x 2244 + 96 x 200000
     @pytest.mark.parametrize("argv, field", [
         pytest.param(["sweep", "M = 20000\nK = 10\n"],
-                     "M: the buffers need 29985280 bytes", id="sweep-M"),
+                     "M: the buffers need 26785280 bytes", id="sweep-M"),
         pytest.param(["validate-config", "M = 20000\nK = 10\n"],
-                     "M: the buffers need 29985280 bytes", id="validate-M"),
+                     "M: the buffers need 26785280 bytes", id="validate-M"),
         pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
-                     "n_realizations: the buffers need 20290788 bytes",
+                     "n_realizations: the buffers need 22249392 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
                      "sizes: the buffers need 25165824 bytes", id="lemmas-sizes"),
@@ -692,10 +692,10 @@ class TestCliEntry:
         assert not out.exists()
 
     def test_gate_counts_every_draw_set_of_a_preset(self, tmp_path, monkeypatch, capsys):
-        # at 10000 realizations one fig2 variant (9 RZF pairs) fits a 4 MiB
+        # at 10000 realizations one fig2 variant (9 RZF pairs) fits an 8 MiB
         # machine, but its channel set of four variants (36 pairs) does not:
         # the preset exits 2 before any precoder is built
-        _machine(monkeypatch, 4 << 20)
+        _machine(monkeypatch, 8 << 20)
         p, n = PRESETS["fig2"], 10_000
         for extra in p.variants:
             plan_sweep(SystemConfig(**{**p.config, **extra}, n_realizations=n), p.axis,
@@ -706,7 +706,7 @@ class TestCliEntry:
         out = tmp_path / "o.csv"
         assert main(["preset", "fig2", "--realizations", str(n), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "n_realizations: the buffers need" in err and "4194304 bytes available" in err
+        assert "n_realizations: the buffers need" in err and "8388608 bytes available" in err
         assert built == [] and not out.exists()
 
     def test_closed_form_preset_is_not_gated(self, monkeypatch, capsys):
@@ -1028,7 +1028,7 @@ def test_lemma_report_independent_of_the_blas_thread_count(tmp_path, capsys,
     reports = []
     for threads in (2, 1):
         out = tmp_path / f"threads{threads}.csv"
-        with config.blas_threads(threads):
+        with config.blas_threads() if threads == 1 else contextlib.nullcontext():
             assert main(argv + ["--out", str(out)]) == 0
         reports.append((out.read_bytes(), capsys.readouterr().err))
     assert reports[0] == reports[1]

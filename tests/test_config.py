@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 from dataclasses import astuple, fields, replace
@@ -16,7 +17,7 @@ from pnmimo.cli import main
 from pnmimo.config import (ConfigError, SystemConfig, deg_to_var, load_config, optimal_alpha,
                            t_pn_second_moment)
 from pnmimo.sweep import (PRECODERS, SWEEP_AXES, _apply_axis, _draw_key, plan_sweep,
-                          run_sweep)
+                          rows_to_csv, run_sweep)
 
 
 class TestValidation:
@@ -404,3 +405,66 @@ class TestSweepPoints:
             return
         assert error is None
         assert _bits(built[0]) == _bits(want)
+
+
+def _in_threads(*targets):
+    """Run each target on its own thread at once; their results, in order,
+    or the first error raised."""
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=len(targets)) as pool:
+        futures = [pool.submit(target) for target in targets]
+        return [future.result() for future in futures]
+
+
+class TestBlasBudget:
+    """config.blas_threads holds one BLAS thread for every caller inside it,
+    on any thread, until the last one leaves."""
+
+    def test_overlapping_callers_keep_one_thread(self, two_blas_threads):
+        # A enters, B enters, A exits: B still reads one thread, and the
+        # process's count is back once both have left
+        a_in, b_in, a_out = (threading.Barrier(2, timeout=10) for _ in range(3))
+
+        def a():
+            with config.blas_threads():
+                inside = two_blas_threads()
+                a_in.wait()
+                b_in.wait()
+            a_out.wait()
+            return inside
+
+        def b():
+            a_in.wait()
+            with config.blas_threads():
+                b_in.wait()
+                a_out.wait()
+                return two_blas_threads()
+
+        assert _in_threads(a, b) == [1, 1]
+        assert two_blas_threads() == 2
+
+    def test_nested_entry_restores_on_the_last_exit(self, two_blas_threads):
+        with pytest.raises(RuntimeError, match="body"):
+            with config.blas_threads():
+                with config.blas_threads():
+                    assert two_blas_threads() == 1
+                assert two_blas_threads() == 1
+                raise RuntimeError("body")
+        assert two_blas_threads() == 2
+
+    def test_concurrent_sweeps_match_their_serial_runs(self, two_blas_threads):
+        # at M=1000, K=200 two OpenBLAS threads move the kernel's bits, so
+        # each table equals its serial run only if neither sweep's exit hands
+        # the other the process's two threads
+        configs = [SystemConfig(M=1000, K=200, M_osc=5, n_realizations=4, master_seed=seed)
+                   for seed in (7, 8)]
+        serial = [rows_to_csv(run_sweep(c, "snr", [0.0, 20.0])) for c in configs]
+        start = threading.Barrier(2, timeout=10)
+
+        def tables(c):
+            start.wait()
+            return [rows_to_csv(run_sweep(c, "snr", [0.0, 20.0])) for _ in range(3)]
+
+        runs = _in_threads(*(lambda c=c: tables(c) for c in configs))
+        assert runs == [[table] * 3 for table in serial]
+        assert two_blas_threads() == 2

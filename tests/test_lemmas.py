@@ -210,7 +210,7 @@ def _same_bits_as_serial(check, serial, seed):
     and leaves its generator in the same state."""
     rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = check(rng_lib)
-    with blas_threads(1):
+    with blas_threads():
         ref = serial(rng_ref)
     assert np.array_equal(got, ref)
     assert rng_lib.bit_generator.state == rng_ref.bit_generator.state

@@ -202,10 +202,10 @@ class TestEmpiricalSinr:
         for powers, r in zip(linksim._powers(cfg, variants), ref):
             assert np.array_equal(powers, r)
 
-    # M=50, K=10 (the fig2-fig4 presets) keeps its 8; mid-size shapes stack
+    # M=50, K=10 (the fig2-fig4 presets) stacks 32; mid-size shapes stack
     # enough realizations to amortize a chunk's fixed cost; from K*M = 32768
     # each realization is its own chunk
-    @pytest.mark.parametrize("M, K, chunk", [(4, 2, 512), (50, 10, 8), (64, 16, 8),
+    @pytest.mark.parametrize("M, K, chunk", [(4, 2, 2048), (50, 10, 32), (64, 16, 16),
                                              (100, 20, 8), (150, 30, 7), (200, 40, 4),
                                              (300, 60, 1), (256, 128, 1), (1000, 200, 1)])
     def test_chunk_rule(self, M, K, chunk):
@@ -216,11 +216,11 @@ class TestEmpiricalSinr:
     # per thread), and the generated M=200, K=40 sweep (500 realizations) on
     # two threads with chunks of 4
     @pytest.mark.parametrize("M, K, M_osc, n, parallelism, plan", [
-        pytest.param(50, 10, 5, 100, 1, (0, 8), id="mc_verify"),
-        pytest.param(50, 10, 5, 100, 2, (0, 8), id="mc_verify-parallelism-2"),
+        pytest.param(50, 10, 5, 100, 1, (0, 32), id="mc_verify"),
+        pytest.param(50, 10, 5, 100, 2, (0, 32), id="mc_verify-parallelism-2"),
         pytest.param(200, 40, 5, 500, 2, (2, 4), id="mc_large"),
         pytest.param(50, 10, 5, 260, 2, (2, 65), id="two-chunks-per-thread"),
-        pytest.param(36, 4, 2, 4000, 2, (0, 28), id="K*M-144"),
+        pytest.param(36, 4, 2, 4000, 2, (0, 113), id="K*M-144"),
         pytest.param(40, 4, 2, 4000, 2, (2, 204), id="K*M-160")])
     def test_plan(self, monkeypatch, M, K, M_osc, n, parallelism, plan):
         monkeypatch.setattr(linksim, "_cores", lambda: 2)
@@ -477,6 +477,23 @@ class TestChunkDraws:
                     assert int_powers[i] == p.sum() - p[c.ue_index]
 
 
+class TestGaussians:
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 1), (3, 2, 4, 7), (2, 2, 10, 50)])
+    def test_scaled_into_out_equals_scale_then_copy(self, shape):
+        # scaling each part straight into its view of the complex output
+        # gives the bits of scaling the normals in place and copying them
+        z = np.random.default_rng(len(shape) + shape[0]).standard_normal(shape)
+        scaled = z.copy()
+        scaled *= np.sqrt(0.5)
+        want = np.empty(shape[:1] + shape[2:], dtype=complex)
+        want.real, want.imag = scaled[:, 0], scaled[:, 1]
+        out = np.full_like(want, np.nan)
+        before = z.copy()
+        assert linksim._gaussians(z, out) is out
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(z, before)
+
+
 class TestSeedWords:
     """The block hash equals numpy's SeedSequence hash of (master_seed, i)."""
 
@@ -576,7 +593,9 @@ class TestDrawSizeGate:
     # whose 8-realization chunks dominate it; that sweep at the fig2 shape on
     # two worker threads, each with its own 65-realization chunk, which
     # tracemalloc traces as it does the caller's; fig2's channel set (four
-    # oscillator counts, nine RZF alphas each), serially and on two threads
+    # oscillator counts, nine RZF alphas each), serially at 32 realizations
+    # per chunk and on two threads; the mc_large benchmark's shape (two SNR
+    # points over all three precoders) run serially, 4 realizations per chunk
     @pytest.mark.parametrize("M, K, n, precoders, snrs, m_oscs, n_variants, parallelism", [
         pytest.param(20, 4, 20_000, ("rzf",), (10.0,), (2,), 1, 1, id="one-pair"),
         pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, (2,), 11, 1, id="snr-sweep"),
@@ -586,7 +605,9 @@ class TestDrawSizeGate:
         pytest.param(50, 10, 400, ("rzf",), SNRS, (1, 2, 5, 50), 9, 1,
                      id="fig2-channel-set"),
         pytest.param(50, 10, 400, ("rzf",), SNRS, (1, 2, 5, 50), 9, 2,
-                     id="fig2-channel-set-pooled")])
+                     id="fig2-channel-set-pooled"),
+        pytest.param(200, 40, 40, ("rzf", "zf", "mf"), (0.0, 20.0), (5,), 4, 1,
+                     id="mc_large-serial")])
     def test_count_bounds_traced_peak(self, monkeypatch, M, K, n, precoders, snrs, m_oscs,
                                       n_variants, parallelism):
         monkeypatch.setattr(linksim, "_cores", lambda: 2)

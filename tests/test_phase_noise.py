@@ -128,6 +128,41 @@ class TestThetaAndDrift:
         assert np.allclose(d, np.repeat(np.exp(1j * np.array([0.8, -2.9])), 4))
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestThetaInPlace:
+    """theta_vector(..., out=) writes the bits of its allocating call."""
+
+    # M_osc is 1, a proper divisor of M, or M; phases cover both signs and
+    # signed zeros
+    @given(st.data(), st.sampled_from([(12, 1), (12, 2), (12, 3), (12, 6), (12, 12),
+                                       (20, 5), (20, 20)]),
+           st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_out_matches_allocating_call(self, data, shape, b, K):
+        M, M_osc = shape
+        phase = st.floats(-100.0, 100.0)
+        ue = np.array(data.draw(st.lists(phase, min_size=b * K, max_size=b * K)),
+                      dtype=float).reshape(b, K)
+        bs = np.array(data.draw(st.lists(phase, min_size=b * M_osc, max_size=b * M_osc)),
+                      dtype=float).reshape(b, 1, M_osc)
+        want = np.repeat(np.exp(1j * (ue[..., None] + bs)), M // M_osc, axis=-1)
+        got = theta_vector(ue, bs, M)
+        out = np.full((b, K, M), np.nan, dtype=complex)
+        assert theta_vector(ue, bs, M, out=out) is out
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(out), _bits(want))
+
+    def test_scalar_ue_phase_row_into_out(self):
+        # the kernel's data-time row shape: (b,) UE phases against (b, M_osc)
+        bs = np.array([[0.3, -1.2], [2.0, 0.0]])
+        out = np.empty((2, 6), dtype=complex)
+        theta_vector(np.array([0.5, -0.5]), bs, 6, out=out)
+        assert np.array_equal(_bits(out), _bits(theta_vector(np.array([0.5, -0.5]), bs, 6)))
+
+
 class TestTPn:
     def test_common_oscillator_unit_magnitude(self):
         rng = np.random.default_rng(5)
