@@ -12,6 +12,8 @@ plain floats.
 
 from __future__ import annotations
 
+import math
+
 from . import rmt
 from .config import ConfigError, SystemConfig
 
@@ -25,6 +27,10 @@ def sinr_rzf(config: SystemConfig, alpha: float) -> float:
     xi^2 = M (1+m)^2 / (m' sum p):
     numerator    p_k * t^2 * q_eff
     denominator  (t2/M)(1 - t*q_eff - t*q_eff/(1+m)) + sigma_w^2/xi^2
+
+    It runs on Python floats: a division by zero raises ZeroDivisionError,
+    and an intermediate that overflows makes the value nan, as numpy's
+    raise mode made both a nan cell when (m, m') were numpy scalars.
     """
     q, p_k, psum = config.q_eff, config.p_k, config.p_sum
     m, mp = rmt.stieltjes_mp(alpha, config.beta)
@@ -32,7 +38,11 @@ def sinr_rzf(config: SystemConfig, alpha: float) -> float:
     t2 = (psum - p_k) * mp / (1.0 + m) ** 2
     xi2 = config.M * (1.0 + m) ** 2 / (mp * psum)
     den = (t2 / config.M) * (1.0 - t * q - t * q / (1.0 + m)) + config.sigma_w2 / xi2
-    return float(p_k * t ** 2 * q / den)
+    sinr = p_k * t ** 2 * q / den
+    # an overflow is inf, and 1/inf is 0: an infinite xi^2, den or SINR is nan
+    if not (math.isfinite(xi2) and math.isfinite(den) and math.isfinite(sinr)):
+        return math.nan
+    return sinr
 
 
 def sinr_zf(config: SystemConfig) -> float:

@@ -10,7 +10,11 @@ threads stop before their next chunk).  main() maps the exception family
 to the code and prints one line on stderr for it, never a traceback; the
 verb handlers only raise.  A failed run writes no table, except a lemmas
 run whose exact identity fails: it writes its CSV and both report lines
-first, then exits 3.
+first, then exits 3.  A table that cannot be written exits 2 with one line
+naming --out's file or stdout (full, closed or a broken pipe), and a failed
+stderr write is dropped: it changes neither the table nor the exit code.
+After a failed write its descriptor points at devnull, so the
+interpreter's final flush cannot fail too.
 A config file is only parsed (config.load_config).  validate-config runs
 sweep's plan (sweep.plan_sweep: the one check of a sweep's axis, values
 and precoders, then every point, closed form and channel-set memory gate)
@@ -20,6 +24,7 @@ and stops before the Monte Carlo.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -95,10 +100,31 @@ def _check_out(out: str) -> None:
     raise ConfigError(f"--out: cannot write {out}: {os.strerror(code)}")
 
 
+def _to_devnull(stream) -> None:
+    """Point the file descriptor under a standard stream whose write failed
+    at devnull, so that the interpreter's final flush of what the stream
+    still buffers succeeds (a failed flush prints "Exception ignored" and
+    exits 120).  Nothing is done for a stream without a descriptor."""
+    with contextlib.suppress(AttributeError, ValueError, OSError):
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
+
+
 def _write(text: str, out: str) -> None:
-    """The one output path of every verb: stdout for '-', else the file out."""
+    """The one output path of every verb: stdout for '-', else the file out.
+    A stdout that is closed or fails raises ConfigError naming stdout."""
     if out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except (AttributeError, ValueError, OSError) as exc:  # None, closed, failing
+            _to_devnull(sys.stdout)
+            reason = getattr(exc, "strerror", None) or "closed"
+            raise ConfigError(f"--out: cannot write stdout: {reason}") from None
         return
     try:
         with open(out, "w", newline="") as fh:
@@ -107,9 +133,19 @@ def _write(text: str, out: str) -> None:
         raise ConfigError(f"--out: cannot write {out}: {exc.strerror}") from None
 
 
+def _report(line: str) -> None:
+    """One line on stderr.  A stderr that is closed or fails drops it, so a
+    report never changes the table or the exit code."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, ValueError, OSError):
+        _to_devnull(sys.stderr)
+
+
 def _emit(rows, args, started: float) -> None:
     _write(rows_to_csv(rows) if args.format == "csv" else rows_to_jsonl(rows), args.out)
-    print(f"{len(rows)} rows in {time.perf_counter() - started:.1f}s", file=sys.stderr)
+    _report(f"{len(rows)} rows in {time.perf_counter() - started:.1f}s")
 
 
 def _cmd_sweep(args) -> None:
@@ -165,10 +201,8 @@ def _cmd_lemmas(args) -> None:
                                                   n_trials=max(args.trials // 2, 10),
                                                   M_osc=m_osc)
     _write(lemmas.convergence_to_csv(records), args.out)
-    print(f"exact identities: matrix-inversion {exact_mi:.2e}, "
-          f"resolvent {exact_res:.2e}", file=sys.stderr)
-    print("quadratic-form deviations at M="
-          f"{top}: {', '.join(f'{d:.3g}' for d in devs)}", file=sys.stderr)
+    _report(f"exact identities: matrix-inversion {exact_mi:.2e}, resolvent {exact_res:.2e}")
+    _report(f"quadratic-form deviations at M={top}: {', '.join(f'{d:.3g}' for d in devs)}")
     if not (exact_mi <= 1e-10 and exact_res <= 1e-10):  # a NaN deviation fails too
         raise FloatingPointError(f"exact identity tolerance 1e-10 exceeded: matrix-inversion "
                                  f"{exact_mi:.2e}, resolvent {exact_res:.2e}")
@@ -178,8 +212,8 @@ def _cmd_validate(args) -> None:
     config, axis, values = load_config(args.config)
     # sweep's own plan: every point, closed form and channel-set memory gate
     plan_sweep(config, axis, values)
-    print(f"ok: M={config.M} K={config.K} M_osc={config.M_osc} "
-          f"q0={config.q0} tau={config.tau} sweep={axis}[{len(values)}]")
+    _write(f"ok: M={config.M} K={config.K} M_osc={config.M_osc} "
+           f"q0={config.q0} tau={config.tau} sweep={axis}[{len(values)}]\n", "-")
 
 
 def main(argv=None) -> int:
@@ -189,16 +223,16 @@ def main(argv=None) -> int:
     try:
         handlers[args.command](args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        _report(f"configuration error: {exc}")
         return EXIT_CONFIG
     except MemoryError as exc:  # a buffer the gates did not count
-        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
+        _report(f"configuration error: out of memory: {exc}")
         return EXIT_CONFIG
     except ArithmeticError as exc:  # a nan cell, the rejection cap, a lemma bound
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _report(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _report("interrupted")
         return EXIT_INTERRUPTED
     return EXIT_OK
 

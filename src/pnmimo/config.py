@@ -8,7 +8,10 @@ the phase increment variances (deg_to_var), E|T_PN|^2
 (t_pn_second_moment), through which phase noise reaches every closed form
 as q_eff = q0 E|T_PN|^2, and the SINR-maximizing RZF regularizer
 (optimal_alpha).  Every other pnmimo module reads this one, and it imports
-none of them.
+none of them.  The numpy work of a derivation (the power profile with its
+pairwise sum, and np.exp of E|T_PN|^2) is memoized per distinct input, so
+a sweep point whose inputs were seen before is derived on Python floats
+alone, with the same bits.
 
 The memory gate (check_buffer) lives here beside ConfigError, its error type,
 and so does the other limit of the machine that pnmimo heeds: the BLAS
@@ -163,6 +166,26 @@ def _sum(p: np.ndarray, entries: tuple) -> float:
         return float(p.sum())
 
 
+def _power_profile(K: int, powers) -> tuple:
+    """(shape, entries, p_sum) of a powers field at K users: the shape of
+    its float64 array, its entries as a tuple of floats (empty where the
+    shape is not (K,)) and their sum (_sum), nan where an entry is < 0.  A
+    NaN entry makes the sum NaN, where min may pass over it, and an inf
+    entry makes it inf."""
+    p = np.full(K, 1.0 / K) if isinstance(powers, str) else np.array(powers, dtype=float)
+    if p.shape != (K,):
+        return p.shape, (), math.nan
+    entries = tuple(p.tolist())
+    return p.shape, entries, _sum(p, entries) if min(entries) >= 0 else math.nan
+
+
+# the power profiles of "equal" and of tuples of floats at up to
+# _MEMO_USERS users are memoized, 16 at most, so the memo holds at most
+# 16 * 2 * 32 * _MEMO_USERS bytes of tuples (1 MiB)
+_MEMO_USERS = 1024
+_memo_power_profile = functools.lru_cache(maxsize=16)(_power_profile)
+
+
 def deg_to_var(sigma_deg: float) -> float:
     """Per-symbol increment variance (rad^2) from a std dev given in degrees,
     inf where the square overflows.  The same bits as
@@ -182,8 +205,15 @@ def t_pn_second_moment(M_osc: int, tau: int, sigma2_bs: float) -> float:
     E|T_PN|^2 = (1 - e^{-tau*sigma2}) / M_osc + e^{-tau*sigma2}; equals 1 for a common
     oscillator and decreases to e^{-tau*sigma2} as M_osc grows.
     """
-    e = float(np.exp(-tau * sigma2_bs))  # np.exp: math.exp's bits differ
+    e = _exp(-tau * sigma2_bs)
     return (1.0 - e) / M_osc + e
+
+
+@functools.lru_cache(maxsize=256)
+def _exp(x: float) -> float:
+    """float(np.exp(x)), memoized: a sweep's points share few exponents.
+    np.exp, since math.exp's bits differ."""
+    return float(np.exp(x))
 
 
 def optimal_alpha(q0: float, e_tpn2: float, sigma_w2: float, beta: float) -> float:
@@ -204,7 +234,7 @@ class SystemConfig:
 
     alpha is the RZF regularizer: None selects the SINR-maximizing value,
     and a set alpha (> 0) is used as is.  powers is stored as a tuple of
-    floats.  Every float field that is set must be finite, and so must tau
+    floats; a tuple of floats is kept as given.  Every float field that is set must be finite, and so must tau
     sigma^2 and the noise variance sigma_w2, which must also be > 0.
     n_realizations >= 2, so every Monte-Carlo row has a finite standard
     error.  K is gated on memory (check_buffer) before any per-user data is
@@ -252,12 +282,16 @@ class SystemConfig:
         # pointers in the powers tuple of the scenario a sweep point is
         # built from; tests/test_config.py checks it against tracemalloc
         check_buffer("K", self.K, 80 * self.K + 8192)
-        if isinstance(self.powers, str):
-            if self.powers != "equal":
-                raise ConfigError(f"powers: unknown keyword {self.powers!r}")
-            p = np.full(self.K, 1.0 / self.K)
-        else:
-            p = np.array(self.powers, dtype=float)
+        powers = self.powers
+        if isinstance(powers, str) and powers != "equal":
+            raise ConfigError(f"powers: unknown keyword {powers!r}")
+        # an ndarray, a list or a tuple of other entries is derived afresh;
+        # a tuple of floats keeps its own entries, since the memo's equal key
+        # may hold -0.0 where it holds 0.0
+        floats = type(powers) is tuple and set(map(type, powers)) == {float}
+        derive = (_memo_power_profile if self.K <= _MEMO_USERS
+                  and (floats or isinstance(powers, str)) else _power_profile)
+        shape, entries, p_sum = derive(self.K, powers)
         for name, value in (("q0", self.q0), ("sigma_deg_bs", self.sigma_deg_bs),
                             ("sigma_deg_ue", self.sigma_deg_ue), ("snr_db", self.snr_db),
                             ("sigma_w2", self.sigma_w2_value), ("alpha", self.alpha)):
@@ -275,12 +309,11 @@ class SystemConfig:
                                ("sigma_deg_ue", self.sigma_deg_ue, sigma2_ue)):
             if deg < 0 or not math.isfinite(self.tau * var):
                 raise ConfigError(f"{name}: need >= 0 and tau * sigma^2 < inf, got {deg}")
-        if p.shape != (self.K,):
-            raise ConfigError(f"powers: shape {p.shape}, expected ({self.K},)")
-        powers = tuple(p.tolist())
-        # a NaN entry makes the sum NaN, where min may pass over it, and an
-        # inf entry makes the sum inf
-        if not min(powers) >= 0 or not 0 < (p_sum := _sum(p, powers)) < math.inf:
+        if shape != (self.K,):
+            raise ConfigError(f"powers: shape {shape}, expected ({self.K},)")
+        if not floats:
+            powers = entries
+        if not 0 < p_sum < math.inf:
             raise ConfigError("powers: need entries >= 0 with a finite positive sum")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha: must be > 0, got {self.alpha}")

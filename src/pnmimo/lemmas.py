@@ -340,8 +340,12 @@ def check_quadratic_form_identities(M: int, q0: float, rng: np.random.Generator,
       w^H U V N^H x    ->  -q2 t1 t2 / (1 + t1) * tr(N^H)/M
     A and U share the eigenvectors of H^H H / M, so one eigendecomposition of
     the K x K Gram H H^H / M gives t1, t2 and every product with A^{-1} or U.
-    Returns the median absolute deviation of each identity.
+    Returns the median absolute deviation of each identity.  An M_osc
+    that does not divide M raises ValueError before any draw.
     """
+    if not 1 <= M_osc <= M or M % M_osc:
+        raise ValueError(f"M_osc: must divide M with 1 <= M_osc <= M, "
+                         f"got M_osc={M_osc}, M={M}")
     with workers(2) as pool:
         devs = _trials(pool, functools.partial(_quadratic_form_devs, q0),
                        _quadratic_form_draws(M, rng, n_trials, M_osc),

@@ -37,7 +37,11 @@ def theta_vector(ue_phases, bs_phases: np.ndarray, M: int, out=None) -> np.ndarr
     if out is None:
         out = np.empty(shape[:-1] + (M,), dtype=complex)
     block = out if shape[-1] == M else np.empty(shape, dtype=complex)
-    np.add(ue, bs_phases, out=block.real)
+    # the sum of the BS and UE phases, each first copied to block's full
+    # shape (real, imag): a ufunc allocates an iteration buffer for each
+    # broadcast operand, a copy none, and addition commutes bit for bit
+    block.real, block.imag = bs_phases, ue
+    np.add(block.real, block.imag, out=block.real)
     block.imag = 0.0
     np.exp(np.multiply(1j, block, out=block), out=block)
     if block is not out:

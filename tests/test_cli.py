@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -30,6 +31,20 @@ from conftest import chunks_per_thread, fresh_env, pool_on_two_cores, two_worker
 
 CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
+
+
+# The verbs whose stdout and stderr failures the subprocess tests cover.
+STREAM_VERBS = [pytest.param(["preset", "fig6a"], id="preset"),
+                pytest.param(["preset", "--list"], id="list"),
+                pytest.param(["lemmas", "--sizes", "8,16", "--trials", "2"], id="lemmas")]
+
+
+def _cli_redirected(argv, redirect: str) -> subprocess.CompletedProcess:
+    """pnmimo.cli with argv in a fresh interpreter, its standard streams
+    captured and then redirected by the shell (">/dev/full", ">&-", "2>&-")."""
+    return subprocess.run(["sh", "-c", f'exec "$0" -m pnmimo.cli "$@" {redirect}',
+                           sys.executable, *argv], capture_output=True, env=fresh_env(),
+                          timeout=120)
 
 
 # Each input exits 2 with a message naming the listed fields: an INI text
@@ -493,6 +508,42 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err == ("configuration error: --out: cannot write /dev/full: "
                        "No space left on device\n")
+
+    @pytest.mark.parametrize("redirect", [
+        pytest.param(">/dev/full", id="full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full")),
+        pytest.param(">&-", id="closed")])
+    @pytest.mark.parametrize("argv", STREAM_VERBS)
+    def test_failed_stdout_exits_2_with_one_line(self, argv, redirect):
+        # no traceback, and no "Exception ignored" or exit 120 from the
+        # interpreter's final flush of what stdout still buffers
+        proc = _cli_redirected(argv, redirect)
+        reason = "closed" if redirect == ">&-" else "No space left on device"
+        assert (proc.returncode, proc.stderr) == (
+            2, f"configuration error: --out: cannot write stdout: {reason}\n".encode())
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv", STREAM_VERBS)
+    def test_closed_stderr_changes_neither_table_nor_exit_code(self, argv, to_file,
+                                                               tmp_path):
+        tables = []
+        for redirect in ("", "2>&-"):
+            out = tmp_path / f"table{len(tables)}.csv"
+            proc = _cli_redirected([*argv, *(["--out", str(out)] if to_file else [])],
+                                   redirect)
+            assert proc.returncode == 0, proc.stderr
+            tables.append(out.read_bytes() if to_file else proc.stdout)
+        assert tables[0] == tables[1] and tables[0]
+
+    def test_broken_pipe_on_stdout_exits_2(self, monkeypatch, capsys):
+        class BrokenPipe(io.StringIO):  # no file descriptor to point at devnull
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["preset", "--list"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --out: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
     @pytest.mark.filterwarnings("error")
     def test_config_without_sweep_exits_2(self, tmp_path, capsys):

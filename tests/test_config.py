@@ -318,7 +318,8 @@ class TestDomain:
             cfg = SystemConfig(**kw)
         except ConfigError:
             return
-        twin = replace(cfg)  # equal fields, its own powers tuple
+        # equal fields, its own powers tuple (a tuple of floats is kept as is)
+        twin = replace(cfg, powers=tuple(list(cfg.powers)))
         assert twin.powers is not cfg.powers
         assert twin == cfg and hash(twin) == hash(cfg) and len({cfg, twin}) == 1
         nudged = copy.copy(cfg)
@@ -405,6 +406,78 @@ class TestSweepPoints:
             return
         assert error is None
         assert _bits(built[0]) == _bits(want)
+
+
+class TestDerivationMemos:
+    """SystemConfig derives the power profile and E|T_PN|^2 once per
+    distinct input, and a memoized derivation has the bits of a fresh one."""
+
+    @staticmethod
+    def _build(kw):
+        try:
+            return _bits(SystemConfig(**kw))
+        except ConfigError as exc:
+            return str(exc)
+
+    # each entry list as a tuple, a list and an ndarray, and "equal"; signed
+    # zeros, so that a memo hit on an equal key meets the other sign
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0, 5e-324, 1e-300, 1e300]),
+                    min_size=1, max_size=4),
+           st.sampled_from(["tuple", "list", "ndarray", "equal"]),
+           st.sampled_from([0.0, 0.5, 6.0, 60.0]))
+    @settings(max_examples=500, deadline=None)
+    def test_memoized_and_fresh_agree_bit_for_bit(self, entries, form, deg):
+        K = len(entries)
+        powers = {"tuple": tuple(entries), "list": list(entries),
+                  "ndarray": np.array(entries), "equal": "equal"}[form]
+        kw = dict(M=4 * K, K=K, M_osc=2, sigma_deg_bs=deg, powers=powers)
+        memoized = [self._build(kw), self._build(kw)]  # the second one hits
+        with mock.patch.object(config, "_memo_power_profile", config._power_profile), \
+                mock.patch.object(config, "_exp", config._exp.__wrapped__):
+            fresh = self._build(kw)
+        assert memoized == [fresh, fresh]
+
+    def test_hit_keeps_the_callers_zero_signs(self):
+        for first, second in (((1.0, 0.0), (1.0, -0.0)), ((1.0, -0.0), (1.0, 0.0))):
+            SystemConfig(M=4, K=2, powers=first)
+            cfg = SystemConfig(M=4, K=2, powers=second)
+            assert cfg.powers is second
+            assert [math.copysign(1.0, p) for p in cfg.powers] == [
+                math.copysign(1.0, p) for p in second]
+
+    # a second point from a built base: the first point warms both memos,
+    # and the second shares its power profile and exponent -tau sigma2_bs
+    @pytest.mark.parametrize("axis,first,second", [
+        ("snr", 5.0, 7.0), ("m_osc", 2.0, 5.0), ("beta", 3.0, 4.0),
+        ("sigma_phi", 0.2, 0.2), ("alpha", 0.2, 0.3)])
+    def test_warm_sweep_point_makes_no_numpy_call(self, monkeypatch, axis, first, second):
+        base = _fields(SystemConfig(M=50, K=10, M_osc=5))
+        _apply_axis(base, axis, first)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy called")
+
+        for name in ("array", "full", "exp", "sqrt"):
+            monkeypatch.setattr(np, name, forbidden)
+        point = _apply_axis(base, axis, second)
+        assert all(type(v) is float for v in (
+            analytics.sinr_rzf(point, point.rzf_alpha), analytics.sinr_zf(point),
+            analytics.sinr_mf(point), point.p_sum, point.e_tpn2))
+
+    def test_memos_stay_bounded(self):
+        for K in range(1, 41):  # 40 distinct "equal" profiles and their tuples
+            _apply_axis(_fields(SystemConfig(M=2 * K, K=K)), "snr", 0.0)
+        for tenth in range(600):  # 600 distinct exponents
+            SystemConfig(sigma_deg_bs=tenth / 10)
+        for memo in (config._memo_power_profile, config._exp):
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize <= 256
+        # a profile of more users is derived afresh every time
+        before = config._memo_power_profile.cache_info()
+        K = config._MEMO_USERS + 1
+        SystemConfig(M=K, K=K)
+        after = config._memo_power_profile.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def _in_threads(*targets):

@@ -402,3 +402,13 @@ class TestQuadraticForms:
         rng = np.random.default_rng(11)
         devs = check_quadratic_form_identities(256, 1.0, rng, n_trials=20, M_osc=32)
         assert np.all(devs < 0.2)
+
+
+def test_quadratic_forms_reject_an_oscillator_count_not_dividing_M():
+    # the default M_osc = 5 does not divide 512: rejected before any draw
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^M_osc: must divide M with 1 <= M_osc <= M, "
+                                         "got M_osc=5, M=512$"):
+        check_quadratic_form_identities(512, 0.9, rng)
+    assert rng.bit_generator.state == state

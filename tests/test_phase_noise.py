@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,23 @@ class TestThetaInPlace:
         out = np.empty((2, 6), dtype=complex)
         theta_vector(np.array([0.5, -0.5]), bs, 6, out=out)
         assert np.array_equal(_bits(out), _bits(theta_vector(np.array([0.5, -0.5]), bs, 6)))
+
+
+def test_theta_into_out_allocates_no_iteration_buffer():
+    # the kernel's training-time stack: (b, K) UE phases against (b, 1, M)
+    # BS phases, where a ufunc on the two broadcast operands allocated a
+    # 128 KB iteration buffer
+    rng = np.random.default_rng(0)
+    ue, bs = rng.uniform(0.0, 6.0, (32, 10)), rng.uniform(0.0, 6.0, (32, 1, 50))
+    out = np.empty((32, 10, 50), dtype=complex)
+    theta_vector(ue, bs, 50, out=out)
+    tracemalloc.start()
+    try:
+        theta_vector(ue, bs, 50, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384
 
 
 class TestTPn:

@@ -1,13 +1,15 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnmimo.analytics import sinr_rzf, sinr_zf
-from pnmimo.config import SystemConfig, deg_to_var, optimal_alpha, t_pn_second_moment
+from pnmimo.config import (ConfigError, SystemConfig, deg_to_var, optimal_alpha,
+                           t_pn_second_moment)
 from pnmimo.rmt import stieltjes_mp
-from pnmimo.sweep import PRESETS
+from pnmimo.sweep import PRESETS, _cell
 
 from conftest import empirical_resolvent_trace
 
@@ -227,3 +229,87 @@ class TestOptimalAlpha:
             best = sinr_rzf(cfg, a_star)
             for a in grid:
                 assert best >= sinr_rzf(cfg, float(a)) * (1 - 1e-9)
+
+
+def stieltjes_mp_numpy(alpha, beta):
+    """stieltjes_mp with its square root on a numpy scalar, so that (m, m')
+    and all arithmetic after it run on numpy scalars: the oracle of the
+    Python-float bits and failures."""
+    s = np.sqrt(beta * beta * alpha * alpha + 2 * (beta + 1) * alpha * beta + (1 - beta) ** 2)
+    f = beta - 1 - alpha * beta + s
+    m = f / (2 * alpha * beta)
+    ds = beta * (beta * alpha + beta + 1) / s
+    return m, -((-beta + ds) * alpha - f) / (2 * alpha * alpha * beta)
+
+
+def sinr_rzf_numpy(config, alpha):
+    """sinr_rzf on the numpy-scalar (m, m'), where numpy's raise mode
+    turned an overflow into an error."""
+    q, p_k, psum = config.q_eff, config.p_k, config.p_sum
+    m, mp = stieltjes_mp_numpy(alpha, config.beta)
+    t = m / (m + 1.0)
+    t2 = (psum - p_k) * mp / (1.0 + m) ** 2
+    xi2 = config.M * (1.0 + m) ** 2 / (mp * psum)
+    den = (t2 / config.M) * (1.0 - t * q - t * q / (1.0 + m)) + config.sigma_w2 / xi2
+    return float(p_k * t ** 2 * q / den)
+
+
+def _pair_outcome(alpha, beta, stieltjes):
+    """(m, m') as hex, or "fails" where either is not finite or the
+    evaluation raises an ArithmeticError, under a sweep plan's raise mode."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            pair = stieltjes(alpha, beta)
+        except ArithmeticError:
+            return "fails"
+    return (tuple(float(v).hex() for v in pair) if all(map(math.isfinite, pair))
+            else "fails")
+
+
+# alpha and beta from the subnormal floor to the largest float
+_ALPHAS = st.one_of(st.floats(5e-324, 1.7e308), st.sampled_from(
+    [5e-324, 1e-320, 1e-310, 1e-160, 1e-155, 1.0, 1e154, 1e160, 1e300, 1.7e308]))
+_BETAS = st.one_of(st.floats(1.0, 1.7e308), st.sampled_from(
+    [1.0, 1.0000000000000002, 2.0, 1e10, 1e154, 1.3e154, 1e155, 1e300]))
+
+
+class TestPythonFloats:
+    """stieltjes_mp and sinr_rzf run on Python floats with the bits and the
+    failures of their numpy-scalar evaluation."""
+
+    def test_pair_is_python_floats(self):
+        assert {type(v) for v in stieltjes_mp(0.5, 2.0)} == {float}
+
+    @given(_ALPHAS, _BETAS)
+    @example(1e-160, 7.943636790085676e17)
+    @example(2.691140997223353e205, 1.0)
+    @settings(max_examples=1000, deadline=None)
+    def test_pair_matches_numpy_scalars(self, alpha, beta):
+        assert (_pair_outcome(alpha, beta, stieltjes_mp)
+                == _pair_outcome(alpha, beta, stieltjes_mp_numpy))
+
+    # the scenarios where an intermediate overflows to inf, which numpy's
+    # raise mode failed and 1/inf would hide, give the same nan cell
+    @given(st.integers(1, 50), st.one_of(st.integers(1, 10), st.integers(1, 10 ** 300)),
+           _ALPHAS, st.floats(-3100.0, 3100.0), st.floats(0.0, 1.0),
+           st.sampled_from([0.0, 6.0, 100.0]),
+           st.one_of(st.just("equal"), st.lists(
+               st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300]), min_size=3, max_size=3)))
+    @example(2, 1, 1e-160, -3080.0, 0.9, 6.0, "equal")
+    @example(1, 1, 1e-155, -3000.0, 0.9, 6.0, "equal")
+    @example(10, 5, 1.0, 20.0, 0.9, 6.0, [1e300, 1e300, 0.0])
+    @example(183541, 1, 1e-155, 0.0, 1e-48, 6.0, "equal")
+    @settings(max_examples=1500, deadline=None)
+    def test_rzf_cell_matches_numpy_scalars(self, K, ratio, alpha, snr_db, q0, deg, powers):
+        if not isinstance(powers, str):
+            K = len(powers)
+        try:
+            cfg = SystemConfig(M=K * ratio, K=K, q0=q0, sigma_deg_bs=deg, snr_db=snr_db,
+                               alpha=alpha, powers=powers if isinstance(powers, str)
+                               else tuple(powers), n_realizations=2)
+        except ConfigError:
+            return
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _cell(sinr_rzf, cfg, alpha)
+            want = _cell(sinr_rzf_numpy, cfg, alpha)
+        assert got.hex() == want.hex()  # nan and inf cells compare as text
