@@ -11,8 +11,10 @@ to the code and prints one line on stderr for it, never a traceback; the
 verb handlers only raise.  A failed run writes no table, except a lemmas
 run whose exact identity fails: it writes its CSV and both report lines
 first, then exits 3.  A table that cannot be written exits 2 with one line
-naming --out's file or stdout (full, closed or a broken pipe), and a failed
-stderr write is dropped: it changes neither the table nor the exit code.
+naming --out's file or stdout (full, closed or a broken pipe); a stdout
+closed at start-up, like a missing --out directory, is found before any
+work runs.  A failed stderr write is dropped: it changes neither the table
+nor the exit code.
 After a failed write its descriptor points at devnull, so the
 interpreter's final flush cannot fail too.
 A config file is only parsed (config.load_config).  validate-config runs
@@ -88,8 +90,11 @@ def _overrides(args) -> dict:
 
 
 def _check_out(out: str) -> None:
-    """Reject an --out target that cannot be created, before any work runs."""
+    """Reject an --out target that cannot be created, or a stdout that is
+    closed (None), before any work runs."""
     if out == "-":
+        if sys.stdout is None:
+            raise ConfigError("--out: cannot write stdout: closed")
         return
     if not os.path.isdir(os.path.dirname(out) or "."):
         code = errno.ENOENT
@@ -209,6 +214,7 @@ def _cmd_lemmas(args) -> None:
 
 
 def _cmd_validate(args) -> None:
+    _check_out("-")
     config, axis, values = load_config(args.config)
     # sweep's own plan: every point, closed form and channel-set memory gate
     plan_sweep(config, axis, values)

@@ -153,30 +153,21 @@ def check_buffer(name: str, value, nbytes: int) -> None:
                           f"the {limit} bytes available, got {name} = {value}")
 
 
-def _sum(p: np.ndarray, entries: tuple) -> float:
-    """p.sum() as a float, inf where it overflows: numpy's pairwise sum,
-    whose bits the closed forms read; entries holds p's values as floats.
-    numpy reports an overflow (a RuntimeWarning, or a FloatingPointError
-    under a sweep plan's raise mode), so it is muted where one can happen:
-    entries all below the largest float over 2 len(p) cannot overflow the
-    sum, rounding included, and skip the cost of muting it."""
-    if max(entries) < sys.float_info.max / (2 * len(entries)):
-        return float(p.sum())
-    with np.errstate(over="ignore"):
-        return float(p.sum())
-
-
 def _power_profile(K: int, powers) -> tuple:
     """(shape, entries, p_sum) of a powers field at K users: the shape of
     its float64 array, its entries as a tuple of floats (empty where the
-    shape is not (K,)) and their sum (_sum), nan where an entry is < 0.  A
-    NaN entry makes the sum NaN, where min may pass over it, and an inf
-    entry makes it inf."""
+    shape is not (K,)) and their sum, nan where an entry is < 0.  The sum
+    is numpy's pairwise sum, whose bits the closed forms read, and inf
+    where it overflows; numpy would report that overflow (a RuntimeWarning,
+    or a FloatingPointError under a sweep plan's raise mode), so it is
+    muted, which changes no value.  A NaN entry makes the sum NaN, where
+    min may pass over it, and an inf entry makes it inf."""
     p = np.full(K, 1.0 / K) if isinstance(powers, str) else np.array(powers, dtype=float)
     if p.shape != (K,):
         return p.shape, (), math.nan
     entries = tuple(p.tolist())
-    return p.shape, entries, _sum(p, entries) if min(entries) >= 0 else math.nan
+    with np.errstate(over="ignore"):
+        return p.shape, entries, float(p.sum()) if min(entries) >= 0 else math.nan
 
 
 # the power profiles of "equal" and of tuples of floats at up to

@@ -17,10 +17,10 @@ their channel draws too: one kernel pass runs them as one channel set.  The
 scenario is validated once, by SystemConfig; the stages below it take plain
 arrays and floats.
 
-Realizations run in chunks of a few, sized so that each chunk amortizes its
-fixed interpreter cost within a cache-sized budget (see CHUNK_ELEMENTS): 32
-at M=50, K=10, where the workspaces below and the larger chunk took 9% off
-the mc_verify benchmark's wall time.  A block (the serial run, or one worker
+Realizations run in chunks, sized by one rule on the serial path and on
+every worker thread (_chunk): each chunk amortizes its fixed interpreter
+cost within a budget of CHUNK_BUDGET stacked channel entries, 65
+realizations at M=50, K=10.  A block (the serial run, or one worker
 thread's index range) allocates its K x M workspaces once, at its chunk
 size, and every chunk fills them in place: the normals, H, W_e and the phase
 rotation that becomes H_hat, which theta_vector and synthesize_estimate
@@ -74,26 +74,13 @@ __all__ = ["PowerEstimate", "empirical_powers", "check_draw_size", "channel_key"
 # fraction of draws fails the condition cap.
 MAX_REJECTION_RATE = 1e-3
 
-# A chunk stacks CHUNK_ELEMENTS // (K*M) realizations, but never fewer than
-# min(CHUNK_MIN, CHUNK_BUDGET // (K*M)), nor fewer than one: 32 at M=50,
-# K=10, 8 at M=100, K=20, 7 at M=150, K=30, 4 at M=200, K=40, and one from
-# K*M = 32768 up.  Each chunk pays a fixed cost of some 80-100 numpy calls
-# (about 150 us on a 2-core x86 machine), so a mid-size shape needs several
-# realizations to amortize it.  A block fills its workspaces in place
-# (_simulate_block), so a larger chunk no longer costs page faults: with
-# arrays allocated per chunk, 32 realizations at M=50, K=10 pass glibc's
-# 128 KB mmap threshold, and every chunk faulted back the pages that the
-# last one had freed (9,153 minor faults per pass of the mc_verify
-# benchmark, against 0 at 8).  With the workspaces, mc_verify's wall time
-# fell from 0.111 to 0.103 s at 32 per chunk for 1.0 MB more peak RSS, and
-# to 0.099 s at 64 (CHUNK_ELEMENTS = 32768) for 2.8 MB more
-# (BENCH_chunk_workspaces.json).  On worker threads a chunk stacks
-# max(1, CHUNK_BUDGET // (K*M)) (_plan): 65 at M=50, K=10 and 4 at
-# M=200, K=40.  A thread holds the interpreter lock for each chunk's fixed
-# cost, so at 8 realizations per chunk two threads mostly wait on each
-# other; larger chunks leave more of the time in numpy calls that release it.
-CHUNK_ELEMENTS = 16384
-CHUNK_MIN = 8
+# A chunk stacks max(1, CHUNK_BUDGET // (K*M)) realizations (_chunk), on
+# the serial path and on every worker thread alike: 65 at M=50, K=10, 16 at
+# M=100, K=20, 4 at M=200, K=40, and one from K*M = 32768 up.  Each chunk
+# pays a fixed cost of some 80-100 numpy calls under the interpreter lock,
+# which a larger chunk amortizes; a block fills its workspaces in place
+# (_simulate_block), so a larger chunk costs no page faults
+# (BENCH_chunk_workspaces.json, BENCH_one_chunk_rule.json).
 CHUNK_BUDGET = 32768
 
 # Worker threads run only where two of them measured faster than the serial
@@ -158,7 +145,7 @@ class PowerEstimate:
 
 
 def _chunk(K: int, M: int) -> int:
-    return max(CHUNK_ELEMENTS // (K * M), min(CHUNK_MIN, CHUNK_BUDGET // (K * M)), 1)
+    return max(1, CHUNK_BUDGET // (K * M))
 
 
 def _seed_block(chunk: int) -> int:
@@ -414,19 +401,15 @@ def _cores() -> int:
 
 
 def _plan(config: SystemConfig) -> tuple[int, int]:
-    """(threads, chunk) of an empirical_powers call: at most
-    config.parallelism worker threads, never more than the process's cores,
-    each with at least POOL_MIN_CHUNKS pooled chunks of
-    max(1, CHUNK_BUDGET // (K*M)) realizations.  Fewer than two threads, or
-    K*M below POOL_MIN_ELEMENTS, is (0, _chunk's serial rule): the caller
-    runs the kernel itself."""
-    K, M = config.K, config.M
-    chunk = max(1, CHUNK_BUDGET // (K * M))
+    """(threads, chunk) of an empirical_powers call, chunk by _chunk: at
+    most config.parallelism worker threads, never more than the process's
+    cores, each with at least POOL_MIN_CHUNKS chunks.  Fewer than two
+    threads, or K*M below POOL_MIN_ELEMENTS, is 0 threads: the caller runs
+    the kernel itself."""
+    chunk = _chunk(config.K, config.M)
     threads = min(config.parallelism, _cores(),
                   -(-config.n_realizations // chunk) // POOL_MIN_CHUNKS)
-    if threads > 1 and K * M >= POOL_MIN_ELEMENTS:
-        return threads, chunk
-    return 0, _chunk(K, M)
+    return (threads if threads > 1 and config.K * config.M >= POOL_MIN_ELEMENTS else 0), chunk
 
 
 def _powers(config: SystemConfig, variants, more=()) -> np.ndarray:

@@ -33,9 +33,9 @@ def fresh_env() -> dict:
 
 
 def pool_on_two_cores(monkeypatch, chunk: int, K: int, M: int) -> None:
-    """Pooled chunks of `chunk` realizations at K x M (linksim.CHUNK_BUDGET
-    // (K M)) on a process with 2 cores, with the pool's shape and
-    chunks-per-thread floors lifted, so that a run of two or more such
+    """Chunks of `chunk` realizations at K x M (linksim.CHUNK_BUDGET //
+    (K M), on both paths) on a process with 2 cores, with the pool's shape
+    and chunks-per-thread floors lifted, so that a run of two or more such
     chunks at a parallelism above 1 runs on two worker threads."""
     from pnmimo import linksim
     monkeypatch.setattr(linksim, "CHUNK_BUDGET", chunk * K * M)

@@ -33,15 +33,28 @@ CFG_TEXT = ("[system]\nM = 20\nK = 4\nM_osc = 2\nq0 = 0.9\nsnr_db = 10\n"
             "n_realizations = 40\n\n[sweep]\naxis = snr\nvalues = 0 10\n")
 
 
-# The verbs whose stdout and stderr failures the subprocess tests cover.
+# The verbs whose stdout and stderr failures the subprocess tests cover;
+# INI stands for a config file of CFG_TEXT.
+INI = "<run.ini>"
 STREAM_VERBS = [pytest.param(["preset", "fig6a"], id="preset"),
                 pytest.param(["preset", "--list"], id="list"),
-                pytest.param(["lemmas", "--sizes", "8,16", "--trials", "2"], id="lemmas")]
+                pytest.param(["lemmas", "--sizes", "8,16", "--trials", "2"], id="lemmas"),
+                pytest.param(["sweep", INI], id="sweep"),
+                pytest.param(["validate-config", INI], id="validate")]
+# Each of them writing to stdout, and each but validate-config (which has
+# no --out) writing to a file
+TABLE_TARGETS = [pytest.param(p.values[0], to_file, id=f"{p.id}-{target}")
+                 for p in STREAM_VERBS for to_file, target in ((False, "stdout"), (True, "out"))
+                 if not (to_file and p.values[0][0] == "validate-config")]
 
 
-def _cli_redirected(argv, redirect: str) -> subprocess.CompletedProcess:
+def _cli_redirected(argv, redirect: str, tmp_path) -> subprocess.CompletedProcess:
     """pnmimo.cli with argv in a fresh interpreter, its standard streams
-    captured and then redirected by the shell (">/dev/full", ">&-", "2>&-")."""
+    captured and then redirected by the shell (">/dev/full", ">&-", "2>&-");
+    INI in argv is a config file of CFG_TEXT in tmp_path."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(CFG_TEXT)
+    argv = [str(ini) if arg == INI else arg for arg in argv]
     return subprocess.run(["sh", "-c", f'exec "$0" -m pnmimo.cli "$@" {redirect}',
                            sys.executable, *argv], capture_output=True, env=fresh_env(),
                           timeout=120)
@@ -514,26 +527,42 @@ class TestCliEntry:
             not os.path.exists("/dev/full"), reason="no /dev/full")),
         pytest.param(">&-", id="closed")])
     @pytest.mark.parametrize("argv", STREAM_VERBS)
-    def test_failed_stdout_exits_2_with_one_line(self, argv, redirect):
+    def test_failed_stdout_exits_2_with_one_line(self, argv, redirect, tmp_path):
         # no traceback, and no "Exception ignored" or exit 120 from the
         # interpreter's final flush of what stdout still buffers
-        proc = _cli_redirected(argv, redirect)
+        proc = _cli_redirected(argv, redirect, tmp_path)
         reason = "closed" if redirect == ">&-" else "No space left on device"
         assert (proc.returncode, proc.stderr) == (
             2, f"configuration error: --out: cannot write stdout: {reason}\n".encode())
 
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    @pytest.mark.parametrize("argv", STREAM_VERBS)
+    @pytest.mark.parametrize("argv, to_file", TABLE_TARGETS)
     def test_closed_stderr_changes_neither_table_nor_exit_code(self, argv, to_file,
                                                                tmp_path):
         tables = []
         for redirect in ("", "2>&-"):
             out = tmp_path / f"table{len(tables)}.csv"
             proc = _cli_redirected([*argv, *(["--out", str(out)] if to_file else [])],
-                                   redirect)
+                                   redirect, tmp_path)
             assert proc.returncode == 0, proc.stderr
             tables.append(out.read_bytes() if to_file else proc.stdout)
         assert tables[0] == tables[1] and tables[0]
+
+    @pytest.mark.parametrize("argv, work", [
+        pytest.param(["lemmas"], (lemmas, "check_matrix_inversion_identity"), id="lemmas"),
+        pytest.param(["preset", "fig2"], (sweep, "empirical_powers"), id="preset"),
+        pytest.param(["validate-config", INI], (cli, "plan_sweep"), id="validate")])
+    def test_closed_stdout_exits_2_before_any_work(self, argv, work, cfg_file, monkeypatch,
+                                                   capsys):
+        # a stdout closed at start-up (">&-") is None: the run stops before
+        # its first lemma check, Monte-Carlo draw or plan
+        calls, real = [], getattr(*work)
+        monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(1)
+                            or real(*args, **kwargs))
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([cfg_file if arg == INI else arg for arg in argv]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "configuration error: --out: cannot write stdout: closed\n")
 
     def test_broken_pipe_on_stdout_exits_2(self, monkeypatch, capsys):
         class BrokenPipe(io.StringIO):  # no file descriptor to point at devnull
@@ -648,14 +677,14 @@ class TestCliEntry:
     # block (b times the fewest chunks that reach 2048 realizations, at most
     # n) 172 bytes, and each realization 96 bytes:
     # 16 (10 x 160058 + 40000) + 268 x 2000 and
-    # 3264 (4 x 194 + 40) + 172 x 2244 + 96 x 200000
+    # 6544 (4 x 194 + 40) + 172 x 2454 + 96 x 200000
     @pytest.mark.parametrize("argv, field", [
         pytest.param(["sweep", "M = 20000\nK = 10\n"],
                      "M: the buffers need 26785280 bytes", id="sweep-M"),
         pytest.param(["validate-config", "M = 20000\nK = 10\n"],
                      "M: the buffers need 26785280 bytes", id="validate-M"),
         pytest.param(["sweep", "M = 20\nK = 4\nn_realizations = 200000\n"],
-                     "n_realizations: the buffers need 22249392 bytes",
+                     "n_realizations: the buffers need 24961992 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
                      "sizes: the buffers need 25165824 bytes", id="lemmas-sizes"),
@@ -981,8 +1010,8 @@ def toy_scenarios(draw) -> SystemConfig:
                         master_seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
-# the fig2 shape: 8-realization chunks serially, 65 on the workers, whose
-# second range ends in a partial chunk
+# the fig2 shape: chunks of 65 serially and on the workers, whose second
+# range ends in a partial chunk
 @given(toy_scenarios())
 @example(SystemConfig(M=50, K=10, M_osc=5, n_realizations=150))
 @settings(max_examples=6, deadline=None)

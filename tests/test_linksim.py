@@ -173,11 +173,11 @@ class TestEmpiricalSinr:
         assert a.std_error_at(cfg.sigma_w2) == b.std_error_at(cfg.sigma_w2)
 
     @pytest.mark.parametrize("chunk", [1, 3, 50])
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_chunk_size_does_not_change_bits(self, monkeypatch, chunk, workers):
-        # `chunk` realizations share one stacked pass, serially (_chunk) and
-        # on two worker threads (CHUNK_BUDGET // (K M)); 3 does not divide
-        # n, 50 is the whole block, which one thread runs
+        # `chunk` realizations share one stacked pass (_chunk), serially and
+        # on two worker threads; 3 does not divide n, 50 is the whole
+        # block, which one thread runs
         cfg = SystemConfig(M=16, K=4, M_osc=2, snr_db=10.0, n_realizations=50,
                            parallelism=workers)
         variants = [("rzf", 0.1), ("zf", None), ("mf", None)]
@@ -192,35 +192,43 @@ class TestEmpiricalSinr:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_mid_size_chunks_do_not_change_bits(self, monkeypatch, chunk):
-        # at M=100, K=20 the rule stacks 8 realizations, which does not divide
-        # n; one and three per chunk give the same bits
+        # at M=100, K=20 the rule stacks 16 realizations, which does not
+        # divide n; one and three per chunk give the same bits, serially and
+        # on two worker threads
         cfg = SystemConfig(M=100, K=20, M_osc=5, snr_db=10.0, n_realizations=19)
-        assert linksim._chunk(cfg.K, cfg.M) == 8
+        assert linksim._chunk(cfg.K, cfg.M) == 16
         variants = [("rzf", cfg.rzf_alpha), ("zf", None), ("mf", None)]
         ref = linksim._powers(cfg, variants)
         monkeypatch.setattr(linksim, "_chunk", lambda K, M: chunk)
-        for powers, r in zip(linksim._powers(cfg, variants), ref):
-            assert np.array_equal(powers, r)
+        pool_on_two_cores(monkeypatch, chunk, cfg.K, cfg.M)
+        chunks = chunks_per_thread(monkeypatch)
+        for parallelism in (1, 2):
+            chunks.clear()
+            run = linksim._powers(replace(cfg, parallelism=parallelism), variants)
+            for powers, r in zip(run, ref):
+                assert np.array_equal(powers, r)
+            assert sum(chunks.values()) == -(-19 // chunk)
+            assert two_worker_threads(chunks) if parallelism > 1 else len(chunks) == 1
 
-    # M=50, K=10 (the fig2-fig4 presets) stacks 32; mid-size shapes stack
+    # M=50, K=10 (the fig2-fig4 presets) stacks 65; mid-size shapes stack
     # enough realizations to amortize a chunk's fixed cost; from K*M = 32768
     # each realization is its own chunk
-    @pytest.mark.parametrize("M, K, chunk", [(4, 2, 2048), (50, 10, 32), (64, 16, 16),
-                                             (100, 20, 8), (150, 30, 7), (200, 40, 4),
+    @pytest.mark.parametrize("M, K, chunk", [(4, 2, 4096), (50, 10, 65), (64, 16, 32),
+                                             (100, 20, 16), (150, 30, 7), (200, 40, 4),
                                              (300, 60, 1), (256, 128, 1), (1000, 200, 1)])
     def test_chunk_rule(self, M, K, chunk):
         assert linksim._chunk(K, M) == chunk
 
     # the benchmarked runs keep their plans on 2 cores: fig2-fig4 at 100
-    # realizations serially, also at parallelism 2 (one pooled chunk of 65
-    # per thread), and the generated M=200, K=40 sweep (500 realizations) on
-    # two threads with chunks of 4
+    # realizations serially, also at parallelism 2 (two chunks of 65 give a
+    # thread fewer than POOL_MIN_CHUNKS), and the generated M=200, K=40
+    # sweep (500 realizations) on two threads with chunks of 4
     @pytest.mark.parametrize("M, K, M_osc, n, parallelism, plan", [
-        pytest.param(50, 10, 5, 100, 1, (0, 32), id="mc_verify"),
-        pytest.param(50, 10, 5, 100, 2, (0, 32), id="mc_verify-parallelism-2"),
+        pytest.param(50, 10, 5, 100, 1, (0, 65), id="mc_verify"),
+        pytest.param(50, 10, 5, 100, 2, (0, 65), id="mc_verify-parallelism-2"),
         pytest.param(200, 40, 5, 500, 2, (2, 4), id="mc_large"),
         pytest.param(50, 10, 5, 260, 2, (2, 65), id="two-chunks-per-thread"),
-        pytest.param(36, 4, 2, 4000, 2, (0, 113), id="K*M-144"),
+        pytest.param(36, 4, 2, 4000, 2, (0, 227), id="K*M-144"),
         pytest.param(40, 4, 2, 4000, 2, (2, 204), id="K*M-160")])
     def test_plan(self, monkeypatch, M, K, M_osc, n, parallelism, plan):
         monkeypatch.setattr(linksim, "_cores", lambda: 2)
@@ -590,17 +598,17 @@ class TestDrawSizeGate:
     # one RZF pair at one SNR; the draw set of a 9-point snr sweep over all
     # three precoders (nine optimal RZF alphas, ZF, MF); a one-realization
     # chunk that dominates the count; the same sweep at a mid-size shape,
-    # whose 8-realization chunks dominate it; that sweep at the fig2 shape on
-    # two worker threads, each with its own 65-realization chunk, which
+    # whose 16-realization chunks dominate it; that sweep at the fig2 shape
+    # on two worker threads, each with its own 65-realization chunk, which
     # tracemalloc traces as it does the caller's; fig2's channel set (four
-    # oscillator counts, nine RZF alphas each), serially at 32 realizations
+    # oscillator counts, nine RZF alphas each), serially at 65 realizations
     # per chunk and on two threads; the mc_large benchmark's shape (two SNR
     # points over all three precoders) run serially, 4 realizations per chunk
     @pytest.mark.parametrize("M, K, n, precoders, snrs, m_oscs, n_variants, parallelism", [
         pytest.param(20, 4, 20_000, ("rzf",), (10.0,), (2,), 1, 1, id="one-pair"),
         pytest.param(20, 4, 20_000, ("rzf", "zf", "mf"), SNRS, (2,), 11, 1, id="snr-sweep"),
         pytest.param(2000, 40, 4, ("rzf",), (10.0,), (2,), 1, 1, id="M-2000"),
-        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, (2,), 11, 1, id="M-100-chunk-8"),
+        pytest.param(100, 20, 40, ("rzf", "zf", "mf"), SNRS, (2,), 11, 1, id="M-100-chunk-16"),
         pytest.param(50, 10, 400, ("rzf", "zf", "mf"), SNRS, (2,), 11, 2, id="M-50-pooled"),
         pytest.param(50, 10, 400, ("rzf",), SNRS, (1, 2, 5, 50), 9, 1,
                      id="fig2-channel-set"),

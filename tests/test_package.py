@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import inspect
 import pkgutil
 import subprocess
@@ -111,3 +111,37 @@ def test_parallel_sweep_loads_the_thread_pool_only(tmp_path):
                  f"'--out', {out_csv!r}]); "
                  f"print(code, [m for m in {pools!r} if m in sys.modules])")
     assert out == "0 ['concurrent.futures.thread']\n"
+
+
+SYNTHETIC_MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment on a code line
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        x = """a string assigned,
+        not a docstring"""
+        return x, os
+'''
+
+
+def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
+    # tools/count_lines.py: of 16 lines, six are code: the import, the class
+    # and def lines, the assigned string's two lines and the return
+    spec = importlib.util.spec_from_file_location(
+        "count_lines", Path(__file__).parent.parent / "tools" / "count_lines.py")
+    count_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count_lines)
+    assert count_lines.count(SYNTHETIC_MODULE) == (16, 6)
+    (tmp_path / "mod.py").write_text(SYNTHETIC_MODULE)
+    out = subprocess.run([sys.executable, spec.origin, str(tmp_path)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[1:] == [f"{'mod':14s} {16:6d} {6:6d}",
+                                    f"{'total':14s} {16:6d} {6:6d}"]
