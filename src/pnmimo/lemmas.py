@@ -12,7 +12,11 @@ matrix, independent block-constant diagonal phase matrix) — the only pairing
 the SINR derivation needs — rather than via general free-probability
 machinery.  The sizes and oscillator counts are checked once, by the CLI,
 which also calls check_lab_size, the memory gate, before any check runs.
-Each check holds one matrix size at a time.
+Each check holds one matrix size at a time.  Complex normals are staged
+through one real buffer of at most _PIECE normals (_gaussian_vec), and U + I
+is built in one real M x M workspace over normals it spends (_spd), so the
+rank-1 check, the largest, holds 72 M^2 bytes at size M and the trace lemma
+16 M^2, each with one piece.
 
 Every check's BLAS work runs at one OpenBLAS thread (config.blas_threads),
 so its results do not depend on the machine's core count.  The checks with
@@ -70,18 +74,23 @@ def check_lab_size(M_values, n_trials: int, sizes: str) -> None:
     bound tracemalloc's peak of the rank-1 check and the trace lemma
     (tests/test_cli.py)."""
     top = max(M_values)
-    # at the largest size M: the rank-1 check's workspaces (two (2, M, M)
-    # float64 normals, complex C and S, real G and Y: 80 M^2 bytes) with
-    # numpy's complex copy of S in each solve; the trace lemma's B with its
-    # normals (32 M^2 bytes, while _gaussian_vec draws B) and, per trial,
-    # four times 32 M bytes (the float64 normals of (x, w), the complex
-    # pair, the product r, and the pair's conjugate or two (M,) complex
-    # temporaries of a reduction), 8 bytes per size of results, and numpy's
-    # reduction buffer (8192 complex)
-    check_buffer("sizes", sizes, 96 * top * top)
+    # at the largest size M: the rank-1 check's workspaces ((2, M, M)
+    # float64 normals Z, complex C and S, real Y: 56 M^2 bytes) with numpy's
+    # complex copy of S in each solve and the piece of _PIECE float64
+    # normals that stages C's; the trace lemma's B (16 M^2 bytes) with the
+    # piece that stages its normals and, per trial, four times 32 M bytes
+    # (the float64 normals of (x, w), the complex pair, the product r, and
+    # the pair's conjugate or two (M,) complex temporaries of a reduction),
+    # 8 bytes per size of results, and numpy's reduction buffer (8192
+    # complex)
+    check_buffer("sizes", sizes, 72 * top * top + 8 * _PIECE)
     check_buffer("trials", n_trials,
-                 32 * top * top + n_trials * (128 * top + 8 * len(M_values)) + 131072)
+                 16 * top * top + 8 * _PIECE
+                 + n_trials * (128 * top + 8 * len(M_values)) + 131072)
 
+
+# The most real normals _gaussian_vec stages at once (512 KB).
+_PIECE = 1 << 16
 
 # Trials submitted and not yet collected in _trials: enough to keep both
 # workers busy while the calling thread draws, few enough to bound memory.
@@ -106,15 +115,24 @@ def _trials(pool, compute, draws, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian_vec(M, rng, scale, out=None, z=None):
-    """M complex normals of variance scale, drawn as the (2, M) real normals
-    z (the real parts, then the imaginary parts).  Given the workspaces out
-    (M complex) and z, they are filled in place; the stream use is the same."""
-    z = rng.standard_normal((2, M), out=z)
-    z *= np.sqrt(scale / 2.0)
+def _gaussian_vec(N, rng, scale, out=None, z=None):
+    """N complex normals of variance scale, drawn as the real parts, then
+    the imaginary parts, through the real buffer z of at most _PIECE
+    normals: each piece is drawn into z, scaled and written into out.real
+    or out.imag.  Consecutive draws into z use the stream as one (2, N)
+    draw does, so no (2, N) array of normals is ever held.  Given the
+    workspaces out (N complex) and z, they are filled in place."""
     if out is None:
-        out = np.empty(M, dtype=complex)
-    out.real, out.imag = z
+        out = np.empty(N, dtype=complex)
+    if z is None:
+        z = np.empty(max(1, min(N, _PIECE)))
+    s = np.sqrt(scale / 2.0)
+    for part in (out.real, out.imag):
+        for i in range(0, N, len(z)):
+            piece = z[:N - i]
+            rng.standard_normal(out=piece)
+            piece *= s
+            part[i:i + len(piece)] = piece
     return out
 
 
@@ -125,20 +143,20 @@ def _spd(Z, work=None):
     Y = Zi Zr^T.  Draws nothing; Z drawn as rng.standard_normal((2, M, M))
     uses the stream as _gaussian_vec(M * M, rng, 1.0) does.
 
-    work holds the M x M workspaces (G, Y, S), G and Y real and S complex;
-    S is built in place and returned.  Without it all three are new."""
+    Z is spent: Zi Zi^T is written over Zr once Zr has been read.  work
+    holds the M x M workspaces (Y, S), Y real and S complex; S is built in
+    place and returned.  Without it both are new."""
     Zr, Zi = Z
     M = Zr.shape[0]
-    G, Y, S = work or (np.empty((M, M)), np.empty((M, M)),
-                       np.empty((M, M), dtype=complex))
-    np.matmul(Zr, Zr.T, out=G)  # X @ X.T takes BLAS's symmetric product
-    G += np.matmul(Zi, Zi.T, out=Y)
-    G /= 2.0 * M
-    G.flat[::M + 1] += 1.0
-    S.real = G
+    Y, S = work or (np.empty((M, M)), np.empty((M, M), dtype=complex))
     np.matmul(Zi, Zr.T, out=Y)
     np.subtract(Y, Y.T, out=S.imag)
     S.imag /= 2.0 * M
+    np.matmul(Zr, Zr.T, out=Y)  # X @ X.T takes BLAS's symmetric product
+    Y += np.matmul(Zi, Zi.T, out=Zr)
+    Y /= 2.0 * M
+    Y.flat[::M + 1] += 1.0
+    S.real = Y
     return S
 
 
@@ -263,15 +281,17 @@ def check_rank1_perturbation(M_values, rng: np.random.Generator,
 
 
 def _rank1_gaps(M, rng, n_trials, pool) -> np.ndarray:
-    """check_rank1_perturbation's n_trials gaps at size M.  Its M x M
-    workspaces are allocated once and refilled at every trial, each only
-    after its last reader has returned: Z once S is built, _spd's
-    workspaces once the solve has returned, and C once this thread has read
-    it."""
+    """check_rank1_perturbation's n_trials gaps at size M.  Its workspaces
+    are allocated once and refilled at every trial, each only after its last
+    reader has returned: the (2, M, M) normals Z, which _spd spends, once S
+    is built; _spd's real Y and complex S once the solve has returned; C and
+    the piece zc that stages C's normals once this thread has read them.
+    With numpy's copy of S in the solve, that is 72 M^2 bytes and one piece
+    (check_lab_size)."""
     Z = rng.standard_normal((2, M, M))  # the normals of the first trial's S
-    zc, c = np.empty((2, M * M)), np.empty(M * M, dtype=complex)  # C's normals, C
+    zc, c = np.empty(min(M * M, _PIECE)), np.empty(M * M, dtype=complex)  # a piece, C
     C = c.reshape(M, M)
-    spd_work = (np.empty((M, M)), np.empty((M, M)), np.empty((M, M), dtype=complex))
+    spd_work = (np.empty((M, M)), np.empty((M, M), dtype=complex))
     errs = np.empty(n_trials)
     for t in range(n_trials):
         S = pool.submit(_spd, Z, spd_work)  # U + I

@@ -134,7 +134,7 @@ INVALID_INPUTS = [
     pytest.param("[system]\nM = 1000000000000\nK = 10\nn_realizations = 2\n",
                  ("M:", "1312000000009816 bytes"), id="M-1e12"),
     pytest.param(["lemmas", "--sizes", "64,200000", "--trials", "1"],
-                 ("sizes:", "3840000000000 bytes"), id="sizes-200000"),
+                 ("sizes:", "2880000524288 bytes"), id="sizes-200000"),
     # 80 B per user and 8 KiB, gated before any per-user array is built
     pytest.param("[system]\nM = 1000000000\nK = 1000000000\n",
                  ("K:", "80000008192 bytes"), id="K-1e9"),
@@ -687,9 +687,9 @@ class TestCliEntry:
                      "n_realizations: the buffers need 24961992 bytes",
                      id="sweep-n_realizations"),
         pytest.param(["lemmas", "--sizes", "64,512", "--trials", "1"],
-                     "sizes: the buffers need 25165824 bytes", id="lemmas-sizes"),
+                     "sizes: the buffers need 19398656 bytes", id="lemmas-sizes"),
         pytest.param(["lemmas", "--sizes", "8,16", "--trials", "20000"],
-                     "trials: the buffers need 41419264 bytes", id="lemmas-trials")])
+                     "trials: the buffers need 41939456 bytes", id="lemmas-trials")])
     def test_memory_gate_names_the_field(self, argv, field, tmp_path, monkeypatch,
                                          capsys):
         # a 4 MiB machine rejects what a real one would accept, before any
@@ -726,7 +726,7 @@ class TestCliEntry:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= counted["sizes"] == 96 * 64 * 64
+        assert peak <= counted["sizes"] == 72 * 64 * 64 + 8 * lemmas._PIECE
 
     # many trials at small sizes, where the trials count leads; few trials at
     # larger sizes, where B and numpy's reduction buffer do

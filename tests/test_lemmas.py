@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,33 @@ def complex_gram_spd(M, rng):
     S = B @ B.conj().T
     S /= M
     S.flat[::M + 1] += 1.0
+    return S
+
+
+def gaussian_vec_whole(N, rng, scale):
+    """_gaussian_vec from one (2, N) draw: the real parts, then the
+    imaginary parts, scaled and interleaved."""
+    z = rng.standard_normal((2, N))
+    z *= np.sqrt(scale / 2.0)
+    out = np.empty(N, dtype=complex)
+    out.real, out.imag = z
+    return out
+
+
+def spd_three_buffers(Z):
+    """_spd's reference: the same BLAS products into two real M x M
+    workspaces, G and Y, with Z only read."""
+    Zr, Zi = Z
+    M = Zr.shape[0]
+    G, Y, S = np.empty((M, M)), np.empty((M, M)), np.empty((M, M), dtype=complex)
+    np.matmul(Zr, Zr.T, out=G)
+    G += np.matmul(Zi, Zi.T, out=Y)
+    G /= 2.0 * M
+    G.flat[::M + 1] += 1.0
+    S.real = G
+    np.matmul(Zi, Zr.T, out=Y)
+    np.subtract(Y, Y.T, out=S.imag)
+    S.imag /= 2.0 * M
     return S
 
 
@@ -305,6 +333,48 @@ class TestOracles:
                                                         M_osc=4),
             lambda rng: quadratic_form_oracle(M, q0, rng, n_trials=5, M_osc=4),
             seed=22)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("workspaces", [False, True])
+    @pytest.mark.parametrize("N", [0, 1, lemmas._PIECE - 1, lemmas._PIECE, lemmas._PIECE + 1,
+                                   2 * lemmas._PIECE + 3, 512 ** 2])
+    def test_pieces_draw_the_bits_of_one_draw(self, N, workspaces):
+        # piece after piece, the real parts then the imaginary parts: the
+        # values and the generator's final state of one (2, N) draw (N = 0
+        # is the quadratic-form check's H at M < 4)
+        rng_lib, rng_ref = np.random.default_rng(24), np.random.default_rng(24)
+        work = ({"out": np.empty(N, dtype=complex), "z": np.empty(max(1, min(N, lemmas._PIECE)))}
+                if workspaces else {})
+        got = _gaussian_vec(N, rng_lib, 0.3, **work)
+        if workspaces:
+            assert got is work["out"]
+        assert got.tobytes() == gaussian_vec_whole(N, rng_ref, 0.3).tobytes()
+        assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_pieces_bound_the_staged_normals(self):
+        # into a caller's out, a 512^2 draw holds one piece, not (2, N) normals
+        N = 512 ** 2
+        out, rng = np.empty(N, dtype=complex), np.random.default_rng(24)
+        _gaussian_vec(N, rng, 1.0, out)  # warm up
+        tracemalloc.start()
+        try:
+            _gaussian_vec(N, rng, 1.0, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * lemmas._PIECE <= peak < 9 * lemmas._PIECE
+
+    @pytest.mark.parametrize("workspaces", [False, True])
+    @pytest.mark.parametrize("M", [2, 33, 64])
+    def test_one_workspace_keeps_the_bits_of_two(self, M, workspaces):
+        Z = np.random.default_rng(25).standard_normal((2, M, M))
+        ref = spd_three_buffers(Z.copy())
+        work = (np.empty((M, M)), np.empty((M, M), dtype=complex)) if workspaces else None
+        S = _spd(Z, work)
+        if workspaces:
+            assert S is work[1]
+        assert S.tobytes() == ref.tobytes()
 
 
 class TestExactIdentities:
